@@ -5,9 +5,10 @@ rolled out through the plant; every (x_k, u_k, x_{k+1}) triple is kept
 with its provenance.  Trajectories that go non-finite are dropped whole
 (a bad suffix would leave near-singular leverage points) and counted.
 
-Assembly order is gain-major, initial-condition-minor, step-increasing,
-regardless of how the rollouts are executed, so identical configs and
-seeds give bitwise-identical datasets.
+All gain x initial-condition pairs are rolled out as one batch, in
+gain-major, initial-condition-minor order, and snapshots are assembled
+in that order, step-increasing, so identical configs and seeds give
+bitwise-identical datasets.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .observables import ObservableMap
-from .plants import ControlAffinePlant, rollout_batch
+from .plants import ControlAffinePlant, rollout
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,8 @@ def grid_initial_conditions(cfg: BabblingConfig, d_x: int = None) -> np.ndarray:
 
 
 def generate_dataset(plant: ControlAffinePlant, map_x: ObservableMap,
-                     map_u: ObservableMap, cfg: BabblingConfig,
-                     jobs: int = 1) -> SnapshotDataset:
+                     map_u: ObservableMap,
+                     cfg: BabblingConfig) -> SnapshotDataset:
     """Roll out every (gain, initial condition) pair and collect snapshots.
 
     u_k = clip(K_u^(i) psi_u(x_k)) is applied with zero-order hold; the
@@ -139,44 +140,21 @@ def generate_dataset(plant: ControlAffinePlant, map_x: ObservableMap,
     n_ic = ics.shape[0]
     T = cfg.steps
 
-    lift = lambda x: map_u(x)  # noqa: E731
-
-    def run_gain(K):
-        gain_batch = np.broadcast_to(K, (n_ic,) + K.shape)
-        return rollout_batch(plant, ics, gain_batch, lift, T, cfg.dt)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_gain, gains))
-    else:
-        results = [run_gain(K) for K in gains]
-
-    xs, us, xns = [], [], []
-    gidx, icidx, steps, tids = [], [], [], []
-    n_dropped = 0
-    kept = 0
-    for i, (states, inputs, alive) in enumerate(results):
-        for j in range(n_ic):
-            if not alive[j]:
-                n_dropped += 1
-                continue
-            xs.append(states[j, :-1])
-            us.append(inputs[j])
-            xns.append(states[j, 1:])
-            gidx.append(np.full(T, i))
-            icidx.append(np.full(T, j))
-            steps.append(np.arange(T))
-            tids.append(np.full(T, i * n_ic + j))
-            kept += 1
-    if kept == 0:
+    row_gains = np.repeat(np.asarray(gains), n_ic, axis=0)  # (B, d_u, d_psi_u)
+    trajs = rollout(plant, np.tile(ics, (len(gains), 1)),
+                    lambda x: np.einsum("baj,bj->ba", row_gains, map_u(x)),
+                    T, cfg.dt)
+    kept = [tid for tid, traj in enumerate(trajs) if not traj.diverged]
+    if not kept:
         raise ValueError("all trajectories diverged; nothing to identify from")
+    x, u, x_next = (np.concatenate(parts) for parts in
+                    zip(*(trajs[tid].snapshots() for tid in kept)))
+    traj_id = np.repeat(kept, T)
     ds = SnapshotDataset(
-        x=np.concatenate(xs), u=np.concatenate(us), x_next=np.concatenate(xns),
-        gain_index=np.concatenate(gidx), ic_index=np.concatenate(icidx),
-        step_index=np.concatenate(steps), traj_id=np.concatenate(tids),
-        n_trajectories=kept, n_dropped=n_dropped,
+        x=x, u=u, x_next=x_next,
+        gain_index=traj_id // n_ic, ic_index=traj_id % n_ic,
+        step_index=np.tile(np.arange(T), len(kept)), traj_id=traj_id,
+        n_trajectories=len(kept), n_dropped=len(trajs) - len(kept),
         meta={"seed": cfg.seed, "steps": T, "dt": cfg.dt,
               "num_gains": cfg.num_gains, "num_initial_conditions": n_ic,
               "grid_shape": [int(len(np.unique(ics[:, d])))

@@ -1,9 +1,9 @@
 """Pipeline driver: babble -> factorize -> identify -> synthesize -> evaluate.
 
 Exit codes: 0 success, 2 config error, 3 stage-precondition error,
-4 synthesis infeasible, 5 evaluation gate failed.  Stage outputs embed
-the config hash; ``pipeline`` skips stages whose artifact already
-matches it.
+4 synthesis infeasible, 5 evaluation gate failed, 6 factorization
+retained no block.  Stage outputs embed the config hash; ``pipeline``
+skips stages whose artifact already matches it.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_INFEASIBLE = 4
 EXIT_EVAL_GATE = 5
+EXIT_FACTORIZATION = 6
 
 
 class StageError(RuntimeError):
@@ -86,11 +87,11 @@ def _cached(path: Path, kind: str, cfg: dict) -> bool:
         and payload.get("meta", {}).get("config_hash") == config_hash(cfg)
 
 
-def cmd_babble(cfg: dict, jobs: int = 1) -> SnapshotDataset:
+def cmd_babble(cfg: dict) -> SnapshotDataset:
     plant = build_plant(cfg)
     map_x, map_u = build_maps(cfg)
     bcfg = babbling_config(cfg)
-    ds = generate_dataset(plant, map_x, map_u, bcfg, jobs=jobs)
+    ds = generate_dataset(plant, map_x, map_u, bcfg)
     outdir = _outdir(cfg) / "dataset"
     save_dataset(ds, outdir, extra_meta={"meta": artifact_meta(cfg)})
     print(f"babble: {ds.n_trajectories} trajectories "
@@ -198,7 +199,7 @@ def cmd_evaluate(cfg: dict, result, model=None, pair=None):
     return report
 
 
-def cmd_pipeline(cfg: dict, jobs: int = 1):
+def cmd_pipeline(cfg: dict):
     outdir = _outdir(cfg)
     manifest = outdir / "dataset" / "manifest.json"
     if manifest.exists():
@@ -211,7 +212,7 @@ def cmd_pipeline(cfg: dict, jobs: int = 1):
         print("babble: cache hit")
         ds = load_dataset(outdir / "dataset")
     else:
-        ds = cmd_babble(cfg, jobs=jobs)
+        ds = cmd_babble(cfg)
     if _cached(outdir / "pair.json", "koopctl/pair", cfg):
         print("factorize: cache hit")
         pair = pair_from_json(_read_json(outdir / "pair.json", "koopctl/pair"))
@@ -277,8 +278,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--out", help="override output directory")
         p.add_argument("--seed", type=int, help="override the global seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for rollout batches")
     p_init = sub.add_parser("init", help="write a documented config template")
     p_init.add_argument("path", nargs="?", default="experiment.json")
 
@@ -300,7 +299,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "babble":
-            cmd_babble(cfg, jobs=args.jobs)
+            cmd_babble(cfg)
         elif args.command == "factorize":
             (ds,) = _load_stage_inputs(cfg, "dataset")
             cmd_factorize(cfg, ds)
@@ -315,7 +314,7 @@ def main(argv=None) -> int:
                                                      "pair")
             cmd_evaluate(cfg, result, model=model, pair=pair)
         elif args.command == "pipeline":
-            cmd_pipeline(cfg, jobs=args.jobs)
+            cmd_pipeline(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -324,7 +323,7 @@ def main(argv=None) -> int:
         return exc.code
     except FactorizationError as exc:
         print(f"factorization failed: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_FACTORIZATION
     return EXIT_OK
 
 

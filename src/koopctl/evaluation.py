@@ -82,11 +82,13 @@ class EvaluationReport:
 
 
 def feedback_controller(map_u: ObservableMap, K_u: np.ndarray):
-    """u(x) = K_u psi_u(x) as a plain state-feedback callable."""
+    """u(x) = K_u psi_u(x) as a state-feedback callable on (..., d_x)."""
     K_u = np.atleast_2d(np.asarray(K_u, dtype=float))
 
     def control(x):
-        return K_u @ map_u(np.asarray(x, dtype=float))
+        # matmul on a trailing column matches the single-state K_u @ psi
+        # bitwise, for one state or a batch
+        return np.matmul(K_u, map_u(x)[..., None])[..., 0]
 
     return control
 
@@ -129,18 +131,22 @@ def evaluate_closed_loop(plant: ControlAffinePlant, map_u: ObservableMap,
                          train_ranges=None) -> EvaluationReport:
     """Roll out the feedback law and its uncontrolled twins, and score them."""
     initial_states = np.asarray(initial_states, dtype=float)
+    n = initial_states.shape[0]
     steps = int(round(horizon_s / dt))
-    control = feedback_controller(map_u, K_u)
+    feedback = feedback_controller(map_u, K_u)
+
+    def control(x):  # rows [:n] closed loop, rows [n:] their u = 0 twins
+        u = np.zeros(x.shape[:-1] + (plant.input_dim,))
+        u[:n] = feedback(x[:n])
+        return u
+
+    trajs = rollout(plant, np.concatenate([initial_states, initial_states]),
+                    control, steps, dt)
+    controlled, uncontrolled = trajs[:n], trajs[n:]
     tail = max(1, int(round(1.0 / dt)))  # last second of the horizon
     records = []
     unc_final = []
-    controlled, uncontrolled = [], []
-    for x0 in initial_states:
-        traj = rollout(plant, x0, control, steps, dt)
-        twin = rollout(plant, x0, lambda x: np.zeros(plant.input_dim),
-                       steps, dt)
-        controlled.append(traj)
-        uncontrolled.append(twin)
+    for x0, traj, twin in zip(initial_states, controlled, uncontrolled):
         norms = np.max(np.abs(traj.states), axis=1)
         converged = (not traj.diverged) and norms[-1] <= settle_tol
         settled_at = horizon_s
@@ -197,10 +203,11 @@ def lifted_vs_true(model: BilinearKoopmanModel, pair: FactorizationPair,
     """
     a_dec = decoding_operator(map_x)
     ktilde = assemble_ktilde(model, K_u, pair.H).Ktilde
-    control = feedback_controller(map_x, K_u)
+    initial_states = np.asarray(initial_states, dtype=float)
+    trajs = rollout(plant, initial_states, feedback_controller(map_x, K_u),
+                    steps, dt)
     errs = np.zeros((len(initial_states), steps))
-    for i, x0 in enumerate(np.asarray(initial_states, dtype=float)):
-        traj = rollout(plant, x0, control, steps, dt)
+    for i, (x0, traj) in enumerate(zip(initial_states, trajs)):
         psi_traj = lifted_rollout(ktilde, map_x(x0), steps)
         n_ok = traj.states.shape[0] - 1
         decoded = psi_traj[1 : n_ok + 1] @ a_dec.T

@@ -214,7 +214,8 @@ def rk4_step(plant: ControlAffinePlant, x, u, dt: float) -> np.ndarray:
     """Classical RK4 update with zero-order-hold input over the step.
 
     Accepts a single state (d_x,) or a batch (N, d_x); u broadcasts the
-    same way.  Raises FloatingPointError when the update is non-finite.
+    same way.  A non-finite update is returned as it is; ``rollout``
+    detects and records divergence.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -224,72 +225,50 @@ def rk4_step(plant: ControlAffinePlant, x, u, dt: float) -> np.ndarray:
     k2 = plant.rhs(x + 0.5 * dt * k1, u)
     k3 = plant.rhs(x + 0.5 * dt * k2, u)
     k4 = plant.rhs(x + dt * k3, u)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if x.ndim == 1 and not np.all(np.isfinite(out)):
-        raise FloatingPointError("integration produced non-finite state")
-    return out
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rollout(plant: ControlAffinePlant, x0, controller, T: int,
-            dt: float) -> Trajectory:
+def rollout(plant: ControlAffinePlant, x0, controller, T: int, dt: float):
     """Roll the plant forward T steps under a feedback law or input sequence.
 
-    ``controller`` is either a callable x -> u or an array of shape
-    (T, d_u).  Controls are clipped to the plant input bounds before
-    integration.  Integration failure truncates the trajectory and sets
-    the ``diverged`` flag.
+    ``x0`` is one state (d_x,) or a batch (B, d_x); the whole batch is
+    stepped together.  ``controller`` is either a callable mapping states
+    shaped like ``x0`` to inputs (d_u,) or (B, d_u), or an array of
+    shape (T, d_u) applied to every row.  Controls are clipped to the
+    plant input bounds before integration.
+
+    A row whose update goes non-finite at step k is truncated to its
+    first k + 1 states and k inputs and flagged ``diverged``; it is
+    parked at the origin so the other rows, which are stepped exactly
+    as they would be alone, carry on.  Returns a Trajectory for a single
+    state and a list of Trajectories, one per row, for a batch.
     """
     x = np.asarray(x0, dtype=float).copy()
-    states = [x.copy()]
-    inputs = []
-    fixed = None if callable(controller) else np.asarray(controller, dtype=float)
-    if fixed is not None and fixed.shape != (T, plant.input_dim):
-        fixed = fixed.reshape(T, plant.input_dim)
+    lead = x.shape[:-1]
+    d_u = plant.input_dim
+    fixed = None if callable(controller) else \
+        np.asarray(controller, dtype=float).reshape(T, d_u)
+    states = np.zeros(lead + (T + 1, plant.state_dim))
+    inputs = np.zeros(lead + (T, d_u))
+    states[..., 0, :] = x
+    n_ok = np.full(lead, T)  # steps completed before the first non-finite one
     for k in range(T):
         u = controller(x) if fixed is None else fixed[k]
-        u = plant.clip_input(np.atleast_1d(np.asarray(u, dtype=float)))
-        try:
-            x = rk4_step(plant, x, u, dt)
-        except FloatingPointError:
-            return Trajectory(states=np.array(states),
-                              inputs=np.array(inputs).reshape(-1, plant.input_dim),
-                              dt=dt, diverged=True)
-        states.append(x.copy())
-        inputs.append(u.copy())
-    return Trajectory(states=np.array(states),
-                      inputs=np.array(inputs).reshape(T, plant.input_dim),
-                      dt=dt)
-
-
-def rollout_batch(plant: ControlAffinePlant, x0s: np.ndarray, gains,
-                  lift, T: int, dt: float):
-    """Vectorized rollouts under feedback u = clip(K psi_u(x)), one gain per row.
-
-    x0s: (B, d_x) initial states; gains: (B, d_u, d_psi_u); lift: batch
-    observable evaluator x (B, d_x) -> (B, d_psi_u).  Returns (states
-    (B, T+1, d_x), inputs (B, T, d_u), alive (B,)) where ``alive`` marks
-    trajectories that stayed finite throughout.
-    """
-    x0s = np.asarray(x0s, dtype=float)
-    B = x0s.shape[0]
-    gains = np.asarray(gains, dtype=float)
-    states = np.zeros((B, T + 1, plant.state_dim))
-    inputs = np.zeros((B, T, plant.input_dim))
-    states[:, 0] = x0s
-    x = x0s.copy()
-    alive = np.ones(B, dtype=bool)
-    for k in range(T):
-        psi = lift(x)
-        u = np.einsum("baj,bj->ba", gains, psi)
-        u = plant.clip_input(u)
+        u = plant.clip_input(np.broadcast_to(u, lead + (d_u,)))
         x = rk4_step(plant, x, u, dt)
         bad = ~np.all(np.isfinite(x), axis=-1)
         if np.any(bad):
-            alive &= ~bad
-            x[bad] = 0.0  # parked; finished trajectories are dropped by the caller
-        inputs[:, k] = u
-        states[:, k + 1] = x
-    return states, inputs, alive
+            n_ok[bad & (n_ok == T)] = k
+            if np.all(n_ok < T):
+                break
+            x[bad] = 0.0
+        inputs[..., k, :] = u
+        states[..., k + 1, :] = x
+    trajs = [Trajectory(states=xs[: n + 1], inputs=us[:n], dt=dt,
+                        diverged=bool(n < T))
+             for xs, us, n in zip(states.reshape(-1, T + 1, plant.state_dim),
+                                  inputs.reshape(-1, T, d_u), n_ok.ravel())]
+    return trajs if lead else trajs[0]
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

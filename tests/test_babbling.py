@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from koopctl import babbling, plants
-from koopctl.observables import single_pendulum_map
+from koopctl.observables import (
+    double_pendulum_map,
+    polynomial_map,
+    single_pendulum_map,
+)
 
 
 def small_config(**overrides):
@@ -11,6 +15,46 @@ def small_config(**overrides):
                 steps=20, dt=0.01, seed=7)
     base.update(overrides)
     return babbling.BabblingConfig(**base)
+
+
+def blowup_plant():
+    """x' = x^3: every nonzero start leaves the floats in finite time."""
+    return plants.ControlAffinePlant(
+        name="blowup", state_dim=1, input_dim=1,
+        drift=lambda x: x ** 3,
+        input_matrix=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
+        input_bounds=np.array([[-1.0, 1.0]]),
+    )
+
+
+def per_gain_reference(plant, m, cfg):
+    """Babbling as one rollout batch per gain, the loop the one-call batch
+    replaced; returns (x, u, x_next, traj_id, dropped)."""
+    gains = babbling.sample_random_gains(cfg, plant.input_dim, m.dim)
+    ics = babbling.grid_initial_conditions(cfg, plant.state_dim)
+    n_ic = len(ics)
+    out = [[], [], [], []]
+    dropped = 0
+    for i, K in enumerate(gains):
+        gain_batch = np.broadcast_to(K, (n_ic,) + K.shape)
+        x = ics.copy()
+        states, inputs = [x], []
+        for _ in range(cfg.steps):
+            u = plant.clip_input(np.einsum("baj,bj->ba", gain_batch, m(x)))
+            x = plants.rk4_step(plant, x, u, cfg.dt)
+            states.append(x)
+            inputs.append(u)
+        states = np.stack(states, axis=1)
+        inputs = np.stack(inputs, axis=1)
+        for j in range(n_ic):
+            if not np.all(np.isfinite(states[j])):
+                dropped += 1
+                continue
+            for acc, part in zip(out, (states[j, :-1], inputs[j],
+                                       states[j, 1:],
+                                       np.full(cfg.steps, i * n_ic + j))):
+                acc.append(part)
+    return tuple(np.concatenate(acc) for acc in out) + (dropped,)
 
 
 class TestGains:
@@ -104,13 +148,29 @@ class TestGenerateDataset:
                 plants.rk4_step(self.plant, ds.x[idx], ds.u[idx], cfg.dt),
                 ds.x_next[idx])
 
-    def test_jobs_do_not_change_content(self):
-        cfg = small_config()
-        a = babbling.generate_dataset(self.plant, self.map, self.map, cfg)
-        b = babbling.generate_dataset(self.plant, self.map, self.map, cfg,
-                                      jobs=4)
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.traj_id, b.traj_id)
+    @pytest.mark.parametrize("case", ["single", "double", "blowup"])
+    def test_one_batch_matches_per_gain_loop(self, case):
+        plant, m, cfg = {
+            "single": lambda: (self.plant, self.map,
+                               small_config(gain_scale=3.0)),
+            "double": lambda: (plants.double_pendulum(gravity=1.0),
+                               double_pendulum_map(), small_config(
+                                   num_gains=3, num_initial_conditions=16,
+                                   state_grid=((-1.0, 1.0),) * 4)),
+            "blowup": lambda: (blowup_plant(),
+                               polynomial_map("lin", (1,)), small_config(
+                                   num_initial_conditions=4,
+                                   state_grid=((0.0, 3.0),), dt=0.5)),
+        }[case]()
+        with np.errstate(over="ignore", invalid="ignore"):
+            ds = babbling.generate_dataset(plant, m, m, cfg)
+            x, u, x_next, traj_id, dropped = per_gain_reference(plant, m, cfg)
+        np.testing.assert_array_equal(ds.x, x)
+        np.testing.assert_array_equal(ds.u, u)
+        np.testing.assert_array_equal(ds.x_next, x_next)
+        np.testing.assert_array_equal(ds.traj_id, traj_id)
+        assert ds.n_dropped == dropped
+        assert (dropped > 0) == (case == "blowup")
 
     def test_split_by_trajectory_is_leak_free(self):
         cfg = small_config()

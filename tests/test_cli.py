@@ -139,6 +139,18 @@ class TestStageOrdering:
         assert cli.main(["babble", "--config", str(path)]) == cli.EXIT_CONFIG
 
 
+class TestFactorizationFailureCode:
+    def test_tiny_eps_exits_6_with_one_line(self, tmp_path, capsys):
+        cfgfile = smoke_config(tmp_path, factorization={"eps_h": 1e-300})
+        assert cli.main(["babble", "--config", str(cfgfile)]) == 0
+        capsys.readouterr()
+        code = cli.main(["factorize", "--config", str(cfgfile)])
+        assert code == cli.EXIT_FACTORIZATION == 6
+        err = capsys.readouterr().err
+        assert err.startswith("factorization failed: no block residual")
+        assert err.count("\n") == 1
+
+
 class TestSynthesisFailureCode:
     def test_zero_authority_model_exits_4(self, tmp_path, capsys):
         cfgfile = smoke_config(tmp_path, synthesis={"max_resamples": 2})

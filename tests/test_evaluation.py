@@ -1,12 +1,18 @@
 import csv
+import json
 
 import numpy as np
+import pytest
 
 from koopctl import evaluation as ev
 from koopctl import plants, synthesis as syn
 from koopctl.edmd import BilinearKoopmanModel
 from koopctl.factorization import FactorizationPair, assemble_ktilde
-from koopctl.observables import single_pendulum_map
+from koopctl.observables import (
+    double_pendulum_map,
+    polynomial_map,
+    single_pendulum_map,
+)
 
 
 def stabilized_toy():
@@ -22,6 +28,113 @@ def stabilized_toy():
     result = syn.synthesize(model, pair, max_resamples=10, seed=1)
     assert result.status == "optimal"
     return model, pair, result
+
+
+def scalar_rollout(plant, x0, control, steps, dt):
+    """One state stepped alone, the loop the batched engine replaced."""
+    x = np.asarray(x0, dtype=float)
+    states, inputs = [x], []
+    for _ in range(steps):
+        u = plant.clip_input(np.atleast_1d(control(x)))
+        x = plants.rk4_step(plant, x, u, dt)
+        if not np.all(np.isfinite(x)):
+            break
+        states.append(x)
+        inputs.append(u)
+    return plants.Trajectory(
+        states=np.array(states),
+        inputs=np.array(inputs).reshape(-1, plant.input_dim), dt=dt,
+        diverged=len(inputs) < steps)
+
+
+def equivalence_case(name):
+    """(plant, map, K, initial states, horizon) at small size."""
+    if name == "single":
+        K = np.zeros((1, 9))
+        K[0, 0], K[0, 1], K[0, 5] = -2.0, -2.0, -1.0
+        states = [[0.0, 0.0], [0.4, 0.0], [-0.6, 0.5], [1.5, -2.0],
+                  [3.0, 8.0], [-2.5, -6.0]]
+        return (plants.single_pendulum(gravity=1.0), single_pendulum_map(),
+                K, states, 5.0)
+    if name == "double":
+        K = np.zeros((2, 14))
+        K[0, 0], K[0, 2], K[1, 1], K[1, 3] = -8.0, -4.0, -8.0, -4.0
+        states = [[0.1, -0.1, 0.0, 0.0], [0.3, 0.2, -0.5, 0.4],
+                  [-np.pi / 2, np.pi / 2, 0.0, 0.0], [1.0, -1.0, 2.0, 2.0]]
+        return (plants.double_pendulum(gravity=1.0), double_pendulum_map(),
+                K, states, 3.0)
+    blowup = plants.ControlAffinePlant(
+        name="blowup", state_dim=1, input_dim=1,
+        drift=lambda x: x ** 3,
+        input_matrix=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
+        input_bounds=np.array([[-1.0, 1.0]]),
+    )
+    return (blowup, polynomial_map("lin", (1,)), np.array([[-1.0]]),
+            [[0.0], [0.5], [2.0]], 3.0)
+
+
+class TestBatchedMatchesScalar:
+    """The one-call batched rollouts against per-state scalar rollouts."""
+
+    @pytest.mark.parametrize("name", ["single", "double", "blowup"])
+    def test_evaluate_closed_loop(self, name, monkeypatch):
+        plant, m, K, states, horizon = equivalence_case(name)
+        dt = 0.01
+        steps = int(round(horizon / dt))
+        result = syn.SynthesisResult(K_u=K, lam=0.99, P=np.eye(m.dim),
+                                     S_x=np.eye(m.dim), status="optimal")
+        kwargs = dict(settle_tol=0.05, result=result, map_x=m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ev.evaluate_closed_loop(plant, m, K, states, horizon, dt,
+                                          **kwargs)
+            ref = [scalar_rollout(plant, x0, lambda x: K @ m(x), steps, dt)
+                   for x0 in states]
+            ref += [scalar_rollout(plant, x0,
+                                   lambda x: np.zeros(plant.input_dim),
+                                   steps, dt) for x0 in states]
+        # score the scalar trajectories with the unchanged report code
+        monkeypatch.setattr(ev, "rollout", lambda *args: ref)
+        want = ev.evaluate_closed_loop(plant, m, K, states, horizon, dt,
+                                       **kwargs)
+        for a, b in zip(got.controlled_trajs + got.uncontrolled_trajs,
+                        want.controlled_trajs + want.uncontrolled_trajs):
+            np.testing.assert_array_equal(a.states, b.states)
+            np.testing.assert_array_equal(a.inputs, b.inputs)
+            assert a.diverged == b.diverged
+        for a, b in zip(got.records, want.records):
+            assert (a.converged, a.diverged, a.settling_time) \
+                == (b.converged, b.diverged, b.settling_time)
+        assert got.uncontrolled_final == want.uncontrolled_final
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        if name == "blowup":
+            assert [r.diverged for r in got.records] == [False, True, True]
+
+    @pytest.mark.parametrize("name", ["single", "double"])
+    def test_lifted_vs_true(self, name, monkeypatch):
+        plant, m, K, states, _ = equivalence_case(name)
+        model, pair = one_block_pair_model(m.dim, plant.input_dim)
+        args = (model, pair, K, plant, m, states, 120, 0.01)
+        got = ev.lifted_vs_true(*args)
+        ref = [scalar_rollout(plant, x0, lambda x: K @ m(x), 120, 0.01)
+               for x0 in states]
+        monkeypatch.setattr(ev, "rollout", lambda *a: ref)
+        want = ev.lifted_vs_true(*args)
+        assert json.dumps(got) == json.dumps(want)
+
+
+def one_block_pair_model(d_psi, d_u):
+    """A lifted model that keeps the first block, for fidelity plumbing."""
+    rng = np.random.default_rng(0)
+    model = BilinearKoopmanModel(
+        K_xx=0.1 * rng.standard_normal((d_psi, d_psi)) + np.eye(d_psi),
+        K_xu=0.01 * rng.standard_normal((d_psi, d_u)),
+        S=np.eye(d_psi)[:1],
+        map_descriptor={"name": "test", "state_dim": 1, "features": []})
+    pair = FactorizationPair(
+        S=np.eye(d_psi)[:1], H=rng.standard_normal((d_psi, d_psi)),
+        mask=np.eye(d_psi, dtype=int)[0], residuals=np.zeros(d_psi),
+        eps_h=1e-9)
+    return model, pair
 
 
 class TestLyapunovTrace:

@@ -14,6 +14,16 @@ def scalar_decay_plant():
     )
 
 
+def blowup_plant():
+    """x' = x^3: every nonzero start leaves the floats in finite time."""
+    return plants.ControlAffinePlant(
+        name="blowup", state_dim=1, input_dim=1,
+        drift=lambda x: x ** 3,
+        input_matrix=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
+        input_bounds=np.array([[-1.0, 1.0]]),
+    )
+
+
 class TestSinglePendulum:
     def setup_method(self):
         self.plant = plants.single_pendulum(m=1.0, L=1.0, b=0.3, gravity=9.81)
@@ -197,17 +207,48 @@ class TestRollout:
                 plants.rk4_step(plant, x[k], u[k], 0.01), xn[k])
 
     def test_divergence_flagged(self):
-        blowup = plants.ControlAffinePlant(
-            name="blowup", state_dim=1, input_dim=1,
-            drift=lambda x: x ** 3,
-            input_matrix=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
-            input_bounds=np.array([[-1.0, 1.0]]),
-        )
         with np.errstate(over="ignore", invalid="ignore"):
-            traj = plants.rollout(blowup, np.array([5.0]),
+            traj = plants.rollout(blowup_plant(), np.array([5.0]),
                                   lambda x: np.zeros(1), 200, 0.5)
         assert traj.diverged
         assert traj.states.shape[0] < 201
+
+    def test_mixed_batch_truncates_only_the_diverging_row(self):
+        plant = blowup_plant()
+        x0s = np.array([[0.0], [0.1], [0.5], [-0.05]])
+
+        def control(x):  # state-dependent, so parked rows would show
+            return np.sin(x)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = plants.rollout(plant, x0s, control, 60, 0.5)
+            singles = [plants.rollout(plant, x0, control, 60, 0.5)
+                       for x0 in x0s]
+            # the diverging row: the first step whose update is non-finite
+            x, first_bad = x0s[2], None
+            for k in range(60):
+                x = plants.rk4_step(plant, x, np.sin(x), 0.5)
+                if not np.all(np.isfinite(x)):
+                    first_bad = k
+                    break
+        assert [t.diverged for t in batch] == [False, False, True, False]
+        assert first_bad > 0
+        assert batch[2].states.shape == (first_bad + 1, 1)
+        assert batch[2].inputs.shape == (first_bad, 1)
+        for got, alone in zip(batch, singles):
+            assert got.diverged == alone.diverged
+            np.testing.assert_array_equal(got.states, alone.states)
+            np.testing.assert_array_equal(got.inputs, alone.inputs)
+
+    def test_batch_with_input_sequence(self):
+        plant = plants.single_pendulum()
+        seq = np.linspace(-8.0, 8.0, 30).reshape(30, 1)
+        x0s = np.array([[0.1, 0.0], [-0.4, 1.0]])
+        batch = plants.rollout(plant, x0s, seq, 30, 0.01)
+        for got, x0 in zip(batch, x0s):
+            alone = plants.rollout(plant, x0, seq, 30, 0.01)
+            np.testing.assert_array_equal(got.states, alone.states)
+            np.testing.assert_array_equal(got.inputs, np.clip(seq, -5, 5))
 
 
 class TestTrajectoryCsv:
