@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -199,9 +200,24 @@ def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:
     }
     if extra_meta:
         manifest.update(extra_meta)
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+    write_json_atomic(outdir / "manifest.json", manifest)
     return outdir / "manifest.json"
+
+
+def write_json_atomic(path, payload: dict) -> None:
+    """Write ``payload`` as JSON to a temp file beside ``path``, then rename.
+
+    A dump that fails partway leaves any earlier file at ``path`` intact
+    and removes the temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_dataset(outdir) -> SnapshotDataset:

@@ -1,9 +1,10 @@
 """Pipeline driver: babble -> factorize -> identify -> synthesize -> evaluate.
 
-Exit codes: 0 success, 2 config error, 3 stage-precondition error,
-4 synthesis infeasible, 5 evaluation gate failed, 6 factorization
-retained no block.  Stage outputs embed the config hash; ``pipeline``
-skips stages whose artifact already matches it.
+Exit codes: 0 success, 2 config error, 3 stage-precondition error
+(missing, corrupt or stale upstream artifact), 4 synthesis infeasible,
+5 evaluation gate failed, 6 factorization retained no block.  Stage
+outputs embed the config hash; ``pipeline`` skips stages whose artifact
+already matches it.  Artifacts are written atomically.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluation
-from .babbling import SnapshotDataset, generate_dataset, load_dataset, save_dataset
+from .babbling import (
+    SnapshotDataset,
+    generate_dataset,
+    load_dataset,
+    save_dataset,
+    write_json_atomic,
+)
 from .config import (
     ConfigError,
     artifact_meta,
@@ -61,18 +68,29 @@ def _outdir(cfg: dict) -> Path:
 def _write_json(path: Path, payload: dict, cfg: dict) -> None:
     payload = dict(payload)
     payload["meta"] = artifact_meta(cfg)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+    write_json_atomic(path, payload)
 
 
 def _read_json(path: Path, expected_kind: str, code: int = EXIT_PRECONDITION):
     if not path.exists():
         raise StageError(f"missing stage artifact: {path}", code)
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise StageError(f"corrupt stage artifact {path}: {exc}", code)
     if payload.get("kind") != expected_kind:
         raise StageError(f"{path} is not a {expected_kind} artifact", code)
     return payload
+
+
+def _load_dataset(outdir: Path) -> SnapshotDataset:
+    """load_dataset with a missing or corrupt shard or manifest as exit 3."""
+    try:
+        return load_dataset(outdir)
+    except (OSError, ValueError, KeyError) as exc:
+        raise StageError(f"cannot read dataset in {outdir}: {exc}",
+                         EXIT_PRECONDITION)
 
 
 def _cached(path: Path, kind: str, cfg: dict) -> bool:
@@ -201,16 +219,9 @@ def cmd_evaluate(cfg: dict, result, model=None, pair=None):
 
 def cmd_pipeline(cfg: dict):
     outdir = _outdir(cfg)
-    manifest = outdir / "dataset" / "manifest.json"
-    if manifest.exists():
-        with open(manifest) as fh:
-            cached = json.load(fh)
-        hit = cached.get("meta", {}).get("config_hash") == config_hash(cfg)
-    else:
-        hit = False
-    if hit:
+    if _cached(outdir / "dataset" / "manifest.json", "koopctl/dataset", cfg):
         print("babble: cache hit")
-        ds = load_dataset(outdir / "dataset")
+        ds = _load_dataset(outdir / "dataset")
     else:
         ds = cmd_babble(cfg)
     if _cached(outdir / "pair.json", "koopctl/pair", cfg):
@@ -246,7 +257,7 @@ def _load_stage_inputs(cfg: dict, *names):
                 raise StageError(
                     f"missing dataset (run 'babble' first): {manifest}",
                     EXIT_PRECONDITION)
-            loaded.append(load_dataset(outdir / "dataset"))
+            loaded.append(_load_dataset(outdir / "dataset"))
         elif name == "pair":
             loaded.append(pair_from_json(
                 _read_json(outdir / "pair.json", "koopctl/pair")))

@@ -11,6 +11,11 @@ the candidate augmented matrix Hbar is fit blockwise: block i regresses
 whose RMS residual passes a threshold eps_h are retained (in increasing
 index order) as the rows of S and the stacked blocks of H.
 
+The fit is streamed: the states are lifted once, psi_x gets one thin SVD,
+and each N x d_psi_u block target is projected, scored and dropped before
+the next is built, so working memory is O(N d_psi) however many blocks
+there are.  The full N x (d_psi_x d_psi_u) kron target is never formed.
+
 When the condition holds, the closed-loop lifted operator becomes
 
     Ktilde = K_xx + K_xu (I kron K_u) H,
@@ -53,29 +58,43 @@ class FactorizationPair:
         return self.H.shape[0] // max(self.d_S, 1)
 
 
-def fit_candidate_hbar(data, map_x: ObservableMap, map_u: ObservableMap):
-    """Blockwise least-squares fit of (psi_x kron psi_u) onto psi_x.
+def _lift_states(data, map_x: ObservableMap, map_u: ObservableMap):
+    """(psi_x, psi_u), each (N, d_psi), lifting the states once per map.
 
-    ``data`` is a SnapshotDataset or an (N, d_x) array of states.  Returns
-    (Hbar, residuals, info); residual i is the RMS over snapshots of the
-    block-i error vector.  Rank deficiency of the regressor is flagged.
+    psi_u is the psi_x array itself when ``map_u is map_x``.
     """
     states = data.x if isinstance(data, SnapshotDataset) else np.asarray(data)
     if states.size == 0:
         raise ValueError("empty dataset")
-    psi_x = evaluate_batch(map_x, states).T      # (N, d_psi_x)
-    psi_u = evaluate_batch(map_u, states).T      # (N, d_psi_u)
+    psi_x = evaluate_batch(map_x, states).T
+    psi_u = psi_x if map_u is map_x else evaluate_batch(map_u, states).T
+    return psi_x, psi_u
+
+
+def _fit_blocks(psi_x: np.ndarray, psi_u: np.ndarray):
+    """Fit block i, psi_x[:, i] * psi_u, onto psi_x for every i in turn.
+
+    All blocks share one thin SVD of psi_x.  Singular values at or below
+    eps * s_max are dropped, as gelsd does, so a rank-deficient psi_x
+    gets the minimum-norm block solutions.  Only one N x d_psi_u block
+    target is alive at a time.
+    """
     n, d_x_feat = psi_x.shape
     d_u_feat = psi_u.shape[1]
-    # row-major kron per snapshot: block i of a row is psi_x[i] * psi_u
-    target = (psi_x[:, :, None] * psi_u[:, None, :]).reshape(n, -1)
-    hbar_t, _, rank, sv = scipy.linalg.lstsq(psi_x, target,
-                                             lapack_driver="gelsd")
-    hbar = hbar_t.T                               # (d_psi_x * d_psi_u, d_psi_x)
-    err = target - psi_x @ hbar_t                 # (N, d_psi_x * d_psi_u)
-    block_err = err.reshape(n, d_x_feat, d_u_feat)
-    residuals = np.sqrt(np.mean(np.sum(block_err ** 2, axis=2), axis=0))
-    info = {"rank": int(rank), "n_snapshots": int(n),
+    u, sv, vt = scipy.linalg.svd(psi_x, full_matrices=False,
+                                 check_finite=False)
+    rank = int(np.sum(sv > np.finfo(float).eps * sv[0])) if sv[0] > 0 else 0
+    u_r, vt_r, sv_r = u[:, :rank], vt[:rank], sv[:rank]
+    del u
+    hbar = np.zeros((d_x_feat * d_u_feat, d_x_feat))
+    residuals = np.zeros(d_x_feat)
+    for i in range(d_x_feat):
+        target = psi_x[:, i : i + 1] * psi_u       # block i of psi_x kron psi_u
+        coef = vt_r.T @ ((u_r.T @ target) / sv_r[:, None])
+        target -= psi_x @ coef
+        residuals[i] = np.linalg.norm(target) / np.sqrt(n)
+        hbar[i * d_u_feat : (i + 1) * d_u_feat] = coef.T
+    info = {"rank": rank, "n_snapshots": int(n),
             "cond": float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf,
             "flags": []}
     if rank < d_x_feat:
@@ -83,11 +102,21 @@ def fit_candidate_hbar(data, map_x: ObservableMap, map_u: ObservableMap):
     return hbar, residuals, info
 
 
-def default_eps_h(data, map_x: ObservableMap, map_u: ObservableMap) -> float:
+def fit_candidate_hbar(data, map_x: ObservableMap, map_u: ObservableMap):
+    """Blockwise least-squares fit of (psi_x kron psi_u) onto psi_x.
+
+    ``data`` is a SnapshotDataset or an (N, d_x) array of states.  Returns
+    (Hbar, residuals, info); residual i is the RMS over snapshots of the
+    block-i error vector.  The fit is streamed block by block against one
+    thin SVD of psi_x: beyond the lifted arrays, each block needs
+    O(N d_psi_u) working memory, never O(N d_psi_x d_psi_u) for the whole
+    target.  Rank deficiency of the regressor is flagged.
+    """
+    return _fit_blocks(*_lift_states(data, map_x, map_u))
+
+
+def _auto_eps_h(psi_x: np.ndarray, psi_u: np.ndarray) -> float:
     """1e-6 times the RMS magnitude of psi_x kron psi_u over the data."""
-    states = data.x if isinstance(data, SnapshotDataset) else np.asarray(data)
-    psi_x = evaluate_batch(map_x, states).T
-    psi_u = evaluate_batch(map_u, states).T
     kron_sq = np.sum(psi_x ** 2, axis=1) * np.sum(psi_u ** 2, axis=1)
     return 1e-6 * float(np.sqrt(np.mean(kron_sq)))
 
@@ -121,9 +150,14 @@ def threshold_mask(hbar: np.ndarray, residuals: np.ndarray, eps_h: float,
 
 def fit_pair(data, map_x: ObservableMap, map_u: ObservableMap,
              eps_h: float = None) -> FactorizationPair:
-    """Full blockwise identification: fit Hbar, threshold, assemble (S, H)."""
-    hbar, residuals, info = fit_candidate_hbar(data, map_x, map_u)
-    eps = default_eps_h(data, map_x, map_u) if eps_h is None else float(eps_h)
+    """Full blockwise identification: fit Hbar, threshold, assemble (S, H).
+
+    The states are lifted once; the automatic eps_h (1e-6 times the RMS
+    magnitude of psi_x kron psi_u) is taken from the same arrays.
+    """
+    psi_x, psi_u = _lift_states(data, map_x, map_u)
+    hbar, residuals, info = _fit_blocks(psi_x, psi_u)
+    eps = _auto_eps_h(psi_x, psi_u) if eps_h is None else float(eps_h)
     pair = threshold_mask(hbar, residuals, eps, map_u.dim)
     pair.diagnostics = {**info, "eps_h_auto": eps_h is None}
     return pair
@@ -145,7 +179,7 @@ def verify_assumption1(pair: FactorizationPair, map_x: ObservableMap,
                        map_u: ObservableMap, test_states) -> float:
     """Max over test states of ||(S psi_x) kron psi_u - H psi_x||_inf."""
     psi_x = evaluate_batch(map_x, test_states)    # (d_psi_x, N)
-    psi_u = evaluate_batch(map_u, test_states)
+    psi_u = psi_x if map_u is map_x else evaluate_batch(map_u, test_states)
     sel = pair.S @ psi_x                           # (d_S, N)
     lhs = (sel[:, None, :] * psi_u[None, :, :]).reshape(-1, psi_x.shape[1])
     rhs = pair.H @ psi_x

@@ -222,3 +222,53 @@ class TestFactorizeOutputs:
         map_u = polynomial_map("lin", (1,))
         pair = fit_pair(states, map_x, map_u, eps_h=1e-9)
         np.testing.assert_array_equal(pair.mask, [1, 1, 0])
+
+
+class TestBrokenArtifacts:
+    def test_truncated_pair_exits_3_naming_the_file(self, tmp_path, capsys):
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["babble", "--config", str(cfgfile)]) == 0
+        assert cli.main(["factorize", "--config", str(cfgfile)]) == 0
+        pair = tmp_path / "out" / "pair.json"
+        text = pair.read_text()
+        pair.write_text(text[: len(text) // 2])
+        capsys.readouterr()
+        code = cli.main(["identify", "--config", str(cfgfile)])
+        assert code == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "pair.json" in err and err.count("\n") == 1
+
+    def test_truncated_pair_is_a_cache_miss(self, tmp_path, capsys):
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        pair = tmp_path / "out" / "pair.json"
+        pair.write_text(pair.read_text()[:100])
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        out = capsys.readouterr().out
+        assert "factorize: eps_h" in out and "babble: cache hit" in out
+
+    def test_missing_shard_exits_3_naming_the_file(self, tmp_path, capsys):
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["babble", "--config", str(cfgfile)]) == 0
+        shard = tmp_path / "out" / "dataset" / "traj_000001.csv"
+        shard.unlink()
+        capsys.readouterr()
+        code = cli.main(["factorize", "--config", str(cfgfile)])
+        assert code == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "traj_000001.csv" in err and err.count("\n") == 1
+
+    def test_failed_write_keeps_previous_artifact(self, tmp_path):
+        cfg = load_config(smoke_config(tmp_path))
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        path = outdir / "pair.json"
+        cli._write_json(path, {"kind": "koopctl/pair", "H": [1.0]}, cfg)
+        before = path.read_bytes()
+        # keys are dumped sorted, so "H" is written before "z" raises
+        with pytest.raises(TypeError):
+            cli._write_json(path, {"kind": "koopctl/pair", "H": [2.0],
+                                   "z": object()}, cfg)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in outdir.iterdir()) == ["pair.json"]

@@ -195,3 +195,143 @@ class TestModelJson:
         np.testing.assert_array_equal(back.K_xu, model.K_xu)
         np.testing.assert_array_equal(back.S, model.S)
         assert back.state_dim == 2 and back.lifted_dim == 9
+
+
+class TestBilinearRankCheck:
+    def test_ill_conditioned_but_full_rank_block_not_flagged(self):
+        # x stays within 1e-9 of 1, so the bilinear rows x u and x^2 u are
+        # nearly parallel: condition number about 1e9, rank still 2.  The
+        # Gram matrix bil @ bil.T squares that past 1/eps and would read
+        # rank 1.
+        rng = np.random.default_rng(11)
+        x = 1.0 + 1e-9 * rng.uniform(-1, 1, size=(40, 1))
+        u = rng.uniform(-1, 1, size=(40, 1))
+        ds = dataset_from_arrays(x, u, rng.standard_normal((40, 1)))
+        m = polynomial_map("quad", (1, 2))
+        prob = edmd.assemble_bilinear_regressors(ds, m, np.eye(2))
+        bil = prob.psi_in[2:]
+        sv = np.linalg.svd(bil, compute_uv=False)
+        assert 1e8 < sv[0] / sv[-1] < 1e10
+        assert np.linalg.matrix_rank(bil @ bil.T) == 1
+        assert not any("unidentifiable" in f for f in prob.flags)
+
+
+def babbled_dataset(steps=15):
+    from koopctl import babbling, plants
+
+    cfg = babbling.BabblingConfig(
+        num_gains=3, num_initial_conditions=9, gain_scale=1.0,
+        state_grid=((-np.pi, np.pi), (-6.0, 6.0)), steps=steps, dt=0.01,
+        seed=3)
+    plant = plants.single_pendulum(m=1.0, L=1.0, b=0.3, gravity=1.0)
+    m = single_pendulum_map()
+    return babbling.generate_dataset(plant, m, m, cfg), m
+
+
+def permuted(ds, order):
+    from koopctl.babbling import SnapshotDataset
+
+    return SnapshotDataset(
+        x=ds.x[order], u=ds.u[order], x_next=ds.x_next[order],
+        gain_index=ds.gain_index[order], ic_index=ds.ic_index[order],
+        step_index=ds.step_index[order], traj_id=ds.traj_id[order],
+        n_trajectories=ds.n_trajectories, n_dropped=ds.n_dropped,
+        meta=ds.meta)
+
+
+class CountingMap:
+    """Wraps a map and records the number of states of every lift."""
+
+    def __init__(self, m):
+        self.m = m
+        self.dim = m.dim
+        self.rows = []
+
+    def __call__(self, x):
+        self.rows.append(np.asarray(x).shape[0])
+        return self.m(x)
+
+    def to_descriptor(self):
+        return self.m.to_descriptor()
+
+
+class TestLiftSnapshots:
+    @pytest.mark.parametrize("kind", ["babbled", "csv", "permuted"])
+    def test_reuse_equals_full_relift_bitwise(self, kind, tmp_path):
+        from koopctl import babbling
+
+        ds, m = babbled_dataset()
+        if kind == "csv":
+            babbling.save_dataset(ds, tmp_path / "ds")
+            ds = babbling.load_dataset(tmp_path / "ds")
+        elif kind == "permuted":
+            ds = permuted(ds, np.random.default_rng(12).permutation(len(ds)))
+            assert not np.any(np.all(ds.x_next[:-1] == ds.x[1:], axis=1))
+        counted = CountingMap(m)
+        psi, psi_next = edmd.lift_snapshots(ds, counted)
+        assert psi.tobytes() == m(ds.x).tobytes()
+        assert psi_next.tobytes() == m(ds.x_next).tobytes()
+        # one lift of x plus one of the rows that do not chain
+        ends = len(ds) if kind == "permuted" else ds.n_trajectories
+        assert counted.rows == [len(ds), ends]
+
+
+def reference_identify(ds, map_x, S, ridge=None, holdout_fraction=0.1):
+    """identify_model as it was before lifting once: each subset is copied
+    and relifted, the regressor is vstacked and solved by gelsd."""
+    import scipy.linalg
+
+    from koopctl.babbling import SnapshotDataset
+
+    def subset(mask):
+        return SnapshotDataset(
+            x=ds.x[mask], u=ds.u[mask], x_next=ds.x_next[mask],
+            gain_index=ds.gain_index[mask], ic_index=ds.ic_index[mask],
+            step_index=ds.step_index[mask], traj_id=ds.traj_id[mask])
+
+    def regressors(sub):
+        psi = map_x(sub.x).T
+        sel = S @ psi
+        u = sub.u.T
+        bil = (sel[:, None, :] * u[None, :, :]).reshape(-1, psi.shape[1])
+        return psi, bil, map_x(sub.x_next).T
+
+    def mse(k, sub):
+        psi, bil, psi_next = regressors(sub)
+        pred = k[:, :d_psi] @ psi + k[:, d_psi:] @ bil
+        return float(np.mean((pred - psi_next) ** 2))
+
+    train, holdout = ds.split_by_trajectory(holdout_fraction)
+    n_train = int(train.sum())
+    rho = 1e-8 * n_train if ridge is None else float(ridge)
+    psi, bil, psi_next = regressors(subset(train))
+    d_psi = psi.shape[0]
+    d_in = d_psi + bil.shape[0]
+    a = np.vstack([psi, bil]).T
+    b = psi_next.T
+    if rho > 0:
+        a = np.vstack([a, np.sqrt(rho) * np.eye(d_in)])
+        b = np.vstack([b, np.zeros((d_in, d_psi))])
+    kt, _, rank, sv = scipy.linalg.lstsq(a, b, lapack_driver="gelsd")
+    k = kt.T
+    diag = {"train_mse": mse(k, subset(train)), "n_train": n_train,
+            "n_holdout": int(holdout.sum()), "ridge": rho, "rank": int(rank),
+            "cond": float(sv[0] / sv[-1]), "flags": [],
+            "n_snapshots": n_train}
+    if holdout.any():
+        diag["holdout_mse"] = mse(k, subset(holdout))
+    return k[:, :d_psi], k[:, d_psi:], diag
+
+
+class TestIdentifyMatchesRelift:
+    @pytest.mark.parametrize("ridge,holdout", [(None, 0.1), (0.0, 0.25),
+                                               (1e-3, 0.0)])
+    def test_bitwise_equal_to_subset_relift(self, ridge, holdout):
+        ds, m = babbled_dataset(steps=40)
+        S = np.eye(m.dim)[m.labels.index("1")][None, :]
+        k_xx, k_xu, diag = reference_identify(ds, m, S, ridge, holdout)
+        model = edmd.identify_model(ds, m, S, ridge=ridge,
+                                    holdout_fraction=holdout)
+        assert model.K_xx.tobytes() == k_xx.tobytes()
+        assert model.K_xu.tobytes() == k_xu.tobytes()
+        assert model.diagnostics == diag

@@ -240,3 +240,67 @@ class TestPairJson:
         np.testing.assert_array_equal(back.H, pair.H)
         np.testing.assert_array_equal(back.mask, pair.mask)
         assert back.eps_h == pair.eps_h
+
+
+def one_shot_reference(states, map_x, map_u):
+    """The fit the streamed one replaced: one gelsd solve against the whole
+    N x (d_psi_x d_psi_u) target; returns (hbar, residuals, rank, the RMS
+    magnitude of the target)."""
+    import scipy.linalg
+
+    psi_x = map_x(states)
+    psi_u = map_u(states)
+    n = psi_x.shape[0]
+    target = (psi_x[:, :, None] * psi_u[:, None, :]).reshape(n, -1)
+    hbar_t, _, rank, _ = scipy.linalg.lstsq(psi_x, target,
+                                            lapack_driver="gelsd")
+    err = (target - psi_x @ hbar_t).reshape(n, psi_x.shape[1], -1)
+    residuals = np.sqrt(np.mean(np.sum(err ** 2, axis=2), axis=0))
+    kron_sq = np.sum(psi_x ** 2, axis=1) * np.sum(psi_u ** 2, axis=1)
+    return hbar_t.T, residuals, int(rank), float(np.sqrt(np.mean(kron_sq)))
+
+
+class TestStreamedFitMatchesOneShot:
+    @pytest.mark.parametrize("case", ["single", "double", "degenerate"])
+    def test_blocks_masks_and_diagnostics(self, case):
+        rng = np.random.default_rng(12)
+        if case == "single":
+            map_x = map_u = single_pendulum_map()
+            states = rng.uniform(-3, 3, size=(400, 2))
+        elif case == "double":
+            map_x = map_u = double_pendulum_map()
+            states = rng.uniform(-3, 3, size=(600, 4))
+        else:
+            map_x = polynomial_map("quad", (1, 2))
+            map_u = polynomial_map("lin", (1,))
+            states = np.full((50, 1), 1.5)
+        hbar_ref, res_ref, rank_ref, scale = one_shot_reference(
+            states, map_x, map_u)
+        hbar, res, info = fz.fit_candidate_hbar(states, map_x, map_u)
+        tol = 1e-10 * max(1.0, scale)
+        np.testing.assert_allclose(hbar, hbar_ref, rtol=1e-10, atol=tol)
+        np.testing.assert_allclose(res, res_ref, rtol=1e-10, atol=tol)
+        assert np.all(np.isfinite(hbar))
+        assert info["rank"] == rank_ref
+        assert ("rank-deficient psi_x regressor" in info["flags"]) \
+            == (rank_ref < map_x.dim)
+        # the automatic eps_h is 1e-6 of the target's RMS magnitude
+        pair = fz.fit_pair(states, map_x, map_u)
+        assert pair.eps_h == 1e-6 * scale
+        np.testing.assert_array_equal(pair.mask, res_ref <= pair.eps_h)
+
+    def test_shared_map_is_lifted_once(self):
+        m = single_pendulum_map()
+        calls = []
+
+        class CountingMap(type(m)):
+            def __call__(self, x):
+                calls.append(np.asarray(x).shape[0])
+                return super().__call__(x)
+
+        counted = CountingMap(name=m.name, state_dim=m.state_dim,
+                              features=m.features)
+        states = np.random.default_rng(13).uniform(-2, 2, size=(300, 2))
+        pair = fz.fit_pair(states, counted, counted)
+        assert calls == [300]
+        assert pair.d_S == 1
