@@ -9,13 +9,17 @@ All gain x initial-condition pairs are rolled out as one batch, in
 gain-major, initial-condition-minor order, and snapshots are assembled
 in that order, step-increasing, so identical configs and seeds give
 bitwise-identical datasets.
+
+A saved dataset is a directory of two files: ``snapshots.npz`` holds the
+seven snapshot arrays as they are, and ``manifest.json`` holds the
+counts and the babbling metadata.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +27,10 @@ import numpy as np
 
 from .observables import ObservableMap
 from .plants import ControlAffinePlant, rollout
+
+PAYLOAD = "snapshots.npz"
+ARRAYS = ("x", "u", "x_next", "gain_index", "ic_index", "step_index",
+          "traj_id")
 
 
 @dataclass(frozen=True)
@@ -165,82 +173,74 @@ def generate_dataset(plant: ControlAffinePlant, map_x: ObservableMap,
 
 
 def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:
-    """Persist as manifest JSON plus one CSV shard per trajectory."""
+    """Persist as ``snapshots.npz`` (the seven arrays as they are) plus
+    ``manifest.json`` (counts and babbling metadata).
+
+    Any old manifest is removed first and the new one is written last, so
+    a save that fails partway leaves no manifest: a cache miss, never a
+    manifest that describes another payload.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    d_x = ds.x.shape[1]
-    d_u = ds.u.shape[1]
-    header = ["k"] + [f"x{i + 1}" for i in range(d_x)] \
-        + [f"u{j + 1}" for j in range(d_u)]
-    shards = []
-    for tid in np.unique(ds.traj_id):
-        rows = np.nonzero(ds.traj_id == tid)[0]
-        name = f"traj_{int(tid):06d}.csv"
-        with open(outdir / name, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for r in rows:
-                w.writerow([int(ds.step_index[r])]
-                           + [repr(float(v)) for v in ds.x[r]]
-                           + [repr(float(v)) for v in ds.u[r]])
-            last = rows[-1]
-            w.writerow([int(ds.step_index[last]) + 1]
-                       + [repr(float(v)) for v in ds.x_next[last]]
-                       + ["0.0"] * d_u)
-        shards.append(name)
+    manifest_path = outdir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
+    write_atomic(outdir / PAYLOAD, lambda tmp: _write_npz(tmp, ds))
     manifest = {
         "kind": "koopctl/dataset",
         "snapshots": len(ds),
         "trajectories": int(ds.n_trajectories),
         "dropped": int(ds.n_dropped),
-        "state_dim": d_x,
-        "input_dim": d_u,
-        "shards": shards,
+        "state_dim": ds.x.shape[1],
+        "input_dim": ds.u.shape[1],
         "babbling": ds.meta,
     }
     if extra_meta:
         manifest.update(extra_meta)
-    write_json_atomic(outdir / "manifest.json", manifest)
-    return outdir / "manifest.json"
+    write_json_atomic(manifest_path, manifest)
+    return manifest_path
 
 
-def write_json_atomic(path, payload: dict) -> None:
-    """Write ``payload`` as JSON to a temp file beside ``path``, then rename.
+def _write_npz(path, ds: SnapshotDataset) -> None:
+    # through a file object, so np.savez does not append ".npz" to the name
+    with open(path, "wb") as fh:
+        np.savez(fh, **{k: getattr(ds, k) for k in ARRAYS})
 
-    A dump that fails partway leaves any earlier file at ``path`` intact
+
+def write_atomic(path, write) -> None:
+    """Call ``write`` on a temp path beside ``path``, then rename it there.
+
+    A write that fails partway leaves any earlier file at ``path`` intact
     and removes the temp file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+        write(tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
+def write_json_atomic(path, payload: dict) -> None:
+    """Write ``payload`` as JSON through ``write_atomic``."""
+    def dump(tmp):
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+    write_atomic(path, dump)
+
+
 def load_dataset(outdir) -> SnapshotDataset:
+    """Read what ``save_dataset`` wrote.  An unreadable ``snapshots.npz``
+    raises ValueError naming the file."""
     outdir = Path(outdir)
     with open(outdir / "manifest.json") as fh:
         manifest = json.load(fh)
-    d_x = manifest["state_dim"]
-    xs, us, xns = [], [], []
-    steps, tids = [], []
-    for name in manifest["shards"]:
-        arr = np.loadtxt(outdir / name, delimiter=",", skiprows=1, ndmin=2)
-        xs.append(arr[:-1, 1 : 1 + d_x])
-        us.append(arr[:-1, 1 + d_x :])
-        xns.append(arr[1:, 1 : 1 + d_x])
-        steps.append(arr[:-1, 0].astype(int))
-        tid = int(name.split("_")[1].split(".")[0])
-        tids.append(np.full(arr.shape[0] - 1, tid))
-    n_ic = manifest["babbling"]["num_initial_conditions"]
-    tid_all = np.concatenate(tids)
-    return SnapshotDataset(
-        x=np.concatenate(xs), u=np.concatenate(us), x_next=np.concatenate(xns),
-        gain_index=tid_all // n_ic, ic_index=tid_all % n_ic,
-        step_index=np.concatenate(steps), traj_id=tid_all,
-        n_trajectories=len(manifest["shards"]),
-        n_dropped=manifest["dropped"], meta=manifest["babbling"],
-    )
+    path = outdir / PAYLOAD
+    try:
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in ARRAYS}
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        raise ValueError(f"unreadable {path}: {exc}") from exc
+    return SnapshotDataset(**arrays, n_trajectories=manifest["trajectories"],
+                           n_dropped=manifest["dropped"],
+                           meta=manifest["babbling"])

@@ -85,7 +85,8 @@ def _read_json(path: Path, expected_kind: str, code: int = EXIT_PRECONDITION):
 
 
 def _load_dataset(outdir: Path) -> SnapshotDataset:
-    """load_dataset with a missing or corrupt shard or manifest as exit 3."""
+    """load_dataset with a missing or unreadable manifest.json or
+    snapshots.npz as exit 3, in one line that names the file."""
     try:
         return load_dataset(outdir)
     except (OSError, ValueError, KeyError) as exc:
@@ -164,7 +165,7 @@ def cmd_synthesize(cfg: dict, model, pair):
         model, pair, eps_p=syn["eps_p"], max_resamples=syn["max_resamples"],
         seed=int(cfg["seed"]), lam_tol=syn["lambda_tol"],
         feas_tol=syn["feas_tol"], ridge_delta=syn["ridge_delta"],
-        backend=syn["backend"], rate_budget=syn["rate_budget"],
+        rate_budget=syn["rate_budget"],
     )
     result.diagnostics["assumption_residual"] = residual
     path = _outdir(cfg) / "result.json"

@@ -65,7 +65,6 @@ DEFAULTS = {
         "feas_tol": 1e-8,
         "max_resamples": 50,
         "rate_budget": 0,
-        "backend": "bisection",      # bisection | cvxpy
         "ridge_delta": 0.0,
         "assumption_gate": None,     # None: 10 x the eps_h actually used
     },
@@ -101,7 +100,6 @@ _DOC = {
     "synthesis.eps_p": "ridge inside sampled Lyapunov candidates R^T R + eps_p I",
     "synthesis.max_resamples": "sampled candidates tried after the identity start",
     "synthesis.rate_budget": "extra candidates explored after the first success, best rate wins",
-    "synthesis.backend": "'bisection' (built-in) or 'cvxpy' (external SDP)",
     "synthesis.assumption_gate": "max compatibility residual allowed before synthesis",
     "evaluation.initial_conditions": "uniform sampling, explicit grid, or a literal state list",
     "evaluation.extra_states": "stress-case states appended to the evaluation set",

@@ -28,7 +28,6 @@ produces bitwise the same numbers as stepping each state alone.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,32 +268,3 @@ def rollout(plant: ControlAffinePlant, x0, controller, T: int, dt: float):
              for xs, us, n in zip(states.reshape(-1, T + 1, plant.state_dim),
                                   inputs.reshape(-1, T, d_u), n_ok.ravel())]
     return trajs if lead else trajs[0]
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write one row per step: k, x1..x_dx, u1..u_du (u = 0 on the final row)."""
-    d_x = traj.states.shape[1]
-    d_u = traj.inputs.shape[1]
-    header = ["k"] + [f"x{i + 1}" for i in range(d_x)] \
-        + [f"u{j + 1}" for j in range(d_u)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(traj.states.shape[0]):
-            u = traj.inputs[k] if k < traj.inputs.shape[0] else np.zeros(d_u)
-            row = [k] + [repr(float(v)) for v in traj.states[k]] \
-                + [repr(float(v)) for v in u]
-            w.writerow(row)
-
-
-def trajectory_from_csv(path, dt: float) -> Trajectory:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        d_x = sum(1 for h in header if h.startswith("x"))
-        d_u = sum(1 for h in header if h.startswith("u"))
-        rows = [[float(v) for v in row[1:]] for row in r]
-    arr = np.asarray(rows)
-    states = arr[:, :d_x]
-    inputs = arr[:-1, d_x : d_x + d_u]
-    return Trajectory(states=states, inputs=inputs, dt=dt)

@@ -20,10 +20,9 @@ rows that are structurally zero for every K_u; the inner solver deflates
 them, while the reported certificate is always the smallest eigenvalue
 of the full block matrix.
 
-An external semidefinite-programming backend can be substituted with
-``backend="cvxpy"`` (joint minimization over (K_u, lam), then certified
-by the first-order polisher) or with any callable of the same contract
-as the bundled solvers.
+Another solver can be substituted by passing a callable as ``backend``;
+it takes (problem, lam_tol, feas_tol) and returns what ``solve_fixed_p``
+returns.
 """
 
 from __future__ import annotations
@@ -234,8 +233,6 @@ def solve_fixed_p(problem: LmiProblem, lam_tol: float = DEFAULT_LAM_TOL,
     """
     if callable(backend):
         return backend(problem, lam_tol, feas_tol)
-    if backend == "cvxpy":
-        return _solve_cvxpy(problem, lam_tol, feas_tol, maxiter)
     if backend != "bisection":
         raise ValueError(f"unknown backend {backend!r}")
     return _solve_bisection(problem, lam_tol, feas_tol, maxiter)
@@ -269,45 +266,6 @@ def _solve_bisection(problem, lam_tol, feas_tol, maxiter):
         return None
     return {"theta": theta_hi, "lam": hi,
             "min_eig": problem.min_eig(theta_hi, hi), "iterations": nit}
-
-
-def _solve_cvxpy(problem, lam_tol, feas_tol, maxiter):
-    """Joint SDP over (K_u, lam) via cvxpy, certified by the polisher."""
-    try:
-        import cvxpy as cp
-    except ImportError as exc:  # pragma: no cover
-        raise RuntimeError("backend 'cvxpy' requires the cvxpy package") from exc
-    du, dpu = problem.d_u, problem.d_psi_u
-    K = cp.Variable((du, dpu))
-    lam = cp.Variable(nonneg=True)
-    kt = problem.K_xx + sum(K[a, b] * problem.T[a, b]
-                            for a in range(du) for b in range(dpu))
-    pk = problem.P @ kt
-    M = cp.bmat([[problem.P, pk], [pk.T, lam * problem.P]])
-    prob = cp.Problem(cp.Minimize(lam), [M >> 0, lam <= 1])
-    try:
-        prob.solve(solver=cp.CLARABEL)
-    except Exception:
-        try:
-            prob.solve(solver=cp.SCS)
-        except Exception:
-            return None
-    if prob.status not in ("optimal", "optimal_inaccurate") or K.value is None:
-        return None
-    theta = np.asarray(K.value, dtype=float).ravel()
-    lam_v = float(min(max(lam.value, 0.0), 1.0))
-    # numerical SDP solutions sit slightly outside the cone; certify by
-    # polishing at lam_v, stepping lam up by the bisection tolerance if
-    # needed (never past 1, which would show no decay at all)
-    for lam_try in (lam_v, lam_v + lam_tol):
-        if lam_try >= 1.0:
-            continue
-        t, me, nit = _ascend_min_eig(problem, lam_try, [theta], feas_tol,
-                                     maxiter)
-        if me >= -feas_tol:
-            return {"theta": t, "lam": lam_try, "min_eig": me,
-                    "iterations": nit}
-    return None
 
 
 @dataclass

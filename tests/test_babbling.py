@@ -193,18 +193,42 @@ class TestPaperScale:
         assert len(ds) + ds.n_dropped * 100 == 400_000
 
 
+def persisted_datasets():
+    """A clean single-pendulum dataset and a blowup one whose dropped
+    trajectories leave gaps in the kept traj_id values."""
+    m = single_pendulum_map()
+    clean = babbling.generate_dataset(
+        plants.single_pendulum(), m, m,
+        small_config(num_gains=2, num_initial_conditions=4))
+    lin = polynomial_map("lin", (1,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gappy = babbling.generate_dataset(
+            blowup_plant(), lin, lin,
+            small_config(num_initial_conditions=4,
+                         state_grid=((0.0, 3.0),), dt=0.5))
+    assert clean.n_dropped == 0 and gappy.n_dropped > 0
+    return clean, gappy
+
+
+SNAPSHOT_ARRAYS = ("x", "u", "x_next", "gain_index", "ic_index",
+                   "step_index", "traj_id")
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        plant = plants.single_pendulum()
-        m = single_pendulum_map()
-        cfg = small_config(num_gains=2, num_initial_conditions=4)
-        ds = babbling.generate_dataset(plant, m, m, cfg)
-        babbling.save_dataset(ds, tmp_path / "data")
-        back = babbling.load_dataset(tmp_path / "data")
-        np.testing.assert_array_equal(back.x, ds.x)
-        np.testing.assert_array_equal(back.u, ds.u)
-        np.testing.assert_array_equal(back.x_next, ds.x_next)
-        np.testing.assert_array_equal(back.traj_id, ds.traj_id)
+        for i, ds in enumerate(persisted_datasets()):
+            outdir = tmp_path / f"data{i}"
+            babbling.save_dataset(ds, outdir)
+            assert sorted(p.name for p in outdir.iterdir()) \
+                == ["manifest.json", "snapshots.npz"]
+            back = babbling.load_dataset(outdir)
+            for name in SNAPSHOT_ARRAYS:
+                got, want = getattr(back, name), getattr(ds, name)
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
+            assert back.n_trajectories == ds.n_trajectories
+            assert back.n_dropped == ds.n_dropped
+            assert back.meta == ds.meta
 
     def test_rerun_same_seed_identical_manifest(self, tmp_path):
         plant = plants.single_pendulum()
@@ -213,6 +237,7 @@ class TestPersistence:
         for d in ("a", "b"):
             ds = babbling.generate_dataset(plant, m, m, cfg)
             babbling.save_dataset(ds, tmp_path / d)
-        a = (tmp_path / "a" / "manifest.json").read_bytes()
-        b = (tmp_path / "b" / "manifest.json").read_bytes()
-        assert a == b
+        for name in ("manifest.json", "snapshots.npz"):
+            a = (tmp_path / "a" / name).read_bytes()
+            b = (tmp_path / "b" / name).read_bytes()
+            assert a == b, name

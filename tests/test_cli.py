@@ -50,6 +50,11 @@ class TestConfig:
         b = merge_defaults({"output_dir": "x", "seed": 1})
         assert config_hash(a) == config_hash(b)
 
+    def test_removed_backend_key_exits_2(self, tmp_path, capsys):
+        cfgfile = smoke_config(tmp_path, synthesis={"backend": "bisection"})
+        assert cli.main(["babble", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
+        assert "synthesis.backend" in capsys.readouterr().err
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/config.json")
@@ -248,16 +253,52 @@ class TestBrokenArtifacts:
         out = capsys.readouterr().out
         assert "factorize: eps_h" in out and "babble: cache hit" in out
 
-    def test_missing_shard_exits_3_naming_the_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "empty"])
+    def test_unreadable_npz_exits_3_naming_the_file(self, damage, tmp_path,
+                                                     capsys):
         cfgfile = smoke_config(tmp_path)
         assert cli.main(["babble", "--config", str(cfgfile)]) == 0
-        shard = tmp_path / "out" / "dataset" / "traj_000001.csv"
-        shard.unlink()
+        data = tmp_path / "out" / "dataset"
+        assert sorted(p.name for p in data.iterdir()) \
+            == ["manifest.json", "snapshots.npz"]
+        npz = data / "snapshots.npz"
+        if damage == "missing":
+            npz.unlink()
+        else:
+            blob = npz.read_bytes()
+            npz.write_bytes(blob[: len(blob) // 2] if damage == "truncated"
+                            else b"")
         capsys.readouterr()
         code = cli.main(["factorize", "--config", str(cfgfile)])
         assert code == cli.EXIT_PRECONDITION
         err = capsys.readouterr().err
-        assert "traj_000001.csv" in err and err.count("\n") == 1
+        assert "snapshots.npz" in err and err.count("\n") == 1
+
+    def test_failed_dataset_write_is_a_cache_miss(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from koopctl import babbling
+
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["babble", "--config", str(cfgfile)]) == 0
+        data = tmp_path / "out" / "dataset"
+        ds = babbling.load_dataset(data)
+
+        def disk_full(fh, **arrays):
+            fh.write(b"PK")
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "savez", disk_full)
+            with pytest.raises(OSError):
+                babbling.save_dataset(ds, data)
+        # the earlier payload may stay; without a manifest it is never read
+        assert sorted(p.name for p in data.iterdir()) == ["snapshots.npz"]
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("babble: ") and "babble: cache hit" not in out
+        assert sorted(p.name for p in data.iterdir()) \
+            == ["manifest.json", "snapshots.npz"]
 
     def test_failed_write_keeps_previous_artifact(self, tmp_path):
         cfg = load_config(smoke_config(tmp_path))

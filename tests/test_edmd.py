@@ -256,12 +256,12 @@ class CountingMap:
 
 
 class TestLiftSnapshots:
-    @pytest.mark.parametrize("kind", ["babbled", "csv", "permuted"])
+    @pytest.mark.parametrize("kind", ["babbled", "saved", "permuted"])
     def test_reuse_equals_full_relift_bitwise(self, kind, tmp_path):
         from koopctl import babbling
 
         ds, m = babbled_dataset()
-        if kind == "csv":
+        if kind == "saved":
             babbling.save_dataset(ds, tmp_path / "ds")
             ds = babbling.load_dataset(tmp_path / "ds")
         elif kind == "permuted":

@@ -250,16 +250,3 @@ class TestRollout:
             np.testing.assert_array_equal(got.states, alone.states)
             np.testing.assert_array_equal(got.inputs, np.clip(seq, -5, 5))
 
-
-class TestTrajectoryCsv:
-    def test_round_trip(self, tmp_path):
-        plant = plants.single_pendulum()
-        traj = plants.rollout(plant, np.array([0.3, -0.5]),
-                              lambda x: np.array([1.0]), 20, 0.01)
-        path = tmp_path / "traj.csv"
-        plants.trajectory_to_csv(traj, path)
-        with open(path) as fh:
-            assert fh.readline().strip() == "k,x1,x2,u1"
-        back = plants.trajectory_from_csv(path, dt=0.01)
-        np.testing.assert_array_equal(back.states, traj.states)
-        np.testing.assert_array_equal(back.inputs, traj.inputs)

@@ -179,13 +179,6 @@ class TestSolveFixedP:
         with pytest.raises(ValueError, match="backend"):
             syn.solve_fixed_p(scalar_problem(), backend="simplex")
 
-    def test_cvxpy_backend_agrees(self):
-        pytest.importorskip("cvxpy")
-        sol = syn.solve_fixed_p(scalar_problem(), backend="cvxpy")
-        assert sol is not None
-        assert sol["lam"] <= 2e-3
-        assert sol["min_eig"] >= -1e-8
-
     def test_callable_backend_hook(self):
         calls = []
 
