@@ -178,12 +178,15 @@ def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:
 
     Any old manifest is removed first and the new one is written last, so
     a save that fails partway leaves no manifest: a cache miss, never a
-    manifest that describes another payload.
+    manifest that describes another payload.  The ``traj_*.csv`` shards
+    of the older one-CSV-per-trajectory layout are deleted as well.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_path = outdir / "manifest.json"
     manifest_path.unlink(missing_ok=True)
+    for shard in outdir.glob("traj_*.csv"):
+        shard.unlink()
     write_atomic(outdir / PAYLOAD, lambda tmp: _write_npz(tmp, ds))
     manifest = {
         "kind": "koopctl/dataset",
@@ -210,13 +213,16 @@ def write_atomic(path, write) -> None:
     """Call ``write`` on a temp path beside ``path``, then rename it there.
 
     A write that fails partway leaves any earlier file at ``path`` intact
-    and removes the temp file.
+    and removes the temp file; an OSError is raised again with ``path`` as
+    its filename.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         write(tmp)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 config error, 3 stage-precondition error
 (missing, corrupt or stale upstream artifact), 4 synthesis infeasible,
-5 evaluation gate failed, 6 factorization retained no block.  Stage
-outputs embed the config hash; ``pipeline`` skips stages whose artifact
-already matches it.  Artifacts are written atomically.
+5 evaluation gate failed, 6 factorization retained no block, 7 artifact
+could not be written (e.g. disk full), reported in one line naming the
+file.  Stage outputs embed the config hash; ``pipeline`` skips stages
+whose artifact already matches it.  Artifacts are written atomically.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,7 @@ EXIT_PRECONDITION = 3
 EXIT_INFEASIBLE = 4
 EXIT_EVAL_GATE = 5
 EXIT_FACTORIZATION = 6
+EXIT_WRITE = 7
 
 
 class StageError(RuntimeError):
@@ -59,16 +62,30 @@ class StageError(RuntimeError):
         self.code = code
 
 
+@contextmanager
+def _writing(path):
+    """Turn an OSError while writing ``path`` into exit 7, in one line
+    naming the file (the error's own filename when it carries one)."""
+    try:
+        yield
+    except OSError as exc:
+        raise StageError(f"artifact could not be written: "
+                         f"{exc.filename or path}: {exc.strerror or exc}",
+                         EXIT_WRITE) from exc
+
+
 def _outdir(cfg: dict) -> Path:
     out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _write_json(path: Path, payload: dict, cfg: dict) -> None:
     payload = dict(payload)
     payload["meta"] = artifact_meta(cfg)
-    write_json_atomic(path, payload)
+    with _writing(path):
+        write_json_atomic(path, payload)
 
 
 def _read_json(path: Path, expected_kind: str, code: int = EXIT_PRECONDITION):
@@ -112,7 +129,8 @@ def cmd_babble(cfg: dict) -> SnapshotDataset:
     bcfg = babbling_config(cfg)
     ds = generate_dataset(plant, map_x, map_u, bcfg)
     outdir = _outdir(cfg) / "dataset"
-    save_dataset(ds, outdir, extra_meta={"meta": artifact_meta(cfg)})
+    with _writing(outdir):
+        save_dataset(ds, outdir, extra_meta={"meta": artifact_meta(cfg)})
     print(f"babble: {ds.n_trajectories} trajectories "
           f"({ds.n_dropped} dropped), {len(ds)} snapshots "
           f"-> {outdir / 'manifest.json'}")
@@ -204,7 +222,8 @@ def cmd_evaluate(cfg: dict, result, model=None, pair=None):
         )
     outdir = _outdir(cfg)
     _write_json(outdir / "report.json", report.to_json(), cfg)
-    files = evaluation.export_plot_data(report, outdir / "plots")
+    with _writing(outdir / "plots"):
+        files = evaluation.export_plot_data(report, outdir / "plots")
     print(f"evaluate: success rate {report.success_rate:.2%} over "
           f"{len(report.records)} trajectories, median settle "
           f"{report.median_settling_time:.2f} s -> {outdir / 'report.json'} "
@@ -294,22 +313,17 @@ def main(argv=None) -> int:
     p_init.add_argument("path", nargs="?", default="experiment.json")
 
     args = parser.parse_args(argv)
-    if args.command == "init":
-        Path(args.path).write_text(template_json() + "\n")
-        print(f"wrote template config to {args.path}")
-        return EXIT_OK
-
     try:
+        if args.command == "init":
+            with _writing(args.path):
+                Path(args.path).write_text(template_json() + "\n")
+            print(f"wrote template config to {args.path}")
+            return EXIT_OK
         cfg = load_config(args.config)
         if args.out:
             cfg["output_dir"] = args.out
         if args.seed is not None:
             cfg["seed"] = args.seed
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "babble":
             cmd_babble(cfg)
         elif args.command == "factorize":

@@ -6,12 +6,21 @@ For a fixed PSD candidate P the constraint
 
 is affine in (K_u, lam) because Ktilde = K_xx + K_xu (I kron K_u) H is
 affine in K_u.  The default solver bisects on lam (absolute tolerance
-1e-3) and, for each fixed lam, maximizes the smallest eigenvalue of M
-over K_u.  That inner problem is concave; it is solved on a smoothed
+1e-3).  Each lam it visits is first offered to a dual bound: by the
+Schur complement of M + e I on its block P + e I, min eig M >= -e holds
+exactly when sigma_max(F_lam(K_u)) <= 1, where F_lam is affine in K_u
+(see ``_DualBound``).  Any Y orthogonal to the gain directions of F_lam
+bounds sigma_max below for every gain at once; Y comes from a smoothed
+minimizer of sigma_max^2 warm-started from the previous lam.  When the
+bound exceeds 1 the lam is infeasible and bisection moves on.  Only a
+lam the bound cannot rule out gets the ascent: maximize the smallest
+eigenvalue of M over K_u, a concave problem solved on a smoothed
 (softmin) surrogate with L-BFGS under an annealed smoothing schedule,
 restarted from a fixed set of deterministic gains (zero, a least-squares
 cancellation of the lifted couplings entering the decoded state rows,
-and a least-squares deadbeat gain).
+and a least-squares deadbeat gain).  The bound only skips ascents that
+would fail, so bisection visits the same lam and returns the same gain
+as without it.
 
 Candidate P matrices follow the decoder-restricted recipe: the first is
 A_dec^T I A_dec, later ones A_dec^T (R^T R + eps_p I) A_dec with R
@@ -40,6 +49,8 @@ from .tensor import matrix_from_json, matrix_to_json, symmetrize
 DEFAULT_FEAS_TOL = 1e-8   # smallest-eigenvalue floor for a certified LMI
 DEFAULT_LAM_TOL = 1e-3    # absolute bisection tolerance on lam
 _MU_LADDER = (1e-2, 1e-4, 1e-6, 1e-9)  # smoothing schedule, scaled by ||P||
+_DUAL_MU = 1e-4        # dual-bound smoothing, relative to sigma_max^2
+_DUAL_REL_TOL = 1e-6   # rounding allowance in the dual-bound guards
 
 
 def lyapunov_residual(A, P, lam: float) -> np.ndarray:
@@ -192,6 +203,75 @@ def _deterministic_starts(problem: LmiProblem) -> list:
     return starts
 
 
+class _DualBound:
+    """Proves a lam infeasible for every gain, or declines to.
+
+    With e = 2 feas_tol and P = U diag(p) U^T, M + e I is PSD exactly when
+    its Schur complement on the positive definite block P + e I is, i.e.
+    when sigma_max(F_lam) <= 1 for
+
+        F_lam(theta) = diag(p / sqrt(p + e)) U^T Ktilde(theta) U
+                       diag(1 / sqrt(lam p + e)),
+
+    which is affine in theta: F_0 + sum_i theta_i F_i.  For any Y with
+    <F_i, Y> = 0 for all i, sigma_max(F_lam(theta)) >= |<F_0, Y>| /
+    ||Y||_nuc for every theta.  When that exceeds 1, every gain has an
+    eigenvalue below -2 feas_tol, a full feas_tol under the floor the
+    ascent tests, so no ascent can certify lam.  Rows of F with p at
+    rounding level are dropped, which can only lower sigma_max.
+    """
+
+    def __init__(self, problem: LmiProblem, feas_tol: float):
+        self._eps = 2.0 * feas_tol
+        p, u = np.linalg.eigh(problem.P)
+        rows = p > np.finfo(float).eps * p.max()
+        self._p = p
+        self._a = p[rows] / np.sqrt(p[rows] + self._eps)
+        ur = u[:, rows]
+        t = problem.T.reshape(problem.n_vars, problem.d_psi, problem.d_psi)
+        self._g0 = ur.T @ problem.K_xx @ u
+        self._g = ur.T @ t @ u                 # (n_vars, rank, d_psi)
+        self._theta = None
+
+    def rules_out(self, lam: float) -> bool:
+        r = self._a.size
+        scale = self._a[:, None] / np.sqrt(lam * self._p + self._eps)
+        f0 = (self._g0 * scale).ravel()
+        basis = (self._g * scale).reshape(len(self._g), -1)
+        theta = self._theta
+        if theta is None:
+            theta = np.linalg.lstsq(basis.T, -f0, rcond=None)[0]
+        mu = _DUAL_MU * np.linalg.norm((f0 + theta @ basis).reshape(r, -1),
+                                       2) ** 2
+        if mu == 0.0:  # F vanishes at this gain, so lam is feasible
+            return False
+
+        def smoothed(theta):
+            """Softmax (width mu) of the eigenvalues of F F^T, its gradient,
+            Y = V diag(w) V^T F with w the softmax weights, and
+            sigma_max^2."""
+            f = (f0 + theta @ basis).reshape(r, -1)
+            s, v = np.linalg.eigh(f @ f.T)
+            w = np.exp((s - s[-1]) / mu)
+            y = ((v * (w / w.sum())) @ v.T @ f).ravel()
+            return s[-1] + mu * math.log(w.sum()), 2.0 * basis @ y, y, s[-1]
+
+        theta = scipy.optimize.minimize(lambda t: smoothed(t)[:2], theta,
+                                        jac=True, method="L-BFGS-B").x
+        self._theta = theta
+        y, s_max = smoothed(theta)[2:]
+        q = np.linalg.qr(basis.T)[0]
+        y_perp = y - q @ (q.T @ y)
+        # a Y the gain directions nearly span is rounding noise
+        if np.linalg.norm(y_perp) <= _DUAL_REL_TOL * np.linalg.norm(y):
+            return False
+        nuc = np.linalg.svd(y_perp.reshape(r, -1), compute_uv=False).sum()
+        bound = abs(f0 @ y_perp) / nuc
+        # a valid lower bound never exceeds sigma_max at a gain
+        sigma = math.sqrt(max(s_max, 0.0))
+        return 1.0 < bound <= sigma * (1.0 + _DUAL_REL_TOL)
+
+
 def _ascend_min_eig(problem: LmiProblem, lam: float, starts,
                     feas_tol: float, maxiter: int):
     """Maximize the smallest eigenvalue of M(., lam); first-order, annealed.
@@ -222,50 +302,66 @@ def _ascend_min_eig(problem: LmiProblem, lam: float, starts,
 
 def solve_fixed_p(problem: LmiProblem, lam_tol: float = DEFAULT_LAM_TOL,
                   feas_tol: float = DEFAULT_FEAS_TOL,
-                  backend="bisection", maxiter: int = 300):
+                  backend="bisection", maxiter: int = 300,
+                  counts: dict = None):
     """Minimize lam subject to M(K_u, lam) >= 0 and lam in [0, 1).
 
     Returns a dict {theta, lam, min_eig, iterations} or None when no
     lam < 1 admits a certified gain for this P (a marginal certificate at
     lam = 1 does not count; the outer resampling loop treats it as a
     failed candidate).  Any returned solution certifies
-    min_eig(M(K_u, lam)) >= -feas_tol.
+    min_eig(M(K_u, lam)) >= -feas_tol.  The bisection solver also fills
+    ``counts``, when given, with its ascent ``iterations`` and the number
+    of lam steps ``settled_by_bound`` and ``settled_by_ascent``, whether
+    or not a solution is found.
     """
     if callable(backend):
         return backend(problem, lam_tol, feas_tol)
     if backend != "bisection":
         raise ValueError(f"unknown backend {backend!r}")
-    return _solve_bisection(problem, lam_tol, feas_tol, maxiter)
+    return _solve_bisection(problem, lam_tol, feas_tol, maxiter,
+                            {} if counts is None else counts)
 
 
-def _solve_bisection(problem, lam_tol, feas_tol, maxiter):
+def _solve_bisection(problem, lam_tol, feas_tol, maxiter, counts):
     starts = _deterministic_starts(problem)
-    theta, me, nit = _ascend_min_eig(problem, 1.0, starts, feas_tol, maxiter)
-    if me < -feas_tol:
+    bound = _DualBound(problem, feas_tol)
+    counts.update(iterations=0, settled_by_bound=0, settled_by_ascent=0)
+
+    def certify(lam, first):
+        """(theta, min_eig) certified at lam, or None when lam fails."""
+        if bound.rules_out(lam):
+            counts["settled_by_bound"] += 1
+            return None
+        theta, me, nit = _ascend_min_eig(problem, lam, first + starts,
+                                         feas_tol, maxiter)
+        counts["iterations"] += nit
+        counts["settled_by_ascent"] += 1
+        return (theta, me) if me >= -feas_tol else None
+
+    sol = certify(1.0, [])
+    if sol is None:
         return None
-    theta_hi, hi = theta, 1.0
+    theta_hi, hi = sol[0], 1.0
     # monotone feasibility in lam justifies bisection: growing lam adds
     # the PSD block diag(0, (lam2 - lam1) P) to M
-    theta0, me0, n0 = _ascend_min_eig(problem, 0.0, [theta_hi] + starts,
-                                      feas_tol, maxiter)
-    nit += n0
-    if me0 >= -feas_tol:
-        return {"theta": theta0, "lam": 0.0, "min_eig": me0,
-                "iterations": nit}
+    sol = certify(0.0, [theta_hi])
+    if sol is not None:
+        return {"theta": sol[0], "lam": 0.0, "min_eig": sol[1],
+                "iterations": counts["iterations"]}
     lo = 0.0
     while hi - lo > lam_tol:
         mid = 0.5 * (lo + hi)
-        t, me_mid, n = _ascend_min_eig(problem, mid, [theta_hi] + starts,
-                                       feas_tol, maxiter)
-        nit += n
-        if me_mid >= -feas_tol:
-            hi, theta_hi = mid, t
-        else:
+        sol = certify(mid, [theta_hi])
+        if sol is None:
             lo = mid
+        else:
+            hi, theta_hi = mid, sol[0]
     if hi >= 1.0:  # only the lam = 1 endpoint certified: no decay shown
         return None
     return {"theta": theta_hi, "lam": hi,
-            "min_eig": problem.min_eig(theta_hi, hi), "iterations": nit}
+            "min_eig": problem.min_eig(theta_hi, hi),
+            "iterations": counts["iterations"]}
 
 
 @dataclass
@@ -312,12 +408,15 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
             d_S=pair.d_S, d_u=model.input_dim, d_psi_u=pair.d_psi_u,
             ridge_delta=ridge_delta,
         )
+        counts = {}
         sol = solve_fixed_p(problem, lam_tol=lam_tol, feas_tol=feas_tol,
-                            backend=backend, maxiter=inner_maxiter)
+                            backend=backend, maxiter=inner_maxiter,
+                            counts=counts)
         candidate_log.append({
             "tag": cand.tag, "feasible": sol is not None,
             "lam": None if sol is None else sol["lam"],
             "min_eig": None if sol is None else sol["min_eig"],
+            **counts,
         })
         if sol is not None:
             total_iter += sol["iterations"]

@@ -241,3 +241,17 @@ class TestPersistence:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    def test_save_deletes_old_csv_shards_and_nothing_else(self, tmp_path):
+        # a directory first written in the one-CSV-per-trajectory layout
+        outdir = tmp_path / "dataset"
+        outdir.mkdir()
+        for tid in range(3):
+            (outdir / f"traj_{tid:06d}.csv").write_text("k,x1,x2,u1\n")
+        (outdir / "notes.txt").write_text("kept")
+        (outdir / "traj_summary.json").write_text("{}")
+        babbling.save_dataset(persisted_datasets()[0], outdir)
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "manifest.json", "notes.txt", "snapshots.npz",
+            "traj_summary.json"]
+        assert (outdir / "notes.txt").read_text() == "kept"

@@ -67,6 +67,12 @@ class TestInit:
         cfg = load_config(path)
         assert cfg["plant"]["kind"] == "single_pendulum"
 
+    def test_unwritable_path_exits_7_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "no-such-dir" / "template.json"
+        assert cli.main(["init", str(path)]) == cli.EXIT_WRITE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "template.json" in err
+
 
 class TestPipeline:
     def test_end_to_end_and_caching(self, tmp_path, capsys):
@@ -299,6 +305,41 @@ class TestBrokenArtifacts:
         assert out.startswith("babble: ") and "babble: cache hit" not in out
         assert sorted(p.name for p in data.iterdir()) \
             == ["manifest.json", "snapshots.npz"]
+
+    def test_disk_full_dataset_write_exits_7_naming_the_file(
+            self, tmp_path, capsys, monkeypatch):
+        def disk_full(fh, **arrays):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", disk_full)
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["babble", "--config", str(cfgfile)]) \
+            == cli.EXIT_WRITE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "snapshots.npz" in err and "No space left on device" in err
+
+    def test_disk_full_json_write_exits_7_naming_the_file(
+            self, tmp_path, capsys, monkeypatch):
+        def disk_full(path, payload):
+            raise OSError(28, "No space left on device")
+
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["babble", "--config", str(cfgfile)]) == 0
+        for stage, artifact in [("factorize", "pair.json"),
+                                ("identify", "model.json"),
+                                ("synthesize", "result.json"),
+                                ("evaluate", "report.json")]:
+            capsys.readouterr()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "write_json_atomic", disk_full)
+                code = cli.main([stage, "--config", str(cfgfile)])
+            assert code == cli.EXIT_WRITE, stage
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and artifact in err, stage
+            assert not (tmp_path / "out" / artifact).exists()
+            # the next stage needs this one's artifact
+            assert cli.main([stage, "--config", str(cfgfile)]) == 0
 
     def test_failed_write_keeps_previous_artifact(self, tmp_path):
         cfg = load_config(smoke_config(tmp_path))

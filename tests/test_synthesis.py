@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from koopctl import babbling, edmd, plants
 from koopctl import synthesis as syn
 from koopctl.edmd import BilinearKoopmanModel
-from koopctl.factorization import FactorizationPair, assemble_ktilde
+from koopctl.factorization import FactorizationPair, assemble_ktilde, fit_pair
+from koopctl.observables import double_pendulum_map, single_pendulum_map
 from koopctl.tensor import min_eigenvalue
 
 
@@ -324,3 +328,235 @@ class TestCertificateSemantics:
                 psi = kt @ psi
                 bound = rate ** k * e0 * (1 + 1e-6)
                 assert syn.energy_norm(result.S_x, psi) <= bound
+
+
+def unpruned_bisection(problem, lam_tol, feas_tol, maxiter, counts=None,
+                       log=None):
+    """Reference: the bisection with an ascent at every lam it visits and
+    no dual bound.  Appends (lam, min_eig) of each ascent to ``log``;
+    takes ``counts`` only to stand in for ``syn._solve_bisection``."""
+    log = [] if log is None else log
+    starts = syn._deterministic_starts(problem)
+
+    def ascend(lam, first):
+        theta, me, nit = syn._ascend_min_eig(problem, lam, first + starts,
+                                             feas_tol, maxiter)
+        log.append((lam, me))
+        return theta, me, nit
+
+    theta, me, nit = ascend(1.0, [])
+    if me < -feas_tol:
+        return None
+    theta_hi, hi = theta, 1.0
+    theta0, me0, n0 = ascend(0.0, [theta_hi])
+    nit += n0
+    if me0 >= -feas_tol:
+        return {"theta": theta0, "lam": 0.0, "min_eig": me0,
+                "iterations": nit}
+    lo = 0.0
+    while hi - lo > lam_tol:
+        mid = 0.5 * (lo + hi)
+        t, me_mid, n = ascend(mid, [theta_hi])
+        nit += n
+        if me_mid >= -feas_tol:
+            hi, theta_hi = mid, t
+        else:
+            lo = mid
+    if hi >= 1.0:
+        return None
+    return {"theta": theta_hi, "lam": hi,
+            "min_eig": problem.min_eig(theta_hi, hi), "iterations": nit}
+
+
+def controllable_model_pair():
+    k_xx = np.array([[0.5, 0.3], [0.8, 1.2]])
+    k_xu = np.array([[0.0], [1.0]])
+    model = identity_lift_model(k_xx, k_xu, d_s=1)
+    pair = FactorizationPair(S=np.eye(2)[:1], H=np.eye(2),
+                             mask=np.array([1, 0]),
+                             residuals=np.zeros(2), eps_h=1e-9)
+    return model, pair
+
+
+def smoke_pendulum(kind):
+    """(model, pair) from a small babbling run of the benchmark protocols."""
+    if kind == "single":
+        plant = plants.single_pendulum(m=1.0, L=1.0, b=0.3, gravity=1.0)
+        lift = single_pendulum_map()
+        cfg = babbling.BabblingConfig(
+            num_gains=4, num_initial_conditions=4, steps=50, dt=0.01,
+            state_grid=((-np.pi, np.pi), (-6.0, 6.0)), seed=0)
+    else:
+        plant = plants.double_pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0,
+                                       gravity=1.0)
+        lift = double_pendulum_map()
+        cfg = babbling.BabblingConfig(
+            num_gains=2, num_initial_conditions=108, steps=100, dt=0.01,
+            state_grid=((-np.pi, np.pi), (-np.pi, np.pi), (-2.0, 2.0),
+                        (-2.0, 2.0)), seed=0)
+    ds = babbling.generate_dataset(plant, lift, lift, cfg)
+    pair = fit_pair(ds, lift, lift)
+    return edmd.identify_model(ds, lift, pair.S), pair
+
+
+@pytest.fixture(scope="module")
+def model_pairs():
+    pairs = {kind: smoke_pendulum(kind) for kind in ("single", "double")}
+    pairs["controllable"] = controllable_model_pair()
+    return pairs
+
+
+def candidate_problem(model, pair, sampled):
+    d_x, d_psi = model.state_dim, model.lifted_dim
+    cand = syn.sample_candidate(d_x, d_psi, 1e-2, np.random.default_rng(0)) \
+        if sampled else syn.identity_candidate(d_x, d_psi)
+    return syn.LmiProblem(P=cand.P, K_xx=model.K_xx, K_xu=model.K_xu,
+                          H=pair.H, d_S=pair.d_S, d_u=model.input_dim,
+                          d_psi_u=pair.d_psi_u)
+
+
+TOY_PROBLEMS = {
+    "scalar": scalar_problem,
+    "zero-authority": lambda: syn.LmiProblem(
+        P=np.eye(2), K_xx=np.diag([1.5, 0.2]), K_xu=np.zeros((2, 1)),
+        H=np.ones((1, 2)), d_S=1, d_u=1, d_psi_u=1),
+    "no-input-quarter-rate": lambda: syn.LmiProblem(
+        P=np.eye(2), K_xx=0.5 * np.eye(2), K_xu=np.zeros((2, 1)),
+        H=np.ones((1, 2)), d_S=1, d_u=1, d_psi_u=1),
+    "ridge": lambda: syn.LmiProblem(
+        P=np.diag([1.0, 0.0]), K_xx=np.array([[0.5, 0.3], [0.8, 1.2]]),
+        K_xu=np.array([[0.0], [1.0]]), H=np.eye(2), d_S=1, d_u=1,
+        d_psi_u=2, ridge_delta=1e-3),
+}
+
+
+class TestBoundMatchesUnprunedBisection:
+    """The dual bound may only skip ascents that fail, so every solve must
+    equal the unpruned bisection bit for bit."""
+
+    def check(self, problem, monkeypatch, expect_pruning=False):
+        settled = []
+        rules_out = syn._DualBound.rules_out
+
+        def spy(bound, lam):
+            out = rules_out(bound, lam)
+            if out:
+                settled.append(lam)
+            return out
+
+        log = []
+        want = unpruned_bisection(problem, syn.DEFAULT_LAM_TOL,
+                                  syn.DEFAULT_FEAS_TOL, 300, log=log)
+        counts = {}
+        with monkeypatch.context() as m:
+            m.setattr(syn._DualBound, "rules_out", spy)
+            got = syn.solve_fixed_p(problem, counts=counts)
+        if want is None:
+            assert got is None
+        else:
+            for key in ("theta", "lam", "min_eig"):
+                np.testing.assert_array_equal(got[key], want[key], key)
+        # each settled lam is one the reference visited with the same
+        # starts and failed to certify
+        failed = {lam for lam, me in log if me < -syn.DEFAULT_FEAS_TOL}
+        assert set(settled) <= failed
+        assert counts["settled_by_bound"] == len(settled)
+        assert counts["settled_by_bound"] + counts["settled_by_ascent"] \
+            == len(log)
+        if expect_pruning:
+            assert settled
+        return counts
+
+    @pytest.mark.parametrize("name", sorted(TOY_PROBLEMS))
+    def test_toy_solve_fixed_p(self, name, monkeypatch):
+        self.check(TOY_PROBLEMS[name](), monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["single", "double", "controllable"])
+    @pytest.mark.parametrize("sampled", [False, True],
+                             ids=["identity", "sampled"])
+    def test_candidate_solve_fixed_p(self, kind, sampled, model_pairs,
+                                     monkeypatch):
+        problem = candidate_problem(*model_pairs[kind], sampled)
+        self.check(problem, monkeypatch, expect_pruning=kind != "controllable")
+
+    @pytest.mark.parametrize("kind", ["single", "double", "controllable"])
+    def test_synthesize(self, kind, model_pairs, monkeypatch):
+        model, pair = model_pairs[kind]
+        got = syn.synthesize(model, pair, max_resamples=20, seed=0)
+        with monkeypatch.context() as m:
+            m.setattr(syn, "_solve_bisection", unpruned_bisection)
+            want = syn.synthesize(model, pair, max_resamples=20, seed=0)
+        assert got.status == want.status == "optimal"
+        for key in ("K_u", "lam", "P", "S_x"):
+            np.testing.assert_array_equal(getattr(got, key),
+                                          getattr(want, key), key)
+        assert got.diagnostics["min_eig"] == want.diagnostics["min_eig"]
+        assert got.diagnostics["iterations"] \
+            <= want.diagnostics["iterations"]
+
+
+@st.composite
+def small_problems(draw):
+    """Random small LmiProblems: a PSD P of any rank, optional ridge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d_psi = draw(st.integers(1, 4))
+    d_s, d_u, d_pu = (draw(st.integers(1, 2)) for _ in range(3))
+    root = rng.standard_normal((draw(st.integers(1, d_psi)), d_psi))
+    return syn.LmiProblem(
+        P=root.T @ root,
+        K_xx=draw(st.sampled_from([0.5, 1.0, 2.0]))
+        * rng.standard_normal((d_psi, d_psi)),
+        K_xu=draw(st.sampled_from([0.0, 0.1, 1.0]))
+        * rng.standard_normal((d_psi, d_s * d_u)),
+        H=rng.standard_normal((d_s * d_pu, d_psi)), d_S=d_s, d_u=d_u,
+        d_psi_u=d_pu, ridge_delta=draw(st.sampled_from([0.0, 1e-3])))
+
+
+class TestDualBoundSoundness:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=small_problems(), seed=st.integers(0, 2 ** 32 - 1))
+    # the gain directions span all of F: no lam may ever be ruled out
+    @example(problem=scalar_problem(), seed=0)
+    @example(problem=syn.LmiProblem(
+        P=np.diag([1.0, 0.0]), K_xx=np.array([[1.5, 0.7], [0.2, 0.9]]),
+        K_xu=np.eye(2), H=np.eye(2), d_S=1, d_u=2, d_psi_u=2,
+        ridge_delta=1e-3), seed=1)
+    def test_settled_lam_has_no_certified_gain(self, problem, seed):
+        feas_tol = syn.DEFAULT_FEAS_TOL
+        rng = np.random.default_rng(seed)
+        bound = syn._DualBound(problem, feas_tol)
+        starts = syn._deterministic_starts(problem)
+        for lam in (1.0, 0.0, 0.5, 0.9, 0.99):
+            if not bound.rules_out(lam):
+                continue
+            thetas = starts + [bound._theta] + [
+                scale * rng.standard_normal(problem.n_vars)
+                for scale in (0.1, 1.0, 10.0) for _ in range(5)]
+            for theta in thetas:
+                assert problem.min_eig(theta, lam) < -feas_tol
+            _, best, _ = syn._ascend_min_eig(problem, lam, starts,
+                                             feas_tol, 300)
+            assert best < -feas_tol
+
+    def test_spanning_gain_directions_never_rule_out(self):
+        # one gain entry moves the only entry of F: F = 0 is reachable
+        bound = syn._DualBound(scalar_problem(), syn.DEFAULT_FEAS_TOL)
+        assert not any(bound.rules_out(lam) for lam in (1.0, 0.0, 0.5))
+
+
+class TestCandidateDiagnostics:
+    def test_each_candidate_records_its_counts(self, model_pairs):
+        model, pair = model_pairs["single"]
+        result = syn.synthesize(model, pair, max_resamples=20, seed=0)
+        again = syn.synthesize(model, pair, max_resamples=20, seed=0)
+        cands = result.diagnostics["candidates"]
+        assert cands == again.diagnostics["candidates"]
+        assert len(cands) >= 2 and not cands[0]["feasible"]
+        for c in cands:
+            assert c["iterations"] >= 0
+            steps = c["settled_by_bound"] + c["settled_by_ascent"]
+            # lam = 1, lam = 0, then one step per halving down to lam_tol
+            assert steps in (1, 2, 12)
+        assert sum(c["iterations"] for c in cands if c["feasible"]) \
+            == result.diagnostics["iterations"]
+        assert sum(c["settled_by_bound"] for c in cands) > 0
