@@ -126,7 +126,7 @@ def _cached(path: Path, kind: str, cfg: dict) -> bool:
 def cmd_babble(cfg: dict) -> SnapshotDataset:
     plant = build_plant(cfg)
     map_x, map_u = build_maps(cfg)
-    bcfg = babbling_config(cfg)
+    bcfg = babbling_config(cfg, plant.state_dim)
     ds = generate_dataset(plant, map_x, map_u, bcfg)
     outdir = _outdir(cfg) / "dataset"
     with _writing(outdir):

@@ -133,7 +133,9 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, no permission, ...
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     return merge_defaults(raw)
 
@@ -201,8 +203,14 @@ def build_maps(cfg: dict):
     return map_x, _build_map(ctrl)
 
 
-def babbling_config(cfg: dict) -> BabblingConfig:
+def babbling_config(cfg: dict, state_dim: int) -> BabblingConfig:
+    """The babbling section, its state grid checked against the plant."""
     b = cfg["babbling"]
+    grid = b["state_grid"]
+    if not isinstance(grid, list) or len(grid) != state_dim:
+        raise ConfigError(
+            f"babbling.state_grid must hold {state_dim} [lo, hi] rows, one "
+            f"per {cfg['plant']['kind']} state component, got {grid!r}")
     try:
         return BabblingConfig(
             num_gains=int(b["num_gains"]),
@@ -215,7 +223,7 @@ def babbling_config(cfg: dict) -> BabblingConfig:
             dt=float(b["dt"]),
             seed=int(cfg["seed"]),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad babbling config: {exc}")
 
 

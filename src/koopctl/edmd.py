@@ -66,10 +66,6 @@ class BilinearKoopmanModel:
     def input_dim(self) -> int:
         return self.K_xu.shape[1] // self.S.shape[0]
 
-    def predict(self, psi: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """One-step lifted prediction for a single column psi and input u."""
-        return self.K_xx @ psi + self.K_xu @ np.kron(self.S @ psi, u)
-
 
 def _ridge_system(n: int, d_in: int, d_out: int, ridge: float):
     """Fortran-ordered regressor a and target b for n snapshots.

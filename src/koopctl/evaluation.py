@@ -143,10 +143,18 @@ def evaluate_closed_loop(plant: ControlAffinePlant, map_u: ObservableMap,
     trajs = rollout(plant, np.concatenate([initial_states, initial_states]),
                     control, steps, dt)
     controlled, uncontrolled = trajs[:n], trajs[n:]
+    lifted = {}  # trajectory index -> psi(states), one lift for all of them
+    if result is not None and result.status == "optimal":
+        kept = [i for i, traj in enumerate(controlled) if not traj.diverged]
+        if kept:
+            lift_map = map_x if map_x is not None else map_u
+            psis = lift_map(np.stack([controlled[i].states for i in kept]))
+            lifted = dict(zip(kept, psis))
     tail = max(1, int(round(1.0 / dt)))  # last second of the horizon
     records = []
     unc_final = []
-    for x0, traj, twin in zip(initial_states, controlled, uncontrolled):
+    for i, (x0, traj, twin) in enumerate(zip(initial_states, controlled,
+                                             uncontrolled)):
         norms = np.max(np.abs(traj.states), axis=1)
         converged = (not traj.diverged) and norms[-1] <= settle_tol
         settled_at = horizon_s
@@ -155,10 +163,8 @@ def evaluate_closed_loop(plant: ControlAffinePlant, map_u: ObservableMap,
             k_settle = 0 if above.size == 0 else int(above[-1]) + 1
             settled_at = k_settle * dt
         lyap_frac = float("nan")
-        if result is not None and result.status == "optimal" \
-                and not traj.diverged:
-            lift_map = map_x if map_x is not None else map_u
-            psis = lift_map(traj.states)
+        if i in lifted:
+            psis = lifted[i]
             trace = lyapunov_trace(result, psis,
                                    slack=1e-9 * max(1.0, float(np.max(psis ** 2))))
             lyap_frac = trace["decrease_fraction"]

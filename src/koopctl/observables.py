@@ -10,6 +10,24 @@ The first ``state_dim`` features must be the raw state components in
 order, so that the decoding operator [I 0] recovers the state exactly.
 Feature ordering is frozen: every downstream matrix is indexed against it
 and serialized map descriptors record it.
+
+A map is compiled once into a lift plan of its distinct pieces: powers
+of state components, linear combinations, sin/cos terms keyed by (kind,
+coefficients) and denominators.  Each call evaluates every piece once
+and writes each feature into its column of one preallocated output.
+The plan keeps the per-feature operation order, so every value is
+bitwise what evaluating the feature on its own gives:
+
+* a feature is 1.0 times its poly factors in index order, times its
+  trig factors in listed order, divided by its denominator; the plan
+  starts the product at the first factor, which is exact as 1.0 * y == y;
+* a linear combination is 0.0 + c_i x_i + ... in index order over the
+  nonzero coefficients; the leading 0.0 + stays, because it turns a
+  -0.0 first term into +0.0;
+* a denominator is offset + scale * cos(c . x).
+
+Sums are accumulated term by term, never as dot products, so one state
+and any batch shape give the same bits.
 """
 
 from __future__ import annotations
@@ -17,35 +35,19 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Feature:
-    """One scalar observable, evaluated elementwise over state batches."""
+    """One scalar observable; ``ObservableMap`` evaluates it elementwise."""
 
     label: str
     poly: tuple = ()     # monomial exponents, one per state component
     trigs: tuple = ()    # ((kind, coeffs), ...) with kind "sin" or "cos"
     denom: tuple = None  # (offset, scale, coeffs) or None
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate on states x of shape (..., d_x); returns shape (...)."""
-        x = np.asarray(x, dtype=float)
-        val = np.ones(x.shape[:-1])
-        for i, p in enumerate(self.poly):
-            if p == 1:
-                val = val * x[..., i]
-            elif p:
-                val = val * x[..., i] ** p
-        for kind, coeffs in self.trigs:
-            arg = _linear_combination(x, coeffs)
-            val = val * (np.sin(arg) if kind == "sin" else np.cos(arg))
-        if self.denom is not None:
-            offset, scale, coeffs = self.denom
-            val = val / (offset + scale * np.cos(_linear_combination(x, coeffs)))
-        return val
 
     def to_descriptor(self) -> dict:
         d = {"label": self.label, "poly": list(self.poly),
@@ -57,13 +59,84 @@ class Feature:
 
 
 def _linear_combination(x, coeffs):
-    # Explicit accumulation in index order keeps evaluation bitwise
-    # reproducible across batch shapes (no dot-product reductions).
-    acc = np.zeros(x.shape[:-1])
+    """0.0 + c_i x_i + ... over the nonzero coefficients, in index order."""
+    acc = None
     for i, c in enumerate(coeffs):
         if c:
-            acc = acc + c * x[..., i]
-    return acc
+            term = c * x[..., i]
+            if acc is None:
+                acc = np.add(term, 0.0, out=term)  # turns -0.0 into +0.0
+            else:
+                acc += term
+    return np.zeros(x.shape[:-1]) if acc is None else acc
+
+
+class LiftPlan:
+    """The distinct pieces of a feature tuple, and each feature's recipe.
+
+    ``powers`` holds (piece, i, p) for x_i ** p; ``combos`` holds each
+    distinct linear combination with the (piece, kind) sin/cos terms of
+    it; ``denoms`` holds (offset, scale, cos piece); ``columns`` holds
+    each feature's factor pieces and denominator index (or None).
+    """
+
+    def __init__(self, features):
+        pieces = {}  # ("pow", i, p) or ("trig", kind, coeffs) -> piece
+        denoms = {}  # (offset, scale, cos piece) -> denominator index
+
+        def piece(*key):
+            return pieces.setdefault(key, len(pieces))
+
+        def trig(kind, coeffs):
+            return piece("trig", kind, tuple(float(c) for c in coeffs))
+
+        columns = []
+        for f in features:
+            refs = [piece("pow", i, p) for i, p in enumerate(f.poly) if p]
+            refs += [trig(kind, coeffs) for kind, coeffs in f.trigs]
+            den = None
+            if f.denom is not None:
+                offset, scale, coeffs = f.denom
+                den = denoms.setdefault(
+                    (offset, scale, trig("cos", coeffs)), len(denoms))
+            columns.append((tuple(refs), den))
+        combos = {}
+        for (tag, kind, coeffs), k in pieces.items():
+            if tag == "trig":
+                combos.setdefault(coeffs, []).append((k, kind))
+        self.n_pieces = len(pieces)
+        self.powers = tuple((k, i, p) for (tag, i, p), k in pieces.items()
+                            if tag == "pow")
+        self.combos = tuple((c, tuple(t)) for c, t in combos.items())
+        self.denoms = tuple(denoms)
+        self.columns = tuple(columns)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Lift float states x of shape (..., d_x) to (..., n_features)."""
+        if x.ndim == 1:  # one state: a batch of one keeps every piece an array
+            return self(x[None])[0]
+        # the output is allocated before any piece, so a large batch
+        # peaks at the output plus the pieces, not pieces plus output
+        out = np.empty(x.shape[:-1] + (len(self.columns),))
+        vals = [None] * self.n_pieces
+        for k, i, p in self.powers:
+            vals[k] = x[..., i] if p == 1 else x[..., i] ** p
+        for coeffs, trigs in self.combos:
+            arg = _linear_combination(x, coeffs)
+            for k, kind in trigs:
+                vals[k] = np.sin(arg) if kind == "sin" else np.cos(arg)
+        dens = [offset + scale * vals[k] for offset, scale, k in self.denoms]
+        for j, (refs, den) in enumerate(self.columns):
+            col = out[..., j]
+            if len(refs) > 1:
+                np.multiply(vals[refs[0]], vals[refs[1]], out=col)
+                for k in refs[2:]:
+                    np.multiply(col, vals[k], out=col)
+            else:
+                col[...] = vals[refs[0]] if refs else 1.0
+            if den is not None:
+                np.divide(col, dens[den], out=col)
+        return out
 
 
 def feature_from_descriptor(d: dict) -> Feature:
@@ -110,6 +183,10 @@ class ObservableMap:
     def labels(self):
         return [f.label for f in self.features]
 
+    @cached_property
+    def plan(self) -> LiftPlan:
+        return LiftPlan(self.features)
+
     def __call__(self, x) -> np.ndarray:
         """Lift a single state (d_x,) or a batch (..., d_x) to (..., d_psi)."""
         x = np.asarray(x, dtype=float)
@@ -117,7 +194,7 @@ class ObservableMap:
             raise ValueError(
                 f"state has dimension {x.shape[-1]}, map expects {self.state_dim}"
             )
-        return np.stack([f.evaluate(x) for f in self.features], axis=-1)
+        return self.plan(x)
 
     def to_descriptor(self) -> dict:
         return {"name": self.name, "state_dim": self.state_dim,

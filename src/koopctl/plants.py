@@ -17,13 +17,19 @@ joints.  With q = [th1, th2]:
            -m2 l1 l2 sin(th_r) th1_dot^2]
     g   = [-(m1+m2) G l1 sin(th1),  -m2 G l2 sin(th2)]
 
-    det M = m2 l1^2 l2^2 (m1 + m2 sin(th_r)^2) > 0 for positive masses,
-so the mass matrix is never singular.  B is optional viscous joint
-damping, zero by default.
+    det M = m2 l1^2 l2^2 (m1 + m2 sin(th_r)^2) > 0 for positive masses.
+In floats, det = a c - b^2 with b = m2 l1 l2 cos(th_r) is at least the
+rounded a c - (m2 l1 l2)^2, since |cos| <= 1 and rounding is monotone;
+``double_pendulum`` rejects parameters where that bound is not positive
+(m1 far below m2, say), so no state can make the mass matrix singular.
+B is optional viscous joint damping, zero by default.
 
 All dynamics are written with elementwise numpy operations only (the
 2x2 mass-matrix solve is closed form), so stepping a batch of states
-produces bitwise the same numbers as stepping each state alone.
+produces bitwise the same numbers as stepping each state alone.  That
+holds for the double pendulum's fused right-hand side too, which shares
+the mass-matrix terms between f and g and gives bitwise the same
+f(x) + g(x) u as composing ``drift`` and ``input_matrix``.
 """
 
 from __future__ import annotations
@@ -44,11 +50,14 @@ class ControlAffinePlant:
     input_matrix: callable   # g(x): (..., d_x) -> (..., d_x, d_u)
     input_bounds: np.ndarray  # (d_u, 2) rows [u_min, u_max]
     params: dict = field(default_factory=dict)
+    fused_rhs: callable = None  # (x, u) -> rhs(x, u) bitwise, or None
 
     def rhs(self, x, u):
         """f(x) + g(x) u, accumulated column by column in fixed order."""
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
+        if self.fused_rhs is not None:
+            return self.fused_rhs(x, u)
         g = self.input_matrix(x)
         out = self.drift(x)
         for j in range(self.input_dim):
@@ -60,18 +69,6 @@ class ControlAffinePlant:
         lo = self.input_bounds[:, 0]
         hi = self.input_bounds[:, 1]
         return np.clip(u, lo, hi)
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    dt: float = 0.01
-    steps: int = 100
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
 
 
 @dataclass
@@ -137,43 +134,42 @@ def double_pendulum(m1: float = 1.0, m2: float = 1.0, l1: float = 1.0,
     if min(m1, m2, l1, l2) <= 0:
         raise ValueError("masses and lengths must be positive")
     b1, b2 = float(damping[0]), float(damping[1])
+    # the same float expressions as the dynamics below; the module
+    # docstring shows det >= a * c - k * k for every state
+    a = (m1 + m2) * l1 * l1
+    c = m2 * l2 * l2
+    k = m2 * l1 * l2
+    if not a * c - k * k > 0:
+        raise ValueError("singular mass matrix: (m1 + m2) l1^2 m2 l2^2 - "
+                         "(m2 l1 l2)^2 is not positive in floats")
+    g1 = (m1 + m2) * gravity * l1
+    g2 = m2 * gravity * l2
 
-    def mass_entries(th_r):
-        a = (m1 + m2) * l1 * l1
-        bb = m2 * l1 * l2 * np.cos(th_r)
-        c = m2 * l2 * l2
-        return a, bb, c
-
-    def accel(x, tau1, tau2):
+    def unforced(x):
+        """Mass-matrix entry b, det M and the zero-torque accelerations."""
         th1 = x[..., 0]
         th2 = x[..., 1]
         w1 = x[..., 2]
         w2 = x[..., 3]
         th_r = th1 - th2
-        a, bb, c = mass_entries(th_r)
+        bb = k * np.cos(th_r)
         det = a * c - bb * bb
-        if np.any(det <= 0):
-            raise FloatingPointError("singular mass matrix")
         s_r = np.sin(th_r)
-        r1 = tau1 - m2 * l1 * l2 * s_r * w2 * w2 \
-            + (m1 + m2) * gravity * l1 * np.sin(th1) - b1 * w1
-        r2 = tau2 + m2 * l1 * l2 * s_r * w1 * w1 \
-            + m2 * gravity * l2 * np.sin(th2) - b2 * w2
+        r1 = 0.0 - k * s_r * w2 * w2 + g1 * np.sin(th1) - b1 * w1
+        r2 = 0.0 + k * s_r * w1 * w1 + g2 * np.sin(th2) - b2 * w2
         # closed-form 2x2 solve keeps batch and single paths identical
         acc1 = (c * r1 - bb * r2) / det
         acc2 = (a * r2 - bb * r1) / det
-        return acc1, acc2
+        return bb, det, acc1, acc2
 
     def drift(x):
         x = np.asarray(x, dtype=float)
-        zero = np.zeros(x.shape[:-1])
-        acc1, acc2 = accel(x, zero, zero)
+        _, _, acc1, acc2 = unforced(x)
         return np.stack([x[..., 2], x[..., 3], acc1, acc2], axis=-1)
 
     def input_matrix(x):
         x = np.asarray(x, dtype=float)
-        th_r = x[..., 0] - x[..., 1]
-        a, bb, c = mass_entries(th_r)
+        bb = k * np.cos(x[..., 0] - x[..., 1])
         det = a * c - bb * bb
         g = np.zeros(x.shape[:-1] + (4, 2))
         g[..., 2, 0] = c / det
@@ -182,31 +178,30 @@ def double_pendulum(m1: float = 1.0, m2: float = 1.0, l1: float = 1.0,
         g[..., 3, 1] = a / det
         return g
 
+    def rhs(x, u):
+        # drift + g[..., 0] u0 + g[..., 1] u1 in that order, zeros of g
+        # included: 0.0 * u keeps the sign of zero a velocity row gets
+        bb, det, acc1, acc2 = unforced(x)
+        u0 = u[..., 0]
+        u1 = u[..., 1]
+        z0 = 0.0 * u0
+        z1 = 0.0 * u1
+        nb = -bb / det
+        out = np.empty(x.shape)  # u broadcasts against x's rows
+        np.add(x[..., 2] + z0, z1, out=out[..., 0])
+        np.add(x[..., 3] + z0, z1, out=out[..., 1])
+        np.add(acc1 + c / det * u0, nb * u1, out=out[..., 2])
+        np.add(acc2 + nb * u0, a / det * u1, out=out[..., 3])
+        return out
+
     return ControlAffinePlant(
         name="double_pendulum", state_dim=4, input_dim=2,
         drift=drift, input_matrix=input_matrix,
         input_bounds=np.array([[-input_bound, input_bound]] * 2),
         params={"m1": m1, "m2": m2, "l1": l1, "l2": l2,
                 "gravity": gravity, "damping": [b1, b2]},
+        fused_rhs=rhs,
     )
-
-
-def mechanical_energy(plant: ControlAffinePlant, x) -> np.ndarray:
-    """Kinetic plus potential energy (upright datum), for both pendulums."""
-    x = np.asarray(x, dtype=float)
-    p = plant.params
-    if plant.name == "single_pendulum":
-        th, om = x[..., 0], x[..., 1]
-        return 0.5 * p["m"] * p["L"] ** 2 * om ** 2 \
-            + p["m"] * p["gravity"] * p["L"] * np.cos(th)
-    if plant.name == "double_pendulum":
-        th1, th2, w1, w2 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-        m1, m2, l1, l2, g = p["m1"], p["m2"], p["l1"], p["l2"], p["gravity"]
-        ke = 0.5 * (m1 + m2) * l1 ** 2 * w1 ** 2 + 0.5 * m2 * l2 ** 2 * w2 ** 2 \
-            + m2 * l1 * l2 * w1 * w2 * np.cos(th1 - th2)
-        pe = (m1 + m2) * g * l1 * np.cos(th1) + m2 * g * l2 * np.cos(th2)
-        return ke + pe
-    raise ValueError(f"no energy expression for plant {plant.name!r}")
 
 
 def rk4_step(plant: ControlAffinePlant, x, u, dt: float) -> np.ndarray:

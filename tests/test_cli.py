@@ -59,6 +59,47 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/config.json")
 
+    def test_unreadable_config_exits_2_with_one_line(self, tmp_path, capsys):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{")
+        for path in (tmp_path, binary):  # a directory, then not UTF-8
+            assert cli.main(["babble", "--config", str(path)]) \
+                == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_singular_mass_matrix_exits_2_with_one_line(self, tmp_path,
+                                                         capsys):
+        cfgfile = smoke_config(
+            tmp_path, plant={"kind": "double_pendulum",
+                             "params": {"m1": 1e-17}},
+            observables={"kind": "double_pendulum"},
+            babbling={"state_grid": [[-1.0, 1.0]] * 4})
+        assert cli.main(["babble", "--config", str(cfgfile)]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "singular mass matrix" in err and err.count("\n") == 1
+
+    def test_state_grid_must_match_the_plant(self, tmp_path, capsys):
+        # the default grid has the single pendulum's two rows
+        cfgfile = smoke_config(
+            tmp_path, plant={"kind": "double_pendulum"},
+            observables={"kind": "double_pendulum"})
+        assert cli.main(["babble", "--config", str(cfgfile)]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "babbling.state_grid" in err and err.count("\n") == 1
+        assert not (tmp_path / "out" / "dataset").exists()
+
+    def test_malformed_state_grid_row_exits_2(self, tmp_path, capsys):
+        cfgfile = smoke_config(tmp_path, babbling={
+            "state_grid": [[-1.0, 1.0], [None, 1.0]]})
+        assert cli.main(["babble", "--config", str(cfgfile)]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad babbling config")
+        assert err.count("\n") == 1
+
 
 class TestInit:
     def test_template_is_valid_config(self, tmp_path):

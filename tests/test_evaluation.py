@@ -122,6 +122,45 @@ class TestBatchedMatchesScalar:
         assert json.dumps(got) == json.dumps(want)
 
 
+class TestOneLiftForLyapunovTrace:
+    """One lift of every kept trajectory against one lift per trajectory."""
+
+    @pytest.mark.parametrize("name", ["double", "blowup"])
+    def test_lyapunov_trace_sees_per_trajectory_lifts(self, name,
+                                                      monkeypatch):
+        plant, m, K, states, horizon = equivalence_case(name)
+        if name == "blowup":  # rows 1 and 3 diverge, rows 0 and 2 do not
+            m = polynomial_map("cubic", (1, 2, 3))
+            K = np.array([[-1.0, 0.0, 0.0]])
+            states = [[0.0], [0.5], [-0.1], [2.0]]
+        result = syn.SynthesisResult(K_u=K, lam=0.99, P=np.eye(m.dim),
+                                     S_x=np.eye(m.dim), status="optimal")
+        seen = []
+        trace = ev.lyapunov_trace
+
+        def recording_trace(result, psis, slack=0.0):
+            seen.append((psis, slack))
+            return trace(result, psis, slack)
+
+        monkeypatch.setattr(ev, "lyapunov_trace", recording_trace)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = ev.evaluate_closed_loop(plant, m, K, states, horizon,
+                                             0.01, result=result, map_x=m)
+        kept = [t for t in report.controlled_trajs if not t.diverged]
+        if name == "blowup":
+            assert [r.diverged for r in report.records] \
+                == [False, True, False, True]
+        assert len(seen) == len(kept)
+        for (psis, slack), traj in zip(seen, kept):
+            want = m(traj.states)
+            assert psis.shape == want.shape
+            np.testing.assert_array_equal(psis.view(np.uint64),
+                                          want.view(np.uint64))
+            assert slack == 1e-9 * max(1.0, float(np.max(want ** 2)))
+        for r in report.records:
+            assert np.isnan(r.lyap_decrease_fraction) == r.diverged
+
+
 def one_block_pair_model(d_psi, d_u):
     """A lifted model that keeps the first block, for fidelity plumbing."""
     rng = np.random.default_rng(0)

@@ -2,8 +2,109 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from koopctl import observables as obs
+
+
+def reference_feature(f: obs.Feature, x) -> np.ndarray:
+    """One feature on its own, the per-feature path the lift plan replaced."""
+    x = np.asarray(x, dtype=float)
+    val = np.ones(x.shape[:-1])
+    for i, p in enumerate(f.poly):
+        if p == 1:
+            val = val * x[..., i]
+        elif p:
+            val = val * x[..., i] ** p
+    for kind, coeffs in f.trigs:
+        arg = reference_linear_combination(x, coeffs)
+        val = val * (np.sin(arg) if kind == "sin" else np.cos(arg))
+    if f.denom is not None:
+        offset, scale, coeffs = f.denom
+        val = val / (offset + scale * np.cos(
+            reference_linear_combination(x, coeffs)))
+    return val
+
+
+def reference_linear_combination(x, coeffs):
+    acc = np.zeros(x.shape[:-1])
+    for i, c in enumerate(coeffs):
+        if c:
+            acc = acc + c * x[..., i]
+    return acc
+
+
+def reference_lift(m: obs.ObservableMap, x) -> np.ndarray:
+    return np.stack([reference_feature(f, x) for f in m.features], axis=-1)
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+COEFFS = st.sampled_from([0, 0.0, -0.0, 1, -1, 1.0, -2, 2.0, 0.5, -3.0])
+
+
+@st.composite
+def random_maps(draw):
+    """Maps whose features share, or do not share, their pieces."""
+    d_x = draw(st.integers(1, 4))
+    # a small pool of combinations makes features share them; a fresh
+    # draw makes one that is shared with nothing
+    pool = draw(st.lists(st.tuples(*[COEFFS] * d_x), min_size=1, max_size=3))
+    combo = st.one_of(st.sampled_from(pool), st.tuples(*[COEFFS] * d_x))
+    kind = st.sampled_from(["sin", "cos"])
+    denom = st.one_of(st.none(), st.tuples(
+        st.sampled_from([3.0, 2.5]), st.sampled_from([-2.0, 1.0, 0.5]), combo))
+    feats = [obs.state_feature(i, d_x, f"x{i}") for i in range(d_x)]
+    for j in range(draw(st.integers(0, 8))):
+        feats.append(obs.Feature(
+            label=f"f{j}",
+            poly=tuple(draw(st.lists(st.integers(0, 3), min_size=d_x,
+                                     max_size=d_x))),
+            trigs=tuple(draw(st.lists(st.tuples(kind, combo), max_size=3))),
+            denom=draw(denom)))
+    if draw(st.booleans()):
+        feats.append(obs.Feature(label="1"))
+    return obs.ObservableMap(name="random", state_dim=d_x,
+                             features=tuple(feats))
+
+
+class TestLiftPlanMatchesPerFeature:
+    """The lift plan against evaluating every feature on its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=random_maps(), data=st.data())
+    def test_random_maps_bitwise(self, m, data):
+        lead = data.draw(st.sampled_from([(), (1,), (7,), (3, 5)]))
+        x = data.draw(hnp.arrays(
+            np.float64, lead + (m.state_dim,),
+            elements=st.one_of(st.sampled_from([0.0, -0.0]),
+                               st.floats(-10.0, 10.0))))
+        with np.errstate(all="ignore"):
+            assert_bitwise(m(x), reference_lift(m, x))
+
+    @pytest.mark.parametrize("make", [obs.single_pendulum_map,
+                                      obs.double_pendulum_map])
+    def test_protocol_maps_bitwise(self, make):
+        m = make()
+        rng = np.random.default_rng(5)
+        for lead in [(), (60,), (4, 30)]:
+            x = rng.uniform(-6, 6, size=lead + (m.state_dim,))
+            x.flat[::5] = 0.0
+            x.flat[1::5] = -0.0
+            assert_bitwise(m(x), reference_lift(m, x))
+            assert m(x).flags.c_contiguous
+
+    def test_double_pendulum_shares_trig_terms_and_denominator(self):
+        plan = obs.double_pendulum_map().plan
+        # 11 sin/cos factors and 9 denominators, feature by feature
+        assert sum(len(t) for _, t in plan.combos) == 6
+        assert len(plan.combos) == 4
+        assert len(plan.denoms) == 1
 
 
 class TestSinglePendulumMap:

@@ -1,7 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from koopctl import plants
+
+
+def mechanical_energy(plant, x) -> np.ndarray:
+    """Kinetic plus potential energy (upright datum) of the double pendulum."""
+    p = plant.params
+    th1, th2, w1, w2 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    m1, m2, l1, l2, g = p["m1"], p["m2"], p["l1"], p["l2"], p["gravity"]
+    ke = 0.5 * (m1 + m2) * l1 ** 2 * w1 ** 2 + 0.5 * m2 * l2 ** 2 * w2 ** 2 \
+        + m2 * l1 * l2 * w1 * w2 * np.cos(th1 - th2)
+    pe = (m1 + m2) * g * l1 * np.cos(th1) + m2 * g * l2 * np.cos(th2)
+    return ke + pe
 
 
 def scalar_decay_plant():
@@ -79,12 +92,12 @@ class TestDoublePendulum:
         # undamped, unforced: energy drift over 1 s scales like dt^4,
         # so dt = 0.01 -> 0.001 shrinks it by about 10^4
         x0 = np.array([0.4, -0.3, 0.5, 0.2])
-        e0 = plants.mechanical_energy(self.plant, x0)
+        e0 = mechanical_energy(self.plant, x0)
         drifts = []
         for dt in (0.01, 0.001):
             traj = plants.rollout(self.plant, x0,
                                   lambda x: np.zeros(2), int(1.0 / dt), dt)
-            e = plants.mechanical_energy(self.plant, traj.states[-1])
+            e = mechanical_energy(self.plant, traj.states[-1])
             drifts.append(abs(e - e0))
         assert drifts[0] < 1e-6 * abs(e0)
         assert drifts[0] / drifts[1] > 1e3
@@ -108,17 +121,66 @@ class TestDoublePendulum:
         qdd = self.plant.rhs(x, u)[2:] - self.plant.drift(x)[2:]
         np.testing.assert_allclose(m @ qdd, u, atol=1e-12)
 
+    def test_rejects_singular_mass_matrix(self):
+        # m1 = 1e-17 rounds (m1 + m2) l1^2 m2 l2^2 - (m2 l1 l2)^2 to 0
+        with pytest.raises(ValueError, match="singular mass matrix"):
+            plants.double_pendulum(m1=1e-17)
 
-class TestIntegratorConfig:
-    def test_defaults(self):
-        cfg = plants.IntegratorConfig()
-        assert cfg.dt == 0.01 and cfg.steps == 100
+    def test_tiny_accepted_m1_is_never_singular(self):
+        plant = plants.double_pendulum(m1=1e-15)
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-4, 4, size=(500, 4))
+        x[:100, 1] = x[:100, 0]  # th_r = 0, where det is smallest
+        x[100:200, 1] = x[100:200, 0] - np.pi
+        u = rng.uniform(-5, 5, size=(500, 2))
+        with np.errstate(all="raise"):
+            plant.rhs(x, u)
+            plant.input_matrix(x)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            plants.IntegratorConfig(dt=0.0)
-        with pytest.raises(ValueError):
-            plants.IntegratorConfig(steps=0)
+
+def generic_rhs(plant, x, u):
+    """drift + g u through the unfused ``ControlAffinePlant.rhs`` path."""
+    return dataclasses.replace(plant, fused_rhs=None).rhs(x, u)
+
+
+class TestFusedRhsMatchesComposition:
+    """The double pendulum's fused rhs against drift + input_matrix."""
+
+    @pytest.mark.parametrize("params", [
+        {}, {"gravity": 1.0},
+        {"m1": 2.0, "m2": 0.5, "l1": 1.3, "l2": 0.7, "damping": (0.1, 0.2)},
+    ])
+    @pytest.mark.parametrize("lead", [(), (1,), (60,), (2160,)])
+    def test_bitwise(self, params, lead):
+        plant = plants.double_pendulum(**params)
+        rng = np.random.default_rng(sum(lead))
+        x = rng.uniform(-4, 4, size=lead + (4,))
+        u = rng.uniform(-8, 8, size=lead + (2,))  # beyond the +-5 bound
+        # signed zeros in the velocities and inputs, inputs of both signs
+        x[..., 2:].flat[::3] = 0.0
+        x[..., 2:].flat[1::3] = -0.0
+        u.flat[::4] = -0.0
+        u.flat[1::4] = 0.0
+        u = plant.clip_input(u)
+        got = plant.rhs(x, u)
+        want = generic_rhs(plant, x, u)
+        assert got.shape == want.shape == lead + (4,)
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+
+    def test_signed_zero_velocity_rows(self):
+        # w + 0.0 u0 + 0.0 u1: a -0.0 velocity stays -0.0 only when both
+        # inputs are negative or -0.0
+        plant = plants.double_pendulum()
+        x = np.array([[0.2, 0.1, -0.0, -0.0]] * 3)
+        u = np.array([[-1.0, -0.0], [1.0, -1.0], [-0.0, 0.0]])
+        got = plant.rhs(x, u)
+        want = generic_rhs(plant, x, u)
+        np.testing.assert_array_equal(np.signbit(got[:, :2]),
+                                      [[True, True], [False, False],
+                                       [False, False]])
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 class TestRK4:
