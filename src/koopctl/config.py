@@ -88,7 +88,10 @@ DEFAULTS = {
 
 _DOC = {
     "plant.kind": "single_pendulum or double_pendulum",
-    "plant.params": "constructor overrides (m, L, b, gravity; m1, m2, l1, l2, damping)",
+    "plant.params": "constructor overrides (m, L, b, gravity; m1, m2, l1, l2, damping); "
+                    "the template sets gravity 1.0 so the torque bound dominates m g L, "
+                    "as in the acceptance experiments: at the default 9.81 it "
+                    "stabilizes about 13% of its evaluation states, below its 0.9 gate",
     "plant.input_bound": "per-channel torque saturation, u in [-bound, bound]",
     "observables.kind": "lifting map; 'custom' reads observables.features descriptors",
     "observables.controller": "separate controller-feature map config, null reuses the state map",
@@ -98,6 +101,7 @@ _DOC = {
     "identification.ridge": "Frobenius ridge; null = 1e-8 * training snapshot count",
     "factorization.eps_h": "block residual threshold; null = 1e-6 * RMS lifted Kronecker norm",
     "synthesis.eps_p": "ridge inside sampled Lyapunov candidates R^T R + eps_p I",
+    "synthesis.lambda_tol": "the reported lambda is at most the exact optimum plus lambda_tol",
     "synthesis.max_resamples": "sampled candidates tried after the identity start",
     "synthesis.rate_budget": "extra candidates explored after the first success, best rate wins",
     "synthesis.assumption_gate": "max compatibility residual allowed before synthesis",
@@ -151,8 +155,10 @@ def artifact_meta(cfg: dict) -> dict:
 
 
 def template_json() -> str:
-    """Defaults plus inline documentation, ready to edit."""
+    """Defaults plus inline documentation, ready to edit; the template
+    declares gravity 1.0 (see ``_DOC["plant.params"]``)."""
     doc = copy.deepcopy(DEFAULTS)
+    doc["plant"]["params"] = {"gravity": 1.0}
     doc["_doc"] = _DOC
     return json.dumps(doc, indent=2, sort_keys=True)
 

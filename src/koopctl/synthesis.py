@@ -4,34 +4,45 @@ For a fixed PSD candidate P the constraint
 
     M(K_u, lam) = [[P, P Ktilde], [Ktilde^T P, lam P]] >= 0,  lam in [0, 1]
 
-is affine in (K_u, lam) because Ktilde = K_xx + K_xu (I kron K_u) H is
-affine in K_u.  The default solver bisects on lam (absolute tolerance
-1e-3).  Each lam it visits is first offered to a dual bound: by the
-Schur complement of M + e I on its block P + e I, min eig M >= -e holds
-exactly when sigma_max(F_lam(K_u)) <= 1, where F_lam is affine in K_u
-(see ``_DualBound``).  Any Y orthogonal to the gain directions of F_lam
-bounds sigma_max below for every gain at once; Y comes from a smoothed
-minimizer of sigma_max^2 warm-started from the previous lam.  When the
-bound exceeds 1 the lam is infeasible and bisection moves on.  Only a
-lam the bound cannot rule out gets the ascent: maximize the smallest
-eigenvalue of M over K_u, a concave problem solved on a smoothed
-(softmin) surrogate with L-BFGS under an annealed smoothing schedule,
-restarted from a fixed set of deterministic gains (zero, a least-squares
-cancellation of the lifted couplings entering the decoded state rows,
-and a least-squares deadbeat gain).  The bound only skips ascents that
-would fail, so bisection visits the same lam and returns the same gain
-as without it.
+is jointly affine in (K_u, lam) because Ktilde = K_xx + K_xu (I kron K_u) H
+is affine in K_u.  Minimizing lam subject to
+
+    blockdiag(M(K_u, lam) + feas_tol I, lam, 1 - lam) >= 0
+
+is therefore one linear semidefinite program (SDP).  ``solve_fixed_p``
+solves it with a primal-dual path-following method from an infeasible
+start: the HKM search direction with Mehrotra's predictor-corrector
+(Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 1996;
+Vandenberghe and Boyd, SIAM Review 1996).  Each iteration solves one
+Schur system with a row per gain entry and one for lam.  Once the primal
+iterate is feasible its objective bounds lam* from below, so a candidate
+whose bound shows lam* + lam_tol / 10 >= 1 is rejected as soon as that
+shows; otherwise the method runs until the complementarity gap <X, Z>
+and both relative residuals are below 1e-9.
+
+The lam-optimal gains form a flat set, and the method would stop at an
+arbitrary point of it.  The gain is instead chosen at
+lam_c = lam* + lam_tol / 10 as the minimizer of the strictly convex
+
+    rho ||K_u||^2 - log det(M(K_u, lam_c) + feas_tol I),
+
+found by Newton steps from the method's last iterate, which makes it a
+smooth function of the model.  rho = 1 / ||K_ac||^2, where K_ac is the
+analytic center (the same minimization with rho = 0; its least-squares
+Newton steps never move gain components that leave M unchanged).  The
+penalty is then one barrier unit at the center, so it does not depend
+on the units of the input and keeps the minimizer well inside the
+feasible set.  The reported lam is lam_c: at most the exact optimum
+plus lam_tol, up to the 1e-9 tolerances times the size of the optimal
+gain.  A candidate is certified only when lam_c < 1 and the smallest
+eigenvalue of the full block matrix at (K_u, lam_c) is >= -feas_tol.
 
 Candidate P matrices follow the decoder-restricted recipe: the first is
 A_dec^T I A_dec, later ones A_dec^T (R^T R + eps_p I) A_dec with R
 resampled uniformly from [-1, 1].  Such P have rank d_x, so M carries
-rows that are structurally zero for every K_u; the inner solver deflates
-them, while the reported certificate is always the smallest eigenvalue
-of the full block matrix.
-
-Another solver can be substituted by passing a callable as ``backend``;
-it takes (problem, lam_tol, feas_tol) and returns what ``solve_fixed_p``
-returns.
+first-block rows that are zero for every K_u.  The solver deflates them
+exactly (in M + feas_tol I they are feas_tol I), while the reported
+certificate is always the smallest eigenvalue of the full block matrix.
 """
 
 from __future__ import annotations
@@ -40,24 +51,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .edmd import BilinearKoopmanModel
 from .factorization import FactorizationPair
 from .tensor import matrix_from_json, matrix_to_json, symmetrize
 
 DEFAULT_FEAS_TOL = 1e-8   # smallest-eigenvalue floor for a certified LMI
-DEFAULT_LAM_TOL = 1e-3    # absolute bisection tolerance on lam
-_MU_LADDER = (1e-2, 1e-4, 1e-6, 1e-9)  # smoothing schedule, scaled by ||P||
-_DUAL_MU = 1e-4        # dual-bound smoothing, relative to sigma_max^2
-_DUAL_REL_TOL = 1e-6   # rounding allowance in the dual-bound guards
-
-
-def lyapunov_residual(A, P, lam: float) -> np.ndarray:
-    """lam P - A^T P A; PSD iff the rate-lam Lyapunov inequality holds."""
-    A = np.asarray(A, dtype=float)
-    P = symmetrize(P)
-    return symmetrize(lam * P - A.T @ P @ A)
+DEFAULT_LAM_TOL = 1e-3    # reported lam is at most the optimum plus this
+_IPM_TOL = 1e-9           # duality gap and residuals that end the solve
+_IPM_MAXITER = 100
+_NEWTON_TOL = 1e-7        # Newton decrement that ends the gain centering
+_NEWTON_MAXITER = 50
 
 
 def energy_norm(S_x: np.ndarray, x) -> float:
@@ -128,11 +132,6 @@ class LmiProblem:
         kxu3 = self.K_xu.reshape(d_psi, self.d_S, self.d_u)
         h3 = self.H.reshape(self.d_S, self.d_psi_u, d_psi)
         self.T = np.einsum("psa,sbq->abpq", kxu3, h3)
-        # first-block rows with an exactly zero P row stay zero for every
-        # K_u and are deflated inside the inner solver
-        self._keep1 = np.nonzero(np.any(self.P != 0.0, axis=1))[0]
-        self._Pk = self.P[self._keep1, :]
-        self._scale = max(1.0, float(np.linalg.norm(self.P, 2)))
 
     @property
     def d_psi(self) -> int:
@@ -159,209 +158,176 @@ class LmiProblem:
         m = self.block_matrix(self.gain(theta), lam)
         return float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
 
-    def softmin_neg(self, lam: float, mu: float):
-        """(value, gradient) callable minimizing the negative softmin eig."""
-        k1 = self._keep1
-        n1 = k1.size
-        p11 = self.P[np.ix_(k1, k1)]
-        lam_p = lam * self.P
-        pk = self._Pk
 
-        def fun(theta):
-            kt = self.ktilde(self.gain(theta))
-            off = pk @ kt                        # (n1, d_psi)
-            m = np.block([[p11, off], [off.T, lam_p]])
-            e, v = np.linalg.eigh(0.5 * (m + m.T))
-            e0 = e[0]
-            w = np.exp(-(e - e0) / mu)
-            total = float(np.sum(w))
-            val = e0 - mu * math.log(total)
-            w = w / total
-            w12 = (v[:n1] * w) @ v[n1:].T        # (n1, d_psi)
-            grad = 2.0 * np.einsum("abmq,mq->ab", self.T, pk.T @ w12)
-            return -val, -grad.ravel()
-
-        return fun
+def _sdp_terms(problem: LmiProblem, feas_tol: float) -> np.ndarray:
+    """F with F_0 + sum_i theta_i F_i + lam F_{n+1} equal to
+    blockdiag(M(theta, lam) + feas_tol I, lam, 1 - lam), its first-block
+    rows that are zero in P deflated."""
+    keep = np.nonzero(np.any(problem.P != 0.0, axis=1))[0]
+    n1, d, n = keep.size, problem.d_psi, problem.n_vars
+    m = n1 + d
+    F = np.zeros((n + 2, m + 2, m + 2))
+    F[0, :n1, :n1] = problem.P[np.ix_(keep, keep)]
+    coupling = problem.P[keep] @ np.concatenate(
+        [problem.K_xx[None], problem.T.reshape(n, d, d)])
+    F[:-1, :n1, n1:m] = coupling
+    F[:-1, n1:m, :n1] = coupling.transpose(0, 2, 1)
+    F[-1, n1:m, n1:m] = problem.P
+    F[0, :m, :m] += feas_tol * np.eye(m)
+    F[0, m + 1, m + 1] = 1.0          # 1 - lam
+    F[-1, m, m] = 1.0                 # lam
+    F[-1, m + 1, m + 1] = -1.0
+    return F
 
 
-def _deterministic_starts(problem: LmiProblem) -> list:
-    """Fixed restart gains: zero, coupling-cancelling, deadbeat."""
-    starts = [np.zeros(problem.n_vars)]
-    rows = problem._keep1
-    cols = np.setdiff1d(np.arange(problem.d_psi), rows)
-
-    def lstsq_start(r, c):
-        a = problem.T[:, :, r][:, :, :, c].reshape(problem.n_vars, -1).T
-        b = -problem.K_xx[np.ix_(r, c)].ravel()
-        theta, *_ = np.linalg.lstsq(a, b, rcond=None)
-        return theta
-
-    if cols.size and rows.size:
-        starts.append(lstsq_start(rows, cols))
-    starts.append(lstsq_start(np.arange(problem.d_psi),
-                              np.arange(problem.d_psi)))
-    return starts
+def _max_step(X, dX) -> float:
+    """Largest alpha with X + alpha dX PSD, for X positive definite."""
+    li = np.linalg.inv(np.linalg.cholesky(X))
+    w = np.linalg.eigvalsh(li @ dX @ li.T)[0]
+    return np.inf if w >= 0.0 else -1.0 / w
 
 
-class _DualBound:
-    """Proves a lam infeasible for every gain, or declines to.
+def _interior_point(F, shift: float):
+    """Maximize -lam subject to Z = F_0 + sum_j y_j F_j >= 0, y = (theta, lam).
 
-    With e = 2 feas_tol and P = U diag(p) U^T, M + e I is PSD exactly when
-    its Schur complement on the positive definite block P + e I is, i.e.
-    when sigma_max(F_lam) <= 1 for
-
-        F_lam(theta) = diag(p / sqrt(p + e)) U^T Ktilde(theta) U
-                       diag(1 / sqrt(lam p + e)),
-
-    which is affine in theta: F_0 + sum_i theta_i F_i.  For any Y with
-    <F_i, Y> = 0 for all i, sigma_max(F_lam(theta)) >= |<F_0, Y>| /
-    ||Y||_nuc for every theta.  When that exceeds 1, every gain has an
-    eigenvalue below -2 feas_tol, a full feas_tol under the floor the
-    ascent tests, so no ascent can certify lam.  Rows of F with p at
-    rounding level are dropped, which can only lower sigma_max.
+    The primal problem is: minimize <F_0, X> subject to <F_j, X> = [j is
+    lam] and X >= 0.  Once its residual vanishes, its objective is >= -lam
+    for every feasible y, so -<F_0, X> bounds lam* from below.
+    The residual counts as vanished below 1e-9 relative to ||X||: if the
+    LMI has no solution at all, X grows along a Farkas ray and the bound
+    grows without limit.  Returns (outcome, y, iterations) with outcome
+    "optimal", "infeasible" (the bound shows lam* + shift >= 1) or
+    "iteration-cap" (no verdict within the cap, or rounding broke positive
+    definiteness).
     """
+    f0, fj = F[0], F[1:]
+    k, m = fj.shape[:2]
+    a = np.zeros(k)
+    a[-1] = 1.0
+    start = max(10.0, math.sqrt(m), math.sqrt(np.max(np.sum(F ** 2, (1, 2)))))
+    X, Z, y = start * np.eye(m), start * np.eye(m), np.zeros(k)
+    norm0 = 1.0 + np.linalg.norm(f0)
+    for it in range(_IPM_MAXITER):
+        rp = a - np.einsum("jmn,mn->j", fj, X)
+        Rd = f0 + np.tensordot(y, fj, 1) - Z
+        lower = -np.sum(f0 * X)
+        rp_norm = np.linalg.norm(rp)
+        if rp_norm <= _IPM_TOL * (1.0 + np.linalg.norm(X)):
+            # lam* >= lower - y*.rp for every feasible y*; the current y
+            # stands in for y*
+            if lower - np.linalg.norm(y) * rp_norm + shift >= 1.0:
+                return "infeasible", y, it
+            if (np.sum(X * Z) <= _IPM_TOL
+                    and np.linalg.norm(Rd) <= _IPM_TOL * norm0):
+                return "optimal", y, it
+        try:
+            zi = np.linalg.inv(Z)
+            xfz = X @ fj @ zi
+            S = np.einsum("imn,jmn->ij", fj, xfz)
+            base = np.einsum("jmn,mn->j", fj, X @ Rd @ zi) + rp
 
-    def __init__(self, problem: LmiProblem, feas_tol: float):
-        self._eps = 2.0 * feas_tol
-        p, u = np.linalg.eigh(problem.P)
-        rows = p > np.finfo(float).eps * p.max()
-        self._p = p
-        self._a = p[rows] / np.sqrt(p[rows] + self._eps)
-        ur = u[:, rows]
-        t = problem.T.reshape(problem.n_vars, problem.d_psi, problem.d_psi)
-        self._g0 = ur.T @ problem.K_xx @ u
-        self._g = ur.T @ t @ u                 # (n_vars, rank, d_psi)
-        self._theta = None
+            def direction(K):
+                # HKM: dX = K - X dZ Z^-1 with dZ = sum_j dy_j F_j + Rd
+                rhs = np.einsum("jmn,mn->j", fj, K) - base
+                dy = np.linalg.lstsq(S, rhs, rcond=None)[0]
+                dZ = np.tensordot(dy, fj, 1) + Rd
+                dX = K - X @ dZ @ zi
+                dX = 0.5 * (dX + dX.T)
+                return dX, dy, dZ, _max_step(X, dX), _max_step(Z, dZ)
 
-    def rules_out(self, lam: float) -> bool:
-        r = self._a.size
-        scale = self._a[:, None] / np.sqrt(lam * self._p + self._eps)
-        f0 = (self._g0 * scale).ravel()
-        basis = (self._g * scale).reshape(len(self._g), -1)
-        theta = self._theta
-        if theta is None:
-            theta = np.linalg.lstsq(basis.T, -f0, rcond=None)[0]
-        mu = _DUAL_MU * np.linalg.norm((f0 + theta @ basis).reshape(r, -1),
-                                       2) ** 2
-        if mu == 0.0:  # F vanishes at this gain, so lam is feasible
-            return False
-
-        def smoothed(theta):
-            """Softmax (width mu) of the eigenvalues of F F^T, its gradient,
-            Y = V diag(w) V^T F with w the softmax weights, and
-            sigma_max^2."""
-            f = (f0 + theta @ basis).reshape(r, -1)
-            s, v = np.linalg.eigh(f @ f.T)
-            w = np.exp((s - s[-1]) / mu)
-            y = ((v * (w / w.sum())) @ v.T @ f).ravel()
-            return s[-1] + mu * math.log(w.sum()), 2.0 * basis @ y, y, s[-1]
-
-        theta = scipy.optimize.minimize(lambda t: smoothed(t)[:2], theta,
-                                        jac=True, method="L-BFGS-B").x
-        self._theta = theta
-        y, s_max = smoothed(theta)[2:]
-        q = np.linalg.qr(basis.T)[0]
-        y_perp = y - q @ (q.T @ y)
-        # a Y the gain directions nearly span is rounding noise
-        if np.linalg.norm(y_perp) <= _DUAL_REL_TOL * np.linalg.norm(y):
-            return False
-        nuc = np.linalg.svd(y_perp.reshape(r, -1), compute_uv=False).sum()
-        bound = abs(f0 @ y_perp) / nuc
-        # a valid lower bound never exceeds sigma_max at a gain
-        sigma = math.sqrt(max(s_max, 0.0))
-        return 1.0 < bound <= sigma * (1.0 + _DUAL_REL_TOL)
+            mu = np.sum(X * Z) / m
+            dX, dy, dZ, ap, ad = direction(-X)         # predictor
+            ap, ad = min(1.0, ap), min(1.0, ad)
+            sigma = min(1.0, (np.sum((X + ap * dX) * (Z + ad * dZ))
+                              / (m * mu)) ** 3)
+            dX, dy, dZ, ap, ad = direction(              # corrector
+                (sigma * mu * np.eye(m) - dX @ dZ) @ zi - X)
+        except np.linalg.LinAlgError:
+            return "iteration-cap", y, it
+        tau = 0.9 + 0.09 * min(ap, ad, 1.0)
+        ap, ad = min(1.0, tau * ap), min(1.0, tau * ad)
+        X = X + ap * dX
+        y = y + ad * dy
+        Z = Z + ad * dZ
+    return "iteration-cap", y, _IPM_MAXITER
 
 
-def _ascend_min_eig(problem: LmiProblem, lam: float, starts,
-                    feas_tol: float, maxiter: int):
-    """Maximize the smallest eigenvalue of M(., lam); first-order, annealed.
+def _center(F, rho: float, lam: float, theta):
+    """Minimize f(theta) = rho ||theta||^2 - log det(F_0 + sum_i theta_i F_i
+    + lam F_{n+1}) by Newton steps with a backtracking line search (Boyd
+    and Vandenberghe, Convex Optimization, 2004, 9.5) from a strictly
+    feasible theta.  Returns (theta, steps), theta None if a step leaves
+    the domain or the cap is hit."""
+    base = F[0] + lam * F[-1]
+    fi = F[1:-1]
+    eye = np.eye(len(fi))
 
-    Returns (theta, min_eig_of_full_M, iterations).  Stops early once the
-    certificate clears the feasibility floor with margin.
-    """
-    best_theta, best_me = None, -np.inf
-    nit = 0
-    target = -0.25 * feas_tol
-    for theta0 in starts:
-        theta = np.asarray(theta0, dtype=float).copy()
-        for mu in _MU_LADDER:
-            res = scipy.optimize.minimize(
-                problem.softmin_neg(lam, mu * problem._scale), theta,
-                jac=True, method="L-BFGS-B",
-                options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 1e-14},
-            )
-            theta = res.x
-            nit += int(res.nit)
-            me = problem.min_eig(theta, lam)
-            if me > best_me:
-                best_me, best_theta = me, theta.copy()
-            if best_me >= target:
-                return best_theta, best_me, nit
-    return best_theta, best_me, nit
+    def factor(th):
+        try:
+            c = np.linalg.cholesky(base + np.tensordot(th, fi, 1))
+        except np.linalg.LinAlgError:
+            return None, np.inf
+        return c, rho * (th @ th) - 2.0 * np.sum(np.log(np.diag(c)))
+
+    c, f = factor(theta)
+    for step in range(_NEWTON_MAXITER):
+        if c is None:
+            return None, step
+        li = np.linalg.inv(c)
+        w = li @ fi @ li.T
+        grad = 2.0 * rho * theta - np.einsum("imm->i", w)
+        hess = 2.0 * rho * eye + np.einsum("imn,jmn->ij", w, w)
+        d_theta = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        dec2 = max(-grad @ d_theta, 0.0)     # squared Newton decrement
+        if dec2 <= _NEWTON_TOL ** 2:
+            # within the Dikin ellipsoid: the full step stays feasible
+            return theta + d_theta, step + 1
+        t = 1.0
+        c_new, f_new = factor(theta + d_theta)
+        # full steps once the decrement is below 1/4, where they are safe
+        # and rounding in f can hide their decrease
+        while dec2 >= 0.0625 and f_new > f - 0.25 * t * dec2:
+            t *= 0.5
+            if t < 1e-12:
+                return None, step + 1
+            c_new, f_new = factor(theta + t * d_theta)
+        theta, c, f = theta + t * d_theta, c_new, f_new
+    return None, _NEWTON_MAXITER
 
 
 def solve_fixed_p(problem: LmiProblem, lam_tol: float = DEFAULT_LAM_TOL,
-                  feas_tol: float = DEFAULT_FEAS_TOL,
-                  backend="bisection", maxiter: int = 300,
-                  counts: dict = None):
-    """Minimize lam subject to M(K_u, lam) >= 0 and lam in [0, 1).
+                  feas_tol: float = DEFAULT_FEAS_TOL) -> dict:
+    """Minimize lam subject to M(K_u, lam) + feas_tol I >= 0 and pick a gain.
 
-    Returns a dict {theta, lam, min_eig, iterations} or None when no
-    lam < 1 admits a certified gain for this P (a marginal certificate at
-    lam = 1 does not count; the outer resampling loop treats it as a
-    failed candidate).  Any returned solution certifies
-    min_eig(M(K_u, lam)) >= -feas_tol.  The bisection solver also fills
-    ``counts``, when given, with its ascent ``iterations`` and the number
-    of lam steps ``settled_by_bound`` and ``settled_by_ascent``, whether
-    or not a solution is found.
+    Returns {outcome, iterations, theta, lam, min_eig}.  ``outcome`` is
+    "certified" when lam < 1 and min_eig, the smallest eigenvalue of the
+    full block matrix at (theta, lam), is >= -feas_tol; "infeasible" when
+    the solver's lower bound shows no lam < 1 can be certified or the
+    chosen gain fails that check; "iteration-cap" when the solver gives
+    no verdict.  ``iterations`` counts interior-point iterations plus
+    centering Newton steps.  theta, lam and min_eig are None unless the
+    centering step produced a gain.
     """
-    if callable(backend):
-        return backend(problem, lam_tol, feas_tol)
-    if backend != "bisection":
-        raise ValueError(f"unknown backend {backend!r}")
-    return _solve_bisection(problem, lam_tol, feas_tol, maxiter,
-                            {} if counts is None else counts)
-
-
-def _solve_bisection(problem, lam_tol, feas_tol, maxiter, counts):
-    starts = _deterministic_starts(problem)
-    bound = _DualBound(problem, feas_tol)
-    counts.update(iterations=0, settled_by_bound=0, settled_by_ascent=0)
-
-    def certify(lam, first):
-        """(theta, min_eig) certified at lam, or None when lam fails."""
-        if bound.rules_out(lam):
-            counts["settled_by_bound"] += 1
-            return None
-        theta, me, nit = _ascend_min_eig(problem, lam, first + starts,
-                                         feas_tol, maxiter)
-        counts["iterations"] += nit
-        counts["settled_by_ascent"] += 1
-        return (theta, me) if me >= -feas_tol else None
-
-    sol = certify(1.0, [])
-    if sol is None:
-        return None
-    theta_hi, hi = sol[0], 1.0
-    # monotone feasibility in lam justifies bisection: growing lam adds
-    # the PSD block diag(0, (lam2 - lam1) P) to M
-    sol = certify(0.0, [theta_hi])
-    if sol is not None:
-        return {"theta": sol[0], "lam": 0.0, "min_eig": sol[1],
-                "iterations": counts["iterations"]}
-    lo = 0.0
-    while hi - lo > lam_tol:
-        mid = 0.5 * (lo + hi)
-        sol = certify(mid, [theta_hi])
-        if sol is None:
-            lo = mid
-        else:
-            hi, theta_hi = mid, sol[0]
-    if hi >= 1.0:  # only the lam = 1 endpoint certified: no decay shown
-        return None
-    return {"theta": theta_hi, "lam": hi,
-            "min_eig": problem.min_eig(theta_hi, hi),
-            "iterations": counts["iterations"]}
+    F = _sdp_terms(problem, feas_tol)
+    shift = 0.1 * lam_tol
+    outcome, y, iterations = _interior_point(F, shift)
+    sol = {"outcome": outcome, "iterations": iterations,
+           "theta": None, "lam": None, "min_eig": None}
+    if outcome != "optimal":
+        return sol
+    lam = float(y[-1] + shift)
+    theta, steps = _center(F, 0.0, lam, y[:-1]) if lam < 1.0 else (None, 0)
+    if theta is not None and theta.any():
+        # the analytic center sets the scale of the gain penalty
+        theta, more = _center(F, 1.0 / (theta @ theta), lam, theta)
+        steps += more
+    sol["iterations"] += steps
+    sol["outcome"] = "infeasible"
+    if theta is not None:
+        sol.update(theta=theta, lam=lam, min_eig=problem.min_eig(theta, lam))
+        if sol["min_eig"] >= -feas_tol:
+            sol["outcome"] = "certified"
+    return sol
 
 
 @dataclass
@@ -378,8 +344,7 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
                eps_p: float = 1e-2, max_resamples: int = 50, seed: int = 0,
                lam_tol: float = DEFAULT_LAM_TOL,
                feas_tol: float = DEFAULT_FEAS_TOL,
-               ridge_delta: float = 0.0, backend="bisection",
-               rate_budget: int = 0, inner_maxiter: int = 300,
+               ridge_delta: float = 0.0, rate_budget: int = 0,
                rng: np.random.Generator = None) -> SynthesisResult:
     """Iterate Lyapunov candidates until the LMI program is solved.
 
@@ -408,18 +373,16 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
             d_S=pair.d_S, d_u=model.input_dim, d_psi_u=pair.d_psi_u,
             ridge_delta=ridge_delta,
         )
-        counts = {}
-        sol = solve_fixed_p(problem, lam_tol=lam_tol, feas_tol=feas_tol,
-                            backend=backend, maxiter=inner_maxiter,
-                            counts=counts)
+        sol = solve_fixed_p(problem, lam_tol=lam_tol, feas_tol=feas_tol)
+        certified = sol["outcome"] == "certified"
+        total_iter += sol["iterations"]
         candidate_log.append({
-            "tag": cand.tag, "feasible": sol is not None,
-            "lam": None if sol is None else sol["lam"],
-            "min_eig": None if sol is None else sol["min_eig"],
-            **counts,
+            "tag": cand.tag, "feasible": certified,
+            "lam": sol["lam"] if certified else None,
+            "min_eig": sol["min_eig"] if certified else None,
+            "iterations": sol["iterations"], "outcome": sol["outcome"],
         })
-        if sol is not None:
-            total_iter += sol["iterations"]
+        if certified:
             result = SynthesisResult(
                 K_u=problem.gain(sol["theta"]), lam=float(sol["lam"]),
                 P=problem.P, S_x=cand.S_x, status="optimal",
@@ -428,7 +391,6 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
                     "resample_count": n_sampled, "eps_p": eps_p,
                     "feas_tol": feas_tol, "lam_tol": lam_tol,
                     "ridge_delta": ridge_delta, "seed": seed,
-                    "backend": backend if isinstance(backend, str) else "custom",
                     "candidates": candidate_log,
                 },
             )

@@ -108,6 +108,17 @@ class TestInit:
         cfg = load_config(path)
         assert cfg["plant"]["kind"] == "single_pendulum"
 
+    def test_template_passes_its_own_gate(self, tmp_path, capsys):
+        path = tmp_path / "template.json"
+        assert cli.main(["init", str(path)]) == 0
+        assert load_config(path)["plant"]["params"] == {"gravity": 1.0}
+        code = cli.main(["pipeline", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["success_rate"] >= 0.9
+
     def test_unwritable_path_exits_7_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "no-such-dir" / "template.json"
         assert cli.main(["init", str(path)]) == cli.EXIT_WRITE

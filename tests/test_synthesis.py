@@ -1,6 +1,14 @@
+import dataclasses
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +17,14 @@ from koopctl import synthesis as syn
 from koopctl.edmd import BilinearKoopmanModel
 from koopctl.factorization import FactorizationPair, assemble_ktilde, fit_pair
 from koopctl.observables import double_pendulum_map, single_pendulum_map
-from koopctl.tensor import min_eigenvalue
+from koopctl.tensor import min_eigenvalue, symmetrize
+
+
+def lyapunov_residual(A, P, lam: float) -> np.ndarray:
+    """lam P - A^T P A; PSD iff the rate-lam Lyapunov inequality holds."""
+    A = np.asarray(A, dtype=float)
+    P = symmetrize(P)
+    return symmetrize(lam * P - A.T @ P @ A)
 
 
 def identity_lift_model(k_xx, k_xu, d_s=None):
@@ -31,14 +46,14 @@ class TestLyapunovResidual:
     def test_scalar_boundary(self):
         # A = 0.5 I, P = I: residual PSD iff lam >= 0.25
         a = 0.5 * np.eye(2)
-        assert min_eigenvalue(syn.lyapunov_residual(a, np.eye(2), 0.25)) >= -1e-12
-        assert min_eigenvalue(syn.lyapunov_residual(a, np.eye(2), 0.2499)) < 0
-        assert min_eigenvalue(syn.lyapunov_residual(a, np.eye(2), 0.3)) > 0
+        assert min_eigenvalue(lyapunov_residual(a, np.eye(2), 0.25)) >= -1e-12
+        assert min_eigenvalue(lyapunov_residual(a, np.eye(2), 0.2499)) < 0
+        assert min_eigenvalue(lyapunov_residual(a, np.eye(2), 0.3)) > 0
 
     def test_marginal_system_never_feasible_below_one(self):
         a = np.eye(3)
         for lam in (0.1, 0.5, 0.999):
-            assert min_eigenvalue(syn.lyapunov_residual(a, np.eye(3), lam)) < 0
+            assert min_eigenvalue(lyapunov_residual(a, np.eye(3), lam)) < 0
 
     def test_scaled_lyapunov_equation_certifies_rate(self):
         # P solving the lam-scaled discrete Lyapunov equation makes the
@@ -50,10 +65,10 @@ class TestLyapunovResidual:
         lam = rho2 * 1.05
         q = np.eye(4)
         p = scipy.linalg.solve_discrete_lyapunov(a.T / np.sqrt(lam), q)
-        np.testing.assert_allclose(syn.lyapunov_residual(a, p, lam), lam * q,
+        np.testing.assert_allclose(lyapunov_residual(a, p, lam), lam * q,
                                    atol=1e-8)
         # with a nearly tight P, rates visibly below rho^2 fail
-        assert min_eigenvalue(syn.lyapunov_residual(a, p, rho2 * 0.5)) < 0
+        assert min_eigenvalue(lyapunov_residual(a, p, rho2 * 0.5)) < 0
 
 
 class TestCandidates:
@@ -121,39 +136,23 @@ class TestLmiProblem:
             lam1, lam2 = sorted(rng.uniform(0, 1, size=2))
             assert prob.min_eig(theta, lam2) >= prob.min_eig(theta, lam1) - 1e-12
 
-    def test_softmin_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
-        prob = syn.LmiProblem(
-            P=np.diag([1.0, 0.7, 0.0, 0.0]),
-            K_xx=rng.standard_normal((4, 4)),
-            K_xu=rng.standard_normal((4, 2)), H=rng.standard_normal((4, 4)),
-            d_S=2, d_u=1, d_psi_u=2)
-        fun = prob.softmin_neg(0.8, 0.05)
-        theta = rng.standard_normal(2)
-        f0, g = fun(theta)
-        eps = 1e-6
-        for i in range(2):
-            step = np.zeros(2)
-            step[i] = eps
-            fp, _ = fun(theta + step)
-            fm, _ = fun(theta - step)
-            assert (fp - fm) / (2 * eps) == pytest.approx(g[i], rel=1e-4,
-                                                          abs=1e-8)
-
 
 class TestSolveFixedP:
     def test_scalar_toy_reaches_zero_rate(self):
+        # lam* = 0 at theta = -1.1; at lam_c = lam_tol / 10 the certified
+        # gains are -1.1 +- sqrt(lam_c)
         sol = syn.solve_fixed_p(scalar_problem())
-        assert sol is not None
+        assert sol["outcome"] == "certified"
         assert sol["lam"] <= 1e-3
         assert sol["min_eig"] >= -1e-8
-        np.testing.assert_allclose(sol["theta"], [-1.1], atol=1e-6)
+        np.testing.assert_allclose(sol["theta"], [-1.1], atol=1e-2)
 
     def test_zero_authority_unstable_is_infeasible(self):
         prob = syn.LmiProblem(P=np.eye(2), K_xx=np.diag([1.5, 0.2]),
                               K_xu=np.zeros((2, 1)), H=np.ones((1, 2)),
                               d_S=1, d_u=1, d_psi_u=1)
-        assert syn.solve_fixed_p(prob) is None
+        sol = syn.solve_fixed_p(prob)
+        assert sol["outcome"] == "infeasible" and sol["theta"] is None
 
     def test_stable_open_loop_with_tight_p(self):
         # K_u = 0 admissible: lam* <= rho(K_xx)^2 + tol for the Lyapunov P
@@ -167,32 +166,25 @@ class TestSolveFixedP:
         prob = syn.LmiProblem(P=p, K_xx=k_xx, K_xu=np.zeros((3, 1)),
                               H=np.ones((1, 3)), d_S=1, d_u=1, d_psi_u=1)
         sol = syn.solve_fixed_p(prob)
-        assert sol is not None
+        assert sol["outcome"] == "certified"
         assert sol["lam"] <= lam_s + 1e-3
         assert sol["min_eig"] >= -1e-8
 
     def test_bisection_tolerance(self):
-        # lam* is exactly 0.25 for K_xx = 0.5 I with no useful input
+        # lam* is exactly 0.25 for K_xx = 0.5 I with no useful input; the
+        # reported lam lies within lam_tol above it
         prob = syn.LmiProblem(P=np.eye(2), K_xx=0.5 * np.eye(2),
                               K_xu=np.zeros((2, 1)), H=np.ones((1, 2)),
                               d_S=1, d_u=1, d_psi_u=1)
         sol = syn.solve_fixed_p(prob, lam_tol=1e-3)
+        assert sol["outcome"] == "certified"
         assert 0.25 - 1e-12 <= sol["lam"] <= 0.25 + 1e-3
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            syn.solve_fixed_p(scalar_problem(), backend="simplex")
-
-    def test_callable_backend_hook(self):
-        calls = []
-
-        def backend(problem, lam_tol, feas_tol):
-            calls.append(problem)
-            return {"theta": np.array([-1.1]), "lam": 0.5,
-                    "min_eig": 0.0, "iterations": 1}
-
-        sol = syn.solve_fixed_p(scalar_problem(), backend=backend)
-        assert sol["lam"] == 0.5 and len(calls) == 1
+    def test_iteration_cap_gives_no_verdict(self, monkeypatch):
+        monkeypatch.setattr(syn, "_IPM_MAXITER", 2)
+        sol = syn.solve_fixed_p(scalar_problem())
+        assert sol["outcome"] == "iteration-cap"
+        assert sol["iterations"] == 2 and sol["theta"] is None
 
 
 class TestSynthesize:
@@ -301,7 +293,7 @@ class TestLyapunovImplication:
             result = syn.synthesize(model, pair, max_resamples=10, seed=seed)
             assert result.status == "optimal"
             kt = assemble_ktilde(model, result.K_u, pair.H).Ktilde
-            resid = syn.lyapunov_residual(kt, result.P, result.lam)
+            resid = lyapunov_residual(kt, result.P, result.lam)
             assert min_eigenvalue(resid) >= -1e-7
 
 
@@ -330,52 +322,162 @@ class TestCertificateSemantics:
                 assert syn.energy_norm(result.S_x, psi) <= bound
 
 
-def unpruned_bisection(problem, lam_tol, feas_tol, maxiter, counts=None,
-                       log=None):
-    """Reference: the bisection with an ascent at every lam it visits and
-    no dual bound.  Appends (lam, min_eig) of each ascent to ``log``;
-    takes ``counts`` only to stand in for ``syn._solve_bisection``."""
-    log = [] if log is None else log
-    starts = syn._deterministic_starts(problem)
+MU_LADDER = (1e-2, 1e-4, 1e-6, 1e-9)
 
-    def ascend(lam, first):
-        theta, me, nit = syn._ascend_min_eig(problem, lam, first + starts,
-                                             feas_tol, maxiter)
-        log.append((lam, me))
-        return theta, me, nit
 
-    theta, me, nit = ascend(1.0, [])
-    if me < -feas_tol:
+def softmin_neg(problem, keep, lam, mu):
+    """(value, gradient) of minus the softmin (width mu) eigenvalue of M
+    over theta, with the first-block rows outside ``keep`` deflated."""
+    pk = problem.P[keep, :]
+    p11 = problem.P[np.ix_(keep, keep)]
+    n1 = keep.size
+
+    def fun(theta):
+        off = pk @ problem.ktilde(problem.gain(theta))
+        e, v = np.linalg.eigh(np.block([[p11, off], [off.T, lam * problem.P]]))
+        w = np.exp(-(e - e[0]) / mu)
+        val = e[0] - mu * math.log(w.sum())
+        w12 = (v[:n1] * (w / w.sum())) @ v[n1:].T
+        grad = 2.0 * np.einsum("abmq,mq->ab", problem.T, pk.T @ w12)
+        return -val, -grad.ravel()
+
+    return fun
+
+
+def reference_bisection(problem, lam_tol, feas_tol, maxiter=300):
+    """Reference: bisection on lam with, at each lam, an annealed L-BFGS
+    ascent of the smallest eigenvalue of M restarted from fixed gains.
+    Returns (theta, lam) or None, as the solver before the SDP did."""
+    keep = np.nonzero(np.any(problem.P != 0.0, axis=1))[0]
+    cols = np.setdiff1d(np.arange(problem.d_psi), keep)
+    scale = max(1.0, float(np.linalg.norm(problem.P, 2)))
+
+    def lstsq_start(r, c):
+        a = problem.T[:, :, r][:, :, :, c].reshape(problem.n_vars, -1).T
+        return np.linalg.lstsq(a, -problem.K_xx[np.ix_(r, c)].ravel(),
+                               rcond=None)[0]
+
+    starts = [np.zeros(problem.n_vars)]
+    if cols.size and keep.size:
+        starts.append(lstsq_start(keep, cols))
+    starts.append(lstsq_start(np.arange(problem.d_psi),
+                              np.arange(problem.d_psi)))
+
+    def certify(lam, first):
+        best_theta, best = None, -np.inf
+        for theta in first + starts:
+            for mu in MU_LADDER:
+                theta = scipy.optimize.minimize(
+                    softmin_neg(problem, keep, lam, mu * scale), theta,
+                    jac=True, method="L-BFGS-B",
+                    options={"maxiter": maxiter, "ftol": 1e-18,
+                             "gtol": 1e-14}).x
+                me = problem.min_eig(theta, lam)
+                if me > best:
+                    best, best_theta = me, theta.copy()
+                if best >= -0.25 * feas_tol:
+                    return best_theta
+        return best_theta if best >= -feas_tol else None
+
+    theta_hi = certify(1.0, [])
+    if theta_hi is None:
         return None
-    theta_hi, hi = theta, 1.0
-    theta0, me0, n0 = ascend(0.0, [theta_hi])
-    nit += n0
-    if me0 >= -feas_tol:
-        return {"theta": theta0, "lam": 0.0, "min_eig": me0,
-                "iterations": nit}
-    lo = 0.0
+    theta = certify(0.0, [theta_hi])
+    if theta is not None:
+        return theta, 0.0
+    lo, hi = 0.0, 1.0
     while hi - lo > lam_tol:
         mid = 0.5 * (lo + hi)
-        t, me_mid, n = ascend(mid, [theta_hi])
-        nit += n
-        if me_mid >= -feas_tol:
-            hi, theta_hi = mid, t
-        else:
+        theta = certify(mid, [theta_hi])
+        if theta is None:
             lo = mid
-    if hi >= 1.0:
-        return None
-    return {"theta": theta_hi, "lam": hi,
-            "min_eig": problem.min_eig(theta_hi, hi), "iterations": nit}
+        else:
+            hi, theta_hi = mid, theta
+    return None if hi >= 1.0 else (theta_hi, hi)
 
 
-def controllable_model_pair():
-    k_xx = np.array([[0.5, 0.3], [0.8, 1.2]])
-    k_xu = np.array([[0.0], [1.0]])
-    model = identity_lift_model(k_xx, k_xu, d_s=1)
-    pair = FactorizationPair(S=np.eye(2)[:1], H=np.eye(2),
-                             mask=np.array([1, 0]),
-                             residuals=np.zeros(2), eps_h=1e-9)
-    return model, pair
+def random_problem(seed):
+    """A random small LmiProblem: decoder-restricted P of rank 1..d_psi or
+    a full-rank P, ridge 0 or 1e-3, input authority from none to full."""
+    rng = np.random.default_rng(seed)
+    d_psi = rng.integers(1, 5)
+    r = rng.integers(1, d_psi + 1)
+    d_s, d_u, d_pu = rng.integers(1, 3, size=3)
+    root = rng.standard_normal((r, r))
+    P = np.zeros((d_psi, d_psi))
+    if rng.uniform() < 0.5:
+        P[:r, :r] = root.T @ root + 1e-2 * np.eye(r)
+    else:
+        root = rng.standard_normal((d_psi, d_psi))
+        P = root.T @ root + 1e-2 * np.eye(d_psi)
+    return syn.LmiProblem(
+        P=P, K_xx=rng.choice([0.5, 1.0, 2.0])
+        * rng.standard_normal((d_psi, d_psi)),
+        K_xu=rng.choice([0.0, 0.1, 1.0])
+        * rng.standard_normal((d_psi, d_s * d_u)),
+        H=rng.standard_normal((d_s * d_pu, d_psi)), d_S=d_s, d_u=d_u,
+        d_psi_u=d_pu, ridge_delta=rng.choice([0.0, 1e-3]))
+
+
+class TestMatchesReferenceBisection:
+    # derandomized: the one counterexample in 8,300 random problems is
+    # pinned below as a known limitation instead of failing one run in
+    # about two hundred
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @example(seed=256)   # no input authority: rejected along a Farkas ray
+    @example(seed=346)   # primal residual settles at its rounding level
+    def test_no_worse_than_reference(self, seed):
+        problem = random_problem(seed)
+        feas_tol, lam_tol = syn.DEFAULT_FEAS_TOL, syn.DEFAULT_LAM_TOL
+        sol = syn.solve_fixed_p(problem)
+        ref = reference_bisection(problem, lam_tol, feas_tol)
+        if sol["outcome"] == "certified":
+            assert sol["lam"] < 1.0
+            assert problem.min_eig(sol["theta"], sol["lam"]) >= -feas_tol
+            if ref is not None:
+                assert sol["lam"] <= ref[1] + lam_tol
+        if ref is not None and ref[1] <= 1.0 - lam_tol:
+            assert sol["outcome"] == "certified"
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the reference certifies lam = 0 with a gain of norm 6.3e6; the "
+        "interior-point method stops at lam 0.0168, where a primal "
+        "residual of 1e-8 times that gain hides the better optimum"))
+    def test_optimum_needing_a_huge_gain(self):
+        problem = random_problem(102302)
+        ref = reference_bisection(problem, syn.DEFAULT_LAM_TOL,
+                                  syn.DEFAULT_FEAS_TOL)
+        assert ref[1] == 0.0 and np.linalg.norm(ref[0]) > 1e6
+        sol = syn.solve_fixed_p(problem)
+        assert sol["outcome"] == "certified"
+        assert sol["lam"] <= ref[1] + syn.DEFAULT_LAM_TOL
+
+
+class TestDeflation:
+    def test_deflated_block_has_the_full_spectrum(self):
+        # M + feas_tol I is the deflated block plus feas_tol on each
+        # first-block row that is zero in P
+        rng = np.random.default_rng(12)
+        d_psi, d_x, feas_tol = 5, 2, 1e-8
+        root = rng.standard_normal((d_x, d_x))
+        problem = syn.LmiProblem(
+            P=syn._restrict(root.T @ root, d_psi),
+            K_xx=rng.standard_normal((d_psi, d_psi)),
+            K_xu=rng.standard_normal((d_psi, 2)),
+            H=rng.standard_normal((4, d_psi)), d_S=2, d_u=1, d_psi_u=2)
+        F = syn._sdp_terms(problem, feas_tol)
+        theta, lam = rng.standard_normal(problem.n_vars), 0.7
+        z = F[0] + np.tensordot(theta, F[1:-1], 1) + lam * F[-1]
+        m = z.shape[0] - 2
+        np.testing.assert_array_equal(np.diag(z)[m:], [lam, 1.0 - lam])
+        assert not z[:m, m:].any() and not z[m:, :m].any()
+        full = problem.block_matrix(problem.gain(theta), lam) \
+            + feas_tol * np.eye(2 * d_psi)
+        want = np.linalg.eigvalsh(full)
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(z[:m, :m]),
+                                      np.full(d_psi - d_x, feas_tol)]))
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def smoke_pendulum(kind):
@@ -401,162 +503,51 @@ def smoke_pendulum(kind):
 
 @pytest.fixture(scope="module")
 def model_pairs():
-    pairs = {kind: smoke_pendulum(kind) for kind in ("single", "double")}
-    pairs["controllable"] = controllable_model_pair()
-    return pairs
+    return {kind: smoke_pendulum(kind) for kind in ("single", "double")}
 
 
-def candidate_problem(model, pair, sampled):
-    d_x, d_psi = model.state_dim, model.lifted_dim
-    cand = syn.sample_candidate(d_x, d_psi, 1e-2, np.random.default_rng(0)) \
-        if sampled else syn.identity_candidate(d_x, d_psi)
-    return syn.LmiProblem(P=cand.P, K_xx=model.K_xx, K_xu=model.K_xu,
-                          H=pair.H, d_S=pair.d_S, d_u=model.input_dim,
-                          d_psi_u=pair.d_psi_u)
-
-
-TOY_PROBLEMS = {
-    "scalar": scalar_problem,
-    "zero-authority": lambda: syn.LmiProblem(
-        P=np.eye(2), K_xx=np.diag([1.5, 0.2]), K_xu=np.zeros((2, 1)),
-        H=np.ones((1, 2)), d_S=1, d_u=1, d_psi_u=1),
-    "no-input-quarter-rate": lambda: syn.LmiProblem(
-        P=np.eye(2), K_xx=0.5 * np.eye(2), K_xu=np.zeros((2, 1)),
-        H=np.ones((1, 2)), d_S=1, d_u=1, d_psi_u=1),
-    "ridge": lambda: syn.LmiProblem(
-        P=np.diag([1.0, 0.0]), K_xx=np.array([[0.5, 0.3], [0.8, 1.2]]),
-        K_xu=np.array([[0.0], [1.0]]), H=np.eye(2), d_S=1, d_u=1,
-        d_psi_u=2, ridge_delta=1e-3),
-}
-
-
-class TestBoundMatchesUnprunedBisection:
-    """The dual bound may only skip ascents that fail, so every solve must
-    equal the unpruned bisection bit for bit."""
-
-    def check(self, problem, monkeypatch, expect_pruning=False):
-        settled = []
-        rules_out = syn._DualBound.rules_out
-
-        def spy(bound, lam):
-            out = rules_out(bound, lam)
-            if out:
-                settled.append(lam)
-            return out
-
-        log = []
-        want = unpruned_bisection(problem, syn.DEFAULT_LAM_TOL,
-                                  syn.DEFAULT_FEAS_TOL, 300, log=log)
-        counts = {}
-        with monkeypatch.context() as m:
-            m.setattr(syn._DualBound, "rules_out", spy)
-            got = syn.solve_fixed_p(problem, counts=counts)
-        if want is None:
-            assert got is None
-        else:
-            for key in ("theta", "lam", "min_eig"):
-                np.testing.assert_array_equal(got[key], want[key], key)
-        # each settled lam is one the reference visited with the same
-        # starts and failed to certify
-        failed = {lam for lam, me in log if me < -syn.DEFAULT_FEAS_TOL}
-        assert set(settled) <= failed
-        assert counts["settled_by_bound"] == len(settled)
-        assert counts["settled_by_bound"] + counts["settled_by_ascent"] \
-            == len(log)
-        if expect_pruning:
-            assert settled
-        return counts
-
-    @pytest.mark.parametrize("name", sorted(TOY_PROBLEMS))
-    def test_toy_solve_fixed_p(self, name, monkeypatch):
-        self.check(TOY_PROBLEMS[name](), monkeypatch)
-
-    @pytest.mark.parametrize("kind", ["single", "double", "controllable"])
-    @pytest.mark.parametrize("sampled", [False, True],
-                             ids=["identity", "sampled"])
-    def test_candidate_solve_fixed_p(self, kind, sampled, model_pairs,
-                                     monkeypatch):
-        problem = candidate_problem(*model_pairs[kind], sampled)
-        self.check(problem, monkeypatch, expect_pruning=kind != "controllable")
-
-    @pytest.mark.parametrize("kind", ["single", "double", "controllable"])
-    def test_synthesize(self, kind, model_pairs, monkeypatch):
+class TestWellPosedGain:
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_gain_barely_moves_when_h_moves_by_rounding(self, kind,
+                                                        model_pairs):
         model, pair = model_pairs[kind]
-        got = syn.synthesize(model, pair, max_resamples=20, seed=0)
-        with monkeypatch.context() as m:
-            m.setattr(syn, "_solve_bisection", unpruned_bisection)
-            want = syn.synthesize(model, pair, max_resamples=20, seed=0)
-        assert got.status == want.status == "optimal"
-        for key in ("K_u", "lam", "P", "S_x"):
-            np.testing.assert_array_equal(getattr(got, key),
-                                          getattr(want, key), key)
-        assert got.diagnostics["min_eig"] == want.diagnostics["min_eig"]
-        assert got.diagnostics["iterations"] \
-            <= want.diagnostics["iterations"]
-
-
-@st.composite
-def small_problems(draw):
-    """Random small LmiProblems: a PSD P of any rank, optional ridge."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    d_psi = draw(st.integers(1, 4))
-    d_s, d_u, d_pu = (draw(st.integers(1, 2)) for _ in range(3))
-    root = rng.standard_normal((draw(st.integers(1, d_psi)), d_psi))
-    return syn.LmiProblem(
-        P=root.T @ root,
-        K_xx=draw(st.sampled_from([0.5, 1.0, 2.0]))
-        * rng.standard_normal((d_psi, d_psi)),
-        K_xu=draw(st.sampled_from([0.0, 0.1, 1.0]))
-        * rng.standard_normal((d_psi, d_s * d_u)),
-        H=rng.standard_normal((d_s * d_pu, d_psi)), d_S=d_s, d_u=d_u,
-        d_psi_u=d_pu, ridge_delta=draw(st.sampled_from([0.0, 1e-3])))
-
-
-class TestDualBoundSoundness:
-    @settings(max_examples=60, deadline=None)
-    @given(problem=small_problems(), seed=st.integers(0, 2 ** 32 - 1))
-    # the gain directions span all of F: no lam may ever be ruled out
-    @example(problem=scalar_problem(), seed=0)
-    @example(problem=syn.LmiProblem(
-        P=np.diag([1.0, 0.0]), K_xx=np.array([[1.5, 0.7], [0.2, 0.9]]),
-        K_xu=np.eye(2), H=np.eye(2), d_S=1, d_u=2, d_psi_u=2,
-        ridge_delta=1e-3), seed=1)
-    def test_settled_lam_has_no_certified_gain(self, problem, seed):
-        feas_tol = syn.DEFAULT_FEAS_TOL
-        rng = np.random.default_rng(seed)
-        bound = syn._DualBound(problem, feas_tol)
-        starts = syn._deterministic_starts(problem)
-        for lam in (1.0, 0.0, 0.5, 0.9, 0.99):
-            if not bound.rules_out(lam):
-                continue
-            thetas = starts + [bound._theta] + [
-                scale * rng.standard_normal(problem.n_vars)
-                for scale in (0.1, 1.0, 10.0) for _ in range(5)]
-            for theta in thetas:
-                assert problem.min_eig(theta, lam) < -feas_tol
-            _, best, _ = syn._ascend_min_eig(problem, lam, starts,
-                                             feas_tol, 300)
-            assert best < -feas_tol
-
-    def test_spanning_gain_directions_never_rule_out(self):
-        # one gain entry moves the only entry of F: F = 0 is reachable
-        bound = syn._DualBound(scalar_problem(), syn.DEFAULT_FEAS_TOL)
-        assert not any(bound.rules_out(lam) for lam in (1.0, 0.0, 0.5))
+        rng = np.random.default_rng(13)
+        nudged = dataclasses.replace(
+            pair, H=pair.H * (1.0 + 1e-14 * rng.uniform(-1, 1, pair.H.shape)))
+        assert not np.array_equal(nudged.H, pair.H)
+        a = syn.synthesize(model, pair, max_resamples=20, seed=0)
+        b = syn.synthesize(model, nudged, max_resamples=20, seed=0)
+        assert a.status == b.status == "optimal"
+        assert abs(b.lam - a.lam) <= 1e-9
+        assert np.linalg.norm(b.K_u - a.K_u) \
+            <= 1e-6 * np.linalg.norm(a.K_u)
 
 
 class TestCandidateDiagnostics:
     def test_each_candidate_records_its_counts(self, model_pairs):
-        model, pair = model_pairs["single"]
+        model, pair = model_pairs["double"]
         result = syn.synthesize(model, pair, max_resamples=20, seed=0)
         again = syn.synthesize(model, pair, max_resamples=20, seed=0)
         cands = result.diagnostics["candidates"]
         assert cands == again.diagnostics["candidates"]
-        assert len(cands) >= 2 and not cands[0]["feasible"]
+        assert cands[0]["tag"] == "identity-start"
+        assert cands[0]["outcome"] == "infeasible"
+        assert cands[-1]["outcome"] == "certified"
         for c in cands:
-            assert c["iterations"] >= 0
-            steps = c["settled_by_bound"] + c["settled_by_ascent"]
-            # lam = 1, lam = 0, then one step per halving down to lam_tol
-            assert steps in (1, 2, 12)
-        assert sum(c["iterations"] for c in cands if c["feasible"]) \
+            assert c["outcome"] in ("certified", "infeasible", "iteration-cap")
+            assert c["feasible"] == (c["outcome"] == "certified")
+            assert c["iterations"] > 0
+        # rejected candidates' solver work counts too
+        assert sum(c["iterations"] for c in cands) \
             == result.diagnostics["iterations"]
-        assert sum(c["settled_by_bound"] for c in cands) > 0
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = str(Path(syn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, koopctl; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
