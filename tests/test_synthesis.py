@@ -344,13 +344,11 @@ def softmin_neg(problem, keep, lam, mu):
     return fun
 
 
-def reference_bisection(problem, lam_tol, feas_tol, maxiter=300):
-    """Reference: bisection on lam with, at each lam, an annealed L-BFGS
-    ascent of the smallest eigenvalue of M restarted from fixed gains.
-    Returns (theta, lam) or None, as the solver before the SDP did."""
+def reference_starts(problem):
+    """The reference ascent's fixed starting gains: zero, and least-squares
+    gains that cancel K_xx on the P-null columns and on all of it."""
     keep = np.nonzero(np.any(problem.P != 0.0, axis=1))[0]
     cols = np.setdiff1d(np.arange(problem.d_psi), keep)
-    scale = max(1.0, float(np.linalg.norm(problem.P, 2)))
 
     def lstsq_start(r, c):
         a = problem.T[:, :, r][:, :, :, c].reshape(problem.n_vars, -1).T
@@ -362,22 +360,40 @@ def reference_bisection(problem, lam_tol, feas_tol, maxiter=300):
         starts.append(lstsq_start(keep, cols))
     starts.append(lstsq_start(np.arange(problem.d_psi),
                               np.arange(problem.d_psi)))
+    return starts
+
+
+def reference_ascent(problem, lam, starts, feas_tol, maxiter=300):
+    """(theta, min_eig) of the best gain an annealed L-BFGS ascent of the
+    smallest eigenvalue of M at lam reaches from ``starts``."""
+    keep = np.nonzero(np.any(problem.P != 0.0, axis=1))[0]
+    scale = max(1.0, float(np.linalg.norm(problem.P, 2)))
+    best_theta, best = None, -np.inf
+    for theta in starts:
+        for mu in MU_LADDER:
+            theta = scipy.optimize.minimize(
+                softmin_neg(problem, keep, lam, mu * scale), theta,
+                jac=True, method="L-BFGS-B",
+                options={"maxiter": maxiter, "ftol": 1e-18,
+                         "gtol": 1e-14}).x
+            me = problem.min_eig(theta, lam)
+            if me > best:
+                best, best_theta = me, theta.copy()
+            if best >= -0.25 * feas_tol:
+                return best_theta, best
+    return best_theta, best
+
+
+def reference_bisection(problem, lam_tol, feas_tol, maxiter=300):
+    """Reference: bisection on lam with, at each lam, an annealed L-BFGS
+    ascent of the smallest eigenvalue of M restarted from fixed gains.
+    Returns (theta, lam) or None, as the solver before the SDP did."""
+    starts = reference_starts(problem)
 
     def certify(lam, first):
-        best_theta, best = None, -np.inf
-        for theta in first + starts:
-            for mu in MU_LADDER:
-                theta = scipy.optimize.minimize(
-                    softmin_neg(problem, keep, lam, mu * scale), theta,
-                    jac=True, method="L-BFGS-B",
-                    options={"maxiter": maxiter, "ftol": 1e-18,
-                             "gtol": 1e-14}).x
-                me = problem.min_eig(theta, lam)
-                if me > best:
-                    best, best_theta = me, theta.copy()
-                if best >= -0.25 * feas_tol:
-                    return best_theta
-        return best_theta if best >= -feas_tol else None
+        theta, best = reference_ascent(problem, lam, first + starts,
+                                       feas_tol, maxiter)
+        return theta if best >= -feas_tol else None
 
     theta_hi = certify(1.0, [])
     if theta_hi is None:
@@ -394,6 +410,24 @@ def reference_bisection(problem, lam_tol, feas_tol, maxiter=300):
         else:
             hi, theta_hi = mid, theta
     return None if hi >= 1.0 else (theta_hi, hi)
+
+
+def assert_no_worse_than_reference(problem):
+    """Every certified gain passes the full-block check, lam is at most
+    the reference's lam + lam_tol, and every problem the reference
+    certifies at lam <= 1 - lam_tol is certified.  Returns the solve."""
+    feas_tol, lam_tol = syn.DEFAULT_FEAS_TOL, syn.DEFAULT_LAM_TOL
+    sol = syn.solve_fixed_p(problem)
+    ref = reference_bisection(problem, lam_tol, feas_tol)
+    assert sol["outcome"] in ("certified", "infeasible", "iteration-cap")
+    if sol["outcome"] == "certified":
+        assert sol["lam"] < 1.0
+        assert problem.min_eig(sol["theta"], sol["lam"]) >= -feas_tol
+        if ref is not None:
+            assert sol["lam"] <= ref[1] + lam_tol
+    if ref is not None and ref[1] <= 1.0 - lam_tol:
+        assert sol["outcome"] == "certified"
+    return sol
 
 
 def random_problem(seed):
@@ -428,17 +462,7 @@ class TestMatchesReferenceBisection:
     @example(seed=256)   # no input authority: rejected along a Farkas ray
     @example(seed=346)   # primal residual settles at its rounding level
     def test_no_worse_than_reference(self, seed):
-        problem = random_problem(seed)
-        feas_tol, lam_tol = syn.DEFAULT_FEAS_TOL, syn.DEFAULT_LAM_TOL
-        sol = syn.solve_fixed_p(problem)
-        ref = reference_bisection(problem, lam_tol, feas_tol)
-        if sol["outcome"] == "certified":
-            assert sol["lam"] < 1.0
-            assert problem.min_eig(sol["theta"], sol["lam"]) >= -feas_tol
-            if ref is not None:
-                assert sol["lam"] <= ref[1] + lam_tol
-        if ref is not None and ref[1] <= 1.0 - lam_tol:
-            assert sol["outcome"] == "certified"
+        assert_no_worse_than_reference(random_problem(seed))
 
     @pytest.mark.xfail(strict=True, reason=(
         "the reference certifies lam = 0 with a gain of norm 6.3e6; the "
@@ -501,9 +525,21 @@ def smoke_pendulum(kind):
     return edmd.identify_model(ds, lift, pair.S), pair
 
 
+def controllable_model_pair():
+    k_xx = np.array([[0.5, 0.3], [0.8, 1.2]])
+    k_xu = np.array([[0.0], [1.0]])
+    model = identity_lift_model(k_xx, k_xu, d_s=1)
+    pair = FactorizationPair(S=np.eye(2)[:1], H=np.eye(2),
+                             mask=np.array([1, 0]),
+                             residuals=np.zeros(2), eps_h=1e-9)
+    return model, pair
+
+
 @pytest.fixture(scope="module")
 def model_pairs():
-    return {kind: smoke_pendulum(kind) for kind in ("single", "double")}
+    pairs = {kind: smoke_pendulum(kind) for kind in ("single", "double")}
+    pairs["controllable"] = controllable_model_pair()
+    return pairs
 
 
 class TestWellPosedGain:
@@ -521,6 +557,118 @@ class TestWellPosedGain:
         assert abs(b.lam - a.lam) <= 1e-9
         assert np.linalg.norm(b.K_u - a.K_u) \
             <= 1e-6 * np.linalg.norm(a.K_u)
+
+
+def candidate_problem(model, pair, sampled):
+    d_x, d_psi = model.state_dim, model.lifted_dim
+    cand = syn.sample_candidate(d_x, d_psi, 1e-2, np.random.default_rng(0)) \
+        if sampled else syn.identity_candidate(d_x, d_psi)
+    return syn.LmiProblem(P=cand.P, K_xx=model.K_xx, K_xu=model.K_xu,
+                          H=pair.H, d_S=pair.d_S, d_u=model.input_dim,
+                          d_psi_u=pair.d_psi_u)
+
+
+def spanning_ridge_problem():
+    """Ktilde = K_xx + K_u with a full 2 x 2 gain: Ktilde = 0 is reachable,
+    so lam* = 0 for every P."""
+    return syn.LmiProblem(
+        P=np.diag([1.0, 0.0]), K_xx=np.array([[1.5, 0.7], [0.2, 0.9]]),
+        K_xu=np.eye(2), H=np.eye(2), d_S=1, d_u=2, d_psi_u=2,
+        ridge_delta=1e-3)
+
+
+TOY_PROBLEMS = {
+    "scalar": scalar_problem,
+    "zero-authority": lambda: syn.LmiProblem(
+        P=np.eye(2), K_xx=np.diag([1.5, 0.2]), K_xu=np.zeros((2, 1)),
+        H=np.ones((1, 2)), d_S=1, d_u=1, d_psi_u=1),
+    "no-input-quarter-rate": lambda: syn.LmiProblem(
+        P=np.eye(2), K_xx=0.5 * np.eye(2), K_xu=np.zeros((2, 1)),
+        H=np.ones((1, 2)), d_S=1, d_u=1, d_psi_u=1),
+    "ridge": lambda: syn.LmiProblem(
+        P=np.diag([1.0, 0.0]), K_xx=np.array([[0.5, 0.3], [0.8, 1.2]]),
+        K_xu=np.array([[0.0], [1.0]]), H=np.eye(2), d_S=1, d_u=1,
+        d_psi_u=2, ridge_delta=1e-3),
+}
+
+
+def reference_solve(problem, lam_tol, feas_tol):
+    """``solve_fixed_p`` with the reference bisection in place of the SDP."""
+    ref = reference_bisection(problem, lam_tol, feas_tol)
+    sol = {"outcome": "infeasible", "iterations": 0,
+           "theta": None, "lam": None, "min_eig": None}
+    if ref is not None:
+        sol.update(outcome="certified", theta=ref[0], lam=ref[1],
+                   min_eig=problem.min_eig(*ref))
+    return sol
+
+
+class TestBoundMatchesUnprunedBisection:
+    """The SDP's lam matches the unpruned bisection: never worse than its
+    lam + lam_tol, and every candidate it certifies at lam <= 1 - lam_tol
+    is certified, on the toys and the smoke-size protocol candidates."""
+
+    @pytest.mark.parametrize("name", sorted(TOY_PROBLEMS))
+    def test_toy_solve_fixed_p(self, name):
+        assert_no_worse_than_reference(TOY_PROBLEMS[name]())
+
+    @pytest.mark.parametrize("kind", ["single", "double", "controllable"])
+    @pytest.mark.parametrize("sampled", [False, True],
+                             ids=["identity", "sampled"])
+    def test_candidate_solve_fixed_p(self, kind, sampled, model_pairs):
+        assert_no_worse_than_reference(
+            candidate_problem(*model_pairs[kind], sampled))
+
+    @pytest.mark.parametrize("kind", ["single", "double", "controllable"])
+    def test_synthesize(self, kind, model_pairs, monkeypatch):
+        model, pair = model_pairs[kind]
+        got = syn.synthesize(model, pair, max_resamples=20, seed=0)
+        with monkeypatch.context() as m:
+            m.setattr(syn, "solve_fixed_p", reference_solve)
+            want = syn.synthesize(model, pair, max_resamples=20, seed=0)
+        assert got.status == want.status == "optimal"
+        assert got.diagnostics["min_eig"] >= -syn.DEFAULT_FEAS_TOL
+        n_got = len(got.diagnostics["candidates"])
+        n_want = len(want.diagnostics["candidates"])
+        if want.lam <= 1.0 - syn.DEFAULT_LAM_TOL:
+            assert n_got <= n_want
+        if n_got == n_want:
+            # both runs draw the same candidates, so they end on one P
+            np.testing.assert_array_equal(got.P, want.P)
+            np.testing.assert_array_equal(got.S_x, want.S_x)
+            assert got.lam <= want.lam + syn.DEFAULT_LAM_TOL
+
+
+class TestDualBoundSoundness:
+    """A candidate the SDP rejects has no certified gain at any lam its
+    lower bound ruled out (every lam <= 1 - lam_tol)."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(problem=st.integers(0, 2 ** 32 - 1).map(random_problem),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(problem=scalar_problem(), seed=0)
+    @example(problem=spanning_ridge_problem(), seed=1)
+    def test_settled_lam_has_no_certified_gain(self, problem, seed):
+        feas_tol, lam_tol = syn.DEFAULT_FEAS_TOL, syn.DEFAULT_LAM_TOL
+        if syn.solve_fixed_p(problem)["outcome"] != "infeasible":
+            return
+        rng = np.random.default_rng(seed)
+        starts = reference_starts(problem)
+        for lam in (0.0, 0.5, 0.9, 0.99, 1.0 - lam_tol):
+            thetas = starts + [
+                scale * rng.standard_normal(problem.n_vars)
+                for scale in (0.1, 1.0, 10.0) for _ in range(5)]
+            for theta in thetas:
+                assert problem.min_eig(theta, lam) < -feas_tol
+            _, best = reference_ascent(problem, lam, starts, feas_tol)
+            assert best < -feas_tol
+
+    def test_spanning_gain_directions_never_rule_out(self):
+        # the gain directions span all of Ktilde: lam* = 0, never rejected
+        for problem in (scalar_problem(), spanning_ridge_problem()):
+            sol = syn.solve_fixed_p(problem)
+            assert sol["outcome"] == "certified"
+            assert sol["lam"] <= syn.DEFAULT_LAM_TOL
 
 
 class TestCandidateDiagnostics:
