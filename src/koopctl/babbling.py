@@ -236,8 +236,9 @@ def write_json_atomic(path, payload: dict) -> None:
 
 
 def load_dataset(outdir) -> SnapshotDataset:
-    """Read what ``save_dataset`` wrote.  An unreadable ``snapshots.npz``
-    raises ValueError naming the file."""
+    """Read what ``save_dataset`` wrote.  An unreadable ``snapshots.npz``,
+    or one whose states or inputs hold a NaN or infinity, raises
+    ValueError naming the file."""
     outdir = Path(outdir)
     with open(outdir / "manifest.json") as fh:
         manifest = json.load(fh)
@@ -247,6 +248,9 @@ def load_dataset(outdir) -> SnapshotDataset:
             arrays = {k: npz[k] for k in ARRAYS}
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
         raise ValueError(f"unreadable {path}: {exc}") from exc
+    for name in ("x", "u", "x_next"):
+        if not np.all(np.isfinite(arrays[name])):
+            raise ValueError(f"non-finite entries in {name} of {path}")
     return SnapshotDataset(**arrays, n_trajectories=manifest["trajectories"],
                            n_dropped=manifest["dropped"],
                            meta=manifest["babbling"])

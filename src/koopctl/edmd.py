@@ -5,45 +5,34 @@ The model advances lifted states as
     psi+ = K_xx psi + K_xu ((S psi) kron u)
 
 and K_x = [K_xx  K_xu] is the minimizer of the regularized Frobenius
-objective ||Psi_out - K Psi_in||^2 + ridge ||K||^2.  The solve goes
-through an orthogonal factorization of the (row-augmented) regressor,
-never the normal equations, so near-collinear observables (constants and
-cosines around the origin) stay harmless.
+objective ||Psi_out - K Psi_in||^2 + ridge ||K||^2.  The rows
+[psi | (S psi) kron u | psi+] are reduced, one chunk at a time, to one
+small triangle R by a streamed Householder QR, with the ridge rows
+[sqrt(ridge) I | 0] as the last chunk; K is the minimum-norm solution
+through the SVD of R's regressor columns, whose singular values are the
+regressor's.  The normal equations are never formed, so near-collinear
+observables (constants and cosines around the origin) stay harmless, and
+no N-row copy of the regressor or target is built.
 
 Each state is lifted once: psi(x_next) reuses psi(x) along trajectories
-(``lift_snapshots``), and the train and held-out errors are taken from
-slices of the same lifted arrays.
+(``lift_snapshots``), and the chunks and the train and held-out errors
+are taken from slices of the same lifted arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .babbling import SnapshotDataset
 from .observables import ObservableMap, descriptor_hash, evaluate_batch
-from .tensor import matrix_from_json, matrix_to_json
+from .tensor import (matrix_from_json, matrix_to_json, row_chunks,
+                     streamed_qr, truncated_svd)
 
 
 UNDERDETERMINED = "underdetermined: fewer snapshots than regressors"
-
-
-@dataclass
-class RegressionProblem:
-    psi_in: np.ndarray   # (d_in, N)
-    psi_out: np.ndarray  # (d_out, N)
-    ridge: float = 0.0
-    flags: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.psi_in.shape[1] != self.psi_out.shape[1]:
-            raise ValueError("Psi_in and Psi_out must have equal column counts")
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
-        if self.psi_in.shape[1] < self.psi_in.shape[0]:
-            self.flags.append(UNDERDETERMINED)
 
 
 @dataclass
@@ -67,50 +56,24 @@ class BilinearKoopmanModel:
         return self.K_xu.shape[1] // self.S.shape[0]
 
 
-def _ridge_system(n: int, d_in: int, d_out: int, ridge: float):
-    """Fortran-ordered regressor a and target b for n snapshots.
+def solve_chunks(chunks, d_in: int, d_out: int, ridge: float):
+    """Minimize ||B - A K^T||_F^2 + ridge ||K||_F^2 over K.
 
-    The first n rows are left for the caller to fill; for ridge > 0 the
-    d_in rows [sqrt(ridge) I | 0] below them are filled in here.
+    ``chunks`` yields row blocks [A | B] of the system, A with d_in
+    columns and B with d_out.  Returns (K, info): K is the (d_out, d_in)
+    minimum-norm minimizer, and info records the regressor's effective
+    rank and condition number and flags a rank-deficient unridged problem.
     """
-    extra = d_in if ridge > 0 else 0
-    a = np.empty((n + extra, d_in), order="F")
-    b = np.empty((n + extra, d_out), order="F")
-    if extra:
-        a[n:] = np.sqrt(ridge) * np.eye(d_in)
-        b[n:] = 0.0
-    return a, b
-
-
-def _solve_system(a: np.ndarray, b: np.ndarray, n: int, ridge: float,
-                  flags: list):
-    """gelsd on a system from ``_ridge_system``; returns (K, info)."""
-    d_in = a.shape[1]
-    kt, _, rank, sv = scipy.linalg.lstsq(a, b, lapack_driver="gelsd")
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    flags = list(flags)
-    if rank < d_in and ridge == 0:
+    if ridge > 0:
+        chunks = itertools.chain(chunks, [np.hstack(
+            [np.sqrt(ridge) * np.eye(d_in), np.zeros((d_in, d_out))])])
+    r = streamed_qr(chunks)
+    u, s, vt, cond = truncated_svd(r[:, :d_in])
+    k = ((r[:, d_in:].T @ u) / s) @ vt
+    flags = []
+    if len(s) < d_in and ridge == 0:
         flags.append("rank-deficient regressors: minimum-norm solution")
-    info = {"rank": int(rank), "cond": cond, "flags": flags,
-            "n_snapshots": int(n), "ridge": float(ridge)}
-    # copy so the model does not keep LAPACK's n-row solution buffer alive
-    return kt.T.copy(), info
-
-
-def solve_least_squares(prob: RegressionProblem):
-    """Minimize ||Psi_out - K Psi_in||_F^2 + ridge ||K||_F^2.
-
-    Returns (K, info) where info records the regressor condition number,
-    effective rank, and any flags (a rank-deficient unridged problem
-    returns the minimum-norm solution and is flagged).
-    """
-    d_in, n = prob.psi_in.shape
-    if n < 1:
-        raise ValueError("empty regression problem")
-    a, b = _ridge_system(n, d_in, prob.psi_out.shape[0], prob.ridge)
-    a[:n] = prob.psi_in.T
-    b[:n] = prob.psi_out.T
-    return _solve_system(a, b, n, prob.ridge, prob.flags)
+    return k, {"rank": len(s), "cond": cond, "flags": flags}
 
 
 def lift_snapshots(ds: SnapshotDataset, map_x: ObservableMap):
@@ -155,19 +118,6 @@ def _bilinear_flags(bil: np.ndarray) -> list:
     return []
 
 
-def assemble_bilinear_regressors(ds: SnapshotDataset, map_x: ObservableMap,
-                                 S: np.ndarray, ridge: float = 0.0
-                                 ) -> RegressionProblem:
-    """Stack input columns [psi(x_k); (S psi(x_k)) kron u_k] against psi(x_{k+1})."""
-    S = _selection(S, map_x)
-    psi, psi_next = lift_snapshots(ds, map_x)
-    bil = _bilinear_rows(S, psi.T, ds.u.T)
-    prob = RegressionProblem(psi_in=np.vstack([psi.T, bil]),
-                             psi_out=psi_next.T, ridge=ridge)
-    prob.flags += _bilinear_flags(bil)
-    return prob
-
-
 def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
                    ridge: float = None,
                    holdout_fraction: float = 0.1) -> BilinearKoopmanModel:
@@ -177,9 +127,9 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
     near-collinear constant/cosine regressors without visibly biasing
     the fit.  MSE values are per entry of the lifted prediction.
 
-    Every state is lifted once (``lift_snapshots``); the train and
-    holdout rows are slices of those arrays, and the ridge-augmented
-    regressor and target are built once, in their final layout.
+    Every state is lifted once (``lift_snapshots``); the solve streams
+    chunks of the train rows built from slices of those arrays, and the
+    errors are taken from the same arrays.
     """
     if len(ds) == 0:
         raise ValueError("empty dataset")
@@ -191,17 +141,14 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
         raise ValueError("ridge must be nonnegative")
     psi, psi_next = lift_snapshots(ds, map_x)
     d_psi = map_x.dim
-    psi_train = psi[train].T                        # (d_psi, N_train)
-    bil = _bilinear_rows(S, psi_train, ds.u[train].T)
+    rows = np.flatnonzero(train)
+    bil = _bilinear_rows(S, psi[rows].T, ds.u[rows].T)
     d_in = d_psi + bil.shape[0]
-    a, b = _ridge_system(n_train, d_in, d_psi, rho)
-    a[:n_train, :d_psi] = psi_train.T
-    a[:n_train, d_psi:] = bil.T
-    b[:n_train] = psi_next[train]
-    del psi_train
-    flags = [UNDERDETERMINED] if n_train < d_in else []
-    k, info = _solve_system(a, b, n_train, rho, flags + _bilinear_flags(bil))
-    del a, b
+    chunks = (np.hstack([psi[rows[s]], bil[:, s].T, psi_next[rows[s]]])
+              for s in row_chunks(n_train))
+    k, info = solve_chunks(chunks, d_in, d_psi, rho)
+    info["flags"] = ([UNDERDETERMINED] if n_train < d_in else []) \
+        + _bilinear_flags(bil) + info["flags"]
     model = BilinearKoopmanModel(
         K_xx=k[:, :d_psi], K_xu=k[:, d_psi:], S=S,
         map_descriptor=map_x.to_descriptor(),
@@ -209,7 +156,7 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
     diag = {"train_mse": _one_step_mse(model, psi[train].T, bil,
                                        psi_next[train].T),
             "n_train": n_train, "n_holdout": int(holdout.sum()),
-            "ridge": rho, **info}
+            "ridge": rho, **info, "n_snapshots": n_train}
     del bil
     if holdout.any():
         psi_hold = psi[holdout].T

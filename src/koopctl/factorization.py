@@ -11,10 +11,12 @@ the candidate augmented matrix Hbar is fit blockwise: block i regresses
 whose RMS residual passes a threshold eps_h are retained (in increasing
 index order) as the rows of S and the stacked blocks of H.
 
-The fit is streamed: the states are lifted once, psi_x gets one thin SVD,
-and each N x d_psi_u block target is projected, scored and dropped before
-the next is built, so working memory is O(N d_psi) however many blocks
-there are.  The full N x (d_psi_x d_psi_u) kron target is never formed.
+The fit is streamed: the states are lifted once, and an orthonormal basis
+U of psi_x comes from a chunked Householder QR of psi_x (one chunk of rows
+at a time) and the SVD of its small triangle R.  Each N x d_psi_u block
+target is projected onto U, scored and overwritten by the next, so
+working memory is O(N d_psi) however many blocks there are.  The full
+N x (d_psi_x d_psi_u) kron target is never formed.
 
 When the condition holds, the closed-loop lifted operator becomes
 
@@ -28,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .babbling import SnapshotDataset
 from .edmd import BilinearKoopmanModel
 from .observables import ObservableMap, evaluate_batch
-from .tensor import matrix_from_json, matrix_to_json
+from .tensor import (matrix_from_json, matrix_to_json, row_chunks,
+                     streamed_qr, truncated_svd)
 
 
 class FactorizationError(RuntimeError):
@@ -74,29 +76,31 @@ def _lift_states(data, map_x: ObservableMap, map_u: ObservableMap):
 def _fit_blocks(psi_x: np.ndarray, psi_u: np.ndarray):
     """Fit block i, psi_x[:, i] * psi_u, onto psi_x for every i in turn.
 
-    All blocks share one thin SVD of psi_x.  Singular values at or below
-    eps * s_max are dropped, as gelsd does, so a rank-deficient psi_x
-    gets the minimum-norm block solutions.  Only one N x d_psi_u block
-    target is alive at a time.
+    All blocks share one basis of psi_x: Q R from ``streamed_qr`` and the
+    SVD of R.  Singular values at or below eps * s_max are dropped, as
+    gelsd does, so a rank-deficient psi_x gets the minimum-norm block
+    solutions.  The block targets and fits reuse two N x d_psi_u buffers.
     """
     n, d_x_feat = psi_x.shape
     d_u_feat = psi_u.shape[1]
-    u, sv, vt = scipy.linalg.svd(psi_x, full_matrices=False,
-                                 check_finite=False)
-    rank = int(np.sum(sv > np.finfo(float).eps * sv[0])) if sv[0] > 0 else 0
-    u_r, vt_r, sv_r = u[:, :rank], vt[:rank], sv[:rank]
-    del u
+    q = np.empty((n, min(n, d_x_feat)))
+    r = streamed_qr((psi_x[s] for s in row_chunks(n)), q=q)
+    w, sv_r, vt_r, cond = truncated_svd(r)
+    rank = len(sv_r)
+    for s in row_chunks(n):
+        q[s, :rank] = q[s] @ w
+    u_r = q[:, :rank]
     hbar = np.zeros((d_x_feat * d_u_feat, d_x_feat))
     residuals = np.zeros(d_x_feat)
+    target = np.empty_like(psi_u)
+    fit = np.empty((n, d_u_feat))
     for i in range(d_x_feat):
-        target = psi_x[:, i : i + 1] * psi_u       # block i of psi_x kron psi_u
+        np.multiply(psi_x[:, i : i + 1], psi_u, out=target)  # block i
         coef = vt_r.T @ ((u_r.T @ target) / sv_r[:, None])
-        target -= psi_x @ coef
+        target -= np.matmul(psi_x, coef, out=fit)
         residuals[i] = np.linalg.norm(target) / np.sqrt(n)
         hbar[i * d_u_feat : (i + 1) * d_u_feat] = coef.T
-    info = {"rank": rank, "n_snapshots": int(n),
-            "cond": float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf,
-            "flags": []}
+    info = {"rank": rank, "n_snapshots": int(n), "cond": cond, "flags": []}
     if rank < d_x_feat:
         info["flags"].append("rank-deficient psi_x regressor")
     return hbar, residuals, info
@@ -108,7 +112,7 @@ def fit_candidate_hbar(data, map_x: ObservableMap, map_u: ObservableMap):
     ``data`` is a SnapshotDataset or an (N, d_x) array of states.  Returns
     (Hbar, residuals, info); residual i is the RMS over snapshots of the
     block-i error vector.  The fit is streamed block by block against one
-    thin SVD of psi_x: beyond the lifted arrays, each block needs
+    orthonormal basis of psi_x: beyond the lifted arrays, each block needs
     O(N d_psi_u) working memory, never O(N d_psi_x d_psi_u) for the whole
     target.  Rank deficiency of the regressor is flagged.
     """

@@ -3,17 +3,18 @@
 Everything in this project is desk scale (lifted dimensions of at most a
 few tens), so all storage is plain dense ``numpy`` arrays.  Symmetric
 eigenvalue queries use LAPACK's symmetric drivers only, never the general
-nonsymmetric path, so spectra are real and deterministic.
+nonsymmetric path, so spectra are real and deterministic.  Tall
+least-squares problems (N snapshots by at most a few tens of columns) are
+factored by ``streamed_qr``, one chunk of rows at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Absolute floor on the smallest eigenvalue accepted as "positive
-# semidefinite"; matched to double-precision conditioning of the largest
-# (28 x 28) block matrices handled here.
-PSD_TOL = 1e-9
+# Rows per chunk of ``streamed_qr``: each step factors one chunk plus the
+# running triangle, so its working copy is a few MB at the widths used here.
+QR_CHUNK = 8192
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -59,24 +60,57 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
-def schur_psd_check(p, b, c, tol: float = PSD_TOL) -> bool:
-    """True iff the block matrix [[P, B], [B^T, C]] is PSD within ``tol``.
+def row_chunks(n: int) -> list:
+    """Consecutive row slices of at most QR_CHUNK rows covering range(n)."""
+    return [slice(i, min(i + QR_CHUNK, n)) for i in range(0, n, QR_CHUNK)]
 
-    Checked directly through the smallest eigenvalue of the assembled
-    block matrix, which stays valid when P is singular (where the
-    classical Schur-complement reduction needs an invertible block).
+
+def streamed_qr(chunks, q: np.ndarray = None) -> np.ndarray:
+    """R factor of the row stack of the 2-d arrays ``chunks`` yields.
+
+    A flat-tree tall-skinny QR: each step factors [R so far; next chunk]
+    with Householder ``np.linalg.qr``, so only R and one chunk are held.
+    R has min(rows, columns) rows.  Given ``q``, an array of that many
+    columns and one row per stacked row, the orthonormal factor is also
+    written into it, so that the stack equals q @ R.
     """
-    pm = symmetrize(p)
-    cm = symmetrize(c)
-    bm = as_matrix(b, "b")
-    bm = bm.reshape(pm.shape[0], cm.shape[0]) if bm.ndim == 1 else bm
-    if bm.shape != (pm.shape[0], cm.shape[0]):
-        raise ValueError(
-            f"off-diagonal block {bm.shape} does not conform with "
-            f"{pm.shape} and {cm.shape}"
-        )
-    block = np.block([[pm, bm], [bm.T, cm]])
-    return min_eigenvalue(block) >= -tol
+    r = None
+    steps = []          # (stack rows of the chunk, width of its Q, top of Q)
+    start = 0
+    for c in chunks:
+        a = c if r is None else np.vstack([r, c])
+        if q is None:
+            r = np.linalg.qr(a, mode="r")
+            continue
+        top = a.shape[0] - c.shape[0]
+        qk, r = np.linalg.qr(a)
+        rows = slice(start, start + c.shape[0])
+        q[rows, : qk.shape[1]] = qk[top:]
+        steps.append((rows, qk.shape[1], qk[:top]))
+        start = rows.stop
+    if r is None:
+        raise ValueError("no rows to factor")
+    # every later step rotates a chunk's rows again, through the top rows
+    # of its own Q (the rows that multiplied the R so far)
+    t = np.eye(r.shape[0])
+    for rows, width, top in reversed(steps):
+        q[rows] = q[rows, :width] @ t
+        t = top @ t
+    return r
+
+
+def truncated_svd(r: np.ndarray):
+    """Thin SVD of ``r`` cut by the rank rule of LAPACK's gelsd.
+
+    Singular values at or below eps * s_max count as zero, so a solve
+    through the kept ones gives the minimum-norm least-squares solution.
+    Returns (u, s, vt, cond), cut to the rank len(s); cond is s_max / s_min
+    over all singular values, inf when s_min is 0.
+    """
+    u, s, vt = np.linalg.svd(r, full_matrices=False)
+    rank = int(np.sum(s > np.finfo(float).eps * s[0])) if s[0] > 0 else 0
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+    return u[:, :rank], s[:rank], vt[:rank], cond
 
 
 def matrix_to_json(m) -> dict:

@@ -332,6 +332,28 @@ class TestBrokenArtifacts:
         err = capsys.readouterr().err
         assert "snapshots.npz" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("array,row,value,stage", [
+        ("x", 5, np.inf, "factorize"),
+        # row 0 is in trajectory 0, which the held-out split takes
+        ("u", 0, np.nan, "identify")])
+    def test_non_finite_dataset_exits_3_naming_the_file(
+            self, array, row, value, stage, tmp_path, capsys):
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["babble", "--config", str(cfgfile)]) == 0
+        assert cli.main(["factorize", "--config", str(cfgfile)]) == 0
+        npz = tmp_path / "out" / "dataset" / "snapshots.npz"
+        with np.load(npz) as f:
+            arrays = dict(f)
+        arrays[array][row, 0] = value
+        with open(npz, "wb") as fh:
+            np.savez(fh, **arrays)
+        capsys.readouterr()
+        code = cli.main([stage, "--config", str(cfgfile)])
+        assert code == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "snapshots.npz" in err and f"in {array} of" in err
+        assert err.count("\n") == 1
+
     def test_failed_dataset_write_is_a_cache_miss(self, tmp_path, capsys,
                                                   monkeypatch):
         from koopctl import babbling

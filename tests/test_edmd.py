@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from koopctl import edmd
+from koopctl import edmd, tensor
 from koopctl.babbling import SnapshotDataset
 from koopctl.observables import polynomial_map, single_pendulum_map
 
@@ -33,20 +33,26 @@ def simulate_bilinear(k_xx, k_xu, s, psi0s, u_seqs):
     return np.array(xs), np.array(us), np.array(xns)
 
 
+def solve(psi_in, psi_out, ridge=0.0, chunk=tensor.QR_CHUNK):
+    """edmd.solve_chunks on (d, N) arrays, fed in chunks of ``chunk`` rows."""
+    rows = np.hstack([psi_in.T, psi_out.T])
+    chunks = (rows[i : i + chunk] for i in range(0, len(rows), chunk))
+    return edmd.solve_chunks(chunks, psi_in.shape[0], psi_out.shape[0],
+                             ridge)
+
+
 class TestSolveLeastSquares:
     def test_identity_data(self):
         rng = np.random.default_rng(0)
         psi = rng.standard_normal((4, 60))
-        prob = edmd.RegressionProblem(psi_in=psi, psi_out=psi)
-        k, info = edmd.solve_least_squares(prob)
+        k, info = solve(psi, psi, chunk=7)
         np.testing.assert_allclose(k, np.eye(4), atol=1e-10)
         assert info["rank"] == 4
 
     def test_scalar_decay(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 100))
-        prob = edmd.RegressionProblem(psi_in=x, psi_out=0.9 * x)
-        k, _ = edmd.solve_least_squares(prob)
+        k, _ = solve(x, 0.9 * x)
         assert k[0, 0] == pytest.approx(0.9, abs=1e-12)
 
     def test_large_ridge_shrinks_solution(self):
@@ -55,8 +61,7 @@ class TestSolveLeastSquares:
         y = rng.standard_normal((3, 50))
         norms = []
         for rho in (0.0, 1e3, 1e9):
-            k, _ = edmd.solve_least_squares(
-                edmd.RegressionProblem(psi_in=x, psi_out=y, ridge=rho))
+            k, _ = solve(x, y, ridge=rho)
             norms.append(np.linalg.norm(k))
         assert norms[0] > norms[1] > norms[2]
         assert norms[2] < 1e-6
@@ -64,9 +69,9 @@ class TestSolveLeastSquares:
     def test_rank_deficiency_flagged_minimum_norm(self):
         x = np.vstack([np.ones((1, 30)), np.ones((1, 30))])  # duplicated row
         y = np.ones((1, 30))
-        k, info = edmd.solve_least_squares(
-            edmd.RegressionProblem(psi_in=x, psi_out=y))
+        k, info = solve(x, y, chunk=4)
         assert any("minimum-norm" in f for f in info["flags"])
+        assert info["rank"] == 1
         # minimum-norm solution splits the weight evenly
         np.testing.assert_allclose(k, [[0.5, 0.5]], atol=1e-10)
 
@@ -74,8 +79,7 @@ class TestSolveLeastSquares:
         rng = np.random.default_rng(3)
         psi_in = rng.standard_normal((5, 200))
         psi_out = rng.standard_normal((4, 200))
-        k, _ = edmd.solve_least_squares(
-            edmd.RegressionProblem(psi_in=psi_in, psi_out=psi_out))
+        k, _ = solve(psi_in, psi_out, chunk=64)
         resid = psi_out - k @ psi_in
         scale = np.linalg.norm(psi_out) * np.linalg.norm(psi_in)
         assert np.linalg.norm(resid @ psi_in.T) <= 1e-6 * scale
@@ -84,24 +88,73 @@ class TestSolveLeastSquares:
         rng = np.random.default_rng(4)
         psi_in = rng.standard_normal((3, 80))
         psi_out = rng.standard_normal((3, 80))
-        k1, _ = edmd.solve_least_squares(
-            edmd.RegressionProblem(psi_in=psi_in, psi_out=psi_out))
-        k2, _ = edmd.solve_least_squares(
-            edmd.RegressionProblem(psi_in=np.hstack([psi_in, psi_in]),
-                                   psi_out=np.hstack([psi_out, psi_out])))
+        k1, _ = solve(psi_in, psi_out)
+        # the copies straddle chunk boundaries
+        k2, _ = solve(np.hstack([psi_in, psi_in]),
+                      np.hstack([psi_out, psi_out]), chunk=11)
         np.testing.assert_allclose(k1, k2, atol=1e-9)
 
 
+def gelsd_reference(psi_in, psi_out, ridge):
+    """The solve the streamed QR replaced: one gelsd call on the
+    ridge-augmented N-row system; returns (K, rank, cond)."""
+    import scipy.linalg
+
+    d_in, d_out = psi_in.shape[0], psi_out.shape[0]
+    a, b = psi_in.T, psi_out.T
+    if ridge > 0:
+        a = np.vstack([a, np.sqrt(ridge) * np.eye(d_in)])
+        b = np.vstack([b, np.zeros((d_in, d_out))])
+    kt, _, rank, sv = scipy.linalg.lstsq(a, b, lapack_driver="gelsd")
+    return kt.T, int(rank), float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+
+
+class TestSolveMatchesGelsd:
+    @pytest.mark.parametrize("n", [
+        3,                              # underdetermined: N < d_in
+        tensor.QR_CHUNK,
+        tensor.QR_CHUNK + 1,
+        3 * tensor.QR_CHUNK + 17])
+    @pytest.mark.parametrize("ridge", [0.0, 1e-2])
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_streamed_solve_matches_gelsd(self, n, ridge, deficient):
+        rng = np.random.default_rng([n, int(deficient)])
+        psi_in = rng.standard_normal((6, n))
+        if deficient:
+            # a regressor that is exactly zero: a regressor equal to a
+            # combination of others only in exact arithmetic leaves a
+            # rounding-level singular value that either side of the eps
+            # rank cut-off can land on
+            psi_in[4] = 0.0
+        psi_out = 0.5 * psi_in[:4] + rng.standard_normal((4, n))
+        ridge *= n      # ridge scales with the snapshot count, as in use
+        k_ref, rank_ref, cond_ref = gelsd_reference(psi_in, psi_out, ridge)
+        k, info = solve(psi_in, psi_out, ridge)
+        np.testing.assert_allclose(k, k_ref, rtol=1e-10,
+                                   atol=1e-12 * np.abs(k_ref).max())
+        assert info["rank"] == rank_ref
+        assert ("rank-deficient regressors: minimum-norm solution"
+                in info["flags"]) == (rank_ref < 6 and ridge == 0)
+        if np.isfinite(cond_ref) and cond_ref < 1e8:
+            assert info["cond"] == pytest.approx(cond_ref, rel=1e-10)
+        else:   # a dropped direction: only its order of magnitude is fixed
+            assert info["cond"] > 1e12
+
+
 class TestAssemble:
+    """The regressor [psi; (S psi) kron u] as identify_model builds it."""
+
     def test_shapes(self):
         rng = np.random.default_rng(5)
         m = polynomial_map("ident", (1, 2))
         ds = dataset_from_arrays(rng.standard_normal((40, 1)),
                                  rng.standard_normal((40, 1)),
                                  rng.standard_normal((40, 1)))
-        prob = edmd.assemble_bilinear_regressors(ds, m, np.eye(2))
-        assert prob.psi_in.shape == (4, 40)  # 2 lifted + 2 bilinear
-        assert prob.psi_out.shape == (2, 40)
+        model = edmd.identify_model(ds, m, np.eye(2), holdout_fraction=0.0)
+        assert model.K_xx.shape == (2, 2)
+        assert model.K_xu.shape == (2, 2)   # 2 lifted + 2 bilinear
+        assert model.diagnostics["rank"] == 4
+        assert model.diagnostics["n_snapshots"] == 40
 
     def test_zero_inputs_flagged(self):
         rng = np.random.default_rng(6)
@@ -109,15 +162,19 @@ class TestAssemble:
         ds = dataset_from_arrays(rng.standard_normal((40, 1)),
                                  np.zeros((40, 1)),
                                  rng.standard_normal((40, 1)))
-        prob = edmd.assemble_bilinear_regressors(ds, m, np.eye(2))
-        assert any("unidentifiable" in f for f in prob.flags)
+        model = edmd.identify_model(ds, m, np.eye(2), ridge=0.0)
+        flags = model.diagnostics["flags"]
+        assert any("unidentifiable" in f for f in flags)
+        assert any("minimum-norm" in f for f in flags)
+        # no input data: the minimum-norm K_xu is zero
+        np.testing.assert_array_equal(model.K_xu, 0.0)
 
     def test_selection_dimension_checked(self):
         m = polynomial_map("ident", (1, 2))
         ds = dataset_from_arrays(np.ones((5, 1)), np.ones((5, 1)),
                                  np.ones((5, 1)))
         with pytest.raises(ValueError, match="columns"):
-            edmd.assemble_bilinear_regressors(ds, m, np.eye(3))
+            edmd.identify_model(ds, m, np.eye(3))
 
 
 class TestIdentifyModel:
@@ -208,12 +265,13 @@ class TestBilinearRankCheck:
         u = rng.uniform(-1, 1, size=(40, 1))
         ds = dataset_from_arrays(x, u, rng.standard_normal((40, 1)))
         m = polynomial_map("quad", (1, 2))
-        prob = edmd.assemble_bilinear_regressors(ds, m, np.eye(2))
-        bil = prob.psi_in[2:]
+        bil = m(x).T * u[:, 0]
         sv = np.linalg.svd(bil, compute_uv=False)
         assert 1e8 < sv[0] / sv[-1] < 1e10
         assert np.linalg.matrix_rank(bil @ bil.T) == 1
-        assert not any("unidentifiable" in f for f in prob.flags)
+        model = edmd.identify_model(ds, m, np.eye(2), holdout_fraction=0.0)
+        assert not any("unidentifiable" in f
+                       for f in model.diagnostics["flags"])
 
 
 def babbled_dataset(steps=15):
@@ -324,6 +382,13 @@ def reference_identify(ds, map_x, S, ridge=None, holdout_fraction=0.1):
 
 
 class TestIdentifyMatchesRelift:
+    """identify_model against the relift-and-gelsd reference.
+
+    The streamed QR rounds differently from gelsd, so K, cond and the MSEs
+    are held to rtol 1e-12 (measured: 5e-15 to 1.6e-14); rank, flags and
+    counts must be equal.
+    """
+
     @pytest.mark.parametrize("ridge,holdout", [(None, 0.1), (0.0, 0.25),
                                                (1e-3, 0.0)])
     def test_bitwise_equal_to_subset_relift(self, ridge, holdout):
@@ -332,6 +397,13 @@ class TestIdentifyMatchesRelift:
         k_xx, k_xu, diag = reference_identify(ds, m, S, ridge, holdout)
         model = edmd.identify_model(ds, m, S, ridge=ridge,
                                     holdout_fraction=holdout)
-        assert model.K_xx.tobytes() == k_xx.tobytes()
-        assert model.K_xu.tobytes() == k_xu.tobytes()
-        assert model.diagnostics == diag
+        k_ref = np.hstack([k_xx, k_xu])
+        k = np.hstack([model.K_xx, model.K_xu])
+        np.testing.assert_allclose(k, k_ref, rtol=0,
+                                   atol=1e-12 * np.abs(k_ref).max())
+        got = dict(model.diagnostics)
+        for key in ("cond", "train_mse", "holdout_mse"):
+            if key in diag:
+                assert got.pop(key) == pytest.approx(diag.pop(key),
+                                                     rel=1e-12)
+        assert got == diag

@@ -3,6 +3,7 @@ import pytest
 
 from koopctl import factorization as fz
 from koopctl.edmd import BilinearKoopmanModel
+from koopctl.tensor import QR_CHUNK
 from koopctl.observables import (
     ObservableMap,
     double_pendulum_map,
@@ -304,3 +305,54 @@ class TestStreamedFitMatchesOneShot:
         pair = fz.fit_pair(states, counted, counted)
         assert calls == [300]
         assert pair.d_S == 1
+
+
+def gesdd_reference(psi_x, psi_u):
+    """The block fit the streamed QR replaced: every block against one
+    gesdd thin SVD of psi_x; returns (hbar, residuals, rank, cond)."""
+    import scipy.linalg
+
+    n, d_x = psi_x.shape
+    d_u = psi_u.shape[1]
+    u, sv, vt = scipy.linalg.svd(psi_x, full_matrices=False)
+    rank = int(np.sum(sv > np.finfo(float).eps * sv[0])) if sv[0] > 0 else 0
+    u_r, vt_r, sv_r = u[:, :rank], vt[:rank], sv[:rank]
+    hbar = np.zeros((d_x * d_u, d_x))
+    residuals = np.zeros(d_x)
+    for i in range(d_x):
+        target = psi_x[:, i : i + 1] * psi_u
+        coef = vt_r.T @ ((u_r.T @ target) / sv_r[:, None])
+        target -= psi_x @ coef
+        residuals[i] = np.linalg.norm(target) / np.sqrt(n)
+        hbar[i * d_u : (i + 1) * d_u] = coef.T
+    return hbar, residuals, rank, \
+        float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+
+
+class TestStreamedBasisMatchesGesdd:
+    @pytest.mark.parametrize("n", [
+        3,                              # fewer snapshots than features
+        QR_CHUNK, QR_CHUNK + 1, 3 * QR_CHUNK + 17])
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_blocks_rank_and_cond(self, n, deficient):
+        rng = np.random.default_rng([n, int(deficient)])
+        # (N, d) views of (d, N) arrays, the layout evaluate_batch gives
+        psi_x = rng.uniform(-2, 2, size=(5, n)).T
+        if deficient:
+            psi_x[:, 3] = 0.0     # an exactly zero feature
+        psi_u = psi_x if n % 2 else rng.uniform(-2, 2, size=(3, n)).T
+        hbar_ref, res_ref, rank_ref, cond_ref = gesdd_reference(psi_x, psi_u)
+        hbar, res, info = fz._fit_blocks(psi_x, psi_u)
+        np.testing.assert_allclose(hbar, hbar_ref, rtol=1e-10,
+                                   atol=1e-12 * np.abs(hbar_ref).max())
+        # a residual in the span of psi_x is rounding noise of the target
+        target_scale = np.abs(psi_x).max() * np.abs(psi_u).max()
+        np.testing.assert_allclose(res, res_ref, rtol=1e-10,
+                                   atol=1e-12 * target_scale)
+        assert info["rank"] == rank_ref
+        assert info["flags"] == (["rank-deficient psi_x regressor"]
+                                 if rank_ref < 5 else [])
+        if np.isfinite(cond_ref) and cond_ref < 1e8:
+            assert info["cond"] == pytest.approx(cond_ref, rel=1e-10)
+        else:
+            assert info["cond"] > 1e12

@@ -690,12 +690,15 @@ class TestCandidateDiagnostics:
             == result.diagnostics["iterations"]
 
 
-def test_import_does_not_load_scipy_optimize():
+def test_import_does_not_load_scipy():
     src = str(Path(syn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, koopctl; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    for module in ("koopctl", "koopctl.cli"):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; "
+             "print(sorted(m for m in sys.modules"
+             " if m.partition('.')[0] == 'scipy'))"],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]", module

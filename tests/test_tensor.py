@@ -93,34 +93,41 @@ class TestMinEigenvalue:
             tensor.min_eigenvalue([[np.nan, 0], [0, 1.0]])
 
 
-class TestSchurPsdCheck:
-    def test_identity_blocks(self):
-        assert tensor.schur_psd_check(np.eye(2), np.zeros((2, 2)), np.eye(2))
+class TestStreamedQr:
+    # chunk row counts, some below the width of 4 columns
+    @pytest.mark.parametrize("sizes", [(3,), (2, 2, 5), (40,), (7, 1, 30, 2)])
+    def test_factors_the_row_stack(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        chunks = [rng.standard_normal((m, 4)) for m in sizes]
+        a = np.vstack(chunks)
+        k = min(a.shape)
+        q = np.empty((a.shape[0], k))
+        r = tensor.streamed_qr(iter(chunks), q=q)
+        assert r.shape == (k, 4)
+        assert np.all(np.tril(r, -1) == 0.0)
+        np.testing.assert_allclose(q @ r, a, atol=1e-13)
+        np.testing.assert_allclose(q.T @ q, np.eye(k), atol=1e-14)
+        np.testing.assert_array_equal(tensor.streamed_qr(iter(chunks)), r)
 
-    def test_negative_complement(self):
-        # C - B^T P^{-1} B = 1 - 4 < 0
-        assert not tensor.schur_psd_check([[1.0]], [[2.0]], [[1.0]])
+    def test_row_chunks_cover_the_rows(self):
+        n = 2 * tensor.QR_CHUNK + 5
+        chunks = tensor.row_chunks(n)
+        assert [c.stop - c.start for c in chunks] \
+            == [tensor.QR_CHUNK, tensor.QR_CHUNK, 5]
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        assert tensor.row_chunks(0) == []
 
-    def test_gram_construction(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            g = rng.standard_normal((6, 4))
-            big = g.T @ g
-            p, b, c = big[:2, :2], big[:2, 2:], big[2:, 2:]
-            assert tensor.schur_psd_check(p, b, c)
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="no rows"):
+            tensor.streamed_qr(iter([]))
 
-    def test_agrees_with_min_eigenvalue(self):
-        rng = np.random.default_rng(5)
-        for _ in range(1000):
-            g = rng.standard_normal((4, 4))
-            m = g.T @ g - rng.uniform(0, 0.5) * np.eye(4)
-            p, b, c = m[:2, :2], m[:2, 2:], m[2:, 2:]
-            direct = tensor.min_eigenvalue(m) >= -tensor.PSD_TOL
-            assert tensor.schur_psd_check(p, b, c) == direct
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="conform"):
-            tensor.schur_psd_check(np.eye(2), np.zeros((3, 3)), np.eye(3))
+    def test_truncated_svd_cuts_at_eps(self):
+        eps = np.finfo(float).eps
+        u, s, vt, cond = tensor.truncated_svd(np.diag([2.0, 1.0, 0.0]))
+        assert list(s) == [2.0, 1.0] and cond == np.inf
+        assert u.shape == (3, 2) and vt.shape == (2, 3)
+        _, s, _, cond = tensor.truncated_svd(np.diag([1.0, 2 * eps, eps]))
+        assert list(s) == [1.0, 2 * eps] and cond == 1.0 / eps
 
 
 class TestJsonRoundTrip:
