@@ -1,11 +1,13 @@
 """Pipeline driver: babble -> factorize -> identify -> synthesize -> evaluate.
 
 Exit codes: 0 success, 2 config error, 3 stage-precondition error
-(missing, corrupt or stale upstream artifact), 4 synthesis infeasible,
-5 evaluation gate failed, 6 factorization retained no block, 7 artifact
-could not be written (e.g. disk full), reported in one line naming the
-file.  Stage outputs embed the config hash; ``pipeline`` skips stages
-whose artifact already matches it.  Artifacts are written atomically.
+(missing, corrupt or stale upstream artifact, or a dataset identify
+cannot fit), 4 synthesis infeasible, 5 evaluation gate failed, 6
+factorization retained no block, 7 artifact could not be written (e.g.
+disk full), reported in one line naming the file.  Stage outputs embed
+the hash of the whole config; ``pipeline`` skips a stage whose artifact
+carries the current hash, so any config edit reruns every stage.
+Artifacts are written atomically.
 """
 
 from __future__ import annotations
@@ -153,8 +155,11 @@ def cmd_factorize(cfg: dict, ds: SnapshotDataset):
 def cmd_identify(cfg: dict, ds: SnapshotDataset, pair):
     map_x, _ = build_maps(cfg)
     ident = cfg["identification"]
-    model = identify_model(ds, map_x, pair.S, ridge=ident["ridge"],
-                           holdout_fraction=ident["holdout_fraction"])
+    try:
+        model = identify_model(ds, map_x, pair.S, ridge=ident["ridge"],
+                               holdout_fraction=ident["holdout_fraction"])
+    except ValueError as exc:
+        raise StageError(f"cannot identify: {exc}", EXIT_PRECONDITION)
     path = _outdir(cfg) / "model.json"
     _write_json(path, model_to_json(model), cfg)
     diag = model.diagnostics

@@ -14,9 +14,10 @@ regressor's.  The normal equations are never formed, so near-collinear
 observables (constants and cosines around the origin) stay harmless, and
 no N-row copy of the regressor or target is built.
 
-Each state is lifted once: psi(x_next) reuses psi(x) along trajectories
-(``lift_snapshots``), and the chunks and the train and held-out errors
-are taken from slices of the same lifted arrays.
+Each state is lifted once into feature-major (d_psi, N) arrays:
+psi(x_next) reuses psi(x) along trajectories (``lift_snapshots``), and the
+QR chunks and the train and held-out errors are built from chunks of
+their columns, never from N-row copies.
 """
 
 from __future__ import annotations
@@ -77,22 +78,24 @@ def solve_chunks(chunks, d_in: int, d_out: int, ridge: float):
 
 
 def lift_snapshots(ds: SnapshotDataset, map_x: ObservableMap):
-    """(psi(x), psi(x_next)) as (N, d_psi) arrays, lifting each state once.
+    """(psi(x), psi(x_next)) as feature-major (d_psi, N) arrays, lifting
+    each state once.
 
-    Row k of psi(x_next) is row k+1 of psi(x) wherever x_next[k] equals
-    x[k+1] bitwise, as it does inside every babbled or loaded trajectory;
-    only the other rows of x_next, the trajectory ends, are lifted.
+    Column k of psi(x_next) is column k+1 of psi(x) wherever x_next[k]
+    equals x[k+1] bitwise, as it does inside every babbled or loaded
+    trajectory; only the other states of x_next, the trajectory ends, are
+    lifted.
     """
     x = np.ascontiguousarray(ds.x, dtype=float)
     x_next = np.ascontiguousarray(ds.x_next, dtype=float)
-    psi = evaluate_batch(map_x, x).T
+    psi = evaluate_batch(map_x, x)
     psi_next = np.empty_like(psi)
-    psi_next[:-1] = psi[1:]
+    psi_next[:, :-1] = psi[:, 1:]
     chained = np.zeros(len(x), dtype=bool)
     chained[:-1] = np.all(x_next[:-1].view(np.uint64)
                           == x[1:].view(np.uint64), axis=1)
     ends = np.flatnonzero(~chained)
-    psi_next[ends] = evaluate_batch(map_x, x_next[ends]).T
+    psi_next[:, ends] = evaluate_batch(map_x, x_next[ends])
     return psi, psi_next
 
 
@@ -118,6 +121,11 @@ def _bilinear_flags(bil: np.ndarray) -> list:
     return []
 
 
+def _column_chunks(cols: np.ndarray):
+    """The snapshot indices ``cols`` in consecutive runs of QR_CHUNK."""
+    return [cols[s] for s in row_chunks(len(cols))]
+
+
 def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
                    ridge: float = None,
                    holdout_fraction: float = 0.1) -> BilinearKoopmanModel:
@@ -127,54 +135,59 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
     near-collinear constant/cosine regressors without visibly biasing
     the fit.  MSE values are per entry of the lifted prediction.
 
-    Every state is lifted once (``lift_snapshots``); the solve streams
-    chunks of the train rows built from slices of those arrays, and the
-    errors are taken from the same arrays.
+    Every state is lifted once (``lift_snapshots``) into feature-major
+    arrays, and (S psi) kron u is formed once for all snapshots; the
+    solve and both errors read chunks of the train or held-out columns
+    of those arrays.  Raises ValueError when the split leaves no
+    training snapshot.
     """
     if len(ds) == 0:
         raise ValueError("empty dataset")
     S = _selection(S, map_x)
     train, holdout = ds.split_by_trajectory(holdout_fraction)
     n_train = int(train.sum())
+    if n_train == 0:
+        raise ValueError(
+            f"no training snapshots: holdout_fraction {holdout_fraction:g} "
+            f"holds out every trajectory (trajectory count "
+            f"{np.unique(ds.traj_id).size})")
     rho = 1e-8 * n_train if ridge is None else float(ridge)
     if rho < 0:
         raise ValueError("ridge must be nonnegative")
     psi, psi_next = lift_snapshots(ds, map_x)
+    bil = _bilinear_rows(S, psi, ds.u.T)
     d_psi = map_x.dim
-    rows = np.flatnonzero(train)
-    bil = _bilinear_rows(S, psi[rows].T, ds.u[rows].T)
     d_in = d_psi + bil.shape[0]
-    chunks = (np.hstack([psi[rows[s]], bil[:, s].T, psi_next[rows[s]]])
-              for s in row_chunks(n_train))
+    train_cols = _column_chunks(np.flatnonzero(train))
+    chunks = (np.vstack([psi[:, c], bil[:, c], psi_next[:, c]]).T
+              for c in train_cols)
     k, info = solve_chunks(chunks, d_in, d_psi, rho)
     info["flags"] = ([UNDERDETERMINED] if n_train < d_in else []) \
-        + _bilinear_flags(bil) + info["flags"]
+        + _bilinear_flags(bil[:, train]) + info["flags"]
     model = BilinearKoopmanModel(
         K_xx=k[:, :d_psi], K_xu=k[:, d_psi:], S=S,
         map_descriptor=map_x.to_descriptor(),
     )
-    diag = {"train_mse": _one_step_mse(model, psi[train].T, bil,
-                                       psi_next[train].T),
+    diag = {"train_mse": _one_step_mse(model, psi, bil, psi_next, train_cols),
             "n_train": n_train, "n_holdout": int(holdout.sum()),
             "ridge": rho, **info, "n_snapshots": n_train}
-    del bil
     if holdout.any():
-        psi_hold = psi[holdout].T
         diag["holdout_mse"] = _one_step_mse(
-            model, psi_hold, _bilinear_rows(S, psi_hold, ds.u[holdout].T),
-            psi_next[holdout].T)
+            model, psi, bil, psi_next, _column_chunks(np.flatnonzero(holdout)))
     model.diagnostics = diag
     return model
 
 
 def _one_step_mse(model: BilinearKoopmanModel, psi: np.ndarray,
-                  bil: np.ndarray, psi_next: np.ndarray) -> float:
-    # in place on the C-ordered product: the same bits as
-    # np.mean((K_xx @ psi + K_xu @ bil - psi_next) ** 2), one array fewer
-    err = model.K_xx @ psi
-    err += model.K_xu @ bil
-    err -= psi_next
-    return float(np.mean(np.square(err, out=err)))
+                  bil: np.ndarray, psi_next: np.ndarray, col_chunks) -> float:
+    """Mean squared one-step error over the columns in ``col_chunks``."""
+    sse = 0.0
+    for c in col_chunks:
+        err = model.K_xx @ psi[:, c]
+        err += model.K_xu @ bil[:, c]
+        err -= psi_next[:, c]
+        sse += float(np.vdot(err, err))
+    return sse / (psi.shape[0] * sum(len(c) for c in col_chunks))
 
 
 def model_to_json(model: BilinearKoopmanModel) -> dict:

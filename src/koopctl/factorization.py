@@ -11,11 +11,23 @@ the candidate augmented matrix Hbar is fit blockwise: block i regresses
 whose RMS residual passes a threshold eps_h are retained (in increasing
 index order) as the rows of S and the stacked blocks of H.
 
-The fit is streamed: the states are lifted once, and an orthonormal basis
-U of psi_x comes from a chunked Householder QR of psi_x (one chunk of rows
-at a time) and the SVD of its small triangle R.  Each N x d_psi_u block
-target is projected onto U, scored and overwritten by the next, so
-working memory is O(N d_psi) however many blocks there are.  The full
+Every block is a set of product columns psi_x[i] * psi_u[a], and all of
+them are fit together.  Each distinct product is formed and fit once:
+when psi_u is psi_x, products (i, a) and (a, i) are the same bits, so
+d(d+1)/2 columns stand for the d^2 of the blocks.  The states are lifted
+once into feature-major (d_psi, N) arrays, and the fit makes two passes
+over them in chunks of ``QR_CHUNK`` snapshots, forming one chunk of
+products at a time:
+
+1. a streamed Householder QR of psi_x that rotates the product chunks
+   along, giving Q^T C without forming Q; the coefficients of every
+   product follow from the SVD of the small triangle R, cut by gelsd's
+   rank rule, so a rank-deficient psi_x gets minimum-norm solutions;
+2. the squared residual ||c - psi_x^T coef||^2 of every product column,
+   formed explicitly (the kept blocks' residuals are at rounding level,
+   where ||c||^2 - ||Q^T c||^2 would cancel).
+
+Working memory beyond the lifted arrays is one chunk of products; the
 N x (d_psi_x d_psi_u) kron target is never formed.
 
 When the condition holds, the closed-loop lifted operator becomes
@@ -34,7 +46,7 @@ import numpy as np
 from .babbling import SnapshotDataset
 from .edmd import BilinearKoopmanModel
 from .observables import ObservableMap, evaluate_batch
-from .tensor import (matrix_from_json, matrix_to_json, row_chunks,
+from .tensor import (QR_CHUNK, matrix_from_json, matrix_to_json, row_chunks,
                      streamed_qr, truncated_svd)
 
 
@@ -61,47 +73,75 @@ class FactorizationPair:
 
 
 def _lift_states(data, map_x: ObservableMap, map_u: ObservableMap):
-    """(psi_x, psi_u), each (N, d_psi), lifting the states once per map.
+    """(psi_x, psi_u), each feature-major (d_psi, N), lifting the states
+    once per map.
 
     psi_u is the psi_x array itself when ``map_u is map_x``.
     """
     states = data.x if isinstance(data, SnapshotDataset) else np.asarray(data)
     if states.size == 0:
         raise ValueError("empty dataset")
-    psi_x = evaluate_batch(map_x, states).T
-    psi_u = psi_x if map_u is map_x else evaluate_batch(map_u, states).T
+    psi_x = evaluate_batch(map_x, states)
+    psi_u = psi_x if map_u is map_x else evaluate_batch(map_u, states)
     return psi_x, psi_u
 
 
-def _fit_blocks(psi_x: np.ndarray, psi_u: np.ndarray):
-    """Fit block i, psi_x[:, i] * psi_u, onto psi_x for every i in turn.
+def _product_layout(d_x: int, d_u: int, shared: bool):
+    """(heads, index) of the distinct products psi_x[i] * psi_u[a].
 
-    All blocks share one basis of psi_x: Q R from ``streamed_qr`` and the
-    SVD of R.  Singular values at or below eps * s_max are dropped, as
-    gelsd does, so a rank-deficient psi_x gets the minimum-norm block
-    solutions.  The block targets and fits reuse two N x d_psi_u buffers.
+    Product row block i holds psi_x[i] * psi_u[heads[i]:]; index[i, a]
+    is the row of psi_x[i] * psi_u[a].  With a shared map, heads[i] = i,
+    and (i, a) with a < i reads the row of (a, i).
     """
-    n, d_x_feat = psi_x.shape
-    d_u_feat = psi_u.shape[1]
-    q = np.empty((n, min(n, d_x_feat)))
-    r = streamed_qr((psi_x[s] for s in row_chunks(n)), q=q)
+    heads = list(range(d_x)) if shared else [0] * d_x
+    index = np.empty((d_x, d_u), dtype=int)
+    row = 0
+    for i, h in enumerate(heads):
+        index[i, h:] = np.arange(row, row + d_u - h)
+        row += d_u - h
+    if shared:
+        lower = np.tril_indices(d_x, -1)
+        index[lower] = index.T[lower]
+    return heads, index
+
+
+def _fit_blocks(psi_x: np.ndarray, psi_u: np.ndarray):
+    """Fit every product psi_x[i] * psi_u[a] onto psi_x in two passes.
+
+    psi_x and psi_u are feature-major (d_psi, N); when ``psi_u is psi_x``
+    each product is formed and fit once.  Returns (Hbar, residuals, info)
+    as ``fit_candidate_hbar`` does.
+    """
+    d_x, n = psi_x.shape
+    d_u = psi_u.shape[0]
+    heads, index = _product_layout(d_x, d_u, psi_u is psi_x)
+    n_products = index.max() + 1
+    chunk = np.empty((n_products, min(n, QR_CHUNK)))
+    fit = np.empty_like(chunk)
+
+    def products(s):
+        c = chunk[:, : s.stop - s.start]
+        row = 0
+        for i, h in enumerate(heads):
+            np.multiply(psi_x[i, s], psi_u[h:, s], out=c[row : row + d_u - h])
+            row += d_u - h
+        return c
+
+    spans = row_chunks(n)
+    r, qtc = streamed_qr((psi_x[:, s].T for s in spans),
+                         (products(s).T for s in spans))
     w, sv_r, vt_r, cond = truncated_svd(r)
-    rank = len(sv_r)
-    for s in row_chunks(n):
-        q[s, :rank] = q[s] @ w
-    u_r = q[:, :rank]
-    hbar = np.zeros((d_x_feat * d_u_feat, d_x_feat))
-    residuals = np.zeros(d_x_feat)
-    target = np.empty_like(psi_u)
-    fit = np.empty((n, d_u_feat))
-    for i in range(d_x_feat):
-        np.multiply(psi_x[:, i : i + 1], psi_u, out=target)  # block i
-        coef = vt_r.T @ ((u_r.T @ target) / sv_r[:, None])
-        target -= np.matmul(psi_x, coef, out=fit)
-        residuals[i] = np.linalg.norm(target) / np.sqrt(n)
-        hbar[i * d_u_feat : (i + 1) * d_u_feat] = coef.T
-    info = {"rank": rank, "n_snapshots": int(n), "cond": cond, "flags": []}
-    if rank < d_x_feat:
+    coef_t = ((w.T @ qtc) / sv_r[:, None]).T @ vt_r     # (products, d_x)
+    sq = np.zeros(n_products)
+    for s in spans:
+        c = products(s)
+        c -= np.matmul(coef_t, psi_x[:, s], out=fit[:, : c.shape[1]])
+        sq += np.einsum("ij,ij->i", c, c)
+    hbar = coef_t[index].reshape(d_x * d_u, d_x)
+    residuals = np.sqrt(sq[index].sum(axis=1) / n)
+    info = {"rank": len(sv_r), "n_snapshots": int(n), "cond": cond,
+            "flags": []}
+    if len(sv_r) < d_x:
         info["flags"].append("rank-deficient psi_x regressor")
     return hbar, residuals, info
 
@@ -111,17 +151,18 @@ def fit_candidate_hbar(data, map_x: ObservableMap, map_u: ObservableMap):
 
     ``data`` is a SnapshotDataset or an (N, d_x) array of states.  Returns
     (Hbar, residuals, info); residual i is the RMS over snapshots of the
-    block-i error vector.  The fit is streamed block by block against one
-    orthonormal basis of psi_x: beyond the lifted arrays, each block needs
-    O(N d_psi_u) working memory, never O(N d_psi_x d_psi_u) for the whole
-    target.  Rank deficiency of the regressor is flagged.
+    block-i error vector.  All blocks are fit in two streamed passes over
+    the lifted arrays (see the module docstring), so working memory beyond
+    them is one chunk of products, never O(N d_psi_x d_psi_u) for the
+    whole target.  Rank deficiency of the regressor is flagged.
     """
     return _fit_blocks(*_lift_states(data, map_x, map_u))
 
 
 def _auto_eps_h(psi_x: np.ndarray, psi_u: np.ndarray) -> float:
     """1e-6 times the RMS magnitude of psi_x kron psi_u over the data."""
-    kron_sq = np.sum(psi_x ** 2, axis=1) * np.sum(psi_u ** 2, axis=1)
+    kron_sq = np.einsum("ij,ij->j", psi_x, psi_x) \
+        * np.einsum("ij,ij->j", psi_u, psi_u)
     return 1e-6 * float(np.sqrt(np.mean(kron_sq)))
 
 

@@ -15,6 +15,10 @@ A map is compiled once into a lift plan of its distinct pieces: powers
 of state components, linear combinations, sin/cos terms keyed by (kind,
 coefficients) and denominators.  Each call evaluates every piece once
 and writes each feature into its column of one preallocated output.
+``evaluate_batch`` hands the plan the transpose of a feature-major
+(d_psi, N) array as that output, so each feature is written into one
+contiguous row; ``ObservableMap.__call__`` keeps the C-ordered (..., d_psi)
+output that single states and small batches use.
 The plan keeps the per-feature operation order, so every value is
 bitwise what evaluating the feature on its own gives:
 
@@ -111,13 +115,18 @@ class LiftPlan:
         self.denoms = tuple(denoms)
         self.columns = tuple(columns)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Lift float states x of shape (..., d_x) to (..., n_features)."""
+    def __call__(self, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Lift float states x of shape (..., d_x) to (..., n_features).
+
+        ``out``, when given, is any float array of that shape (a transposed
+        feature-major array among them); it is filled and returned.
+        """
         if x.ndim == 1:  # one state: a batch of one keeps every piece an array
-            return self(x[None])[0]
+            return self(x[None], None if out is None else out[None])[0]
         # the output is allocated before any piece, so a large batch
         # peaks at the output plus the pieces, not pieces plus output
-        out = np.empty(x.shape[:-1] + (len(self.columns),))
+        if out is None:
+            out = np.empty(x.shape[:-1] + (len(self.columns),))
         vals = [None] * self.n_pieces
         for k, i, p in self.powers:
             vals[k] = x[..., i] if p == 1 else x[..., i] ** p
@@ -187,14 +196,15 @@ class ObservableMap:
     def plan(self) -> LiftPlan:
         return LiftPlan(self.features)
 
-    def __call__(self, x) -> np.ndarray:
-        """Lift a single state (d_x,) or a batch (..., d_x) to (..., d_psi)."""
+    def __call__(self, x, out: np.ndarray = None) -> np.ndarray:
+        """Lift a single state (d_x,) or a batch (..., d_x) to (..., d_psi),
+        into ``out`` when given (see ``LiftPlan.__call__``)."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.state_dim:
             raise ValueError(
                 f"state has dimension {x.shape[-1]}, map expects {self.state_dim}"
             )
-        return self.plan(x)
+        return self.plan(x, out)
 
     def to_descriptor(self) -> dict:
         return {"name": self.name, "state_dim": self.state_dim,
@@ -280,7 +290,9 @@ def decoding_operator(m: ObservableMap) -> np.ndarray:
 
 
 def evaluate_batch(m: ObservableMap, states) -> np.ndarray:
-    """Lift a list of states into a (d_psi, N) matrix, one column per state.
+    """Lift a list of states into a C-contiguous (d_psi, N) matrix, one
+    column per state: each feature is one contiguous row, which an
+    ``ObservableMap`` writes directly.
 
     Raises on non-finite feature values, naming the offending state index.
     """
@@ -289,8 +301,12 @@ def evaluate_batch(m: ObservableMap, states) -> np.ndarray:
         return np.zeros((m.dim, 0))
     if states.ndim == 1:
         states = states.reshape(1, -1)
+    cols = np.empty((m.dim, states.shape[0]))
     with np.errstate(all="ignore"):  # non-finite values are flagged below
-        cols = m(states).T
+        if isinstance(m, ObservableMap):
+            m(states, out=cols.T)
+        else:  # any other callable map: its (N, d_psi) lift, copied
+            cols[...] = m(states).T
     bad = np.nonzero(~np.all(np.isfinite(cols), axis=0))[0]
     if bad.size:
         raise ValueError(

@@ -61,42 +61,42 @@ def min_eigenvalue(m) -> float:
 
 
 def row_chunks(n: int) -> list:
-    """Consecutive row slices of at most QR_CHUNK rows covering range(n)."""
+    """Consecutive slices of at most QR_CHUNK rows (or snapshots, in a
+    feature-major array) covering range(n)."""
     return [slice(i, min(i + QR_CHUNK, n)) for i in range(0, n, QR_CHUNK)]
 
 
-def streamed_qr(chunks, q: np.ndarray = None) -> np.ndarray:
+def streamed_qr(chunks, rhs=None):
     """R factor of the row stack of the 2-d arrays ``chunks`` yields.
 
     A flat-tree tall-skinny QR: each step factors [R so far; next chunk]
     with Householder ``np.linalg.qr``, so only R and one chunk are held.
-    R has min(rows, columns) rows.  Given ``q``, an array of that many
-    columns and one row per stacked row, the orthonormal factor is also
-    written into it, so that the stack equals q @ R.
+    R has min(rows, columns) rows.  Given ``rhs``, an iterable of one
+    right-hand block per chunk (its rows, any number of columns), each
+    step also rotates the blocks so far by that step's Q, and the result
+    is (R, Q^T B) for the row stack B of the blocks; Q is never formed.
     """
-    r = None
-    steps = []          # (stack rows of the chunk, width of its Q, top of Q)
-    start = 0
+    r = qtb = None
+    blocks = None if rhs is None else iter(rhs)
     for c in chunks:
-        a = c if r is None else np.vstack([r, c])
-        if q is None:
+        top = 0 if r is None else r.shape[0]
+        if top:
+            # Fortran order is what LAPACK factors, so the copy into its
+            # work array is a straight one
+            a = np.empty((top + c.shape[0], c.shape[1]), order="F")
+            a[:top] = r
+            a[top:] = c
+        else:
+            a = c
+        if blocks is None:
             r = np.linalg.qr(a, mode="r")
             continue
-        top = a.shape[0] - c.shape[0]
-        qk, r = np.linalg.qr(a)
-        rows = slice(start, start + c.shape[0])
-        q[rows, : qk.shape[1]] = qk[top:]
-        steps.append((rows, qk.shape[1], qk[:top]))
-        start = rows.stop
+        q, r = np.linalg.qr(a)
+        step = q[top:].T @ next(blocks)
+        qtb = step if qtb is None else q[:top].T @ qtb + step
     if r is None:
         raise ValueError("no rows to factor")
-    # every later step rotates a chunk's rows again, through the top rows
-    # of its own Q (the rows that multiplied the R so far)
-    t = np.eye(r.shape[0])
-    for rows, width, top in reversed(steps):
-        q[rows] = q[rows, :width] @ t
-        t = top @ t
-    return r
+    return r if blocks is None else (r, qtb)
 
 
 def truncated_svd(r: np.ndarray):

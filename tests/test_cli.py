@@ -214,6 +214,22 @@ class TestFactorizationFailureCode:
         assert err.count("\n") == 1
 
 
+class TestIdentifyFailureCode:
+    def test_split_without_training_rows_exits_3_with_one_line(
+            self, tmp_path, capsys):
+        # one gain x one initial condition: the held-out split takes the
+        # only trajectory
+        cfgfile = smoke_config(tmp_path, babbling={
+            "num_gains": 1, "num_initial_conditions": 1})
+        code = cli.main(["pipeline", "--config", str(cfgfile)])
+        assert code == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot identify: no training snapshots")
+        assert "holdout_fraction 0.1" in err and "trajectory count 1" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "model.json").exists()
+
+
 class TestSynthesisFailureCode:
     def test_zero_authority_model_exits_4(self, tmp_path, capsys):
         cfgfile = smoke_config(tmp_path, synthesis={"max_resamples": 2})

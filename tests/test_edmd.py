@@ -230,6 +230,15 @@ class TestIdentifyModel:
         assert model.diagnostics["train_mse"] < 1e-10
         assert model.diagnostics["n_holdout"] > 0
 
+    def test_split_without_training_snapshots_rejected(self):
+        # one trajectory, which the whole-trajectory split holds out
+        x = np.random.default_rng(10).standard_normal((30, 1))
+        ds = dataset_from_arrays(x, np.ones((30, 1)), 0.5 * x)
+        ds.traj_id[:] = 0
+        with pytest.raises(ValueError, match=r"holdout_fraction 0\.1 holds "
+                           r"out every trajectory \(trajectory count 1\)"):
+            edmd.identify_model(ds, polynomial_map("lin", (1,)), np.eye(1))
+
     def test_empty_dataset_rejected(self):
         ds = dataset_from_arrays(np.zeros((0, 1)), np.zeros((0, 1)),
                                  np.zeros((0, 1)))
@@ -327,8 +336,10 @@ class TestLiftSnapshots:
             assert not np.any(np.all(ds.x_next[:-1] == ds.x[1:], axis=1))
         counted = CountingMap(m)
         psi, psi_next = edmd.lift_snapshots(ds, counted)
-        assert psi.tobytes() == m(ds.x).tobytes()
-        assert psi_next.tobytes() == m(ds.x_next).tobytes()
+        # feature-major: psi.T is the (N, d_psi) lift, element for element
+        assert psi.flags.c_contiguous and psi.shape == (m.dim, len(ds))
+        assert psi.T.tobytes() == m(ds.x).tobytes()
+        assert psi_next.T.tobytes() == m(ds.x_next).tobytes()
         # one lift of x plus one of the rows that do not chain
         ends = len(ds) if kind == "permuted" else ds.n_trajectories
         assert counted.rows == [len(ds), ends]

@@ -3,8 +3,9 @@ import pytest
 
 from koopctl import factorization as fz
 from koopctl.edmd import BilinearKoopmanModel
-from koopctl.tensor import QR_CHUNK
+from koopctl.tensor import QR_CHUNK, row_chunks, truncated_svd
 from koopctl.observables import (
+    Feature,
     ObservableMap,
     double_pendulum_map,
     polynomial_map,
@@ -295,9 +296,9 @@ class TestStreamedFitMatchesOneShot:
         calls = []
 
         class CountingMap(type(m)):
-            def __call__(self, x):
+            def __call__(self, x, out=None):
                 calls.append(np.asarray(x).shape[0])
-                return super().__call__(x)
+                return super().__call__(x, out)
 
         counted = CountingMap(name=m.name, state_dim=m.state_dim,
                               features=m.features)
@@ -336,12 +337,13 @@ class TestStreamedBasisMatchesGesdd:
     @pytest.mark.parametrize("deficient", [False, True])
     def test_blocks_rank_and_cond(self, n, deficient):
         rng = np.random.default_rng([n, int(deficient)])
-        # (N, d) views of (d, N) arrays, the layout evaluate_batch gives
-        psi_x = rng.uniform(-2, 2, size=(5, n)).T
+        # feature-major (d, N) arrays, the layout evaluate_batch gives
+        psi_x = rng.uniform(-2, 2, size=(5, n))
         if deficient:
-            psi_x[:, 3] = 0.0     # an exactly zero feature
-        psi_u = psi_x if n % 2 else rng.uniform(-2, 2, size=(3, n)).T
-        hbar_ref, res_ref, rank_ref, cond_ref = gesdd_reference(psi_x, psi_u)
+            psi_x[3] = 0.0        # an exactly zero feature
+        psi_u = psi_x if n % 2 else rng.uniform(-2, 2, size=(3, n))
+        hbar_ref, res_ref, rank_ref, cond_ref = gesdd_reference(psi_x.T,
+                                                                psi_u.T)
         hbar, res, info = fz._fit_blocks(psi_x, psi_u)
         np.testing.assert_allclose(hbar, hbar_ref, rtol=1e-10,
                                    atol=1e-12 * np.abs(hbar_ref).max())
@@ -356,3 +358,96 @@ class TestStreamedBasisMatchesGesdd:
             assert info["cond"] == pytest.approx(cond_ref, rel=1e-10)
         else:
             assert info["cond"] > 1e12
+
+
+def streamed_q(a):
+    """(Q, R) of the rows of ``a`` from a flat-tree QR of QR_CHUNK-row
+    chunks, Q rotated back through each later step's top rows."""
+    n = a.shape[0]
+    q = np.empty((n, min(a.shape)))
+    r, steps = None, []
+    for s in row_chunks(n):
+        stacked = a[s] if r is None else np.vstack([r, a[s]])
+        top = stacked.shape[0] - (s.stop - s.start)
+        qk, r = np.linalg.qr(stacked)
+        q[s, : qk.shape[1]] = qk[top:]
+        steps.append((s, qk.shape[1], qk[:top]))
+    t = np.eye(r.shape[0])
+    for rows, width, top in reversed(steps):
+        q[rows] = q[rows, :width] @ t
+        t = top @ t
+    return q, r
+
+
+def per_block_reference(psi_x, psi_u):
+    """The fit the all-products one replaced: every block in turn, on
+    (N, d) rows, against the basis Q W of psi_x from ``streamed_q`` and the
+    SVD of R; returns (hbar, residuals, info, block target RMS)."""
+    n, d_x = psi_x.shape
+    d_u = psi_u.shape[1]
+    q, r = streamed_q(psi_x)
+    w, sv_r, vt_r, cond = truncated_svd(r)
+    u_r = q @ w
+    hbar = np.zeros((d_x * d_u, d_x))
+    residuals, scale = np.zeros(d_x), np.zeros(d_x)
+    for i in range(d_x):
+        target = psi_x[:, i : i + 1] * psi_u
+        scale[i] = np.linalg.norm(target) / np.sqrt(n)
+        coef = vt_r.T @ ((u_r.T @ target) / sv_r[:, None])
+        target -= psi_x @ coef
+        residuals[i] = np.linalg.norm(target) / np.sqrt(n)
+        hbar[i * d_u : (i + 1) * d_u] = coef.T
+    info = {"rank": len(sv_r), "n_snapshots": n, "cond": cond, "flags": []}
+    if len(sv_r) < d_x:
+        info["flags"].append("rank-deficient psi_x regressor")
+    return hbar, residuals, info, scale
+
+
+def single_pendulum_controller_map():
+    """A psi_u that is not psi_x: state, constant and sin(theta)."""
+    m = single_pendulum_map()
+    return ObservableMap(name="ctrl", state_dim=2,
+                         features=tuple(m.features[i] for i in (0, 1, 2, 5)))
+
+
+def zero_feature_map():
+    """The single-pendulum map plus sin(0 * x), an exactly zero feature."""
+    m = single_pendulum_map()
+    zero = Feature(label="0", trigs=(("sin", (0.0, 0.0)),))
+    return ObservableMap(name="zero", state_dim=2,
+                         features=m.features[:4] + (zero,) + m.features[4:])
+
+
+class TestAllProductsFitMatchesPerBlock:
+    """The two-pass all-products fit against the per-block fit it replaced."""
+
+    @pytest.mark.parametrize("n", [3, QR_CHUNK, QR_CHUNK + 1])
+    @pytest.mark.parametrize("case", ["single", "double", "distinct-map-u",
+                                      "zero-feature"])
+    def test_mask_rank_flags_blocks_and_residuals(self, case, n):
+        if case == "double":
+            map_x = map_u = double_pendulum_map()
+        elif case == "zero-feature":
+            map_x = map_u = zero_feature_map()
+        else:
+            map_x = map_u = single_pendulum_map()
+        if case == "distinct-map-u":
+            map_u = single_pendulum_controller_map()
+        states = np.random.default_rng(n).uniform(-3, 3,
+                                                  (n, map_x.state_dim))
+        psi_x, psi_u = fz._lift_states(states, map_x, map_u)
+        assert (psi_u is psi_x) == (case != "distinct-map-u")
+        hbar, res, info = fz._fit_blocks(psi_x, psi_u)
+        hbar_ref, res_ref, info_ref, scale = per_block_reference(psi_x.T,
+                                                                 psi_u.T)
+        assert info["rank"] == info_ref["rank"]
+        assert info["flags"] == info_ref["flags"]
+        assert info["n_snapshots"] == n
+        assert (info["rank"] < map_x.dim) == (case == "zero-feature"
+                                              or n < map_x.dim)
+        np.testing.assert_allclose(hbar, hbar_ref, rtol=0,
+                                   atol=1e-12 * np.abs(hbar_ref).max())
+        tol = np.maximum(1e-12 * res_ref, 1e2 * np.finfo(float).eps * scale)
+        assert np.all(np.abs(res - res_ref) <= tol)
+        eps_h = fz._auto_eps_h(psi_x, psi_u)
+        np.testing.assert_array_equal(res <= eps_h, res_ref <= eps_h)

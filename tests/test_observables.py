@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from koopctl import observables as obs
+from koopctl.evaluation import feedback_controller
 
 
 def reference_feature(f: obs.Feature, x) -> np.ndarray:
@@ -85,7 +86,13 @@ class TestLiftPlanMatchesPerFeature:
             elements=st.one_of(st.sampled_from([0.0, -0.0]),
                                st.floats(-10.0, 10.0))))
         with np.errstate(all="ignore"):
-            assert_bitwise(m(x), reference_lift(m, x))
+            want = reference_lift(m, x)
+            assert_bitwise(m(x), want)
+            if len(lead) == 1:
+                # the batch lift is feature-major: one contiguous row each
+                batch = obs.evaluate_batch(m, x)
+                assert batch.flags.c_contiguous
+                assert_bitwise(batch, want.T)
 
     @pytest.mark.parametrize("make", [obs.single_pendulum_map,
                                       obs.double_pendulum_map])
@@ -96,8 +103,18 @@ class TestLiftPlanMatchesPerFeature:
             x = rng.uniform(-6, 6, size=lead + (m.state_dim,))
             x.flat[::5] = 0.0
             x.flat[1::5] = -0.0
-            assert_bitwise(m(x), reference_lift(m, x))
+            want = reference_lift(m, x)
+            assert_bitwise(m(x), want)
             assert m(x).flags.c_contiguous
+            # the feedback on a batch is the single-state K_u @ psi
+            k_u = rng.standard_normal((2, m.dim))
+            u = feedback_controller(m, k_u)(x)
+            single = [k_u @ m(xi) for xi in x.reshape(-1, m.state_dim)]
+            assert_bitwise(u, np.reshape(single, lead + (2,)))
+            if len(lead) == 1:
+                batch = obs.evaluate_batch(m, x)
+                assert batch.flags.c_contiguous
+                assert_bitwise(batch, want.T)
 
     def test_double_pendulum_shares_trig_terms_and_denominator(self):
         plan = obs.double_pendulum_map().plan

@@ -100,13 +100,17 @@ class TestStreamedQr:
         rng = np.random.default_rng(len(sizes))
         chunks = [rng.standard_normal((m, 4)) for m in sizes]
         a = np.vstack(chunks)
+        b = rng.standard_normal((a.shape[0], 3))
+        blocks = np.split(b, np.cumsum(sizes)[:-1])
         k = min(a.shape)
-        q = np.empty((a.shape[0], k))
-        r = tensor.streamed_qr(iter(chunks), q=q)
-        assert r.shape == (k, 4)
+        r, qtb = tensor.streamed_qr(iter(chunks), iter(blocks))
+        assert r.shape == (k, 4) and qtb.shape == (k, 3)
         assert np.all(np.tril(r, -1) == 0.0)
-        np.testing.assert_allclose(q @ r, a, atol=1e-13)
-        np.testing.assert_allclose(q.T @ q, np.eye(k), atol=1e-14)
+        np.testing.assert_allclose(r.T @ r, a.T @ a, atol=1e-13)
+        # a = q r, so a^T b = r^T (q^T b), and q^T a is r itself
+        np.testing.assert_allclose(r.T @ qtb, a.T @ b, atol=1e-13)
+        _, qta = tensor.streamed_qr(iter(chunks), iter(chunks))
+        np.testing.assert_allclose(qta, r, atol=1e-14)
         np.testing.assert_array_equal(tensor.streamed_qr(iter(chunks)), r)
 
     def test_row_chunks_cover_the_rows(self):
