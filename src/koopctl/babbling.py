@@ -113,14 +113,17 @@ def grid_initial_conditions(cfg: BabblingConfig, d_x: int = None) -> np.ndarray:
     """Cartesian-product grid over state_grid bounds, endpoints included.
 
     A single point per dimension sits at the lower bound by convention.
-    Raises when an explicit grid_shape does not multiply to the requested
-    count.
+    Raises when an explicit grid_shape does not hold one count per state
+    component or does not multiply to the requested count.
     """
     d_x = len(cfg.state_grid) if d_x is None else d_x
     if len(cfg.state_grid) != d_x:
         raise ValueError("state_grid dimension mismatch")
     if cfg.grid_shape is not None:
         shape = tuple(int(n) for n in cfg.grid_shape)
+        if len(shape) != d_x:
+            raise ValueError(f"grid_shape {shape} needs {d_x} counts, "
+                             f"one per state component")
         if int(np.prod(shape)) != cfg.num_initial_conditions:
             raise ValueError(
                 f"grid_shape {shape} does not factor "

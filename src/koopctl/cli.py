@@ -1,13 +1,14 @@
 """Pipeline driver: babble -> factorize -> identify -> synthesize -> evaluate.
 
 Exit codes: 0 success, 2 config error, 3 stage-precondition error
-(missing, corrupt or stale upstream artifact, or a dataset identify
-cannot fit), 4 synthesis infeasible, 5 evaluation gate failed, 6
-factorization retained no block, 7 artifact could not be written (e.g.
-disk full), reported in one line naming the file.  Stage outputs embed
-the hash of the whole config; ``pipeline`` skips a stage whose artifact
-carries the current hash, so any config edit reruns every stage.
-Artifacts are written atomically.
+(missing, corrupt or stale upstream artifact, a babble whose every
+trajectory diverged, or a dataset identify cannot fit), 4 synthesis
+infeasible, 5 evaluation gate failed, 6 factorization retained no
+block, 7 artifact could not be written (e.g. disk full), reported in
+one line naming the file.  Stage outputs embed the hash of the whole
+config; ``pipeline`` skips a stage whose artifact carries the current
+hash, so any config edit reruns every stage.  Artifacts are written
+atomically.
 """
 
 from __future__ import annotations
@@ -129,7 +130,10 @@ def cmd_babble(cfg: dict) -> SnapshotDataset:
     plant = build_plant(cfg)
     map_x, map_u = build_maps(cfg)
     bcfg = babbling_config(cfg, plant.state_dim)
-    ds = generate_dataset(plant, map_x, map_u, bcfg)
+    try:
+        ds = generate_dataset(plant, map_x, map_u, bcfg)
+    except ValueError as exc:
+        raise StageError(f"cannot babble: {exc}", EXIT_PRECONDITION)
     outdir = _outdir(cfg) / "dataset"
     with _writing(outdir):
         save_dataset(ds, outdir, extra_meta={"meta": artifact_meta(cfg)})

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .babbling import BabblingConfig
+from .babbling import BabblingConfig, grid_initial_conditions
 from .observables import (
     ObservableMap,
     double_pendulum_map,
@@ -218,7 +218,7 @@ def babbling_config(cfg: dict, state_dim: int) -> BabblingConfig:
             f"babbling.state_grid must hold {state_dim} [lo, hi] rows, one "
             f"per {cfg['plant']['kind']} state component, got {grid!r}")
     try:
-        return BabblingConfig(
+        bcfg = BabblingConfig(
             num_gains=int(b["num_gains"]),
             num_initial_conditions=int(b["num_initial_conditions"]),
             gain_scale=float(b["gain_scale"]),
@@ -229,8 +229,10 @@ def babbling_config(cfg: dict, state_dim: int) -> BabblingConfig:
             dt=float(b["dt"]),
             seed=int(cfg["seed"]),
         )
+        grid_initial_conditions(bcfg, state_dim)  # checks grid_shape
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad babbling config: {exc}")
+    return bcfg
 
 
 def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:

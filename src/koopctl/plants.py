@@ -26,10 +26,13 @@ B is optional viscous joint damping, zero by default.
 
 All dynamics are written with elementwise numpy operations only (the
 2x2 mass-matrix solve is closed form), so stepping a batch of states
-produces bitwise the same numbers as stepping each state alone.  That
-holds for the double pendulum's fused right-hand side too, which shares
-the mass-matrix terms between f and g and gives bitwise the same
-f(x) + g(x) u as composing ``drift`` and ``input_matrix``.
+produces bitwise the same numbers as stepping each state alone.  Both
+pendulums also supply a fused right-hand side that gives bitwise the
+same f(x) + g(x) u as composing ``drift`` and ``input_matrix``, in
+fewer numpy calls: the single pendulum's builds no stacked drift and no
+zero-filled g, and the double pendulum's shares the mass-matrix terms
+between f and g.  ``rk4_step`` calls the fused form when a plant has
+one and the composition otherwise.
 """
 
 from __future__ import annotations
@@ -101,24 +104,39 @@ def single_pendulum(m: float = 1.0, L: float = 1.0, b: float = 0.3,
     if b < 0 or gravity < 0:
         raise ValueError("damping and gravity must be nonnegative")
     inertia = m * L * L
+    k_sin = gravity / L
+    k_om = b / inertia
+    k_u = 1.0 / inertia
 
     def drift(x):
         th = x[..., 0]
         om = x[..., 1]
-        acc = (gravity / L) * np.sin(th) - (b / inertia) * om
+        acc = k_sin * np.sin(th) - k_om * om
         return np.stack([om, acc], axis=-1)
 
     def input_matrix(x):
         x = np.asarray(x, dtype=float)
         g = np.zeros(x.shape[:-1] + (2, 1))
-        g[..., 1, 0] = 1.0 / inertia
+        g[..., 1, 0] = k_u
         return g
+
+    def rhs(x, u):
+        # drift + g[..., 0] u0 with g = [0, k_u]: 0.0 * u0 keeps the sign
+        # of zero the angle row gets from the composition
+        th = x[..., 0]
+        om = x[..., 1]
+        u0 = u[..., 0]
+        out = np.empty(x.shape)  # u broadcasts against x's rows
+        np.add(om, 0.0 * u0, out=out[..., 0])
+        np.add(k_sin * np.sin(th) - k_om * om, k_u * u0, out=out[..., 1])
+        return out
 
     return ControlAffinePlant(
         name="single_pendulum", state_dim=2, input_dim=1,
         drift=drift, input_matrix=input_matrix,
         input_bounds=np.array([[-input_bound, input_bound]]),
         params={"m": m, "L": L, "b": b, "gravity": gravity},
+        fused_rhs=rhs,
     )
 
 
@@ -215,10 +233,12 @@ def rk4_step(plant: ControlAffinePlant, x, u, dt: float) -> np.ndarray:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    k1 = plant.rhs(x, u)
-    k2 = plant.rhs(x + 0.5 * dt * k1, u)
-    k3 = plant.rhs(x + 0.5 * dt * k2, u)
-    k4 = plant.rhs(x + dt * k3, u)
+    f = plant.rhs if plant.fused_rhs is None else plant.fused_rhs
+    h = 0.5 * dt  # 0.5 * dt * k evaluates as (0.5 * dt) * k anyway
+    k1 = f(x, u)
+    k2 = f(x + h * k1, u)
+    k3 = f(x + h * k2, u)
+    k4 = f(x + dt * k3, u)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -240,24 +260,32 @@ def rollout(plant: ControlAffinePlant, x0, controller, T: int, dt: float):
     x = np.asarray(x0, dtype=float).copy()
     lead = x.shape[:-1]
     d_u = plant.input_dim
+    u_shape = lead + (d_u,)
+    lo = plant.input_bounds[:, 0]
+    hi = plant.input_bounds[:, 1]
     fixed = None if callable(controller) else \
         np.asarray(controller, dtype=float).reshape(T, d_u)
     states = np.zeros(lead + (T + 1, plant.state_dim))
     inputs = np.zeros(lead + (T, d_u))
     states[..., 0, :] = x
     n_ok = np.full(lead, T)  # steps completed before the first non-finite one
-    for k in range(T):
-        u = controller(x) if fixed is None else fixed[k]
-        u = plant.clip_input(np.broadcast_to(u, lead + (d_u,)))
-        x = rk4_step(plant, x, u, dt)
-        bad = ~np.all(np.isfinite(x), axis=-1)
-        if np.any(bad):
-            n_ok[bad & (n_ok == T)] = k
-            if np.all(n_ok < T):
-                break
-            x[bad] = 0.0
-        inputs[..., k, :] = u
-        states[..., k + 1, :] = x
+    # diverging rows overflow on their way out; n_ok records them instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(T):
+            u = controller(x) if fixed is None else fixed[k]
+            if np.shape(u) != u_shape:
+                u = np.broadcast_to(u, u_shape)
+            # np.clip(u, lo, hi) bitwise, NaNs and signed zeros included
+            u = np.minimum(hi, np.maximum(lo, u))
+            x = rk4_step(plant, x, u, dt)
+            if not np.isfinite(x).all():
+                bad = ~np.all(np.isfinite(x), axis=-1)
+                n_ok[bad & (n_ok == T)] = k
+                if np.all(n_ok < T):
+                    break
+                x[bad] = 0.0
+            inputs[..., k, :] = u
+            states[..., k + 1, :] = x
     trajs = [Trajectory(states=xs[: n + 1], inputs=us[:n], dt=dt,
                         diverged=bool(n < T))
              for xs, us, n in zip(states.reshape(-1, T + 1, plant.state_dim),

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,18 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: bad babbling config")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("shape, why", [
+        ([3, 3], "(3, 3) does not factor 4 initial conditions"),
+        ([4], "(4,) needs 2 counts, one per state component"),
+    ])
+    def test_bad_grid_shape_exits_2(self, tmp_path, capsys, shape, why):
+        cfgfile = smoke_config(tmp_path, babbling={
+            "grid_shape": shape, "num_initial_conditions": 4})
+        assert cli.main(["babble", "--config", str(cfgfile)]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: bad babbling config: grid_shape {why}\n"
 
 
 class TestInit:
@@ -212,6 +225,24 @@ class TestFactorizationFailureCode:
         err = capsys.readouterr().err
         assert err.startswith("factorization failed: no block residual")
         assert err.count("\n") == 1
+
+
+class TestBabbleFailureCode:
+    def test_all_diverged_exits_3_with_one_line(self, tmp_path, capsys):
+        # every grid corner starts at +-1e200: the lift overflows and
+        # every row leaves the floats, with no RuntimeWarning on stderr
+        cfgfile = smoke_config(tmp_path, babbling={
+            "state_grid": [[-1e200, 1e200], [-1e200, 1e200]],
+            "num_gains": 2, "num_initial_conditions": 4})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["babble", "--config", str(cfgfile)])
+        assert code == cli.EXIT_PRECONDITION
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err == ("error: cannot babble: all trajectories diverged; "
+                       "nothing to identify from\n")
+        assert not (tmp_path / "out" / "dataset" / "manifest.json").exists()
 
 
 class TestIdentifyFailureCode:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from koopctl import plants
+from koopctl.evaluation import feedback_controller
+from koopctl.observables import double_pendulum_map, single_pendulum_map
 
 
 def mechanical_energy(plant, x) -> np.ndarray:
@@ -143,8 +145,13 @@ def generic_rhs(plant, x, u):
     return dataclasses.replace(plant, fused_rhs=None).rhs(x, u)
 
 
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestFusedRhsMatchesComposition:
-    """The double pendulum's fused rhs against drift + input_matrix."""
+    """Each pendulum's fused rhs against drift + input_matrix."""
 
     @pytest.mark.parametrize("params", [
         {}, {"gravity": 1.0},
@@ -181,6 +188,32 @@ class TestFusedRhsMatchesComposition:
                                        [False, False]])
         np.testing.assert_array_equal(got.view(np.uint64),
                                       want.view(np.uint64))
+
+    @pytest.mark.parametrize("params", [{}, {"gravity": 1.0}, {"b": 0.0}])
+    @pytest.mark.parametrize("lead", [(), (1,), (60,), (2160,)])
+    def test_single_pendulum_bitwise(self, params, lead):
+        plant = plants.single_pendulum(**params)
+        rng = np.random.default_rng(sum(lead) + 1)
+        x = rng.uniform(-4, 4, size=lead + (2,))
+        u = rng.uniform(-8, 8, size=lead + (1,))  # beyond the +-5 bound
+        x[..., 1].flat[::3] = 0.0
+        x[..., 1].flat[1::3] = -0.0
+        u.flat[::4] = -0.0
+        u.flat[1::4] = 0.0
+        u = plant.clip_input(u)
+        got = plant.rhs(x, u)
+        assert got.shape == lead + (2,)
+        assert_bitwise(got, generic_rhs(plant, x, u))
+
+    def test_single_pendulum_signed_zero_angle_rows(self):
+        # w + 0.0 u0: a -0.0 velocity stays -0.0 only for u0 < 0 or -0.0
+        plant = plants.single_pendulum(b=0.0)
+        x = np.array([[0.2, -0.0]] * 4)
+        u = np.array([[-1.0], [1.0], [-0.0], [0.0]])
+        got = plant.rhs(x, u)
+        np.testing.assert_array_equal(np.signbit(got[:, 0]),
+                                      [True, False, True, False])
+        assert_bitwise(got, generic_rhs(plant, x, u))
 
 
 class TestRK4:
@@ -312,3 +345,120 @@ class TestRollout:
             np.testing.assert_array_equal(got.states, alone.states)
             np.testing.assert_array_equal(got.inputs, np.clip(seq, -5, 5))
 
+
+
+def reference_rollout(plant, x0, controller, T, dt):
+    """The rollout loop as it stood before the lean step: broadcast and
+    clip every input, and test every row for finiteness at every step."""
+    x = np.asarray(x0, dtype=float).copy()
+    lead = x.shape[:-1]
+    d_u = plant.input_dim
+    fixed = None if callable(controller) else \
+        np.asarray(controller, dtype=float).reshape(T, d_u)
+    states = np.zeros(lead + (T + 1, plant.state_dim))
+    inputs = np.zeros(lead + (T, d_u))
+    states[..., 0, :] = x
+    n_ok = np.full(lead, T)
+    for k in range(T):
+        u = controller(x) if fixed is None else fixed[k]
+        u = plant.clip_input(np.broadcast_to(u, lead + (d_u,)))
+        x = plants.rk4_step(plant, x, u, dt)
+        bad = ~np.all(np.isfinite(x), axis=-1)
+        if np.any(bad):
+            n_ok[bad & (n_ok == T)] = k
+            if np.all(n_ok < T):
+                break
+            x[bad] = 0.0
+        inputs[..., k, :] = u
+        states[..., k + 1, :] = x
+    return [plants.Trajectory(states=xs[: n + 1], inputs=us[:n], dt=dt,
+                              diverged=bool(n < T))
+            for xs, us, n in zip(states.reshape(-1, T + 1, plant.state_dim),
+                                 inputs.reshape(-1, T, d_u), n_ok.ravel())]
+
+
+def held_plant(bounds):
+    """x' = 0 with a passive input channel: states never move, so the
+    recorded inputs and the finiteness test are all that can differ."""
+    return plants.ControlAffinePlant(
+        name="held", state_dim=2, input_dim=1,
+        drift=lambda x: 0.0 * x,
+        input_matrix=lambda x: np.zeros(np.asarray(x).shape[:-1] + (2, 1)),
+        input_bounds=np.array([bounds]),
+    )
+
+
+class TestRolloutMatchesReference:
+    """The lean rollout loop against the loop it replaced, bitwise."""
+
+    def check(self, plant, x0, controller, T, dt):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_rollout(plant, x0, controller, T, dt)
+        got = plants.rollout(plant, x0, controller, T, dt)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.diverged == w.diverged
+            assert_bitwise(g.states, w.states)
+            assert_bitwise(g.inputs, w.inputs)
+        return got
+
+    @pytest.mark.parametrize("plant, lift", [
+        (plants.single_pendulum(gravity=1.0), single_pendulum_map()),
+        (plants.double_pendulum(gravity=1.0), double_pendulum_map()),
+    ], ids=["single", "double"])
+    def test_evaluation_batch_with_unforced_twins(self, plant, lift):
+        rng = np.random.default_rng(11)
+        n = 7
+        x0 = rng.uniform(-2, 2, size=(n, plant.state_dim))
+        K_u = rng.uniform(-4, 4, size=(plant.input_dim, lift.dim))
+        feedback = feedback_controller(lift, K_u)
+
+        def control(x):  # rows [:n] closed loop, rows [n:] their u = 0 twins
+            u = np.zeros(x.shape[:-1] + (plant.input_dim,))
+            u[:n] = feedback(x[:n])
+            return u
+
+        got = self.check(plant, np.concatenate([x0, x0]), control, 300, 0.01)
+        inputs = np.stack([t.inputs for t in got[:n]])
+        assert np.any(np.abs(inputs) == 5.0)  # some inputs saturate
+        assert np.any(np.abs(inputs) < 5.0)
+
+    def test_fixed_sequence_on_a_batch(self):
+        plant = plants.single_pendulum()
+        seq = np.linspace(-8.0, 8.0, 40).reshape(40, 1)
+        seq[::5] = -0.0
+        seq[1::5] = 0.0
+        x0 = np.array([[0.1, -0.0], [-0.4, 1.0], [0.0, 0.0]])
+        self.check(plant, x0, seq, 40, 0.01)
+
+    def test_rows_leave_to_both_infinities_in_one_step(self):
+        # x' = x^3 from +-0.5 reaches +inf and -inf at the same step
+        x0 = np.array([[0.5], [-0.5], [0.0], [0.05]])
+        got = self.check(blowup_plant(), x0, lambda x: np.sin(x), 30, 0.5)
+        assert [t.diverged for t in got] == [True, True, False, False]
+        assert got[0].steps == got[1].steps > 0
+        # and when every row diverges the loop stops early
+        got = self.check(blowup_plant(), x0[:2], lambda x: np.sin(x), 30, 0.5)
+        assert [t.diverged for t in got] == [True, True]
+
+    def test_finite_rows_near_the_float_limit_are_kept(self):
+        # any row sum, or the batch sum, overflows; no entry does.  The
+        # last row's NaN sits in its second entry only and diverges at
+        # step 0, so the per-row test runs beside the large rows
+        x0 = np.array([[1.7e308, 1.7e308], [-1.7e308, 1.0],
+                       [1.7e308, -1.7e308], [0.0, np.nan]])
+        got = self.check(held_plant([-1.0, 1.0]), x0,
+                         lambda x: x[..., :1] * 1e-308, 20, 0.01)
+        assert [t.diverged for t in got] == [False, False, False, True]
+        np.testing.assert_array_equal(got[0].states[-1], x0[0])
+
+    @pytest.mark.parametrize("bounds", [[-0.0, 0.0], [0.0, 1.0], [-1.0, -0.0],
+                                        [-1.0, 1.0]])
+    def test_clip_keeps_signed_zeros_and_nans(self, bounds):
+        seq = np.array([[0.0], [-0.0], [2.0], [-2.0], [0.5], [-0.5],
+                        [np.inf], [-np.inf], [0.0], [np.nan]])
+        got = self.check(held_plant(bounds), np.zeros((2, 2)), seq, 10, 0.01)
+        want = plants.ControlAffinePlant.clip_input(held_plant(bounds), seq)
+        for traj in got:  # a NaN input passes the clip: 0 * NaN diverges
+            assert traj.diverged and traj.steps == 9
+            assert_bitwise(traj.inputs, want[:9])
