@@ -39,6 +39,7 @@ from .config import (
     evaluation_initial_states,
     load_config,
     template_json,
+    validate,
 )
 from .edmd import identify_model, model_from_json, model_to_json
 from .factorization import (
@@ -91,16 +92,18 @@ def _write_json(path: Path, payload: dict, cfg: dict) -> None:
         write_json_atomic(path, payload)
 
 
-def _read_json(path: Path, expected_kind: str, code: int = EXIT_PRECONDITION):
+def _read_json(path: Path, expected_kind: str):
     if not path.exists():
-        raise StageError(f"missing stage artifact: {path}", code)
+        raise StageError(f"missing stage artifact: {path}", EXIT_PRECONDITION)
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise StageError(f"corrupt stage artifact {path}: {exc}", code)
+        raise StageError(f"corrupt stage artifact {path}: {exc}",
+                         EXIT_PRECONDITION)
     if payload.get("kind") != expected_kind:
-        raise StageError(f"{path} is not a {expected_kind} artifact", code)
+        raise StageError(f"{path} is not a {expected_kind} artifact",
+                         EXIT_PRECONDITION)
     return payload
 
 
@@ -115,15 +118,11 @@ def _load_dataset(outdir: Path) -> SnapshotDataset:
 
 
 def _cached(path: Path, kind: str, cfg: dict) -> bool:
-    if not path.exists():
-        return False
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError:
+        payload = _read_json(path, kind)
+    except StageError:  # missing, corrupt or of another kind
         return False
-    return payload.get("kind") == kind \
-        and payload.get("meta", {}).get("config_hash") == config_hash(cfg)
+    return payload.get("meta", {}).get("config_hash") == config_hash(cfg)
 
 
 def cmd_babble(cfg: dict) -> SnapshotDataset:
@@ -190,10 +189,7 @@ def cmd_synthesize(cfg: dict, model, pair):
         )
     result = synthesize(
         model, pair, eps_p=syn["eps_p"], max_resamples=syn["max_resamples"],
-        seed=int(cfg["seed"]), lam_tol=syn["lambda_tol"],
-        feas_tol=syn["feas_tol"], ridge_delta=syn["ridge_delta"],
-        rate_budget=syn["rate_budget"],
-    )
+        seed=cfg["seed"], lam_tol=syn["lambda_tol"], feas_tol=syn["feas_tol"])
     result.diagnostics["assumption_residual"] = residual
     path = _outdir(cfg) / "result.json"
     _write_json(path, result_to_json(result), cfg)
@@ -210,7 +206,7 @@ def cmd_synthesize(cfg: dict, model, pair):
     return result
 
 
-def cmd_evaluate(cfg: dict, result, model=None, pair=None):
+def cmd_evaluate(cfg: dict, result, model, pair):
     if result.status != "optimal":
         raise StageError("cannot evaluate a non-optimal synthesis result",
                          EXIT_PRECONDITION)
@@ -223,12 +219,9 @@ def cmd_evaluate(cfg: dict, result, model=None, pair=None):
         cfg["babbling"]["dt"], settle_tol=ev["settle_tol"], result=result,
         map_x=map_x, train_ranges=cfg["babbling"]["state_grid"],
     )
-    if model is not None and pair is not None:
-        report.fidelity = evaluation.lifted_vs_true(
-            model, pair, result.K_u, plant, map_x,
-            states[: min(len(states), 10)], int(ev["fidelity_steps"]),
-            cfg["babbling"]["dt"],
-        )
+    report.fidelity = evaluation.lifted_vs_true(
+        model, pair, result.K_u, plant, map_x, states[:10],
+        int(ev["fidelity_steps"]), cfg["babbling"]["dt"])
     outdir = _outdir(cfg)
     _write_json(outdir / "report.json", report.to_json(), cfg)
     with _writing(outdir / "plots"):
@@ -247,6 +240,8 @@ def cmd_evaluate(cfg: dict, result, model=None, pair=None):
 
 
 def cmd_pipeline(cfg: dict):
+    # check the evaluation states, which only evaluate reads, before babble
+    evaluation_initial_states(cfg, build_plant(cfg).state_dim)
     outdir = _outdir(cfg)
     if _cached(outdir / "dataset" / "manifest.json", "koopctl/dataset", cfg):
         print("babble: cache hit")
@@ -272,7 +267,7 @@ def cmd_pipeline(cfg: dict):
                              EXIT_INFEASIBLE)
     else:
         result = cmd_synthesize(cfg, model, pair)
-    return cmd_evaluate(cfg, result, model=model, pair=pair)
+    return cmd_evaluate(cfg, result, model, pair)
 
 
 def _load_stage_inputs(cfg: dict, *names):
@@ -333,6 +328,7 @@ def main(argv=None) -> int:
             cfg["output_dir"] = args.out
         if args.seed is not None:
             cfg["seed"] = args.seed
+        validate(cfg)
         if args.command == "babble":
             cmd_babble(cfg)
         elif args.command == "factorize":
@@ -347,7 +343,7 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             result, model, pair = _load_stage_inputs(cfg, "result", "model",
                                                      "pair")
-            cmd_evaluate(cfg, result, model=model, pair=pair)
+            cmd_evaluate(cfg, result, model, pair)
         elif args.command == "pipeline":
             cmd_pipeline(cfg)
     except ConfigError as exc:

@@ -10,6 +10,7 @@ are purely content-based.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -64,8 +65,6 @@ DEFAULTS = {
         "lambda_tol": 1e-3,
         "feas_tol": 1e-8,
         "max_resamples": 50,
-        "rate_budget": 0,
-        "ridge_delta": 0.0,
         "assumption_gate": None,     # None: 10 x the eps_h actually used
     },
     "evaluation": {
@@ -103,7 +102,6 @@ _DOC = {
     "synthesis.eps_p": "ridge inside sampled Lyapunov candidates R^T R + eps_p I",
     "synthesis.lambda_tol": "the reported lambda is at most the exact optimum plus lambda_tol",
     "synthesis.max_resamples": "sampled candidates tried after the identity start",
-    "synthesis.rate_budget": "extra candidates explored after the first success, best rate wins",
     "synthesis.assumption_gate": "max compatibility residual allowed before synthesis",
     "evaluation.initial_conditions": "uniform sampling, explicit grid, or a literal state list",
     "evaluation.extra_states": "stress-case states appended to the evaluation set",
@@ -114,15 +112,14 @@ _DOC = {
 def merge_defaults(user: dict, defaults: dict = None, path: str = "") -> dict:
     defaults = DEFAULTS if defaults is None else defaults
     if not isinstance(user, dict):
-        raise ConfigError(f"expected an object at '{path or 'top level'}'")
+        raise ConfigError(f"expected an object at '{path[:-1] or 'top level'}'")
     out = copy.deepcopy(defaults)
     for key, value in user.items():
         if key.startswith("_"):
             continue  # comment keys
         if key not in defaults:
             raise ConfigError(f"unknown config key '{path}{key}'")
-        if isinstance(defaults[key], dict) and defaults[key] \
-                and isinstance(value, dict):
+        if isinstance(defaults[key], dict) and defaults[key]:
             out[key] = merge_defaults(value, defaults[key], f"{path}{key}.")
         else:
             # free-form sections (empty-dict defaults) and scalars are
@@ -239,31 +236,64 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
     """Initial-condition set for closed-loop evaluation (seeded, deterministic)."""
     section = cfg["evaluation"]["initial_conditions"]
     kind = section["kind"]
-    if kind == "list":
-        states = np.asarray(section["states"], dtype=float)
-    elif kind == "uniform":
-        ranges = np.asarray(section["ranges"], dtype=float)
-        if ranges.shape != (d_x, 2):
-            raise ConfigError(
-                f"initial-condition ranges must be {d_x} x 2, got {ranges.shape}"
-            )
-        rng = np.random.default_rng([int(cfg["seed"]), 7001])
-        states = rng.uniform(ranges[:, 0], ranges[:, 1],
-                             size=(int(section["count"]), d_x))
-    elif kind == "grid":
-        ranges = section["ranges"]
-        shape = section["shape"]
-        if shape is None or len(shape) != d_x:
-            raise ConfigError("grid initial conditions need a per-dimension shape")
-        axes = [np.linspace(lo, hi, int(n)) if int(n) > 1 else np.array([lo])
-                for (lo, hi), n in zip(ranges, shape)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        states = np.stack([m.ravel() for m in mesh], axis=-1)
-    else:
-        raise ConfigError(f"unknown initial-condition kind {kind!r}")
-    extra = cfg["evaluation"].get("extra_states") or []
-    if extra:
-        states = np.vstack([states, np.asarray(extra, dtype=float)])
-    if states.ndim != 2 or states.shape[1] != d_x:
-        raise ConfigError(f"initial states must be (n, {d_x})")
+    try:
+        if kind in ("uniform", "grid"):
+            ranges = np.asarray(section["ranges"], dtype=float)
+            if ranges.shape != (d_x, 2):
+                raise ValueError(f"ranges must be {d_x} x 2, got {ranges.shape}")
+        if kind == "list":
+            states = np.asarray(section["states"], dtype=float)
+        elif kind == "uniform":
+            rng = np.random.default_rng([int(cfg["seed"]), 7001])
+            states = rng.uniform(ranges[:, 0], ranges[:, 1],
+                                 size=(int(section["count"]), d_x))
+        elif kind == "grid":
+            shape = section["shape"]
+            if shape is None or len(shape) != d_x:
+                raise ValueError(f"shape must hold {d_x} counts")
+            axes = [np.linspace(lo, hi, int(n)) if int(n) > 1
+                    else np.array([lo]) for (lo, hi), n in zip(ranges, shape)]
+            states = np.stack([m.ravel() for m in
+                               np.meshgrid(*axes, indexing="ij")], axis=-1)
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+        extra = cfg["evaluation"].get("extra_states") or []
+        if extra:
+            states = np.vstack([states, np.asarray(extra, dtype=float)])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"bad evaluation.initial_conditions or extra_states: {exc}")
+    if states.ndim != 2 or states.shape[1] != d_x or not len(states):
+        raise ConfigError(f"initial states must be (n, {d_x}) with n >= 1")
     return states
+
+
+# numbers checked before any stage runs: key -> (integral, positive); a
+# key that need not be positive must be nonnegative
+_NUMBERS = {
+    "factorization.eps_h": (False, True), "synthesis.eps_p": (False, True),
+    "synthesis.lambda_tol": (False, True), "synthesis.feas_tol": (False, False),
+    "synthesis.max_resamples": (True, False),
+    "synthesis.assumption_gate": (False, False),
+    "evaluation.horizon_seconds": (False, True),
+    "evaluation.fidelity_steps": (True, True), "seed": (True, False),
+    "evaluation.initial_conditions.count": (True, False),
+}
+
+
+def validate(cfg: dict) -> None:
+    """Check the numbers, the plant and the babbling grid before any stage
+    runs, so a malformed value exits 2 in one line naming its key."""
+    for key, (integral, positive) in _NUMBERS.items():
+        path = key.split(".")
+        x = functools.reduce(dict.get, path, cfg)
+        if x is None and functools.reduce(dict.get, path, DEFAULTS) is None:
+            continue  # null: the stage works the value out
+        number = type(x) is int or (
+            not integral and type(x) is float and math.isfinite(x))
+        if not (number and (x > 0 if positive else x >= 0)):
+            raise ConfigError(
+                f"{key} must be a {'positive' if positive else 'nonnegative'}"
+                f" {'integer' if integral else 'number'}, got {x!r}")
+    d_x = build_plant(cfg).state_dim
+    babbling_config(cfg, d_x)

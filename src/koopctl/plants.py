@@ -26,13 +26,11 @@ B is optional viscous joint damping, zero by default.
 
 All dynamics are written with elementwise numpy operations only (the
 2x2 mass-matrix solve is closed form), so stepping a batch of states
-produces bitwise the same numbers as stepping each state alone.  Both
-pendulums also supply a fused right-hand side that gives bitwise the
-same f(x) + g(x) u as composing ``drift`` and ``input_matrix``, in
-fewer numpy calls: the single pendulum's builds no stacked drift and no
-zero-filled g, and the double pendulum's shares the mass-matrix terms
-between f and g.  ``rk4_step`` calls the fused form when a plant has
-one and the composition otherwise.
+produces bitwise the same numbers as stepping each state alone.  Each
+plant has one fused right-hand side rhs(x, u) = f(x) + g(x) u, which
+builds no stacked f and no zero-filled g; the double pendulum's shares
+the mass-matrix terms between f and g.  Zeros of g enter as 0.0 * u, so
+each row keeps the sign of zero that composing f + g u would give.
 """
 
 from __future__ import annotations
@@ -44,34 +42,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ControlAffinePlant:
-    """Immutable descriptor of dynamics x' = f(x) + g(x) u."""
+    """Immutable descriptor of dynamics x' = f(x) + g(x) u, given as one
+    right-hand side: float states (..., d_x) and inputs (..., d_u) that
+    broadcast against them map to f(x) + g(x) u, shaped (..., d_x)."""
 
     name: str
     state_dim: int
     input_dim: int
-    drift: callable          # f(x): (..., d_x) -> (..., d_x)
-    input_matrix: callable   # g(x): (..., d_x) -> (..., d_x, d_u)
+    rhs: callable             # (x, u) -> f(x) + g(x) u
     input_bounds: np.ndarray  # (d_u, 2) rows [u_min, u_max]
     params: dict = field(default_factory=dict)
-    fused_rhs: callable = None  # (x, u) -> rhs(x, u) bitwise, or None
-
-    def rhs(self, x, u):
-        """f(x) + g(x) u, accumulated column by column in fixed order."""
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if self.fused_rhs is not None:
-            return self.fused_rhs(x, u)
-        g = self.input_matrix(x)
-        out = self.drift(x)
-        for j in range(self.input_dim):
-            out = out + g[..., j] * u[..., j : j + 1]
-        return out
-
-    def clip_input(self, u):
-        u = np.asarray(u, dtype=float)
-        lo = self.input_bounds[:, 0]
-        hi = self.input_bounds[:, 1]
-        return np.clip(u, lo, hi)
 
 
 @dataclass
@@ -108,35 +88,19 @@ def single_pendulum(m: float = 1.0, L: float = 1.0, b: float = 0.3,
     k_om = b / inertia
     k_u = 1.0 / inertia
 
-    def drift(x):
-        th = x[..., 0]
-        om = x[..., 1]
-        acc = k_sin * np.sin(th) - k_om * om
-        return np.stack([om, acc], axis=-1)
-
-    def input_matrix(x):
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(x.shape[:-1] + (2, 1))
-        g[..., 1, 0] = k_u
-        return g
-
     def rhs(x, u):
-        # drift + g[..., 0] u0 with g = [0, k_u]: 0.0 * u0 keeps the sign
-        # of zero the angle row gets from the composition
-        th = x[..., 0]
-        om = x[..., 1]
-        u0 = u[..., 0]
+        # f + g[..., 0] u0 with g = [0, k_u]: 0.0 * u0 keeps the sign of
+        # zero the angle row gets from the composition
+        th, om, u0 = x[..., 0], x[..., 1], u[..., 0]
         out = np.empty(x.shape)  # u broadcasts against x's rows
         np.add(om, 0.0 * u0, out=out[..., 0])
         np.add(k_sin * np.sin(th) - k_om * om, k_u * u0, out=out[..., 1])
         return out
 
     return ControlAffinePlant(
-        name="single_pendulum", state_dim=2, input_dim=1,
-        drift=drift, input_matrix=input_matrix,
+        name="single_pendulum", state_dim=2, input_dim=1, rhs=rhs,
         input_bounds=np.array([[-input_bound, input_bound]]),
         params={"m": m, "L": L, "b": b, "gravity": gravity},
-        fused_rhs=rhs,
     )
 
 
@@ -163,12 +127,10 @@ def double_pendulum(m1: float = 1.0, m2: float = 1.0, l1: float = 1.0,
     g1 = (m1 + m2) * gravity * l1
     g2 = m2 * gravity * l2
 
-    def unforced(x):
-        """Mass-matrix entry b, det M and the zero-torque accelerations."""
-        th1 = x[..., 0]
-        th2 = x[..., 1]
-        w1 = x[..., 2]
-        w2 = x[..., 3]
+    def rhs(x, u):
+        # f + g[..., 0] u0 + g[..., 1] u1 in that order, zeros of g
+        # included: 0.0 * u keeps the sign of zero a velocity row gets
+        th1, th2, w1, w2 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
         th_r = th1 - th2
         bb = k * np.cos(th_r)
         det = a * c - bb * bb
@@ -178,47 +140,21 @@ def double_pendulum(m1: float = 1.0, m2: float = 1.0, l1: float = 1.0,
         # closed-form 2x2 solve keeps batch and single paths identical
         acc1 = (c * r1 - bb * r2) / det
         acc2 = (a * r2 - bb * r1) / det
-        return bb, det, acc1, acc2
-
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        _, _, acc1, acc2 = unforced(x)
-        return np.stack([x[..., 2], x[..., 3], acc1, acc2], axis=-1)
-
-    def input_matrix(x):
-        x = np.asarray(x, dtype=float)
-        bb = k * np.cos(x[..., 0] - x[..., 1])
-        det = a * c - bb * bb
-        g = np.zeros(x.shape[:-1] + (4, 2))
-        g[..., 2, 0] = c / det
-        g[..., 2, 1] = -bb / det
-        g[..., 3, 0] = -bb / det
-        g[..., 3, 1] = a / det
-        return g
-
-    def rhs(x, u):
-        # drift + g[..., 0] u0 + g[..., 1] u1 in that order, zeros of g
-        # included: 0.0 * u keeps the sign of zero a velocity row gets
-        bb, det, acc1, acc2 = unforced(x)
-        u0 = u[..., 0]
-        u1 = u[..., 1]
-        z0 = 0.0 * u0
-        z1 = 0.0 * u1
+        u0, u1 = u[..., 0], u[..., 1]
+        z0, z1 = 0.0 * u0, 0.0 * u1
         nb = -bb / det
         out = np.empty(x.shape)  # u broadcasts against x's rows
-        np.add(x[..., 2] + z0, z1, out=out[..., 0])
-        np.add(x[..., 3] + z0, z1, out=out[..., 1])
+        np.add(w1 + z0, z1, out=out[..., 0])
+        np.add(w2 + z0, z1, out=out[..., 1])
         np.add(acc1 + c / det * u0, nb * u1, out=out[..., 2])
         np.add(acc2 + nb * u0, a / det * u1, out=out[..., 3])
         return out
 
     return ControlAffinePlant(
-        name="double_pendulum", state_dim=4, input_dim=2,
-        drift=drift, input_matrix=input_matrix,
+        name="double_pendulum", state_dim=4, input_dim=2, rhs=rhs,
         input_bounds=np.array([[-input_bound, input_bound]] * 2),
         params={"m1": m1, "m2": m2, "l1": l1, "l2": l2,
                 "gravity": gravity, "damping": [b1, b2]},
-        fused_rhs=rhs,
     )
 
 
@@ -233,7 +169,7 @@ def rk4_step(plant: ControlAffinePlant, x, u, dt: float) -> np.ndarray:
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    f = plant.rhs if plant.fused_rhs is None else plant.fused_rhs
+    f = plant.rhs
     h = 0.5 * dt  # 0.5 * dt * k evaluates as (0.5 * dt) * k anyway
     k1 = f(x, u)
     k2 = f(x + h * k1, u)

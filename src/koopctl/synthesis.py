@@ -111,7 +111,6 @@ class LmiProblem:
     d_S: int
     d_u: int
     d_psi_u: int
-    ridge_delta: float = 0.0
 
     def __post_init__(self):
         d_psi = self.K_xx.shape[0]
@@ -126,8 +125,6 @@ class LmiProblem:
                 f"{(self.d_S * self.d_psi_u, d_psi)}"
             )
         self.P = symmetrize(self.P)
-        if self.ridge_delta:
-            self.P = self.P + self.ridge_delta * np.eye(d_psi)
         # coefficient tensor: Ktilde(K_u) = K_xx + sum_ab K_u[a,b] T[a,b]
         kxu3 = self.K_xu.reshape(d_psi, self.d_S, self.d_u)
         h3 = self.H.reshape(self.d_S, self.d_psi_u, d_psi)
@@ -343,35 +340,23 @@ class SynthesisResult:
 def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
                eps_p: float = 1e-2, max_resamples: int = 50, seed: int = 0,
                lam_tol: float = DEFAULT_LAM_TOL,
-               feas_tol: float = DEFAULT_FEAS_TOL,
-               ridge_delta: float = 0.0, rate_budget: int = 0,
-               rng: np.random.Generator = None) -> SynthesisResult:
+               feas_tol: float = DEFAULT_FEAS_TOL) -> SynthesisResult:
     """Iterate Lyapunov candidates until the LMI program is solved.
 
     The identity-start candidate is tried first, then up to
-    ``max_resamples`` sampled ones.  By default the first success
-    returns immediately; with ``rate_budget > 0`` the search keeps going
-    for up to that many further certified solutions and the smallest
-    lam* wins.  Results follow deterministic candidate order, so the
-    outcome does not depend on scheduling.
+    ``max_resamples`` sampled ones drawn from ``seed``; the first
+    certified candidate is returned.
     """
     d_psi, d_x = model.lifted_dim, model.state_dim
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     candidate_log = []
-    best = None
-    budget_left = rate_budget
-    n_sampled = 0
     total_iter = 0
-    for idx in range(max_resamples + 1):
-        if idx == 0:
-            cand = identity_candidate(d_x, d_psi)
-        else:
-            cand = sample_candidate(d_x, d_psi, eps_p, rng)
-            n_sampled += 1
+    for n_sampled in range(max_resamples + 1):
+        cand = sample_candidate(d_x, d_psi, eps_p, rng) if n_sampled \
+            else identity_candidate(d_x, d_psi)
         problem = LmiProblem(
             P=cand.P, K_xx=model.K_xx, K_xu=model.K_xu, H=pair.H,
             d_S=pair.d_S, d_u=model.input_dim, d_psi_u=pair.d_psi_u,
-            ridge_delta=ridge_delta,
         )
         sol = solve_fixed_p(problem, lam_tol=lam_tol, feas_tol=feas_tol)
         certified = sol["outcome"] == "certified"
@@ -383,31 +368,23 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
             "iterations": sol["iterations"], "outcome": sol["outcome"],
         })
         if certified:
-            result = SynthesisResult(
+            return SynthesisResult(
                 K_u=problem.gain(sol["theta"]), lam=float(sol["lam"]),
                 P=problem.P, S_x=cand.S_x, status="optimal",
                 diagnostics={
                     "min_eig": sol["min_eig"], "iterations": total_iter,
                     "resample_count": n_sampled, "eps_p": eps_p,
-                    "feas_tol": feas_tol, "lam_tol": lam_tol,
-                    "ridge_delta": ridge_delta, "seed": seed,
+                    "feas_tol": feas_tol, "lam_tol": lam_tol, "seed": seed,
                     "candidates": candidate_log,
                 },
             )
-            if budget_left <= 0:
-                return best if best is not None and best.lam <= result.lam \
-                    else result
-            if best is None or result.lam < best.lam:
-                best = result
-            budget_left -= 1
-    if best is not None:
-        return best
     status = "infeasible" if max_resamples == 0 else "max-resamples-exceeded"
     return SynthesisResult(
         K_u=np.zeros((model.input_dim, pair.d_psi_u)), lam=float("nan"),
         P=_restrict(np.eye(d_x), d_psi), S_x=np.eye(d_x), status=status,
-        diagnostics={"resample_count": n_sampled, "iterations": total_iter,
-                     "eps_p": eps_p, "feas_tol": feas_tol, "seed": seed,
+        diagnostics={"resample_count": max_resamples,
+                     "iterations": total_iter, "eps_p": eps_p,
+                     "feas_tol": feas_tol, "seed": seed,
                      "candidates": candidate_log},
     )
 

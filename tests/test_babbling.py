@@ -20,9 +20,7 @@ def small_config(**overrides):
 def blowup_plant():
     """x' = x^3: every nonzero start leaves the floats in finite time."""
     return plants.ControlAffinePlant(
-        name="blowup", state_dim=1, input_dim=1,
-        drift=lambda x: x ** 3,
-        input_matrix=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
+        name="blowup", state_dim=1, input_dim=1, rhs=lambda x, u: x ** 3,
         input_bounds=np.array([[-1.0, 1.0]]),
     )
 
@@ -40,7 +38,8 @@ def per_gain_reference(plant, m, cfg):
         x = ics.copy()
         states, inputs = [x], []
         for _ in range(cfg.steps):
-            u = plant.clip_input(np.einsum("baj,bj->ba", gain_batch, m(x)))
+            u = np.clip(np.einsum("baj,bj->ba", gain_batch, m(x)),
+                        *plant.input_bounds.T)
             x = plants.rk4_step(plant, x, u, cfg.dt)
             states.append(x)
             inputs.append(u)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from koopctl import cli
+from koopctl import cli, config
 from koopctl.config import ConfigError, config_hash, load_config, merge_defaults
 
 
@@ -51,10 +51,76 @@ class TestConfig:
         b = merge_defaults({"output_dir": "x", "seed": 1})
         assert config_hash(a) == config_hash(b)
 
-    def test_removed_backend_key_exits_2(self, tmp_path, capsys):
-        cfgfile = smoke_config(tmp_path, synthesis={"backend": "bisection"})
+    @pytest.mark.parametrize("key, value", [
+        ("backend", "bisection"), ("rate_budget", 0), ("ridge_delta", 0.0)])
+    def test_removed_backend_key_exits_2(self, tmp_path, capsys, key, value):
+        cfgfile = smoke_config(tmp_path, synthesis={key: value})
         assert cli.main(["babble", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
-        assert "synthesis.backend" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"synthesis.{key}" in err and err.count("\n") == 1
+
+    def test_every_doc_key_names_a_default(self):
+        # the koopctl init template documents only keys that exist
+        for key in config._DOC:
+            *sections, name = key.split(".")
+            section = config.DEFAULTS
+            for part in sections:
+                section = section[part]
+            assert name in section, key
+
+    @pytest.mark.parametrize("section, values, key", [
+        ("synthesis", {"eps_p": 0}, "synthesis.eps_p"),
+        ("factorization", {"eps_h": -1}, "factorization.eps_h"),
+        ("synthesis", {"lambda_tol": "a"}, "synthesis.lambda_tol"),
+        ("evaluation", {"horizon_seconds": "a"}, "evaluation.horizon_seconds"),
+        ("evaluation", {"fidelity_steps": -1}, "evaluation.fidelity_steps"),
+        ("evaluation", {"initial_conditions": {"kind": "uniform", "count": "x"}},
+         "evaluation.initial_conditions.count"),
+        ("evaluation", {"initial_conditions": {
+            "kind": "grid", "ranges": [[0, 1, 2], [-3, 3]], "shape": [2, 2]}},
+         "evaluation.initial_conditions"),
+        ("evaluation", {"initial_conditions": {
+            "kind": "grid", "ranges": [[0, 1, 2], [-3, 3, 0]],
+            "shape": [2, 2]}}, "ranges must be 2 x 2, got (2, 3)"),
+        ("synthesis", {"max_resamples": -1}, "synthesis.max_resamples"),
+        ("synthesis", {"max_resamples": 2.0}, "synthesis.max_resamples"),
+        ("synthesis", {"eps_p": float("nan")}, "synthesis.eps_p"),
+        ("synthesis", {"feas_tol": True}, "synthesis.feas_tol"),
+        ("synthesis", {"assumption_gate": "a"}, "synthesis.assumption_gate"),
+        ("evaluation", {"initial_conditions": {"kind": "uniform", "count": 0}},
+         "initial states must be (n, 2) with n >= 1"),
+    ])
+    def test_malformed_value_exits_2_before_any_stage(
+            self, tmp_path, capsys, section, values, key):
+        cfgfile = smoke_config(tmp_path, **{section: values})
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_beyond_the_float_range_is_valid(self):
+        config.validate(merge_defaults({"seed": 10 ** 400}))
+        with pytest.raises(ConfigError, match="synthesis.eps_p"):
+            config.validate(merge_defaults({"synthesis": {"eps_p": 1e400}}))
+
+    def test_evaluation_states_checked_only_where_evaluated(self, tmp_path,
+                                                            capsys):
+        # the default two-row evaluation ranges do not fit the double
+        # pendulum; babble never reads them, pipeline does
+        cfgfile = smoke_config(
+            tmp_path, plant={"kind": "double_pendulum"},
+            observables={"kind": "double_pendulum"},
+            babbling={"state_grid": [[-1.0, 1.0]] * 4, "num_gains": 2,
+                      "num_initial_conditions": 2, "steps": 5})
+        assert cli.main(["babble", "--config", str(cfgfile)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) \
+            == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "ranges must be 4 x 2" in err and err.count("\n") == 1
+        assert out == ""  # stopped before the babble cache check
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="not found"):

@@ -35,7 +35,7 @@ def scalar_rollout(plant, x0, control, steps, dt):
     x = np.asarray(x0, dtype=float)
     states, inputs = [x], []
     for _ in range(steps):
-        u = plant.clip_input(np.atleast_1d(control(x)))
+        u = np.clip(np.atleast_1d(control(x)), *plant.input_bounds.T)
         x = plants.rk4_step(plant, x, u, dt)
         if not np.all(np.isfinite(x)):
             break
@@ -64,9 +64,7 @@ def equivalence_case(name):
         return (plants.double_pendulum(gravity=1.0), double_pendulum_map(),
                 K, states, 3.0)
     blowup = plants.ControlAffinePlant(
-        name="blowup", state_dim=1, input_dim=1,
-        drift=lambda x: x ** 3,
-        input_matrix=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
+        name="blowup", state_dim=1, input_dim=1, rhs=lambda x, u: x ** 3,
         input_bounds=np.array([[-1.0, 1.0]]),
     )
     return (blowup, polynomial_map("lin", (1,)), np.array([[-1.0]]),

@@ -22,9 +22,7 @@ def mechanical_energy(plant, x) -> np.ndarray:
 def scalar_decay_plant():
     """x' = -x with a passive input channel, for exact RK4 checks."""
     return plants.ControlAffinePlant(
-        name="decay", state_dim=1, input_dim=1,
-        drift=lambda x: -x,
-        input_matrix=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
+        name="decay", state_dim=1, input_dim=1, rhs=lambda x, u: -x,
         input_bounds=np.array([[-1.0, 1.0]]),
     )
 
@@ -32,9 +30,7 @@ def scalar_decay_plant():
 def blowup_plant():
     """x' = x^3: every nonzero start leaves the floats in finite time."""
     return plants.ControlAffinePlant(
-        name="blowup", state_dim=1, input_dim=1,
-        drift=lambda x: x ** 3,
-        input_matrix=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
+        name="blowup", state_dim=1, input_dim=1, rhs=lambda x, u: x ** 3,
         input_bounds=np.array([[-1.0, 1.0]]),
     )
 
@@ -44,19 +40,22 @@ class TestSinglePendulum:
         self.plant = plants.single_pendulum(m=1.0, L=1.0, b=0.3, gravity=9.81)
 
     def test_upright_equilibrium(self):
-        np.testing.assert_allclose(self.plant.drift(np.zeros(2)), np.zeros(2))
+        np.testing.assert_allclose(self.plant.rhs(np.zeros(2), np.zeros(1)),
+                                   np.zeros(2))
 
-    def test_drift_at_quarter_turn(self):
+    def test_unforced_rhs_at_quarter_turn(self):
         # theta'' = (g/L) sin(pi/2) - (b/mL^2) * 0 = 9.81
         np.testing.assert_allclose(
-            self.plant.drift(np.array([np.pi / 2, 0.0])), [0.0, 9.81])
+            self.plant.rhs(np.array([np.pi / 2, 0.0]), np.zeros(1)),
+            [0.0, 9.81])
 
     def test_constant_input_matrix(self):
+        # g(x) = rhs(x, 1) - rhs(x, 0) for a control-affine plant
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.uniform(-5, 5, size=2)
-            np.testing.assert_allclose(
-                self.plant.input_matrix(x)[:, 0], [0.0, 1.0])
+            g = self.plant.rhs(x, np.ones(1)) - self.plant.rhs(x, np.zeros(1))
+            np.testing.assert_allclose(g, [0.0, 1.0], atol=1e-12)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -80,13 +79,15 @@ class TestDoublePendulum:
         self.plant = plants.double_pendulum()
 
     def test_upright_equilibrium(self):
-        np.testing.assert_allclose(self.plant.drift(np.zeros(4)),
+        np.testing.assert_allclose(self.plant.rhs(np.zeros(4), np.zeros(2)),
                                    np.zeros(4), atol=1e-15)
 
     def test_mass_matrix_convention(self):
         # regression oracle for the documented convention: at th_r = 0 and
-        # unit parameters M = [[2, 1], [1, 1]], so M^{-1} = [[1, -1], [-1, 2]]
-        g = self.plant.input_matrix(np.zeros(4))
+        # unit parameters M = [[2, 1], [1, 1]], so M^{-1} = [[1, -1], [-1, 2]];
+        # column j of g is rhs(0, e_j) since f(0) = 0
+        g = np.stack([self.plant.rhs(np.zeros(4), e) for e in np.eye(2)],
+                     axis=-1)
         np.testing.assert_allclose(g[2:, :], [[1.0, -1.0], [-1.0, 2.0]],
                                    atol=1e-14)
 
@@ -120,7 +121,7 @@ class TestDoublePendulum:
         u = rng.uniform(-5, 5, size=2)
         th_r = x[0] - x[1]
         m = np.array([[2.0, np.cos(th_r)], [np.cos(th_r), 1.0]])
-        qdd = self.plant.rhs(x, u)[2:] - self.plant.drift(x)[2:]
+        qdd = self.plant.rhs(x, u)[2:] - self.plant.rhs(x, np.zeros(2))[2:]
         np.testing.assert_allclose(m @ qdd, u, atol=1e-12)
 
     def test_rejects_singular_mass_matrix(self):
@@ -136,13 +137,72 @@ class TestDoublePendulum:
         x[100:200, 1] = x[100:200, 0] - np.pi
         u = rng.uniform(-5, 5, size=(500, 2))
         with np.errstate(all="raise"):
-            plant.rhs(x, u)
-            plant.input_matrix(x)
+            assert_bitwise(plant.rhs(x, u), generic_rhs(plant, x, u))
+
+
+def composition(plant):
+    """f and g of either pendulum as two functions, in the operations
+    their fused right-hand sides must reproduce bitwise."""
+    p = plant.params
+    if plant.name == "single_pendulum":
+        inertia = p["m"] * p["L"] * p["L"]
+        k_sin, k_om = p["gravity"] / p["L"], p["b"] / inertia
+
+        def drift(x):
+            th, om = x[..., 0], x[..., 1]
+            return np.stack([om, k_sin * np.sin(th) - k_om * om], axis=-1)
+
+        def input_matrix(x):
+            g = np.zeros(x.shape[:-1] + (2, 1))
+            g[..., 1, 0] = 1.0 / inertia
+            return g
+
+        return drift, input_matrix
+    m1, m2, l1, l2 = p["m1"], p["m2"], p["l1"], p["l2"]
+    (b1, b2), gravity = p["damping"], p["gravity"]
+    a, c, k = (m1 + m2) * l1 * l1, m2 * l2 * l2, m2 * l1 * l2
+    g1, g2 = (m1 + m2) * gravity * l1, m2 * gravity * l2
+
+    def drift(x):
+        th1, th2, w1, w2 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+        th_r = th1 - th2
+        bb = k * np.cos(th_r)
+        det = a * c - bb * bb
+        s_r = np.sin(th_r)
+        r1 = 0.0 - k * s_r * w2 * w2 + g1 * np.sin(th1) - b1 * w1
+        r2 = 0.0 + k * s_r * w1 * w1 + g2 * np.sin(th2) - b2 * w2
+        acc1 = (c * r1 - bb * r2) / det
+        acc2 = (a * r2 - bb * r1) / det
+        return np.stack([w1, w2, acc1, acc2], axis=-1)
+
+    def input_matrix(x):
+        bb = k * np.cos(x[..., 0] - x[..., 1])
+        det = a * c - bb * bb
+        g = np.zeros(x.shape[:-1] + (4, 2))
+        g[..., 2, 0] = c / det
+        g[..., 2, 1] = -bb / det
+        g[..., 3, 0] = -bb / det
+        g[..., 3, 1] = a / det
+        return g
+
+    return drift, input_matrix
 
 
 def generic_rhs(plant, x, u):
-    """drift + g u through the unfused ``ControlAffinePlant.rhs`` path."""
-    return dataclasses.replace(plant, fused_rhs=None).rhs(x, u)
+    """f(x) + g(x) u composed column by column in fixed order: the
+    bitwise oracle for each pendulum's fused ``rhs``."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    drift, input_matrix = composition(plant)
+    g = input_matrix(x)
+    out = drift(x)
+    for j in range(plant.input_dim):
+        out = out + g[..., j] * u[..., j : j + 1]
+    return out
+
+
+def clip(plant, u):
+    return np.clip(u, *plant.input_bounds.T)
 
 
 def assert_bitwise(got, want):
@@ -151,7 +211,7 @@ def assert_bitwise(got, want):
 
 
 class TestFusedRhsMatchesComposition:
-    """Each pendulum's fused rhs against drift + input_matrix."""
+    """Each pendulum's fused rhs against the composed f + g u."""
 
     @pytest.mark.parametrize("params", [
         {}, {"gravity": 1.0},
@@ -168,7 +228,7 @@ class TestFusedRhsMatchesComposition:
         x[..., 2:].flat[1::3] = -0.0
         u.flat[::4] = -0.0
         u.flat[1::4] = 0.0
-        u = plant.clip_input(u)
+        u = clip(plant, u)
         got = plant.rhs(x, u)
         want = generic_rhs(plant, x, u)
         assert got.shape == want.shape == lead + (4,)
@@ -200,7 +260,7 @@ class TestFusedRhsMatchesComposition:
         x[..., 1].flat[1::3] = -0.0
         u.flat[::4] = -0.0
         u.flat[1::4] = 0.0
-        u = plant.clip_input(u)
+        u = clip(plant, u)
         got = plant.rhs(x, u)
         assert got.shape == lead + (2,)
         assert_bitwise(got, generic_rhs(plant, x, u))
@@ -214,6 +274,34 @@ class TestFusedRhsMatchesComposition:
         np.testing.assert_array_equal(np.signbit(got[:, 0]),
                                       [True, False, True, False])
         assert_bitwise(got, generic_rhs(plant, x, u))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("single", {}), ("single", {"gravity": 1.0}), ("single", {"b": 0.0}),
+        ("double", {}), ("double", {"gravity": 1.0}),
+        ("double", {"m1": 2.0, "m2": 0.5, "l1": 1.3, "l2": 0.7,
+                    "damping": (0.1, 0.2)}),
+    ])
+    @pytest.mark.parametrize("lead", [(), (1,), (60,), (2160,)])
+    def test_rk4_step_and_rollout_bitwise(self, kind, params, lead):
+        plant = getattr(plants, f"{kind}_pendulum")(**params)
+        oracle = dataclasses.replace(
+            plant, rhs=lambda x, u: generic_rhs(plant, x, u))
+        rng = np.random.default_rng(sum(lead) + 2)
+        d_x, d_u = plant.state_dim, plant.input_dim
+        x = rng.uniform(-4, 4, size=lead + (d_x,))
+        x.flat[::7] = -0.0
+        u = clip(plant, rng.uniform(-8, 8, size=lead + (d_u,)))
+        assert_bitwise(plants.rk4_step(plant, x, u, 0.01),
+                       plants.rk4_step(oracle, x, u, 0.01))
+        K = rng.uniform(-3, 3, size=(d_u, d_x))
+        got = plants.rollout(plant, x, lambda s: s @ K.T, 30, 0.01)
+        want = plants.rollout(oracle, x, lambda s: s @ K.T, 30, 0.01)
+        if not lead:
+            got, want = [got], [want]
+        for g, w in zip(got, want):
+            assert g.diverged == w.diverged
+            assert_bitwise(g.states, w.states)
+            assert_bitwise(g.inputs, w.inputs)
 
 
 class TestRK4:
@@ -361,7 +449,7 @@ def reference_rollout(plant, x0, controller, T, dt):
     n_ok = np.full(lead, T)
     for k in range(T):
         u = controller(x) if fixed is None else fixed[k]
-        u = plant.clip_input(np.broadcast_to(u, lead + (d_u,)))
+        u = clip(plant, np.broadcast_to(u, lead + (d_u,)))
         x = plants.rk4_step(plant, x, u, dt)
         bad = ~np.all(np.isfinite(x), axis=-1)
         if np.any(bad):
@@ -382,8 +470,7 @@ def held_plant(bounds):
     recorded inputs and the finiteness test are all that can differ."""
     return plants.ControlAffinePlant(
         name="held", state_dim=2, input_dim=1,
-        drift=lambda x: 0.0 * x,
-        input_matrix=lambda x: np.zeros(np.asarray(x).shape[:-1] + (2, 1)),
+        rhs=lambda x, u: 0.0 * x + 0.0 * u,
         input_bounds=np.array([bounds]),
     )
 
@@ -458,7 +545,7 @@ class TestRolloutMatchesReference:
         seq = np.array([[0.0], [-0.0], [2.0], [-2.0], [0.5], [-0.5],
                         [np.inf], [-np.inf], [0.0], [np.nan]])
         got = self.check(held_plant(bounds), np.zeros((2, 2)), seq, 10, 0.01)
-        want = plants.ControlAffinePlant.clip_input(held_plant(bounds), seq)
+        want = clip(held_plant(bounds), seq)
         for traj in got:  # a NaN input passes the clip: 0 * NaN diverges
             assert traj.diverged and traj.steps == 9
             assert_bitwise(traj.inputs, want[:9])

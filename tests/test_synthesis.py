@@ -263,21 +263,6 @@ class TestSynthesize:
         assert back.status == result.status and back.lam == result.lam
 
 
-class TestRateBudget:
-    def test_budget_explores_for_a_better_rate(self):
-        k_xx = np.array([[0.5, 0.3], [0.8, 1.2]])
-        k_xu = np.array([[0.0], [1.0]])
-        model = identity_lift_model(k_xx, k_xu, d_s=1)
-        pair = FactorizationPair(S=np.eye(2)[:1], H=np.eye(2),
-                                 mask=np.array([1, 0]),
-                                 residuals=np.zeros(2), eps_h=1e-9)
-        first = syn.synthesize(model, pair, max_resamples=10, seed=3)
-        budget = syn.synthesize(model, pair, max_resamples=10, seed=3,
-                                rate_budget=5)
-        assert first.status == budget.status == "optimal"
-        assert budget.lam <= first.lam + 1e-12
-
-
 class TestLyapunovImplication:
     def test_certified_solutions_satisfy_the_lyapunov_inequality(self):
         # M(K_u, lam) >= -tol implies lam P - Ktilde^T P Ktilde >= -O(tol)
@@ -432,7 +417,8 @@ def assert_no_worse_than_reference(problem):
 
 def random_problem(seed):
     """A random small LmiProblem: decoder-restricted P of rank 1..d_psi or
-    a full-rank P, ridge 0 or 1e-3, input authority from none to full."""
+    a full-rank P, plus a ridge 0 or 1e-3 times I, input authority from
+    none to full."""
     rng = np.random.default_rng(seed)
     d_psi = rng.integers(1, 5)
     r = rng.integers(1, d_psi + 1)
@@ -444,13 +430,14 @@ def random_problem(seed):
     else:
         root = rng.standard_normal((d_psi, d_psi))
         P = root.T @ root + 1e-2 * np.eye(d_psi)
+    K_xx = rng.choice([0.5, 1.0, 2.0]) * rng.standard_normal((d_psi, d_psi))
+    K_xu = rng.choice([0.0, 0.1, 1.0]) \
+        * rng.standard_normal((d_psi, d_s * d_u))
+    H = rng.standard_normal((d_s * d_pu, d_psi))
+    delta = rng.choice([0.0, 1e-3])
     return syn.LmiProblem(
-        P=P, K_xx=rng.choice([0.5, 1.0, 2.0])
-        * rng.standard_normal((d_psi, d_psi)),
-        K_xu=rng.choice([0.0, 0.1, 1.0])
-        * rng.standard_normal((d_psi, d_s * d_u)),
-        H=rng.standard_normal((d_s * d_pu, d_psi)), d_S=d_s, d_u=d_u,
-        d_psi_u=d_pu, ridge_delta=rng.choice([0.0, 1e-3]))
+        P=symmetrize(P) + delta * np.eye(d_psi), K_xx=K_xx, K_xu=K_xu, H=H,
+        d_S=d_s, d_u=d_u, d_psi_u=d_pu)
 
 
 class TestMatchesReferenceBisection:
@@ -572,9 +559,9 @@ def spanning_ridge_problem():
     """Ktilde = K_xx + K_u with a full 2 x 2 gain: Ktilde = 0 is reachable,
     so lam* = 0 for every P."""
     return syn.LmiProblem(
-        P=np.diag([1.0, 0.0]), K_xx=np.array([[1.5, 0.7], [0.2, 0.9]]),
-        K_xu=np.eye(2), H=np.eye(2), d_S=1, d_u=2, d_psi_u=2,
-        ridge_delta=1e-3)
+        P=np.diag([1.0, 0.0]) + 1e-3 * np.eye(2),
+        K_xx=np.array([[1.5, 0.7], [0.2, 0.9]]),
+        K_xu=np.eye(2), H=np.eye(2), d_S=1, d_u=2, d_psi_u=2)
 
 
 TOY_PROBLEMS = {
@@ -586,9 +573,10 @@ TOY_PROBLEMS = {
         P=np.eye(2), K_xx=0.5 * np.eye(2), K_xu=np.zeros((2, 1)),
         H=np.ones((1, 2)), d_S=1, d_u=1, d_psi_u=1),
     "ridge": lambda: syn.LmiProblem(
-        P=np.diag([1.0, 0.0]), K_xx=np.array([[0.5, 0.3], [0.8, 1.2]]),
+        P=np.diag([1.0, 0.0]) + 1e-3 * np.eye(2),
+        K_xx=np.array([[0.5, 0.3], [0.8, 1.2]]),
         K_xu=np.array([[0.0], [1.0]]), H=np.eye(2), d_S=1, d_u=1,
-        d_psi_u=2, ridge_delta=1e-3),
+        d_psi_u=2),
 }
 
 
