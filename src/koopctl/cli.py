@@ -5,10 +5,13 @@ Exit codes: 0 success, 2 config error, 3 stage-precondition error
 trajectory diverged, or a dataset identify cannot fit), 4 synthesis
 infeasible, 5 evaluation gate failed, 6 factorization retained no
 block, 7 artifact could not be written (e.g. disk full), reported in
-one line naming the file.  Stage outputs embed the hash of the whole
-config; ``pipeline`` skips a stage whose artifact carries the current
-hash, so any config edit reruns every stage.  Artifacts are written
-atomically.
+one line naming the file.  ``STAGES`` holds one row per stage.  Each
+artifact embeds its stage key, the hash of the config sections read by
+the stage and the stages upstream of it (``output_dir`` is in none).
+``pipeline`` reuses every artifact whose key is current and reruns the
+rest, so an ``evaluation`` edit reruns only ``evaluate``; a single-stage
+command exits 3 on an upstream artifact whose key is stale.  Artifacts
+are written atomically.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,7 +35,6 @@ from .babbling import (
 )
 from .config import (
     ConfigError,
-    artifact_meta,
     babbling_config,
     build_maps,
     build_plant,
@@ -66,6 +69,15 @@ class StageError(RuntimeError):
         self.code = code
 
 
+class Stage(NamedTuple):
+    path: str                  # artifact, under output_dir
+    kind: str
+    sections: tuple            # config sections the stage reads itself
+    upstream: tuple            # stages whose outputs ``run`` takes, in order
+    read: Optional[Callable]   # (payload, path) -> output; None: never read
+    run: Callable              # cmd_*(cfg, *upstream outputs)
+
+
 @contextmanager
 def _writing(path):
     """Turn an OSError while writing ``path`` into exit 7, in one line
@@ -85,44 +97,52 @@ def _outdir(cfg: dict) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict, cfg: dict) -> None:
-    payload = dict(payload)
-    payload["meta"] = artifact_meta(cfg)
+def stage_key(cfg: dict, name: str) -> str:
+    """config_hash of the sections that stage ``name`` and every stage
+    upstream of it read."""
+    def sections(n):
+        return set(STAGES[n].sections).union(*map(sections, STAGES[n].upstream))
+    return config_hash({s: cfg[s] for s in sections(name)})
+
+
+def _meta(cfg: dict, name: str) -> dict:
+    return {"meta": {"config_hash": stage_key(cfg, name),
+                     "seed": int(cfg["seed"]), "version": __version__}}
+
+
+def _write_json(cfg: dict, name: str, payload: dict) -> Path:
+    path = _outdir(cfg) / STAGES[name].path
     with _writing(path):
-        write_json_atomic(path, payload)
+        write_json_atomic(path, {**payload, **_meta(cfg, name)})
+    return path
 
 
-def _read_json(path: Path, expected_kind: str):
-    if not path.exists():
-        raise StageError(f"missing stage artifact: {path}", EXIT_PRECONDITION)
+def _load(cfg: dict, name: str):
+    """Stage ``name``'s output, read back from its artifact.  A missing,
+    corrupt or stale artifact, or one of another kind, is exit 3 in one
+    line naming the file and the stage to rerun."""
+    stage = STAGES[name]
+    path = Path(cfg["output_dir"]) / stage.path
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise StageError(f"corrupt stage artifact {path}: {exc}",
-                         EXIT_PRECONDITION)
-    if payload.get("kind") != expected_kind:
-        raise StageError(f"{path} is not a {expected_kind} artifact",
-                         EXIT_PRECONDITION)
-    return payload
+        if not isinstance(payload, dict) or payload.get("kind") != stage.kind:
+            raise ValueError(f"not a {stage.kind} artifact")
+        if payload.get("meta", {}).get("config_hash") != stage_key(cfg, name):
+            raise ValueError("stale, written under another config")
+        return stage.read(payload, path)
+    except FileNotFoundError as exc:
+        problem = f"missing stage artifact {exc.filename}"
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        problem = f"unusable stage artifact {path}: {exc}"
+    raise StageError(f"{problem}; run '{name}' first", EXIT_PRECONDITION)
 
 
-def _load_dataset(outdir: Path) -> SnapshotDataset:
-    """load_dataset with a missing or unreadable manifest.json or
-    snapshots.npz as exit 3, in one line that names the file."""
-    try:
-        return load_dataset(outdir)
-    except (OSError, ValueError, KeyError) as exc:
-        raise StageError(f"cannot read dataset in {outdir}: {exc}",
-                         EXIT_PRECONDITION)
-
-
-def _cached(path: Path, kind: str, cfg: dict) -> bool:
-    try:
-        payload = _read_json(path, kind)
-    except StageError:  # missing, corrupt or of another kind
-        return False
-    return payload.get("meta", {}).get("config_hash") == config_hash(cfg)
+def _read_result(payload: dict, path: Path):
+    result = result_from_json(payload)
+    if result.status != "optimal":
+        raise ValueError(f"synthesis status is {result.status}")
+    return result
 
 
 def cmd_babble(cfg: dict) -> SnapshotDataset:
@@ -133,20 +153,18 @@ def cmd_babble(cfg: dict) -> SnapshotDataset:
         ds = generate_dataset(plant, map_x, map_u, bcfg)
     except ValueError as exc:
         raise StageError(f"cannot babble: {exc}", EXIT_PRECONDITION)
-    outdir = _outdir(cfg) / "dataset"
-    with _writing(outdir):
-        save_dataset(ds, outdir, extra_meta={"meta": artifact_meta(cfg)})
+    path = _outdir(cfg) / STAGES["babble"].path
+    with _writing(path.parent):
+        save_dataset(ds, path.parent, extra_meta=_meta(cfg, "babble"))
     print(f"babble: {ds.n_trajectories} trajectories "
-          f"({ds.n_dropped} dropped), {len(ds)} snapshots "
-          f"-> {outdir / 'manifest.json'}")
+          f"({ds.n_dropped} dropped), {len(ds)} snapshots -> {path}")
     return ds
 
 
 def cmd_factorize(cfg: dict, ds: SnapshotDataset):
     map_x, map_u = build_maps(cfg)
     pair = fit_pair(ds, map_x, map_u, eps_h=cfg["factorization"]["eps_h"])
-    path = _outdir(cfg) / "pair.json"
-    _write_json(path, pair_to_json(pair), cfg)
+    path = _write_json(cfg, "factorize", pair_to_json(pair))
     print(f"factorize: eps_h={pair.eps_h:.3e}, retained {pair.d_S} "
           f"of {pair.mask.size} blocks -> {path}")
     print("  block  label                          residual  kept")
@@ -163,8 +181,7 @@ def cmd_identify(cfg: dict, ds: SnapshotDataset, pair):
                                holdout_fraction=ident["holdout_fraction"])
     except ValueError as exc:
         raise StageError(f"cannot identify: {exc}", EXIT_PRECONDITION)
-    path = _outdir(cfg) / "model.json"
-    _write_json(path, model_to_json(model), cfg)
+    path = _write_json(cfg, "identify", model_to_json(model))
     diag = model.diagnostics
     holdout = diag.get("holdout_mse")
     print(f"identify: train MSE {diag['train_mse']:.3e}"
@@ -191,8 +208,7 @@ def cmd_synthesize(cfg: dict, model, pair):
         model, pair, eps_p=syn["eps_p"], max_resamples=syn["max_resamples"],
         seed=cfg["seed"], lam_tol=syn["lambda_tol"], feas_tol=syn["feas_tol"])
     result.diagnostics["assumption_residual"] = residual
-    path = _outdir(cfg) / "result.json"
-    _write_json(path, result_to_json(result), cfg)
+    path = _write_json(cfg, "synthesize", result_to_json(result))
     if result.status != "optimal":
         raise StageError(
             f"synthesis failed ({result.status}) after "
@@ -207,9 +223,6 @@ def cmd_synthesize(cfg: dict, model, pair):
 
 
 def cmd_evaluate(cfg: dict, result, model, pair):
-    if result.status != "optimal":
-        raise StageError("cannot evaluate a non-optimal synthesis result",
-                         EXIT_PRECONDITION)
     plant = build_plant(cfg)
     map_x, map_u = build_maps(cfg)
     ev = cfg["evaluation"]
@@ -222,13 +235,12 @@ def cmd_evaluate(cfg: dict, result, model, pair):
     report.fidelity = evaluation.lifted_vs_true(
         model, pair, result.K_u, plant, map_x, states[:10],
         int(ev["fidelity_steps"]), cfg["babbling"]["dt"])
-    outdir = _outdir(cfg)
-    _write_json(outdir / "report.json", report.to_json(), cfg)
-    with _writing(outdir / "plots"):
-        files = evaluation.export_plot_data(report, outdir / "plots")
+    path = _write_json(cfg, "evaluate", report.to_json())
+    with _writing(path.parent / "plots"):
+        files = evaluation.export_plot_data(report, path.parent / "plots")
     print(f"evaluate: success rate {report.success_rate:.2%} over "
           f"{len(report.records)} trajectories, median settle "
-          f"{report.median_settling_time:.2f} s -> {outdir / 'report.json'} "
+          f"{report.median_settling_time:.2f} s -> {path} "
           f"(+{len(files)} plot files)")
     if report.success_rate < ev["success_gate"]:
         raise StageError(
@@ -239,59 +251,40 @@ def cmd_evaluate(cfg: dict, result, model, pair):
     return report
 
 
+STAGES = {
+    "babble": Stage(
+        "dataset/manifest.json", "koopctl/dataset",
+        ("plant", "observables", "babbling", "seed"), (),
+        lambda payload, path: load_dataset(path.parent), cmd_babble),
+    "factorize": Stage(
+        "pair.json", "koopctl/pair", ("factorization",), ("babble",),
+        lambda payload, path: pair_from_json(payload), cmd_factorize),
+    "identify": Stage(
+        "model.json", "koopctl/model", ("identification",),
+        ("babble", "factorize"),
+        lambda payload, path: model_from_json(payload), cmd_identify),
+    "synthesize": Stage(
+        "result.json", "koopctl/synthesis", ("synthesis",),
+        ("identify", "factorize"), _read_result, cmd_synthesize),
+    # nothing reads the report back, so pipeline always evaluates
+    "evaluate": Stage(
+        "report.json", "koopctl/report", ("evaluation",),
+        ("synthesize", "identify", "factorize"), None, cmd_evaluate),
+}
+
+
 def cmd_pipeline(cfg: dict):
     # check the evaluation states, which only evaluate reads, before babble
     evaluation_initial_states(cfg, build_plant(cfg).state_dim)
-    outdir = _outdir(cfg)
-    if _cached(outdir / "dataset" / "manifest.json", "koopctl/dataset", cfg):
-        print("babble: cache hit")
-        ds = _load_dataset(outdir / "dataset")
-    else:
-        ds = cmd_babble(cfg)
-    if _cached(outdir / "pair.json", "koopctl/pair", cfg):
-        print("factorize: cache hit")
-        pair = pair_from_json(_read_json(outdir / "pair.json", "koopctl/pair"))
-    else:
-        pair = cmd_factorize(cfg, ds)
-    if _cached(outdir / "model.json", "koopctl/model", cfg):
-        print("identify: cache hit")
-        model = model_from_json(_read_json(outdir / "model.json", "koopctl/model"))
-    else:
-        model = cmd_identify(cfg, ds, pair)
-    if _cached(outdir / "result.json", "koopctl/synthesis", cfg):
-        print("synthesize: cache hit")
-        result = result_from_json(
-            _read_json(outdir / "result.json", "koopctl/synthesis"))
-        if result.status != "optimal":
-            raise StageError(f"cached synthesis is {result.status}",
-                             EXIT_INFEASIBLE)
-    else:
-        result = cmd_synthesize(cfg, model, pair)
-    return cmd_evaluate(cfg, result, model, pair)
-
-
-def _load_stage_inputs(cfg: dict, *names):
-    """Load prior-stage artifacts, enforcing the pipeline order."""
-    outdir = _outdir(cfg)
-    loaded = []
-    for name in names:
-        if name == "dataset":
-            manifest = outdir / "dataset" / "manifest.json"
-            if not manifest.exists():
-                raise StageError(
-                    f"missing dataset (run 'babble' first): {manifest}",
-                    EXIT_PRECONDITION)
-            loaded.append(_load_dataset(outdir / "dataset"))
-        elif name == "pair":
-            loaded.append(pair_from_json(
-                _read_json(outdir / "pair.json", "koopctl/pair")))
-        elif name == "model":
-            loaded.append(model_from_json(
-                _read_json(outdir / "model.json", "koopctl/model")))
-        elif name == "result":
-            loaded.append(result_from_json(
-                _read_json(outdir / "result.json", "koopctl/synthesis")))
-    return loaded
+    done = {}
+    for name, stage in STAGES.items():
+        if stage.read:
+            with suppress(StageError):  # missing, corrupt, other kind, stale
+                done[name] = _load(cfg, name)
+                print(f"{name}: cache hit")
+        if name not in done:
+            done[name] = stage.run(cfg, *(done[u] for u in stage.upstream))
+    return done["evaluate"]
 
 
 def main(argv=None) -> int:
@@ -329,23 +322,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         validate(cfg)
-        if args.command == "babble":
-            cmd_babble(cfg)
-        elif args.command == "factorize":
-            (ds,) = _load_stage_inputs(cfg, "dataset")
-            cmd_factorize(cfg, ds)
-        elif args.command == "identify":
-            ds, pair = _load_stage_inputs(cfg, "dataset", "pair")
-            cmd_identify(cfg, ds, pair)
-        elif args.command == "synthesize":
-            model, pair = _load_stage_inputs(cfg, "model", "pair")
-            cmd_synthesize(cfg, model, pair)
-        elif args.command == "evaluate":
-            result, model, pair = _load_stage_inputs(cfg, "result", "model",
-                                                     "pair")
-            cmd_evaluate(cfg, result, model, pair)
-        elif args.command == "pipeline":
+        if args.command == "pipeline":
             cmd_pipeline(cfg)
+        else:
+            stage = STAGES[args.command]
+            stage.run(cfg, *[_load(cfg, u) for u in stage.upstream])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

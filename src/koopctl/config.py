@@ -2,9 +2,11 @@
 
 A single JSON file drives the whole pipeline.  Unknown keys are rejected
 so typos fail loudly; omitted keys fall back to the documented defaults.
-The sha256 hash of the canonical (sorted, fully merged) config is
-embedded in every artifact so stage caching and reproducibility checks
-are purely content-based.
+``config_hash`` is the sha256 of the canonical (sorted) JSON of a config,
+or of some of its top-level sections: each artifact embeds the hash of
+the sections its stage and the stages upstream of it read (see
+``cli.STAGES``), so stage caching and reproducibility checks are purely
+content-based and ``output_dir`` is in no hash.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 
 import numpy as np
 
-from . import __version__
 from .babbling import BabblingConfig, grid_initial_conditions
 from .observables import (
     ObservableMap,
@@ -146,11 +147,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def artifact_meta(cfg: dict) -> dict:
-    return {"config_hash": config_hash(cfg), "seed": int(cfg["seed"]),
-            "version": __version__}
-
-
 def template_json() -> str:
     """Defaults plus inline documentation, ready to edit; the template
     declares gravity 1.0 (see ``_DOC["plant.params"]``)."""
@@ -214,14 +210,18 @@ def babbling_config(cfg: dict, state_dim: int) -> BabblingConfig:
         raise ConfigError(
             f"babbling.state_grid must hold {state_dim} [lo, hi] rows, one "
             f"per {cfg['plant']['kind']} state component, got {grid!r}")
+    shape = b["grid_shape"]
+    if shape is not None and not (isinstance(shape, list) and all(
+            type(n) is int and n > 0 for n in shape)):
+        raise ConfigError("babbling.grid_shape must be null or a list of "
+                          f"positive integers, got {shape!r}")
     try:
         bcfg = BabblingConfig(
             num_gains=int(b["num_gains"]),
             num_initial_conditions=int(b["num_initial_conditions"]),
             gain_scale=float(b["gain_scale"]),
             state_grid=tuple(tuple(map(float, r)) for r in b["state_grid"]),
-            grid_shape=None if b["grid_shape"] is None
-            else tuple(int(n) for n in b["grid_shape"]),
+            grid_shape=None if shape is None else tuple(shape),
             steps=int(b["steps"]),
             dt=float(b["dt"]),
             seed=int(cfg["seed"]),
@@ -271,11 +271,18 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
 # numbers checked before any stage runs: key -> (integral, positive); a
 # key that need not be positive must be nonnegative
 _NUMBERS = {
+    "babbling.num_gains": (True, True), "babbling.steps": (True, True),
+    "babbling.num_initial_conditions": (True, True),
+    "babbling.gain_scale": (False, False), "babbling.dt": (False, True),
+    "identification.ridge": (False, False),
+    "identification.holdout_fraction": (False, False),
     "factorization.eps_h": (False, True), "synthesis.eps_p": (False, True),
     "synthesis.lambda_tol": (False, True), "synthesis.feas_tol": (False, False),
     "synthesis.max_resamples": (True, False),
     "synthesis.assumption_gate": (False, False),
     "evaluation.horizon_seconds": (False, True),
+    "evaluation.settle_tol": (False, True),
+    "evaluation.success_gate": (False, False),
     "evaluation.fidelity_steps": (True, True), "seed": (True, False),
     "evaluation.initial_conditions.count": (True, False),
 }
@@ -295,5 +302,9 @@ def validate(cfg: dict) -> None:
             raise ConfigError(
                 f"{key} must be a {'positive' if positive else 'nonnegative'}"
                 f" {'integer' if integral else 'number'}, got {x!r}")
+    holdout = cfg["identification"]["holdout_fraction"]
+    if holdout >= 1:
+        raise ConfigError("identification.holdout_fraction must lie in "
+                          f"[0, 1), got {holdout!r}")
     d_x = build_plant(cfg).state_dim
     babbling_config(cfg, d_x)

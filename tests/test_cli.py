@@ -7,6 +7,8 @@ import pytest
 from koopctl import cli, config
 from koopctl.config import ConfigError, config_hash, load_config, merge_defaults
 
+STAGE_NAMES = ["babble", "factorize", "identify", "synthesize", "evaluate"]
+
 
 def smoke_config(tmp_path, **overrides):
     cfg = {
@@ -89,6 +91,17 @@ class TestConfig:
         ("synthesis", {"assumption_gate": "a"}, "synthesis.assumption_gate"),
         ("evaluation", {"initial_conditions": {"kind": "uniform", "count": 0}},
          "initial states must be (n, 2) with n >= 1"),
+        ("evaluation", {"settle_tol": "a"}, "evaluation.settle_tol"),
+        ("evaluation", {"success_gate": "a"}, "evaluation.success_gate"),
+        ("identification", {"ridge": "a"}, "identification.ridge"),
+        ("identification", {"holdout_fraction": 1.5},
+         "identification.holdout_fraction must lie in [0, 1)"),
+        ("babbling", {"dt": -0.01}, "babbling.dt"),
+        ("babbling", {"num_gains": 2.5}, "babbling.num_gains"),
+        ("babbling", {"num_initial_conditions": 9.0},
+         "babbling.num_initial_conditions"),
+        ("babbling", {"steps": 20.5}, "babbling.steps"),
+        ("babbling", {"grid_shape": [3.0, 3]}, "babbling.grid_shape"),
     ])
     def test_malformed_value_exits_2_before_any_stage(
             self, tmp_path, capsys, section, values, key):
@@ -218,8 +231,8 @@ class TestPipeline:
             result = json.load(fh)
         assert result["status"] == "optimal"
         assert result["lambda"] < 1.0
-        assert result["meta"]["config_hash"] == config_hash(
-            load_config(cfgfile))
+        assert result["meta"]["config_hash"] == cli.stage_key(
+            load_config(cfgfile), "synthesize")
         # second run hits every cache
         assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
         out2 = capsys.readouterr().out
@@ -253,6 +266,49 @@ class TestPipeline:
                          "--seed", "5"]) == 0
         assert "cache hit" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("section, value, reruns", [
+        ("plant", {"input_bound": 6.0}, STAGE_NAMES),
+        ("observables", {"controller": {"kind": "single_pendulum"}},
+         STAGE_NAMES),
+        ("babbling", {"gain_scale": 0.9}, STAGE_NAMES),
+        ("seed", 1, STAGE_NAMES),
+        ("factorization", {"eps_h": 1e-4},
+         ["factorize", "identify", "synthesize", "evaluate"]),
+        ("identification", {"holdout_fraction": 0.2},
+         ["identify", "synthesize", "evaluate"]),
+        ("synthesis", {"lambda_tol": 2e-3}, ["synthesize", "evaluate"]),
+        ("evaluation", {"settle_tol": 0.06}, ["evaluate"]),
+    ])
+    def test_section_edit_reruns_its_stage_and_downstream(
+            self, tmp_path, capsys, section, value, reruns):
+        assert cli.main(["pipeline", "--config",
+                         str(smoke_config(tmp_path))]) == 0
+        capsys.readouterr()
+        cfgfile = smoke_config(tmp_path, **{section: value})
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        # one head line per stage; the factorize table lines are indented
+        heads = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith(" ")]
+        assert [line.split(":")[0] for line in heads] == STAGE_NAMES
+        assert [line.split(":")[0] for line in heads
+                if line.endswith(": cache hit")] \
+            == [name for name in STAGE_NAMES if name not in reruns]
+
+    def test_every_config_section_is_read_by_one_stage(self):
+        # a section no row names would be in no stage key
+        read = [s for stage in cli.STAGES.values() for s in stage.sections]
+        assert sorted(read) == sorted(set(config.DEFAULTS) - {"output_dir"})
+
+    def test_output_dir_is_in_no_key(self, tmp_path, capsys):
+        cfgfile = smoke_config(tmp_path)
+        for out in ("a", "b"):
+            assert cli.main(["pipeline", "--config", str(cfgfile),
+                             "--out", str(tmp_path / out)]) == 0
+        for name in ("pair.json", "model.json", "result.json", "report.json",
+                     "dataset/manifest.json", "dataset/snapshots.npz"):
+            assert (tmp_path / "a" / name).read_bytes() \
+                == (tmp_path / "b" / name).read_bytes(), name
+
     def test_snapshot_count_matches_arithmetic(self, tmp_path):
         cfgfile = smoke_config(tmp_path)
         cli.main(["babble", "--config", str(cfgfile)])
@@ -274,6 +330,19 @@ class TestStageOrdering:
         cfgfile = smoke_config(tmp_path)
         assert cli.main(["factorize", "--config", str(cfgfile)]) \
             == cli.EXIT_PRECONDITION
+
+    def test_stale_dataset_exits_3_naming_it_and_babble(self, tmp_path,
+                                                        capsys):
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["babble", "--config", str(cfgfile)]) == 0
+        smoke_config(tmp_path, babbling={"steps": 41})  # same file, edited
+        capsys.readouterr()
+        assert cli.main(["factorize", "--config", str(cfgfile)]) \
+            == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stale" in err
+        assert "manifest.json" in err and "'babble'" in err
+        assert not (tmp_path / "out" / "pair.json").exists()
 
     def test_bad_config_is_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -327,27 +396,53 @@ class TestIdentifyFailureCode:
         assert not (tmp_path / "out" / "model.json").exists()
 
 
+def zero_authority_model(tmp_path):
+    """Babble, factorize and identify, then strip the model's control
+    authority and make its lifted map unstable; returns the config."""
+    cfgfile = smoke_config(tmp_path, synthesis={"max_resamples": 2})
+    cfg = load_config(cfgfile)
+    ds = cli.cmd_babble(cfg)
+    pair = cli.cmd_factorize(cfg, ds)
+    cli.cmd_identify(cfg, ds, pair)
+    with open(tmp_path / "out" / "model.json") as fh:
+        payload = json.load(fh)
+    payload["K_xu"]["data"] = [0.0] * len(payload["K_xu"]["data"])
+    kxx = np.asarray(payload["K_xx"]["data"]).reshape(9, 9)
+    kxx[0, 0] = 1.5
+    payload["K_xx"]["data"] = kxx.ravel().tolist()
+    with open(tmp_path / "out" / "model.json", "w") as fh:
+        json.dump(payload, fh)
+    return cfgfile
+
+
 class TestSynthesisFailureCode:
     def test_zero_authority_model_exits_4(self, tmp_path, capsys):
-        cfgfile = smoke_config(tmp_path, synthesis={"max_resamples": 2})
-        cfg = load_config(cfgfile)
-        ds = cli.cmd_babble(cfg)
-        pair = cli.cmd_factorize(cfg, ds)
-        model = cli.cmd_identify(cfg, ds, pair)
-        # strip all control authority and make the lifted map unstable
-        with open(tmp_path / "out" / "model.json") as fh:
-            payload = json.load(fh)
-        payload["K_xu"]["data"] = [0.0] * len(payload["K_xu"]["data"])
-        kxx = np.asarray(payload["K_xx"]["data"]).reshape(9, 9)
-        kxx[0, 0] = 1.5
-        payload["K_xx"]["data"] = kxx.ravel().tolist()
-        with open(tmp_path / "out" / "model.json", "w") as fh:
-            json.dump(payload, fh)
+        cfgfile = zero_authority_model(tmp_path)
         capsys.readouterr()
         code = cli.main(["synthesize", "--config", str(cfgfile)])
         assert code == cli.EXIT_INFEASIBLE
         with open(tmp_path / "out" / "result.json") as fh:
             assert json.load(fh)["status"] == "max-resamples-exceeded"
+
+    def test_cached_failed_synthesis_is_a_cache_miss(self, tmp_path, capsys):
+        cfgfile = zero_authority_model(tmp_path)
+        # the second pipeline finds the failed result.json under its own
+        # key, reads it as a miss, synthesizes again and fails again
+        for _ in range(2):
+            capsys.readouterr()
+            assert cli.main(["pipeline", "--config", str(cfgfile)]) \
+                == cli.EXIT_INFEASIBLE
+            out, err = capsys.readouterr()
+            assert "identify: cache hit" in out
+            assert "synthesize: cache hit" not in out
+            assert err.startswith("error: synthesis failed")
+        with open(tmp_path / "out" / "result.json") as fh:
+            assert json.load(fh)["status"] == "max-resamples-exceeded"
+        assert cli.main(["evaluate", "--config", str(cfgfile)]) \
+            == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "result.json" in err
+        assert "max-resamples-exceeded" in err and "'synthesize'" in err
 
 
 class TestFactorizeOutputs:
@@ -533,11 +628,11 @@ class TestBrokenArtifacts:
         outdir = tmp_path / "out"
         outdir.mkdir()
         path = outdir / "pair.json"
-        cli._write_json(path, {"kind": "koopctl/pair", "H": [1.0]}, cfg)
+        cli._write_json(cfg, "factorize", {"kind": "koopctl/pair", "H": [1.0]})
         before = path.read_bytes()
         # keys are dumped sorted, so "H" is written before "z" raises
         with pytest.raises(TypeError):
-            cli._write_json(path, {"kind": "koopctl/pair", "H": [2.0],
-                                   "z": object()}, cfg)
+            cli._write_json(cfg, "factorize", {"kind": "koopctl/pair",
+                                               "H": [2.0], "z": object()})
         assert path.read_bytes() == before
         assert sorted(p.name for p in outdir.iterdir()) == ["pair.json"]
