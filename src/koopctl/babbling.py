@@ -169,10 +169,17 @@ def generate_dataset(plant: ControlAffinePlant, map_x: ObservableMap,
         n_trajectories=len(kept), n_dropped=len(trajs) - len(kept),
         meta={"seed": cfg.seed, "steps": T, "dt": cfg.dt,
               "num_gains": cfg.num_gains, "num_initial_conditions": n_ic,
-              "grid_shape": [int(len(np.unique(ics[:, d])))
+              "grid_shape": [_distinct_count(ics[:, d])
                              for d in range(ics.shape[1])]},
     )
     return ds
+
+
+def _distinct_count(v) -> int:
+    """len(np.unique(v)) for a 1-d array without NaN, without the
+    ``numpy.ma`` import (about 20 ms) that np.unique's first call makes."""
+    s = np.sort(v)
+    return int(s.size > 0) + int(np.count_nonzero(s[1:] != s[:-1]))
 
 
 def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:

@@ -160,6 +160,8 @@ def build_plant(cfg: dict) -> ControlAffinePlant:
     section = cfg["plant"]
     kind = section["kind"]
     params = dict(section["params"])
+    # the plant names input_bound; say which of the two keys set it
+    where = "plant.params" if "input_bound" in params else "plant"
     params.setdefault("input_bound", section["input_bound"])
     try:
         if kind == "single_pendulum":
@@ -169,7 +171,10 @@ def build_plant(cfg: dict) -> ControlAffinePlant:
                 params["damping"] = tuple(params["damping"])
             return double_pendulum(**params)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad plant params: {exc}")
+        msg = str(exc)
+        if msg.startswith("input_bound "):
+            raise ConfigError(f"{where}.{msg}")
+        raise ConfigError(f"bad plant params: {msg}")
     raise ConfigError(f"unknown plant kind {kind!r}")
 
 

@@ -5,14 +5,16 @@ The model advances lifted states as
     psi+ = K_xx psi + K_xu ((S psi) kron u)
 
 and K_x = [K_xx  K_xu] is the minimizer of the regularized Frobenius
-objective ||Psi_out - K Psi_in||^2 + ridge ||K||^2.  The rows
-[psi | (S psi) kron u | psi+] are reduced, one chunk at a time, to one
-small triangle R by a streamed Householder QR, with the ridge rows
-[sqrt(ridge) I | 0] as the last chunk; K is the minimum-norm solution
-through the SVD of R's regressor columns, whose singular values are the
-regressor's.  The normal equations are never formed, so near-collinear
-observables (constants and cosines around the origin) stay harmless, and
-no N-row copy of the regressor or target is built.
+objective ||Psi_out - K Psi_in||^2 + ridge ||K||^2.  Only the regressor
+rows [psi | (S psi) kron u], d_psi + d_S d_u wide, are reduced, one chunk
+at a time, to one small triangle R by a streamed Householder QR, with
+the ridge rows [sqrt(ridge) I] as the last chunk; the target rows psi+
+(and a zero block for the ridge rows) ride along as its right-hand side,
+giving Q^T Psi_out without forming Q.  K is the minimum-norm solution
+through the SVD of R, whose singular values are the regressor's.  The
+normal equations are never formed, so near-collinear observables
+(constants and cosines around the origin) stay harmless, and no N-row
+copy of the regressor or target is built.
 
 Each state is lifted once into feature-major (d_psi, N) arrays:
 psi(x_next) reuses psi(x) along trajectories (``lift_snapshots``), and the
@@ -57,20 +59,23 @@ class BilinearKoopmanModel:
         return self.K_xu.shape[1] // self.S.shape[0]
 
 
-def solve_chunks(chunks, d_in: int, d_out: int, ridge: float):
+def solve_chunks(chunks, targets, d_in: int, d_out: int, ridge: float):
     """Minimize ||B - A K^T||_F^2 + ridge ||K||_F^2 over K.
 
-    ``chunks`` yields row blocks [A | B] of the system, A with d_in
-    columns and B with d_out.  Returns (K, info): K is the (d_out, d_in)
-    minimum-norm minimizer, and info records the regressor's effective
-    rank and condition number and flags a rank-deficient unridged problem.
+    ``chunks`` yields row blocks of the regressor A (d_in columns) and
+    ``targets`` the matching row blocks of the target B (d_out columns).
+    Only A is factored; B rides along as ``streamed_qr``'s right-hand
+    side, and the ridge rows [sqrt(ridge) I] come last with a zero target
+    block.  Returns (K, info): K is the (d_out, d_in) minimum-norm
+    minimizer, and info records the regressor's effective rank and
+    condition number and flags a rank-deficient unridged problem.
     """
     if ridge > 0:
-        chunks = itertools.chain(chunks, [np.hstack(
-            [np.sqrt(ridge) * np.eye(d_in), np.zeros((d_in, d_out))])])
-    r = streamed_qr(chunks)
-    u, s, vt, cond = truncated_svd(r[:, :d_in])
-    k = ((r[:, d_in:].T @ u) / s) @ vt
+        chunks = itertools.chain(chunks, [np.sqrt(ridge) * np.eye(d_in)])
+        targets = itertools.chain(targets, [np.zeros((d_in, d_out))])
+    r, qtb = streamed_qr(chunks, targets)
+    u, s, vt, cond = truncated_svd(r)
+    k = ((qtb.T @ u) / s) @ vt
     flags = []
     if len(s) < d_in and ridge == 0:
         flags.append("rank-deficient regressors: minimum-norm solution")
@@ -159,9 +164,9 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
     d_psi = map_x.dim
     d_in = d_psi + bil.shape[0]
     train_cols = _column_chunks(np.flatnonzero(train))
-    chunks = (np.vstack([psi[:, c], bil[:, c], psi_next[:, c]]).T
-              for c in train_cols)
-    k, info = solve_chunks(chunks, d_in, d_psi, rho)
+    chunks = (np.vstack([psi[:, c], bil[:, c]]).T for c in train_cols)
+    targets = (psi_next[:, c].T for c in train_cols)
+    k, info = solve_chunks(chunks, targets, d_in, d_psi, rho)
     info["flags"] = ([UNDERDETERMINED] if n_train < d_in else []) \
         + _bilinear_flags(bil[:, train]) + info["flags"]
     model = BilinearKoopmanModel(

@@ -122,6 +122,15 @@ def lifted_rollout(ktilde: np.ndarray, psi0: np.ndarray,
     return out
 
 
+def _median(values: list) -> float:
+    """float(np.median(values)), bitwise, for a nonempty list of
+    nonnegative floats (settling times), without the ``numpy.ma`` import
+    (about 20 ms) that np.median's first call makes."""
+    s = sorted(values)
+    mid = len(s) // 2
+    return float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2)
+
+
 def evaluate_closed_loop(plant: ControlAffinePlant, map_u: ObservableMap,
                          K_u: np.ndarray, initial_states,
                          horizon_s: float, dt: float,
@@ -185,7 +194,7 @@ def evaluate_closed_loop(plant: ControlAffinePlant, map_u: ObservableMap,
     report = EvaluationReport(
         records=records, uncontrolled_final=unc_final,
         success_rate=success,
-        median_settling_time=float(np.median(settle_times))
+        median_settling_time=_median(settle_times)
         if settle_times else float("nan"),
         lam=result.lam if result is not None else float("nan"),
         settle_tol=settle_tol, horizon_seconds=horizon_s, dt=dt,

@@ -19,10 +19,12 @@ once into feature-major (d_psi, N) arrays, and the fit makes two passes
 over them in chunks of ``QR_CHUNK`` snapshots, forming one chunk of
 products at a time:
 
-1. a streamed Householder QR of psi_x that rotates the product chunks
-   along, giving Q^T C without forming Q; the coefficients of every
-   product follow from the SVD of the small triangle R, cut by gelsd's
-   rank rule, so a rank-deficient psi_x gets minimum-norm solutions;
+1. a streamed Householder QR of psi_x that carries the product chunks
+   as its right-hand side, applying each step's reflectors in compact-WY
+   form, so Q^T C comes out and Q is never formed; the coefficients of
+   every product follow from the SVD of the small triangle R, cut by
+   gelsd's rank rule, so a rank-deficient psi_x gets minimum-norm
+   solutions;
 2. the squared residual ||c - psi_x^T coef||^2 of every product column,
    formed explicitly (the kept blocks' residuals are at rounding level,
    where ||c||^2 - ||Q^T c||^2 would cancel).

@@ -35,6 +35,7 @@ each row keeps the sign of zero that composing f + g u would give.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,15 @@ class Trajectory:
         return self.states[:-1], self.inputs, self.states[1:]
 
 
+def _check_input_bound(bound) -> None:
+    # a negative bound would clip every input to an empty interval and
+    # fail only after babble, identify and synthesize had run on it
+    if not (isinstance(bound, (int, float)) and math.isfinite(bound)
+            and bound > 0):
+        raise ValueError(
+            f"input_bound must be a positive finite number, got {bound!r}")
+
+
 def single_pendulum(m: float = 1.0, L: float = 1.0, b: float = 0.3,
                     gravity: float = 9.81,
                     input_bound: float = 5.0) -> ControlAffinePlant:
@@ -83,6 +93,7 @@ def single_pendulum(m: float = 1.0, L: float = 1.0, b: float = 0.3,
         raise ValueError("mass and length must be positive")
     if b < 0 or gravity < 0:
         raise ValueError("damping and gravity must be nonnegative")
+    _check_input_bound(input_bound)
     inertia = m * L * L
     k_sin = gravity / L
     k_om = b / inertia
@@ -115,6 +126,7 @@ def double_pendulum(m1: float = 1.0, m2: float = 1.0, l1: float = 1.0,
     """
     if min(m1, m2, l1, l2) <= 0:
         raise ValueError("masses and lengths must be positive")
+    _check_input_bound(input_bound)
     b1, b2 = float(damping[0]), float(damping[1])
     # the same float expressions as the dynamics below; the module
     # docstring shows det >= a * c - k * k for every state

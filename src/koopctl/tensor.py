@@ -72,9 +72,11 @@ def streamed_qr(chunks, rhs=None):
     A flat-tree tall-skinny QR: each step factors [R so far; next chunk]
     with Householder ``np.linalg.qr``, so only R and one chunk are held.
     R has min(rows, columns) rows.  Given ``rhs``, an iterable of one
-    right-hand block per chunk (its rows, any number of columns), each
-    step also rotates the blocks so far by that step's Q, and the result
-    is (R, Q^T B) for the row stack B of the blocks; Q is never formed.
+    right-hand block per chunk (its rows, any number of columns), the
+    result is (R, Q^T B) for the row stack B of the blocks.  Q is never
+    formed: each step keeps LAPACK's raw Householder vectors and applies
+    their transpose to [Q^T B so far; next block] in compact-WY form
+    (``_apply_qt``).  The R of either path is the R of ``mode="r"``.
     """
     r = qtb = None
     blocks = None if rhs is None else iter(rhs)
@@ -91,12 +93,47 @@ def streamed_qr(chunks, rhs=None):
         if blocks is None:
             r = np.linalg.qr(a, mode="r")
             continue
-        q, r = np.linalg.qr(a)
-        step = q[top:].T @ next(blocks)
-        qtb = step if qtb is None else q[:top].T @ qtb + step
+        h, tau = np.linalg.qr(a, mode="raw")
+        f = h.T                 # R on and above the diagonal, V below it
+        r = np.triu(f[: len(tau)])
+        qtb = _apply_qt(f, tau, qtb, next(blocks))
     if r is None:
         raise ValueError("no rows to factor")
     return r if blocks is None else (r, qtb)
+
+
+def _apply_qt(f, tau, qtb, block):
+    """First k = len(tau) rows of Q^T [qtb; block] for the Q that ``f``
+    and ``tau`` (LAPACK's raw geqrf output) stand for.
+
+    Q = I - V T V^T with V the unit lower-trapezoidal reflectors and T
+    upper triangular (Schreiber and Van Loan's compact-WY form), so Q^T X
+    is X - V T^T (V^T X).  Below its first k rows V is f's strict lower
+    part as it stands, so the block's rows are read in place: V^T X is
+    one small product for the top rows and one GEMM for the block, and
+    the update of the kept rows is a second GEMM.  T comes from LAPACK
+    dlarft's column recursion, which stays exact for a zero tau (a column
+    that was already reduced) where inverting T would divide by it.
+    """
+    k = len(tau)
+    n_top = 0 if qtb is None else qtb.shape[0]
+    v_head = np.tril(f[:k, :k], -1)
+    np.fill_diagonal(v_head, 1.0)
+    v_tail = f[k:, :k]
+    # rows k: of [qtb; block] are rows k - n_top: of the block (k >= n_top)
+    x_head = np.empty((k, block.shape[1]))
+    x_head[:n_top] = qtb
+    x_head[n_top:] = block[: k - n_top]
+    vtx = v_tail.T @ block[k - n_top :]
+    vtx += v_head.T @ x_head
+    gram = v_tail.T @ v_tail
+    gram += v_head.T @ v_head
+    t = np.zeros((k, k))
+    for i in range(k):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+        t[i, i] = tau[i]
+    x_head -= v_head @ (t.T @ vtx)
+    return x_head
 
 
 def truncated_svd(r: np.ndarray):

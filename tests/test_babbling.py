@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopctl import babbling, plants
 from koopctl.observables import (
@@ -254,3 +256,11 @@ class TestPersistence:
             "manifest.json", "notes.txt", "snapshots.npz",
             "traj_summary.json"]
         assert (outdir / "notes.txt").read_text() == "kept"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, np.pi, np.inf,
+                                 -np.inf, 1e-300]), max_size=12))
+def test_distinct_count_matches_numpy_unique(values):
+    v = np.array(values, dtype=float)
+    assert babbling._distinct_count(v) == len(np.unique(v))

@@ -160,6 +160,25 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "singular mass matrix" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("plant, key", [
+        ({"input_bound": -1}, "plant.input_bound"),
+        ({"input_bound": float("inf")}, "plant.input_bound"),
+        ({"params": {"gravity": 1.0, "input_bound": 0.0}},
+         "plant.params.input_bound"),
+    ])
+    def test_bad_input_bound_exits_2_before_babble(self, tmp_path, capsys,
+                                                   plant, key):
+        # a bound of -1 used to babble, identify and synthesize, then
+        # exit 5 with every evaluation trajectory failing
+        cfgfile = smoke_config(tmp_path, plant=plant)
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must be a positive "
+                              "finite number")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_state_grid_must_match_the_plant(self, tmp_path, capsys):
         # the default grid has the single pendulum's two rows
         cfgfile = smoke_config(
@@ -636,3 +655,24 @@ class TestBrokenArtifacts:
                                                "H": [2.0], "z": object()})
         assert path.read_bytes() == before
         assert sorted(p.name for p in outdir.iterdir()) == ["pair.json"]
+
+
+def test_pipeline_does_not_import_numpy_ma(tmp_path):
+    # np.unique and np.median import numpy.ma on first use, about 20 ms of
+    # every run; babbling and evaluation count and take medians without them
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    cfgfile = smoke_config(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from koopctl import cli; "
+         "code = cli.main(['pipeline', '--config', sys.argv[1]]); "
+         "print(code, 'numpy.ma' in sys.modules)", str(cfgfile)],
+        env=env, capture_output=True, text=True, check=True, timeout=300)
+    assert out.stdout.splitlines()[-1] == f"{cli.EXIT_OK} False"

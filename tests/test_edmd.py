@@ -34,11 +34,31 @@ def simulate_bilinear(k_xx, k_xu, s, psi0s, u_seqs):
 
 
 def solve(psi_in, psi_out, ridge=0.0, chunk=tensor.QR_CHUNK):
-    """edmd.solve_chunks on (d, N) arrays, fed in chunks of ``chunk`` rows."""
+    """edmd.solve_chunks on (d, N) arrays: regressor and target row
+    blocks of ``chunk`` rows each."""
+    spans = [slice(i, i + chunk) for i in range(0, psi_in.shape[1], chunk)]
+    return edmd.solve_chunks((psi_in[:, s].T for s in spans),
+                             (psi_out[:, s].T for s in spans),
+                             psi_in.shape[0], psi_out.shape[0], ridge)
+
+
+def augmented_solve(psi_in, psi_out, ridge=0.0, chunk=tensor.QR_CHUNK):
+    """The solve the regressor-only one replaced: an R-only streamed QR of
+    the augmented rows [A | B], ridge rows [sqrt(ridge) I | 0] last, and K
+    from the SVD of R's regressor columns; returns (K, info)."""
+    d_in, d_out = psi_in.shape[0], psi_out.shape[0]
     rows = np.hstack([psi_in.T, psi_out.T])
-    chunks = (rows[i : i + chunk] for i in range(0, len(rows), chunk))
-    return edmd.solve_chunks(chunks, psi_in.shape[0], psi_out.shape[0],
-                             ridge)
+    chunks = [rows[i : i + chunk] for i in range(0, len(rows), chunk)]
+    if ridge > 0:
+        chunks.append(np.hstack([np.sqrt(ridge) * np.eye(d_in),
+                                 np.zeros((d_in, d_out))]))
+    r = tensor.streamed_qr(iter(chunks))
+    u, s, vt, cond = tensor.truncated_svd(r[:, :d_in])
+    k = ((r[:, d_in:].T @ u) / s) @ vt
+    flags = []
+    if len(s) < d_in and ridge == 0:
+        flags.append("rank-deficient regressors: minimum-norm solution")
+    return k, {"rank": len(s), "cond": cond, "flags": flags}
 
 
 class TestSolveLeastSquares:
@@ -418,3 +438,55 @@ class TestIdentifyMatchesRelift:
                 assert got.pop(key) == pytest.approx(diag.pop(key),
                                                      rel=1e-12)
         assert got == diag
+
+
+def protocol_dataset(kind):
+    """The babbling dataset and selection S of acceptance criterion 6
+    (single pendulum) or 7 (double pendulum), protocol seed 0."""
+    from koopctl import babbling, plants
+    from koopctl.factorization import fit_pair
+    from koopctl.observables import double_pendulum_map
+
+    if kind == "single":
+        plant = plants.single_pendulum(m=1.0, L=1.0, b=0.3, gravity=1.0)
+        m = single_pendulum_map()
+        cfg = babbling.BabblingConfig(
+            num_gains=25, num_initial_conditions=25, gain_scale=1.0,
+            state_grid=((-np.pi, np.pi), (-6.0, 6.0)), steps=100, dt=0.01,
+            seed=0)
+    else:
+        plant = plants.double_pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0,
+                                       gravity=1.0)
+        m = double_pendulum_map()
+        cfg = babbling.BabblingConfig(
+            num_gains=20, num_initial_conditions=108, gain_scale=1.0,
+            state_grid=((-np.pi, np.pi), (-np.pi, np.pi), (-2.0, 2.0),
+                        (-2.0, 2.0)),
+            steps=100, dt=0.01, seed=0)
+    ds = babbling.generate_dataset(plant, m, m, cfg)
+    return ds, m, fit_pair(ds, m, m).S
+
+
+class TestRegressorOnlySolve:
+    """identify_model factors only [psi | (S psi) kron u] and carries psi+
+    as the right-hand side; the augmented R-only solve is its oracle."""
+
+    @pytest.mark.parametrize("kind", [
+        "single", pytest.param("double", marks=pytest.mark.slow)])
+    def test_protocol_model_matches_augmented_solve(self, kind):
+        ds, m, s = protocol_dataset(kind)
+        model = edmd.identify_model(ds, m, s)
+        diag = model.diagnostics
+        train, _ = ds.split_by_trajectory(0.1)
+        psi, psi_next = edmd.lift_snapshots(ds, m)
+        bil = edmd._bilinear_rows(s, psi, ds.u.T)
+        regressor = np.vstack([psi, bil])[:, train]
+        assert regressor.shape[0] == m.dim + s.shape[0] * ds.u.shape[1]
+        k_ref, info_ref = augmented_solve(regressor, psi_next[:, train],
+                                          diag["ridge"])
+        k = np.hstack([model.K_xx, model.K_xu])
+        assert np.abs(k - k_ref).max() <= 1e-12 * np.abs(k_ref).max()
+        assert diag["rank"] == info_ref["rank"]
+        assert [f for f in diag["flags"] if "minimum-norm" in f] \
+            == info_ref["flags"]
+        assert diag["cond"] == pytest.approx(info_ref["cond"], rel=1e-10)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopctl import evaluation as ev
 from koopctl import plants, synthesis as syn
@@ -302,3 +304,14 @@ class TestExportPlotData:
         for f in files:
             with open(f) as fh:
                 assert len(list(csv.reader(fh))) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False), min_size=1,
+                max_size=12))
+def test_median_matches_numpy_bitwise(values):
+    # settling times: nonnegative, never NaN, and 0.0 never -0.0
+    with np.errstate(over="ignore"):
+        want = np.float64(np.median(values))
+    assert np.float64(ev._median(values)).view(np.uint64) \
+        == want.view(np.uint64)

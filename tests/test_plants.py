@@ -124,6 +124,14 @@ class TestDoublePendulum:
         qdd = self.plant.rhs(x, u)[2:] - self.plant.rhs(x, np.zeros(2))[2:]
         np.testing.assert_allclose(m @ qdd, u, atol=1e-12)
 
+    @pytest.mark.parametrize("bound", [-1.0, 0.0, float("nan"),
+                                       float("inf"), "5"])
+    def test_rejects_bad_input_bound(self, bound):
+        for make in (plants.single_pendulum, plants.double_pendulum):
+            with pytest.raises(ValueError, match="input_bound must be a "
+                               "positive finite number"):
+                make(input_bound=bound)
+
     def test_rejects_singular_mass_matrix(self):
         # m1 = 1e-17 rounds (m1 + m2) l1^2 m2 l2^2 - (m2 l1 l2)^2 to 0
         with pytest.raises(ValueError, match="singular mass matrix"):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koopctl import tensor
 
@@ -93,6 +95,18 @@ class TestMinEigenvalue:
             tensor.min_eigenvalue([[np.nan, 0], [0, 1.0]])
 
 
+def formed_q_qtb(chunks, blocks):
+    """Q^T B as the streamed QR computed it before it stopped forming Q:
+    each step's reduced Q from ``np.linalg.qr``, applied explicitly."""
+    r = qtb = None
+    for c, blk in zip(chunks, blocks):
+        top = 0 if r is None else r.shape[0]
+        q, r = np.linalg.qr(c if r is None else np.vstack([r, c]))
+        step = q[top:].T @ blk
+        qtb = step if qtb is None else q[:top].T @ qtb + step
+    return qtb
+
+
 class TestStreamedQr:
     # chunk row counts, some below the width of 4 columns
     @pytest.mark.parametrize("sizes", [(3,), (2, 2, 5), (40,), (7, 1, 30, 2)])
@@ -112,6 +126,34 @@ class TestStreamedQr:
         _, qta = tensor.streamed_qr(iter(chunks), iter(chunks))
         np.testing.assert_allclose(qta, r, atol=1e-14)
         np.testing.assert_array_equal(tensor.streamed_qr(iter(chunks)), r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 8),
+           n_rhs=st.integers(1, 4), data=st.data())
+    def test_rhs_path_over_random_chunk_splits(self, seed, width, n_rhs,
+                                               data):
+        # chunks as short as one row, so some are shorter than the width,
+        # and maybe an exactly zero column, whose reflector has tau 0
+        sizes = data.draw(st.lists(st.integers(1, 3 * width), min_size=1,
+                                   max_size=8), label="sizes")
+        zero = data.draw(st.none() | st.integers(0, width - 1), label="zero")
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((sum(sizes), width))
+        if zero is not None:
+            a[:, zero] = 0.0
+        b = rng.standard_normal((a.shape[0], n_rhs))
+        chunks = np.split(a, np.cumsum(sizes)[:-1])
+        blocks = np.split(b, np.cumsum(sizes)[:-1])
+        r, qtb = tensor.streamed_qr(iter(chunks), iter(blocks))
+        np.testing.assert_array_equal(r, tensor.streamed_qr(iter(chunks)))
+        scale = np.abs(a).max() * max(np.abs(a).max(), np.abs(b).max())
+        np.testing.assert_allclose(r.T @ qtb, a.T @ b, rtol=0,
+                                   atol=1e-13 * scale)
+        r_ref = np.linalg.qr(a, mode="r")
+        np.testing.assert_allclose(r.T @ r, r_ref.T @ r_ref, rtol=0,
+                                   atol=1e-13 * scale)
+        np.testing.assert_allclose(qtb, formed_q_qtb(chunks, blocks),
+                                   rtol=0, atol=1e-13 * scale)
 
     def test_row_chunks_cover_the_rows(self):
         n = 2 * tensor.QR_CHUNK + 5
