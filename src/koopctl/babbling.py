@@ -131,9 +131,14 @@ def grid_initial_conditions(cfg: BabblingConfig, d_x: int = None) -> np.ndarray:
             )
     else:
         shape = near_equal_factorization(cfg.num_initial_conditions, d_x)
-    axes = []
-    for (lo, hi), n in zip(cfg.state_grid, shape):
-        axes.append(np.linspace(lo, hi, n) if n > 1 else np.array([lo]))
+    return grid_points(cfg.state_grid, shape)
+
+
+def grid_points(bounds, shape) -> np.ndarray:
+    """(prod(shape), len(bounds)) grid of shape[i] evenly spaced points per
+    [lo, hi] row, endpoints included (one point: lo), first axis slowest."""
+    axes = [np.linspace(lo, hi, n) if n > 1 else np.array([lo])
+            for (lo, hi), n in zip(bounds, shape)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 

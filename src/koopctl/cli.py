@@ -233,8 +233,8 @@ def cmd_evaluate(cfg: dict, result, model, pair):
         map_x=map_x, train_ranges=cfg["babbling"]["state_grid"],
     )
     report.fidelity = evaluation.lifted_vs_true(
-        model, pair, result.K_u, plant, map_x, states[:10],
-        int(ev["fidelity_steps"]), cfg["babbling"]["dt"])
+        model, pair, result.K_u, map_x, report.controlled_trajs[:10],
+        ev["fidelity_steps"])
     path = _write_json(cfg, "evaluate", report.to_json())
     with _writing(path.parent / "plots"):
         files = evaluation.export_plot_data(report, path.parent / "plots")

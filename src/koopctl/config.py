@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .babbling import BabblingConfig, grid_initial_conditions
+from .babbling import BabblingConfig, grid_initial_conditions, grid_points
 from .observables import (
     ObservableMap,
     double_pendulum_map,
@@ -106,6 +106,7 @@ _DOC = {
     "synthesis.assumption_gate": "max compatibility residual allowed before synthesis",
     "evaluation.initial_conditions": "uniform sampling, explicit grid, or a literal state list",
     "evaluation.extra_states": "stress-case states appended to the evaluation set",
+    "evaluation.fidelity_steps": "lifted-model fidelity steps, at most horizon_seconds / dt",
     "seed": "global seed; stage streams are derived deterministically from it",
 }
 
@@ -256,10 +257,7 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
             shape = section["shape"]
             if shape is None or len(shape) != d_x:
                 raise ValueError(f"shape must hold {d_x} counts")
-            axes = [np.linspace(lo, hi, int(n)) if int(n) > 1
-                    else np.array([lo]) for (lo, hi), n in zip(ranges, shape)]
-            states = np.stack([m.ravel() for m in
-                               np.meshgrid(*axes, indexing="ij")], axis=-1)
+            states = grid_points(ranges, [int(n) for n in shape])
         else:
             raise ValueError(f"unknown kind {kind!r}")
         extra = cfg["evaluation"].get("extra_states") or []
@@ -294,8 +292,8 @@ _NUMBERS = {
 
 
 def validate(cfg: dict) -> None:
-    """Check the numbers, the plant and the babbling grid before any stage
-    runs, so a malformed value exits 2 in one line naming its key."""
+    """Check the numbers, evaluation horizon, plant and babbling grid before
+    any stage runs, so a malformed value exits 2 in one line naming its key."""
     for key, (integral, positive) in _NUMBERS.items():
         path = key.split(".")
         x = functools.reduce(dict.get, path, cfg)
@@ -311,5 +309,13 @@ def validate(cfg: dict) -> None:
     if holdout >= 1:
         raise ConfigError("identification.holdout_fraction must lie in "
                           f"[0, 1), got {holdout!r}")
+    ev = cfg["evaluation"]
+    try:  # a JSON integer or a step count beyond the float range
+        steps = round(ev["horizon_seconds"] / cfg["babbling"]["dt"])
+    except OverflowError:
+        raise ConfigError("evaluation.horizon_seconds / babbling.dt overflows")
+    if ev["fidelity_steps"] > steps:
+        raise ConfigError(f"evaluation.fidelity_steps must be at most the "
+                          f"{steps} evaluation steps, got {ev['fidelity_steps']}")
     d_x = build_plant(cfg).state_dim
     babbling_config(cfg, d_x)

@@ -1,10 +1,12 @@
 """Closed-loop assessment of synthesized controllers on the true plant.
 
 Each initial condition is rolled out under u = clip(K_u psi_u(x))
-alongside an uncontrolled twin (u = 0) from the same state.  The report
-records convergence against an infinity-norm settle tolerance at the
-horizon, settling times, input peaks, Lyapunov-decrease fractions along
-the true trajectories, and lifted-model fidelity metrics.  The Lyapunov
+alongside an uncontrolled twin (u = 0) from the same state, in one
+batched rollout.  The report records convergence against an
+infinity-norm settle tolerance at the horizon, settling times, input
+peaks, Lyapunov-decrease fractions along the true trajectories, and
+lifted-model fidelity metrics, which compare lifted predictions with a
+prefix of those same closed-loop trajectories.  The Lyapunov
 certificate itself applies to the lifted model; the true-plant decrease
 fraction is reported but is not a feasibility criterion.
 """
@@ -209,26 +211,24 @@ def evaluate_closed_loop(plant: ControlAffinePlant, map_u: ObservableMap,
 
 
 def lifted_vs_true(model: BilinearKoopmanModel, pair: FactorizationPair,
-                   K_u: np.ndarray, plant: ControlAffinePlant,
-                   map_x: ObservableMap, initial_states, steps: int,
-                   dt: float) -> dict:
+                   K_u: np.ndarray, map_x: ObservableMap, trajs,
+                   steps: int) -> dict:
     """Decoded lifted predictions against true closed-loop trajectories.
 
-    Reports per-step error statistics ||A_dec Ktilde^k psi(x0) - x_true(k)||.
+    ``trajs`` are closed-loop rollouts of the plant under the gain K_u,
+    such as ``EvaluationReport.controlled_trajs``; each supplies x0 and
+    the true states x_true(k) for its first ``steps`` steps, fewer when
+    it diverged or ends sooner (those steps count as NaN).  Reports
+    per-step error statistics ||A_dec Ktilde^k psi(x0) - x_true(k)||.
     """
     a_dec = decoding_operator(map_x)
     ktilde = assemble_ktilde(model, K_u, pair.H).Ktilde
-    initial_states = np.asarray(initial_states, dtype=float)
-    trajs = rollout(plant, initial_states, feedback_controller(map_x, K_u),
-                    steps, dt)
-    errs = np.zeros((len(initial_states), steps))
-    for i, (x0, traj) in enumerate(zip(initial_states, trajs)):
-        psi_traj = lifted_rollout(ktilde, map_x(x0), steps)
-        n_ok = traj.states.shape[0] - 1
-        decoded = psi_traj[1 : n_ok + 1] @ a_dec.T
-        err = np.linalg.norm(decoded - traj.states[1 : n_ok + 1], axis=1)
-        errs[i, :n_ok] = err
-        errs[i, n_ok:] = np.nan
+    errs = np.full((len(trajs), steps), np.nan)
+    for i, traj in enumerate(trajs):
+        psi_traj = lifted_rollout(ktilde, map_x(traj.states[0]), steps)
+        n_ok = min(steps, len(traj.states) - 1)
+        err = psi_traj[1 : n_ok + 1] @ a_dec.T - traj.states[1 : n_ok + 1]
+        errs[i, :n_ok] = np.linalg.norm(err, axis=1)
     with np.errstate(all="ignore"):
         per_step_mean = np.nanmean(errs, axis=0)
     return {
@@ -240,36 +240,24 @@ def lifted_vs_true(model: BilinearKoopmanModel, pair: FactorizationPair,
 
 
 def export_plot_data(report: EvaluationReport, outdir) -> list:
-    """CSV files for phase portraits and state responses, both variants.
+    """``trajectories_controlled.csv`` and ``trajectories_uncontrolled.csv``,
+    one row per stored state with the columns traj, k, t, x1..xd.
 
-    Re-reading the files reproduces the stored floats exactly (values are
-    written with shortest round-trip precision).
+    Re-reading the files reproduces the stored floats exactly: csv writes
+    a float as its repr, the shortest string that round-trips (t is k * dt).
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-
-    def dims(trajs):
-        return trajs[0].states.shape[1] if trajs else 0
-
     for tag, trajs in (("controlled", report.controlled_trajs),
                        ("uncontrolled", report.uncontrolled_trajs)):
-        d_x = dims(trajs)
-        phase = outdir / f"phase_{tag}.csv"
-        with open(phase, "w", newline="") as fh:
+        d_x = trajs[0].states.shape[1] if trajs else 1
+        path = outdir / f"trajectories_{tag}.csv"
+        with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["traj", "k"] + [f"x{i + 1}" for i in range(max(d_x, 1))])
+            w.writerow(["traj", "k", "t"] + [f"x{i + 1}" for i in range(d_x)])
             for tid, traj in enumerate(trajs):
-                for k, x in enumerate(traj.states):
-                    w.writerow([tid, k] + [repr(float(v)) for v in x])
-        written.append(phase)
-        resp = outdir / f"response_{tag}.csv"
-        with open(resp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["traj", "t"] + [f"x{i + 1}" for i in range(max(d_x, 1))])
-            for tid, traj in enumerate(trajs):
-                for k, x in enumerate(traj.states):
-                    w.writerow([tid, repr(k * report.dt)]
-                               + [repr(float(v)) for v in x])
-        written.append(resp)
+                w.writerows([tid, k, k * report.dt, *x]
+                            for k, x in enumerate(traj.states.tolist()))
+        written.append(path)
     return written

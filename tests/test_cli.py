@@ -102,6 +102,13 @@ class TestConfig:
          "babbling.num_initial_conditions"),
         ("babbling", {"steps": 20.5}, "babbling.steps"),
         ("babbling", {"grid_shape": [3.0, 3]}, "babbling.grid_shape"),
+        ("evaluation", {"fidelity_steps": 2001, "horizon_seconds": 20.0},
+         "evaluation.fidelity_steps"),
+        ("evaluation", {"horizon_seconds": 10 ** 400},
+         "evaluation.horizon_seconds / babbling.dt overflows"),
+        ("evaluation", {"initial_conditions": {
+            "kind": "grid", "ranges": [[-1, 1], [-2, 2]], "shape": [2]}},
+         "shape must hold 2 counts"),
     ])
     def test_malformed_value_exits_2_before_any_stage(
             self, tmp_path, capsys, section, values, key):
@@ -117,6 +124,39 @@ class TestConfig:
         config.validate(merge_defaults({"seed": 10 ** 400}))
         with pytest.raises(ConfigError, match="synthesis.eps_p"):
             config.validate(merge_defaults({"synthesis": {"eps_p": 1e400}}))
+
+    def test_fidelity_steps_fit_the_evaluation_horizon(self):
+        # 20 s at dt 0.01 is 2000 steps; the fidelity prefix may use them all
+        config.validate(merge_defaults({"evaluation": {"fidelity_steps": 2000}}))
+        with pytest.raises(ConfigError, match="at most the 2000 evaluation"):
+            config.validate(merge_defaults(
+                {"evaluation": {"fidelity_steps": 2001}}))
+        # a step count beyond the float range is an error, not a traceback
+        for horizon, dt in [(10 ** 400, 0.01), (1e300, 1e-300)]:
+            with pytest.raises(ConfigError, match="overflows"):
+                config.validate(merge_defaults(
+                    {"evaluation": {"horizon_seconds": horizon},
+                     "babbling": {"dt": dt}}))
+
+    @pytest.mark.parametrize("section, states", [
+        ({"initial_conditions": {"kind": "grid", "shape": [2, 3],
+                                 "ranges": [[-1.0, 1.0], [-2.0, 2.0]]}},
+         [[-1.0, -2.0], [-1.0, 0.0], [-1.0, 2.0],
+          [1.0, -2.0], [1.0, 0.0], [1.0, 2.0]]),
+        ({"initial_conditions": {"kind": "list",
+                                 "states": [[0.1, 0.0], [-0.2, 0.3]]}},
+         [[0.1, 0.0], [-0.2, 0.3]]),
+        ({"initial_conditions": {"kind": "list", "states": [[0.1, 0.0]]},
+          "extra_states": [[0.5, -0.5]]},
+         [[0.1, 0.0], [0.5, -0.5]]),
+    ])
+    def test_evaluation_state_kinds_through_pipeline(self, tmp_path, capsys,
+                                                      section, states):
+        cfgfile = smoke_config(tmp_path, evaluation=section)
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [r["initial_state"] for r in report["records"]] == states
 
     def test_evaluation_states_checked_only_where_evaluated(self, tmp_path,
                                                             capsys):
@@ -312,6 +352,36 @@ class TestPipeline:
         assert [line.split(":")[0] for line in heads
                 if line.endswith(": cache hit")] \
             == [name for name in STAGE_NAMES if name not in reruns]
+
+    def test_separate_controller_map_is_evaluated_with_its_own_lift(
+            self, tmp_path, capsys, monkeypatch):
+        # psi_u = [theta, theta_dot, 1, sin theta, cos theta] differs from
+        # the 9-feature psi_x: K_u applies to psi_u only, so the fidelity
+        # metrics must read the closed loop that evaluation ran under psi_u
+        controller = {"kind": "custom", "state_dim": 2, "features": [
+            {"label": "theta", "poly": [1, 0]},
+            {"label": "theta_dot", "poly": [0, 1]},
+            {"label": "1"},
+            {"label": "sin(theta)", "trigs": [["sin", [1.0, 0.0]]]},
+            {"label": "cos(theta)", "trigs": [["cos", [1.0, 0.0]]]}]}
+        cfgfile = smoke_config(tmp_path,
+                               observables={"controller": controller})
+        calls = []
+        rollout = cli.evaluation.rollout
+        monkeypatch.setattr(cli.evaluation, "rollout",
+                            lambda *a: calls.append(a) or rollout(*a))
+        code = cli.main(["pipeline", "--config", str(cfgfile)])
+        out, err = capsys.readouterr()
+        assert code in (cli.EXIT_OK, cli.EXIT_EVAL_GATE), err
+        assert len(calls) == 1  # the evaluation's one batched rollout
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert (result["K_u"]["rows"], result["K_u"]["cols"]) == (1, 5)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        fidelity = report["fidelity"]
+        assert fidelity["steps"] == 40 and len(fidelity["per_step_mean"]) == 40
+        assert np.isfinite(fidelity["one_step_rmse"])
+        assert sorted(p.name for p in (tmp_path / "out" / "plots").iterdir()) \
+            == ["trajectories_controlled.csv", "trajectories_uncontrolled.csv"]
 
     def test_every_config_section_is_read_by_one_stage(self):
         # a section no row names would be in no stage key

@@ -11,6 +11,7 @@ from koopctl import plants, synthesis as syn
 from koopctl.edmd import BilinearKoopmanModel
 from koopctl.factorization import FactorizationPair, assemble_ktilde
 from koopctl.observables import (
+    decoding_operator,
     double_pendulum_map,
     polynomial_map,
     single_pendulum_map,
@@ -110,16 +111,78 @@ class TestBatchedMatchesScalar:
             assert [r.diverged for r in got.records] == [False, True, True]
 
     @pytest.mark.parametrize("name", ["single", "double"])
-    def test_lifted_vs_true(self, name, monkeypatch):
-        plant, m, K, states, _ = equivalence_case(name)
+    def test_lifted_vs_true(self, name):
+        plant, m, K, states, horizon = equivalence_case(name)
         model, pair = one_block_pair_model(m.dim, plant.input_dim)
-        args = (model, pair, K, plant, m, states, 120, 0.01)
-        got = ev.lifted_vs_true(*args)
+        report = ev.evaluate_closed_loop(plant, m, K, states, horizon, 0.01)
+        got = ev.lifted_vs_true(model, pair, K, m, report.controlled_trajs,
+                                120)
         ref = [scalar_rollout(plant, x0, lambda x: K @ m(x), 120, 0.01)
                for x0 in states]
-        monkeypatch.setattr(ev, "rollout", lambda *a: ref)
-        want = ev.lifted_vs_true(*args)
+        want = ev.lifted_vs_true(model, pair, K, m, ref, 120)
         assert json.dumps(got) == json.dumps(want)
+
+
+def rollout_lifted_vs_true(model, pair, K_u, plant, map_x, initial_states,
+                           steps, dt):
+    """The fidelity metrics from a second rollout of their own, as they
+    were computed before they read the evaluation's trajectories."""
+    a_dec = decoding_operator(map_x)
+    ktilde = assemble_ktilde(model, K_u, pair.H).Ktilde
+    initial_states = np.asarray(initial_states, dtype=float)
+    trajs = plants.rollout(plant, initial_states,
+                           ev.feedback_controller(map_x, K_u), steps, dt)
+    errs = np.zeros((len(initial_states), steps))
+    for i, (x0, traj) in enumerate(zip(initial_states, trajs)):
+        psi_traj = ev.lifted_rollout(ktilde, map_x(x0), steps)
+        n_ok = traj.states.shape[0] - 1
+        decoded = psi_traj[1 : n_ok + 1] @ a_dec.T
+        err = np.linalg.norm(decoded - traj.states[1 : n_ok + 1], axis=1)
+        errs[i, :n_ok] = err
+        errs[i, n_ok:] = np.nan
+    with np.errstate(all="ignore"):
+        per_step_mean = np.nanmean(errs, axis=0)
+    return {
+        "one_step_rmse": float(np.sqrt(np.nanmean(errs[:, 0] ** 2))),
+        "final_step_rmse": float(np.sqrt(np.nanmean(errs[:, -1] ** 2))),
+        "per_step_mean": per_step_mean.tolist(),
+        "steps": steps,
+    }
+
+
+class TestFidelityFromTheEvaluationRollout:
+    """Fidelity read off the evaluation's trajectories against a second
+    rollout of the same closed loop."""
+
+    @pytest.mark.parametrize("steps", [120, 250])
+    @pytest.mark.parametrize("name", ["single", "double", "blowup"])
+    def test_matches_second_rollout_bytewise(self, name, steps):
+        plant, m, K, states, horizon = equivalence_case(name)
+        model, pair = one_block_pair_model(m.dim, plant.input_dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = ev.evaluate_closed_loop(plant, m, K, states, horizon,
+                                             0.01)
+            want = rollout_lifted_vs_true(model, pair, K, plant, m,
+                                          states, steps, 0.01)
+            got = ev.lifted_vs_true(model, pair, K, m,
+                                    report.controlled_trajs, steps)
+        assert json.dumps(got) == json.dumps(want)
+        if name == "blowup":  # [0.5] diverges between the two horizons
+            assert [t.diverged for t in report.controlled_trajs] \
+                == [False, True, True]
+            assert 120 < len(report.controlled_trajs[1].states) - 1 < 250
+            assert len(report.controlled_trajs[2].states) - 1 < 120
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
+    def test_steps_beyond_a_trajectory_count_as_nan(self):
+        plant, m, K, states, _ = equivalence_case("single")
+        model, pair = one_block_pair_model(m.dim, plant.input_dim)
+        report = ev.evaluate_closed_loop(plant, m, K, states[:2], 0.5, 0.01)
+        fid = ev.lifted_vs_true(model, pair, K, m, report.controlled_trajs,
+                                80)
+        assert np.isfinite(fid["per_step_mean"][:50]).all()
+        assert np.isnan(fid["per_step_mean"][50:]).all()
+        assert np.isnan(fid["final_step_rmse"]) and fid["steps"] == 80
 
 
 class TestOneLiftForLyapunovTrace:
@@ -270,11 +333,32 @@ class TestLiftedVsTrue:
         model = edmd.identify_model(ds, m, pair.S)
         K = np.zeros((1, 9))
         K[0, 0], K[0, 1], K[0, 5] = -2.0, -2.0, -1.0
-        fid = ev.lifted_vs_true(model, pair, K, plant, m,
-                                rng.uniform(-0.5, 0.5, size=(5, 2)), 80, 0.01)
+        report = ev.evaluate_closed_loop(
+            plant, m, K, rng.uniform(-0.5, 0.5, size=(5, 2)), 0.8, 0.01)
+        fid = ev.lifted_vs_true(model, pair, K, m, report.controlled_trajs,
+                                80)
         per_step = np.asarray(fid["per_step_mean"])
         assert fid["one_step_rmse"] < 1e-3
         assert per_step[-1] > per_step[0]
+
+
+def old_export_rows(report):
+    """The rows of the phase_* and response_* files that one trajectory
+    file per variant replaced, as {file name: rows}."""
+    files = {}
+    for tag, trajs in (("controlled", report.controlled_trajs),
+                       ("uncontrolled", report.uncontrolled_trajs)):
+        d_x = trajs[0].states.shape[1] if trajs else 0
+        names = [f"x{i + 1}" for i in range(max(d_x, 1))]
+        files[f"phase_{tag}"] = [["traj", "k"] + names] + [
+            [str(tid), str(k)] + [repr(float(v)) for v in x]
+            for tid, traj in enumerate(trajs)
+            for k, x in enumerate(traj.states)]
+        files[f"response_{tag}"] = [["traj", "t"] + names] + [
+            [str(tid), repr(k * report.dt)] + [repr(float(v)) for v in x]
+            for tid, traj in enumerate(trajs)
+            for k, x in enumerate(traj.states)]
+    return files
 
 
 class TestExportPlotData:
@@ -286,14 +370,32 @@ class TestExportPlotData:
         rep = ev.evaluate_closed_loop(plant, m, K,
                                       [[0.2, 0.0], [-0.3, 0.1]], 1.0, 0.01)
         files = ev.export_plot_data(rep, tmp_path)
-        assert len(files) == 4
-        with open(tmp_path / "phase_controlled.csv") as fh:
+        assert [f.name for f in files] == ["trajectories_controlled.csv",
+                                           "trajectories_uncontrolled.csv"]
+        with open(tmp_path / "trajectories_controlled.csv") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["traj", "k", "x1", "x2"]
+        assert rows[0] == ["traj", "k", "t", "x1", "x2"]
         assert {r[0] for r in rows[1:]} == {"0", "1"}
+        assert len(rows) == 1 + 2 * 101
         # shortest round-trip floats reproduce the stored states exactly
-        first = rep.controlled_trajs[0].states[0]
-        assert float(rows[1][2]) == first[0]
+        states = np.array([[float(v) for v in r[3:]] for r in rows[1:]])
+        np.testing.assert_array_equal(
+            states, np.vstack([t.states for t in rep.controlled_trajs]))
+        assert rows[-1][1:3] == ["100", repr(100 * 0.01)]
+
+    @pytest.mark.parametrize("name", ["single", "double", "blowup"])
+    def test_rows_match_phase_and_response_files(self, tmp_path, name):
+        plant, m, K, states, horizon = equivalence_case(name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = ev.evaluate_closed_loop(plant, m, K, states, horizon, 0.01)
+        ev.export_plot_data(rep, tmp_path)
+        old = old_export_rows(rep)
+        for tag in ("controlled", "uncontrolled"):
+            with open(tmp_path / f"trajectories_{tag}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert [r[:2] + r[3:] for r in rows] == old[f"phase_{tag}"]
+            assert [r[:1] + r[2:] for r in rows[1:]] \
+                == old[f"response_{tag}"][1:]
 
     def test_empty_report_writes_headers_only(self, tmp_path):
         rep = ev.EvaluationReport(
