@@ -259,7 +259,8 @@ def load_dataset(outdir) -> SnapshotDataset:
         manifest = json.load(fh)
     path = outdir / PAYLOAD
     try:
-        with np.load(path) as npz:
+        # np.load leaks the file it opens when the zip is unreadable
+        with open(path, "rb") as fh, np.load(fh) as npz:
             arrays = {k: npz[k] for k in ARRAYS}
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
         raise ValueError(f"unreadable {path}: {exc}") from exc

@@ -16,10 +16,12 @@ normal equations are never formed, so near-collinear observables
 (constants and cosines around the origin) stay harmless, and no N-row
 copy of the regressor or target is built.
 
-Each state is lifted once into feature-major (d_psi, N) arrays:
-psi(x_next) reuses psi(x) along trajectories (``lift_snapshots``), and the
-QR chunks and the train and held-out errors are built from chunks of
-their columns, never from N-row copies.
+Each distinct state is lifted once into one feature-major array
+(``lift_snapshots``): psi(x_next) reuses psi(x) along trajectories, so
+only the trajectory ends are lifted again, and it is never built as an
+array of its own.  The QR chunks and the train and held-out errors
+gather one chunk of columns at a time, psi(x_next) through an index of
+the columns, never an N-row copy.
 """
 
 from __future__ import annotations
@@ -83,25 +85,27 @@ def solve_chunks(chunks, targets, d_in: int, d_out: int, ridge: float):
 
 
 def lift_snapshots(ds: SnapshotDataset, map_x: ObservableMap):
-    """(psi(x), psi(x_next)) as feature-major (d_psi, N) arrays, lifting
-    each state once.
+    """(psi, next_cols): every distinct state of ``ds`` lifted once, and
+    where each psi(x_next) sits among them.
 
-    Column k of psi(x_next) is column k+1 of psi(x) wherever x_next[k]
-    equals x[k+1] bitwise, as it does inside every babbled or loaded
-    trajectory; only the other states of x_next, the trajectory ends, are
-    lifted.
+    psi is feature-major (d_psi, N + n_ends): columns :N are psi(x), and
+    the last n_ends columns lift the states of x_next that are not the
+    next state of x.  Column k of psi(x_next) is psi[:, next_cols[k]].
+    x_next[k] is x[k+1] bitwise inside every babbled or loaded trajectory,
+    so next_cols[k] is k + 1 there and only the trajectory ends are
+    lifted again; no N-column psi(x_next) is built.
     """
     x = np.ascontiguousarray(ds.x, dtype=float)
     x_next = np.ascontiguousarray(ds.x_next, dtype=float)
-    psi = evaluate_batch(map_x, x)
-    psi_next = np.empty_like(psi)
-    psi_next[:, :-1] = psi[:, 1:]
-    chained = np.zeros(len(x), dtype=bool)
+    n = len(x)
+    chained = np.zeros(n, dtype=bool)
     chained[:-1] = np.all(x_next[:-1].view(np.uint64)
                           == x[1:].view(np.uint64), axis=1)
     ends = np.flatnonzero(~chained)
-    psi_next[:, ends] = evaluate_batch(map_x, x_next[ends])
-    return psi, psi_next
+    psi = evaluate_batch(map_x, np.concatenate([x, x_next[ends]]))
+    next_cols = np.arange(1, n + 1)
+    next_cols[ends] = np.arange(n, n + len(ends))
+    return psi, next_cols
 
 
 def _selection(S, map_x: ObservableMap) -> np.ndarray:
@@ -140,11 +144,11 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
     near-collinear constant/cosine regressors without visibly biasing
     the fit.  MSE values are per entry of the lifted prediction.
 
-    Every state is lifted once (``lift_snapshots``) into feature-major
-    arrays, and (S psi) kron u is formed once for all snapshots; the
-    solve and both errors read chunks of the train or held-out columns
-    of those arrays.  Raises ValueError when the split leaves no
-    training snapshot.
+    Every state is lifted once (``lift_snapshots``) into one
+    feature-major array, and (S psi) kron u is formed once for all
+    snapshots; the solve and both errors gather chunks of the train or
+    held-out columns of those arrays.  Raises ValueError when the split
+    leaves no training snapshot.
     """
     if len(ds) == 0:
         raise ValueError("empty dataset")
@@ -159,13 +163,13 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
     rho = 1e-8 * n_train if ridge is None else float(ridge)
     if rho < 0:
         raise ValueError("ridge must be nonnegative")
-    psi, psi_next = lift_snapshots(ds, map_x)
-    bil = _bilinear_rows(S, psi, ds.u.T)
+    psi, next_cols = lift_snapshots(ds, map_x)
+    bil = _bilinear_rows(S, psi[:, : len(ds)], ds.u.T)
     d_psi = map_x.dim
     d_in = d_psi + bil.shape[0]
     train_cols = _column_chunks(np.flatnonzero(train))
     chunks = (np.vstack([psi[:, c], bil[:, c]]).T for c in train_cols)
-    targets = (psi_next[:, c].T for c in train_cols)
+    targets = (psi[:, next_cols[c]].T for c in train_cols)
     k, info = solve_chunks(chunks, targets, d_in, d_psi, rho)
     info["flags"] = ([UNDERDETERMINED] if n_train < d_in else []) \
         + _bilinear_flags(bil[:, train]) + info["flags"]
@@ -173,24 +177,28 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
         K_xx=k[:, :d_psi], K_xu=k[:, d_psi:], S=S,
         map_descriptor=map_x.to_descriptor(),
     )
-    diag = {"train_mse": _one_step_mse(model, psi, bil, psi_next, train_cols),
+    diag = {"train_mse": _one_step_mse(model, psi, bil, next_cols,
+                                       train_cols),
             "n_train": n_train, "n_holdout": int(holdout.sum()),
             "ridge": rho, **info, "n_snapshots": n_train}
     if holdout.any():
         diag["holdout_mse"] = _one_step_mse(
-            model, psi, bil, psi_next, _column_chunks(np.flatnonzero(holdout)))
+            model, psi, bil, next_cols,
+            _column_chunks(np.flatnonzero(holdout)))
     model.diagnostics = diag
     return model
 
 
 def _one_step_mse(model: BilinearKoopmanModel, psi: np.ndarray,
-                  bil: np.ndarray, psi_next: np.ndarray, col_chunks) -> float:
-    """Mean squared one-step error over the columns in ``col_chunks``."""
+                  bil: np.ndarray, next_cols: np.ndarray,
+                  col_chunks) -> float:
+    """Mean squared one-step error over the columns in ``col_chunks``;
+    psi and next_cols are what ``lift_snapshots`` returns."""
     sse = 0.0
     for c in col_chunks:
         err = model.K_xx @ psi[:, c]
         err += model.K_xu @ bil[:, c]
-        err -= psi_next[:, c]
+        err -= psi[:, next_cols[c]]
         sse += float(np.vdot(err, err))
     return sse / (psi.shape[0] * sum(len(c) for c in col_chunks))
 

@@ -14,6 +14,7 @@ fraction is reported but is not a feasibility criterion.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -154,18 +155,15 @@ def evaluate_closed_loop(plant: ControlAffinePlant, map_u: ObservableMap,
     trajs = rollout(plant, np.concatenate([initial_states, initial_states]),
                     control, steps, dt)
     controlled, uncontrolled = trajs[:n], trajs[n:]
-    lifted = {}  # trajectory index -> psi(states), one lift for all of them
+    # the Lyapunov decrease is scored on the lifted states of each
+    # trajectory that did not diverge, lifted one trajectory at a time
+    lift_map = None
     if result is not None and result.status == "optimal":
-        kept = [i for i, traj in enumerate(controlled) if not traj.diverged]
-        if kept:
-            lift_map = map_x if map_x is not None else map_u
-            psis = lift_map(np.stack([controlled[i].states for i in kept]))
-            lifted = dict(zip(kept, psis))
+        lift_map = map_x if map_x is not None else map_u
     tail = max(1, int(round(1.0 / dt)))  # last second of the horizon
     records = []
     unc_final = []
-    for i, (x0, traj, twin) in enumerate(zip(initial_states, controlled,
-                                             uncontrolled)):
+    for x0, traj, twin in zip(initial_states, controlled, uncontrolled):
         norms = np.max(np.abs(traj.states), axis=1)
         converged = (not traj.diverged) and norms[-1] <= settle_tol
         settled_at = horizon_s
@@ -174,8 +172,8 @@ def evaluate_closed_loop(plant: ControlAffinePlant, map_u: ObservableMap,
             k_settle = 0 if above.size == 0 else int(above[-1]) + 1
             settled_at = k_settle * dt
         lyap_frac = float("nan")
-        if i in lifted:
-            psis = lifted[i]
+        if lift_map is not None and not traj.diverged:
+            psis = lift_map(traj.states)
             trace = lyapunov_trace(result, psis,
                                    slack=1e-9 * max(1.0, float(np.max(psis ** 2))))
             lyap_frac = trace["decrease_fraction"]
@@ -229,14 +227,17 @@ def lifted_vs_true(model: BilinearKoopmanModel, pair: FactorizationPair,
         n_ok = min(steps, len(traj.states) - 1)
         err = psi_traj[1 : n_ok + 1] @ a_dec.T - traj.states[1 : n_ok + 1]
         errs[i, :n_ok] = np.linalg.norm(err, axis=1)
-    with np.errstate(all="ignore"):
-        per_step_mean = np.nanmean(errs, axis=0)
-    return {
-        "one_step_rmse": float(np.sqrt(np.nanmean(errs[:, 0] ** 2))),
-        "final_step_rmse": float(np.sqrt(np.nanmean(errs[:, -1] ** 2))),
-        "per_step_mean": per_step_mean.tolist(),
-        "steps": steps,
-    }
+    # a huge error overflows to inf and a step that no trajectory reaches
+    # is a mean of nothing, NaN: both silently
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Mean of empty slice",
+                                RuntimeWarning)
+        return {
+            "one_step_rmse": float(np.sqrt(np.nanmean(errs[:, 0] ** 2))),
+            "final_step_rmse": float(np.sqrt(np.nanmean(errs[:, -1] ** 2))),
+            "per_step_mean": np.nanmean(errs, axis=0).tolist(),
+            "steps": steps,
+        }
 
 
 def export_plot_data(report: EvaluationReport, outdir) -> list:

@@ -27,10 +27,14 @@ products at a time:
    solutions;
 2. the squared residual ||c - psi_x^T coef||^2 of every product column,
    formed explicitly (the kept blocks' residuals are at rounding level,
-   where ||c||^2 - ||Q^T c||^2 would cancel).
+   where ||c||^2 - ||Q^T c||^2 would cancel).  The fit psi_x^T coef of a
+   chunk goes into the product buffer of pass 1, and each block of
+   products psi_x[i] * psi_u[h:], formed in a (d_psi_u, QR_CHUNK)
+   buffer, is subtracted from its rows; fit - c is exactly -(c - fit),
+   so the squares are the same bits.
 
-Working memory beyond the lifted arrays is one chunk of products; the
-N x (d_psi_x d_psi_u) kron target is never formed.
+Working memory beyond the lifted arrays is one chunk of products and one
+block of them; the N x (d_psi_x d_psi_u) kron target is never formed.
 
 When the condition holds, the closed-loop lifted operator becomes
 
@@ -89,22 +93,24 @@ def _lift_states(data, map_x: ObservableMap, map_u: ObservableMap):
 
 
 def _product_layout(d_x: int, d_u: int, shared: bool):
-    """(heads, index) of the distinct products psi_x[i] * psi_u[a].
+    """(blocks, index) of the distinct products psi_x[i] * psi_u[a].
 
-    Product row block i holds psi_x[i] * psi_u[heads[i]:]; index[i, a]
-    is the row of psi_x[i] * psi_u[a].  With a shared map, heads[i] = i,
-    and (i, a) with a < i reads the row of (a, i).
+    Block (i, h, rows) puts psi_x[i] * psi_u[h:] in product rows ``rows``;
+    index[i, a] is the row of psi_x[i] * psi_u[a].  With a shared map,
+    h = i, and (i, a) with a < i reads the row of (a, i).
     """
-    heads = list(range(d_x)) if shared else [0] * d_x
+    blocks = []
     index = np.empty((d_x, d_u), dtype=int)
     row = 0
-    for i, h in enumerate(heads):
+    for i in range(d_x):
+        h = i if shared else 0
+        blocks.append((i, h, slice(row, row + d_u - h)))
         index[i, h:] = np.arange(row, row + d_u - h)
         row += d_u - h
     if shared:
         lower = np.tril_indices(d_x, -1)
         index[lower] = index.T[lower]
-    return heads, index
+    return blocks, index
 
 
 def _fit_blocks(psi_x: np.ndarray, psi_u: np.ndarray):
@@ -116,17 +122,16 @@ def _fit_blocks(psi_x: np.ndarray, psi_u: np.ndarray):
     """
     d_x, n = psi_x.shape
     d_u = psi_u.shape[0]
-    heads, index = _product_layout(d_x, d_u, psi_u is psi_x)
+    blocks, index = _product_layout(d_x, d_u, psi_u is psi_x)
     n_products = index.max() + 1
-    chunk = np.empty((n_products, min(n, QR_CHUNK)))
-    fit = np.empty_like(chunk)
+    width = min(n, QR_CHUNK)
+    chunk = np.empty((n_products, width))
+    block = np.empty((d_u, width))   # one block of products in pass 2
 
     def products(s):
         c = chunk[:, : s.stop - s.start]
-        row = 0
-        for i, h in enumerate(heads):
-            np.multiply(psi_x[i, s], psi_u[h:, s], out=c[row : row + d_u - h])
-            row += d_u - h
+        for i, h, rows in blocks:
+            np.multiply(psi_x[i, s], psi_u[h:, s], out=c[rows])
         return c
 
     spans = row_chunks(n)
@@ -136,8 +141,11 @@ def _fit_blocks(psi_x: np.ndarray, psi_u: np.ndarray):
     coef_t = ((w.T @ qtc) / sv_r[:, None]).T @ vt_r     # (products, d_x)
     sq = np.zeros(n_products)
     for s in spans:
-        c = products(s)
-        c -= np.matmul(coef_t, psi_x[:, s], out=fit[:, : c.shape[1]])
+        # the fit, minus each block of products: -(residual), same squares
+        c = np.matmul(coef_t, psi_x[:, s], out=chunk[:, : s.stop - s.start])
+        for i, h, rows in blocks:
+            c[rows] -= np.multiply(psi_x[i, s], psi_u[h:, s],
+                                   out=block[: d_u - h, : c.shape[1]])
         sq += np.einsum("ij,ij->i", c, c)
     hbar = coef_t[index].reshape(d_x * d_u, d_x)
     residuals = np.sqrt(sq[index].sum(axis=1) / n)
@@ -155,8 +163,9 @@ def fit_candidate_hbar(data, map_x: ObservableMap, map_u: ObservableMap):
     (Hbar, residuals, info); residual i is the RMS over snapshots of the
     block-i error vector.  All blocks are fit in two streamed passes over
     the lifted arrays (see the module docstring), so working memory beyond
-    them is one chunk of products, never O(N d_psi_x d_psi_u) for the
-    whole target.  Rank deficiency of the regressor is flagged.
+    them is one chunk of products and one block of them, never
+    O(N d_psi_x d_psi_u) for the whole target.  Rank deficiency of the
+    regressor is flagged.
     """
     return _fit_blocks(*_lift_states(data, map_x, map_u))
 

@@ -15,10 +15,11 @@ A map is compiled once into a lift plan of its distinct pieces: powers
 of state components, linear combinations, sin/cos terms keyed by (kind,
 coefficients) and denominators.  Each call evaluates every piece once
 and writes each feature into its column of one preallocated output.
-``evaluate_batch`` hands the plan the transpose of a feature-major
-(d_psi, N) array as that output, so each feature is written into one
-contiguous row; ``ObservableMap.__call__`` keeps the C-ordered (..., d_psi)
-output that single states and small batches use.
+``evaluate_batch`` hands the plan, one chunk of states at a time, the
+transpose of that chunk's columns of a feature-major (d_psi, N) array as
+its output, so each feature is written into one contiguous row and the
+pieces are one chunk wide; ``ObservableMap.__call__`` keeps the C-ordered
+(..., d_psi) output that single states and small batches use.
 The plan keeps the per-feature operation order, so every value is
 bitwise what evaluating the feature on its own gives:
 
@@ -42,6 +43,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from .tensor import row_chunks
 
 
 @dataclass(frozen=True)
@@ -294,6 +297,11 @@ def evaluate_batch(m: ObservableMap, states) -> np.ndarray:
     column per state: each feature is one contiguous row, which an
     ``ObservableMap`` writes directly.
 
+    The states are lifted in ``row_chunks`` of QR_CHUNK, each straight
+    into its columns, so the piece temporaries of a lift are one chunk
+    wide whatever N is; every lift is row-wise, so the bits are those of
+    one lift of all states.
+
     Raises on non-finite feature values, naming the offending state index.
     """
     states = np.asarray(states, dtype=float)
@@ -302,16 +310,18 @@ def evaluate_batch(m: ObservableMap, states) -> np.ndarray:
     if states.ndim == 1:
         states = states.reshape(1, -1)
     cols = np.empty((m.dim, states.shape[0]))
-    with np.errstate(all="ignore"):  # non-finite values are flagged below
-        if isinstance(m, ObservableMap):
-            m(states, out=cols.T)
-        else:  # any other callable map: its (N, d_psi) lift, copied
-            cols[...] = m(states).T
-    bad = np.nonzero(~np.all(np.isfinite(cols), axis=0))[0]
-    if bad.size:
-        raise ValueError(
-            f"non-finite feature values at state index {int(bad[0])}"
-        )
+    for s in row_chunks(states.shape[0]):
+        with np.errstate(all="ignore"):  # non-finite values are flagged below
+            if isinstance(m, ObservableMap):
+                m(states[s], out=cols[:, s].T)
+            else:  # any other callable map: its (n, d_psi) lift, copied
+                cols[:, s] = m(states[s]).T
+        bad = np.nonzero(~np.all(np.isfinite(cols[:, s]), axis=0))[0]
+        if bad.size:
+            raise ValueError(
+                f"non-finite feature values at state index "
+                f"{s.start + int(bad[0])}"
+            )
     return cols
 
 

@@ -257,6 +257,30 @@ class TestPersistence:
             "traj_summary.json"]
         assert (outdir / "notes.txt").read_text() == "kept"
 
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "not-a-zip"])
+    def test_unreadable_npz_closes_its_file(self, damage, tmp_path):
+        import gc
+        import warnings
+
+        outdir = tmp_path / "dataset"
+        babbling.save_dataset(persisted_datasets()[0], outdir)
+        payload = outdir / "snapshots.npz"
+        data = payload.read_bytes()
+        payload.write_bytes({"truncated": data[: len(data) // 2],
+                             "empty": b"",
+                             "not-a-zip": b"PK not a zip archive"}[damage])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                babbling.load_dataset(outdir)
+            except ValueError as exc:
+                assert "snapshots.npz" in str(exc)
+            else:
+                pytest.fail("a damaged snapshots.npz loaded")
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, np.pi, np.inf,

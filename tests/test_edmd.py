@@ -355,14 +355,17 @@ class TestLiftSnapshots:
             ds = permuted(ds, np.random.default_rng(12).permutation(len(ds)))
             assert not np.any(np.all(ds.x_next[:-1] == ds.x[1:], axis=1))
         counted = CountingMap(m)
-        psi, psi_next = edmd.lift_snapshots(ds, counted)
-        # feature-major: psi.T is the (N, d_psi) lift, element for element
-        assert psi.flags.c_contiguous and psi.shape == (m.dim, len(ds))
-        assert psi.T.tobytes() == m(ds.x).tobytes()
-        assert psi_next.T.tobytes() == m(ds.x_next).tobytes()
-        # one lift of x plus one of the rows that do not chain
+        psi, next_cols = edmd.lift_snapshots(ds, counted)
+        # one lift of x and of the rows of x_next that do not chain
         ends = len(ds) if kind == "permuted" else ds.n_trajectories
-        assert counted.rows == [len(ds), ends]
+        assert counted.rows == [len(ds) + ends]
+        # feature-major: psi[:, :N].T is the (N, d_psi) lift of x, and
+        # psi(x_next) is gathered through next_cols, element for element
+        assert psi.flags.c_contiguous
+        assert psi.shape == (m.dim, len(ds) + ends)
+        assert psi[:, : len(ds)].T.tobytes() == m(ds.x).tobytes()
+        assert psi[:, next_cols].T.tobytes() == m(ds.x_next).tobytes()
+        assert next_cols.shape == (len(ds),)
 
 
 def reference_identify(ds, map_x, S, ridge=None, holdout_fraction=0.1):
@@ -478,7 +481,11 @@ class TestRegressorOnlySolve:
         model = edmd.identify_model(ds, m, s)
         diag = model.diagnostics
         train, _ = ds.split_by_trajectory(0.1)
-        psi, psi_next = edmd.lift_snapshots(ds, m)
+        psi, next_cols = edmd.lift_snapshots(ds, m)
+        psi_next = psi[:, next_cols]
+        assert psi_next.T.tobytes() == m(ds.x_next).tobytes()
+        psi = psi[:, : len(ds)]
+        assert psi.T.tobytes() == m(ds.x).tobytes()
         bil = edmd._bilinear_rows(s, psi, ds.u.T)
         regressor = np.vstack([psi, bil])[:, train]
         assert regressor.shape[0] == m.dim + s.shape[0] * ds.u.shape[1]

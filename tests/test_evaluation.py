@@ -173,7 +173,6 @@ class TestFidelityFromTheEvaluationRollout:
             assert 120 < len(report.controlled_trajs[1].states) - 1 < 250
             assert len(report.controlled_trajs[2].states) - 1 < 120
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
     def test_steps_beyond_a_trajectory_count_as_nan(self):
         plant, m, K, states, _ = equivalence_case("single")
         model, pair = one_block_pair_model(m.dim, plant.input_dim)
@@ -185,8 +184,57 @@ class TestFidelityFromTheEvaluationRollout:
         assert np.isnan(fid["final_step_rmse"]) and fid["steps"] == 80
 
 
+def stacked_lift_fractions(report, result, m):
+    """Lyapunov decrease fractions as they were computed before each
+    trajectory was lifted on its own: one lift of all kept trajectories
+    stacked, NaN for the diverged ones."""
+    kept = [i for i, t in enumerate(report.controlled_trajs)
+            if not t.diverged]
+    fractions = [float("nan")] * len(report.controlled_trajs)
+    if kept:
+        lifted = m(np.stack([report.controlled_trajs[i].states
+                             for i in kept]))
+        for i, psis in zip(kept, lifted):
+            slack = 1e-9 * max(1.0, float(np.max(psis ** 2)))
+            fractions[i] = ev.lyapunov_trace(result, psis,
+                                             slack)["decrease_fraction"]
+    return fractions
+
+
+def report_bytes(report):
+    """report.json as the CLI writes it."""
+    return json.dumps(report.to_json(), sort_keys=True, indent=1).encode()
+
+
 class TestOneLiftForLyapunovTrace:
-    """One lift of every kept trajectory against one lift per trajectory."""
+    """One lift per kept trajectory against a lift of each of them and
+    against the stacked lift of all of them it replaced."""
+
+    @pytest.mark.parametrize("name", ["single", "double", "blowup"])
+    def test_report_bytes_match_stacked_lift(self, name):
+        import copy
+
+        plant, m, K, states, horizon = equivalence_case(name)
+        if name == "blowup":  # rows 1 and 3 diverge, rows 0 and 2 do not
+            m = polynomial_map("cubic", (1, 2, 3))
+            K = np.array([[-1.0, 0.0, 0.0]])
+            states = [[0.0], [0.5], [-0.1], [2.0]]
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((m.dim, m.dim))
+        result = syn.SynthesisResult(K_u=K, lam=0.99,
+                                     P=a @ a.T + np.eye(m.dim),
+                                     S_x=np.eye(m.dim), status="optimal")
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = ev.evaluate_closed_loop(plant, m, K, states, horizon,
+                                             0.01, result=result, map_x=m)
+        stacked = copy.deepcopy(report)
+        for r, f in zip(stacked.records,
+                        stacked_lift_fractions(report, result, m)):
+            r.lyap_decrease_fraction = f
+        assert report_bytes(report) == report_bytes(stacked)
+        fractions = [r.lyap_decrease_fraction for r in report.records]
+        assert np.isnan(fractions).tolist() \
+            == [t.diverged for t in report.controlled_trajs]
 
     @pytest.mark.parametrize("name", ["double", "blowup"])
     def test_lyapunov_trace_sees_per_trajectory_lifts(self, name,
@@ -317,6 +365,24 @@ class TestLiftedVsTrue:
         # continuous system is unnecessary; check the helper directly
         psis = ev.lifted_rollout(kt, np.array([0.3, -0.2]), 50)
         np.testing.assert_allclose(psis[1], kt @ psis[0], atol=1e-14)
+
+    def test_steps_no_trajectory_reaches_are_nan_without_a_warning(self):
+        import warnings
+
+        m = polynomial_map("lin", (1, 2))
+        model, pair = one_block_pair_model(m.dim, 1)
+        traj = plants.Trajectory(states=np.array([[0.5], [0.75]]),
+                                 inputs=np.array([[0.1]]), dt=0.01,
+                                 diverged=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fid = ev.lifted_vs_true(model, pair, [[1.0, 0.0]], m, [traj], 5)
+        kt = assemble_ktilde(model, [[1.0, 0.0]], pair.H).Ktilde
+        one_step = abs((kt @ m(traj.states[0]))[0] - traj.states[1, 0])
+        assert fid["per_step_mean"][0] == one_step
+        assert np.isnan(fid["per_step_mean"][1:]).all()
+        assert fid["one_step_rmse"] == float(np.sqrt(one_step ** 2))
+        assert np.isnan(fid["final_step_rmse"]) and fid["steps"] == 5
 
     def test_error_grows_with_horizon_on_pendulum(self):
         plant = plants.single_pendulum(gravity=1.0)

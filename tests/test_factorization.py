@@ -451,3 +451,64 @@ class TestAllProductsFitMatchesPerBlock:
         assert np.all(np.abs(res - res_ref) <= tol)
         eps_h = fz._auto_eps_h(psi_x, psi_u)
         np.testing.assert_array_equal(res <= eps_h, res_ref <= eps_h)
+
+
+def two_buffer_fit_blocks(psi_x, psi_u):
+    """``_fit_blocks`` as it was with a second (products, QR_CHUNK) buffer
+    for the fit: pass 2 forms each chunk of products and subtracts the
+    fit from it."""
+    from koopctl.tensor import streamed_qr
+
+    d_x, n = psi_x.shape
+    d_u = psi_u.shape[0]
+    blocks, index = fz._product_layout(d_x, d_u, psi_u is psi_x)
+    n_products = index.max() + 1
+    chunk = np.empty((n_products, min(n, QR_CHUNK)))
+    fit = np.empty_like(chunk)
+
+    def products(s):
+        c = chunk[:, : s.stop - s.start]
+        for i, h, rows in blocks:
+            np.multiply(psi_x[i, s], psi_u[h:, s], out=c[rows])
+        return c
+
+    spans = row_chunks(n)
+    r, qtc = streamed_qr((psi_x[:, s].T for s in spans),
+                         (products(s).T for s in spans))
+    w, sv_r, vt_r, cond = truncated_svd(r)
+    coef_t = ((w.T @ qtc) / sv_r[:, None]).T @ vt_r
+    sq = np.zeros(n_products)
+    for s in spans:
+        c = products(s)
+        c -= np.matmul(coef_t, psi_x[:, s], out=fit[:, : c.shape[1]])
+        sq += np.einsum("ij,ij->i", c, c)
+    hbar = coef_t[index].reshape(d_x * d_u, d_x)
+    residuals = np.sqrt(sq[index].sum(axis=1) / n)
+    info = {"rank": len(sv_r), "n_snapshots": int(n), "cond": cond,
+            "flags": []}
+    if len(sv_r) < d_x:
+        info["flags"].append("rank-deficient psi_x regressor")
+    return hbar, residuals, info
+
+
+class TestOneResidualBufferMatchesTwo:
+    """Pass 2 writes the fit into the product buffer and subtracts each
+    block of products from it; the two-buffer pass is its oracle."""
+
+    @pytest.mark.parametrize("n", [3, QR_CHUNK - 1, 2 * QR_CHUNK + 17])
+    @pytest.mark.parametrize("case", ["single", "double", "distinct-map-u",
+                                      "zero-feature"])
+    def test_hbar_residuals_and_info_bitwise(self, case, n):
+        map_x = {"double": double_pendulum_map,
+                 "zero-feature": zero_feature_map}.get(
+                     case, single_pendulum_map)()
+        map_u = single_pendulum_controller_map() \
+            if case == "distinct-map-u" else map_x
+        states = np.random.default_rng([n, 3]).uniform(
+            -3, 3, (n, map_x.state_dim))
+        psi_x, psi_u = fz._lift_states(states, map_x, map_u)
+        hbar, res, info = fz._fit_blocks(psi_x, psi_u)
+        hbar_ref, res_ref, info_ref = two_buffer_fit_blocks(psi_x, psi_u)
+        assert hbar.tobytes() == hbar_ref.tobytes()
+        assert res.tobytes() == res_ref.tobytes()
+        assert info == info_ref

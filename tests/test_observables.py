@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from koopctl import observables as obs
 from koopctl.evaluation import feedback_controller
+from koopctl.tensor import QR_CHUNK, row_chunks
 
 
 def reference_feature(f: obs.Feature, x) -> np.ndarray:
@@ -218,11 +219,62 @@ class TestEvaluateBatch:
             np.testing.assert_array_equal(out[:, j], m(xs[j]))
 
     def test_flags_non_finite(self):
-        feats = (obs.state_feature(0, 1, "x"),
-                 obs.Feature(label="1/x", poly=(-1,)))
-        m = obs.ObservableMap(name="singular", state_dim=1, features=feats)
+        m = singular_map()
         with pytest.raises(ValueError, match="state index 1"):
             obs.evaluate_batch(m, [[1.0], [0.0], [2.0]])
+
+
+def singular_map():
+    """[x, 1/x]: the second feature is infinite at x = 0."""
+    feats = (obs.state_feature(0, 1, "x"),
+             obs.Feature(label="1/x", poly=(-1,)))
+    return obs.ObservableMap(name="singular", state_dim=1, features=feats)
+
+
+class OtherMap:
+    """A map that is not an ObservableMap; records the rows of each lift."""
+
+    def __init__(self, m):
+        self.m = m
+        self.dim = m.dim
+        self.rows = []
+
+    def __call__(self, x):
+        self.rows.append(len(x))
+        return self.m(x)
+
+
+class TestChunkedLiftMatchesOneShot:
+    """evaluate_batch lifts QR_CHUNK states at a time; one lift of all the
+    states, transposed, is its oracle."""
+
+    @pytest.mark.parametrize("n", [QR_CHUNK - 1, QR_CHUNK,
+                                   3 * QR_CHUNK + 17])
+    @pytest.mark.parametrize("make", [obs.single_pendulum_map,
+                                      obs.double_pendulum_map])
+    def test_bitwise(self, make, n):
+        m = make()
+        x = np.random.default_rng(n).uniform(-6, 6, (n, m.state_dim))
+        x[::7] = -0.0
+        want = np.ascontiguousarray(m(x).T)
+        got = obs.evaluate_batch(m, x)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        # any other callable map takes the copying branch, chunk by chunk
+        other = OtherMap(m)
+        assert obs.evaluate_batch(other, x).tobytes() == want.tobytes()
+        assert other.rows == [s.stop - s.start for s in row_chunks(n)]
+
+    @pytest.mark.parametrize("other", [False, True])
+    def test_non_finite_in_a_later_chunk_names_its_global_index(self, other):
+        m = singular_map()
+        x = np.ones((3 * QR_CHUNK + 17, 1))
+        bad = 2 * QR_CHUNK + 5
+        x[bad] = 0.0
+        x[-1] = 0.0
+        lift = OtherMap(m) if other else m
+        with pytest.raises(ValueError, match=f"state index {bad}$"):
+            obs.evaluate_batch(lift, x)
 
 
 class TestDescriptors:
