@@ -10,9 +10,16 @@ gain-major, initial-condition-minor order, and snapshots are assembled
 in that order, step-increasing, so identical configs and seeds give
 bitwise-identical datasets.
 
+In memory, a ``SnapshotDataset`` holds each state once: x, u and the
+trajectory ids, plus the "tails", the rows of x_next that are not the
+next row's x (the trajectory ends).  x_next and the gain, initial
+condition and step indices are rebuilt when read.  The lift of the
+distinct states [x; tails] is made on first use, once per map, and kept
+by the dataset, so the Hbar fit and the identification share it.
+
 A saved dataset is a directory of two files: ``snapshots.npz`` holds the
-seven snapshot arrays as they are, and ``manifest.json`` holds the
-counts and the babbling metadata.
+seven snapshot arrays in full, and ``manifest.json`` holds the counts
+and the babbling metadata.
 """
 
 from __future__ import annotations
@@ -20,17 +27,19 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .observables import ObservableMap
+from .observables import ObservableMap, evaluate_batch
 from .plants import ControlAffinePlant, rollout
 
 PAYLOAD = "snapshots.npz"
 ARRAYS = ("x", "u", "x_next", "gain_index", "ic_index", "step_index",
           "traj_id")
+PROVENANCE = ("gain_index", "ic_index", "step_index")
 
 
 @dataclass(frozen=True)
@@ -45,7 +54,7 @@ class BabblingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_gains < 1 or self.num_initial_conditions < 1:
+        if min(self.num_gains, self.num_initial_conditions, self.steps) < 1:
             raise ValueError("counts must be at least 1")
         if self.gain_scale < 0:
             raise ValueError("gain_scale must be nonnegative")
@@ -54,23 +63,125 @@ class BabblingConfig:
                 raise ValueError("state_grid bounds must be finite with lo <= hi")
 
 
-@dataclass
 class SnapshotDataset:
-    """Snapshot triples with provenance (gain i, initial condition j, step k)."""
+    """Snapshot triples (x_k, u_k, x_{k+1}) with their trajectory ids.
 
-    x: np.ndarray        # (N, d_x)
-    u: np.ndarray        # (N, d_u)
-    x_next: np.ndarray   # (N, d_x)
-    gain_index: np.ndarray
-    ic_index: np.ndarray
-    step_index: np.ndarray
-    traj_id: np.ndarray
-    n_trajectories: int = 0
-    n_dropped: int = 0
-    meta: dict = field(default_factory=dict)
+    In memory it holds x (N, d_x), u (N, d_u) and traj_id (N,), plus
+    ``tails`` (n_tails, d_x): the rows ``tail_rows`` of x_next that are
+    not bitwise the next row's x, which in a babbled dataset are the
+    trajectory ends.  ``x_next`` is rebuilt from x and the tails when
+    read.  ``gain_index``, ``ic_index`` and ``step_index`` are rebuilt
+    from traj_id and ``meta`` (``num_initial_conditions``, ``steps``)
+    unless they were passed in.  ``lift`` keeps one feature-major lift of
+    [x; tails] per map.  On disk (``save_dataset``) all seven arrays are
+    stored in full.
+    """
+
+    def __init__(self, x, u, x_next, *, traj_id, gain_index=None,
+                 ic_index=None, step_index=None, n_trajectories: int = 0,
+                 n_dropped: int = 0, meta: dict = None):
+        x = np.ascontiguousarray(x, dtype=float)
+        x_next = np.ascontiguousarray(x_next, dtype=float)
+        if x_next.shape != x.shape:
+            raise ValueError(f"x_next has shape {x_next.shape}, "
+                             f"x has {x.shape}")
+        moved = np.ones(len(x), dtype=bool)
+        moved[:-1] = np.any(x_next[:-1].view(np.uint64)
+                            != x[1:].view(np.uint64), axis=1)
+        rows = np.flatnonzero(moved)
+        self._assign(x, u, traj_id, rows, x_next[rows], n_trajectories,
+                     n_dropped, meta)
+        self._provenance = {k: np.asarray(v) for k, v in
+                            zip(PROVENANCE, (gain_index, ic_index, step_index))
+                            if v is not None}
+
+    @classmethod
+    def _from_tails(cls, x, u, traj_id, rows, tails, n_trajectories,
+                    n_dropped, meta):
+        """The dataset whose x_next is x[k + 1] except at ``rows``, where
+        it is ``tails``; no N-row x_next is built."""
+        ds = cls.__new__(cls)
+        ds._assign(x, u, traj_id, rows, tails, n_trajectories, n_dropped,
+                   meta)
+        ds._provenance = {}
+        return ds
+
+    def _assign(self, x, u, traj_id, rows, nxt, n_trajectories, n_dropped,
+                meta):
+        """Keep x_next[rows] = nxt only where it is not bitwise x[k + 1]."""
+        rows = np.asarray(rows, dtype=np.intp)
+        nxt = np.ascontiguousarray(nxt, dtype=float)
+        inner = rows + 1 < len(x)
+        chained = np.zeros(len(rows), dtype=bool)
+        chained[inner] = np.all(nxt[inner].view(np.uint64)
+                                == x[rows[inner] + 1].view(np.uint64), axis=1)
+        self.x = x
+        self.u = np.asarray(u, dtype=float)
+        self.traj_id = np.asarray(traj_id)
+        self.tail_rows = rows[~chained]
+        self.tails = nxt[~chained]
+        self.n_trajectories = n_trajectories
+        self.n_dropped = n_dropped
+        self.meta = {} if meta is None else meta
+        self._psi = {}
 
     def __len__(self) -> int:
         return self.x.shape[0]
+
+    @property
+    def x_next(self) -> np.ndarray:
+        out = np.empty_like(self.x)
+        out[:-1] = self.x[1:]
+        out[self.tail_rows] = self.tails
+        return out
+
+    def _index(self, name: str, derive) -> np.ndarray:
+        if name in self._provenance:
+            return self._provenance[name]
+        try:
+            return derive(self.meta["num_initial_conditions"],
+                          self.meta["steps"])
+        except KeyError as exc:
+            raise ValueError(f"{name} was not given and meta has no "
+                             f"{exc.args[0]!r} to rebuild it from") from None
+
+    @property
+    def gain_index(self) -> np.ndarray:
+        return self._index("gain_index", lambda n_ic, _: self.traj_id // n_ic)
+
+    @property
+    def ic_index(self) -> np.ndarray:
+        return self._index("ic_index", lambda n_ic, _: self.traj_id % n_ic)
+
+    @property
+    def step_index(self) -> np.ndarray:
+        return self._index("step_index",
+                           lambda _, steps: np.arange(len(self)) % steps)
+
+    def lift(self, m) -> np.ndarray:
+        """psi of the distinct states [x; tails], feature-major
+        (d_psi, N + n_tails), made on the first call for each map and kept.
+
+        Columns :N are psi(x); psi(x_next[k]) is column ``next_cols(k)``.
+        Maps are told apart by equality, so two ``ObservableMap``s built
+        from one descriptor share a lift.
+        """
+        psi = self._psi.get(m)
+        if psi is None:
+            psi = self._psi[m] = evaluate_batch(
+                m, np.concatenate([self.x, self.tails]))
+        return psi
+
+    def next_cols(self, rows) -> np.ndarray:
+        """The columns of ``lift``'s array that hold psi(x_next[rows]):
+        row k + 1 for a chained row k, N + j for tail j."""
+        rows = np.asarray(rows)
+        cols = rows + 1
+        at = np.searchsorted(self.tail_rows, rows)
+        # the last row is always a tail, so ``at`` stays in range
+        hit = self.tail_rows[at] == rows
+        cols[hit] = len(self) + at[hit]
+        return cols
 
     def split_by_trajectory(self, holdout_fraction: float = 0.1):
         """Deterministic whole-trajectory split; returns (train, holdout) masks."""
@@ -164,20 +275,17 @@ def generate_dataset(plant: ControlAffinePlant, map_x: ObservableMap,
     kept = [tid for tid, traj in enumerate(trajs) if not traj.diverged]
     if not kept:
         raise ValueError("all trajectories diverged; nothing to identify from")
-    x, u, x_next = (np.concatenate(parts) for parts in
-                    zip(*(trajs[tid].snapshots() for tid in kept)))
-    traj_id = np.repeat(kept, T)
-    ds = SnapshotDataset(
-        x=x, u=u, x_next=x_next,
-        gain_index=traj_id // n_ic, ic_index=traj_id % n_ic,
-        step_index=np.tile(np.arange(T), len(kept)), traj_id=traj_id,
+    x = np.concatenate([trajs[tid].states[:-1] for tid in kept])
+    u = np.concatenate([trajs[tid].inputs for tid in kept])
+    # x_next is x one row on, except at each trajectory's last step
+    ends = np.stack([trajs[tid].states[-1] for tid in kept])
+    return SnapshotDataset._from_tails(
+        x, u, np.repeat(kept, T), np.arange(T - 1, len(x), T), ends,
         n_trajectories=len(kept), n_dropped=len(trajs) - len(kept),
         meta={"seed": cfg.seed, "steps": T, "dt": cfg.dt,
               "num_gains": cfg.num_gains, "num_initial_conditions": n_ic,
               "grid_shape": [_distinct_count(ics[:, d])
-                             for d in range(ics.shape[1])]},
-    )
-    return ds
+                             for d in range(ics.shape[1])]})
 
 
 def _distinct_count(v) -> int:
@@ -251,22 +359,59 @@ def write_json_atomic(path, payload: dict) -> None:
 
 
 def load_dataset(outdir) -> SnapshotDataset:
-    """Read what ``save_dataset`` wrote.  An unreadable ``snapshots.npz``,
-    or one whose states or inputs hold a NaN or infinity, raises
-    ValueError naming the file."""
+    """Read what ``save_dataset`` wrote, keeping only the tails of x_next
+    and only those index arrays that differ from what traj_id and the
+    babbling metadata rebuild.
+
+    Raises ValueError naming the file when ``snapshots.npz`` is
+    unreadable, when an array's row count differs from the manifest's
+    snapshot count or a state or input array's width from its
+    ``state_dim`` or ``input_dim``, or when a state or input is NaN or
+    infinite.
+    """
     outdir = Path(outdir)
     with open(outdir / "manifest.json") as fh:
         manifest = json.load(fh)
     path = outdir / PAYLOAD
+    n = manifest["snapshots"]
+    width = {"x": manifest["state_dim"], "x_next": manifest["state_dim"],
+             "u": manifest["input_dim"]}
+    # np.load leaks the file it opens when the zip is unreadable
+    with open(path, "rb") as fh:
+        with _reading(path):
+            npz = np.load(fh)
+        with npz:
+            def read(name):
+                with _reading(path):
+                    a = npz[name]
+                want = (n, width[name]) if name in width else (n,)
+                if a.shape != want:
+                    raise ValueError(f"{name} in {path} has shape {a.shape}, "
+                                     f"the manifest gives {want}")
+                if name in width and not np.all(np.isfinite(a)):
+                    raise ValueError(f"non-finite entries in {name} of {path}")
+                return a
+
+            ds = SnapshotDataset(
+                read("x"), read("u"), read("x_next"), traj_id=read("traj_id"),
+                n_trajectories=manifest["trajectories"],
+                n_dropped=manifest["dropped"], meta=manifest["babbling"])
+            for name in PROVENANCE:
+                stored = read(name)
+                try:
+                    rebuilt = getattr(ds, name)
+                except ValueError:  # no metadata to rebuild it from
+                    rebuilt = None
+                if rebuilt is None or rebuilt.dtype != stored.dtype \
+                        or not np.array_equal(rebuilt, stored):
+                    ds._provenance[name] = stored
+    return ds
+
+
+@contextmanager
+def _reading(path):
+    """Turn the errors of an unreadable npz into one ValueError naming it."""
     try:
-        # np.load leaks the file it opens when the zip is unreadable
-        with open(path, "rb") as fh, np.load(fh) as npz:
-            arrays = {k: npz[k] for k in ARRAYS}
+        yield
     except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
         raise ValueError(f"unreadable {path}: {exc}") from exc
-    for name in ("x", "u", "x_next"):
-        if not np.all(np.isfinite(arrays[name])):
-            raise ValueError(f"non-finite entries in {name} of {path}")
-    return SnapshotDataset(**arrays, n_trajectories=manifest["trajectories"],
-                           n_dropped=manifest["dropped"],
-                           meta=manifest["babbling"])

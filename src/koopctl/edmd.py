@@ -16,23 +16,23 @@ normal equations are never formed, so near-collinear observables
 (constants and cosines around the origin) stay harmless, and no N-row
 copy of the regressor or target is built.
 
-Each distinct state is lifted once into one feature-major array
-(``lift_snapshots``): psi(x_next) reuses psi(x) along trajectories, so
-only the trajectory ends are lifted again, and it is never built as an
-array of its own.  The QR chunks and the train and held-out errors
-gather one chunk of columns at a time, psi(x_next) through an index of
-the columns, never an N-row copy.
+The lifted states are the dataset's (``SnapshotDataset.lift``), which
+lifts each distinct state [x; tails] once per map and keeps the array,
+so the Hbar fit before this stage and this stage share one lift.
+psi(x_next) is read through ``SnapshotDataset.next_cols`` and never built
+as an array of its own.  The QR chunks and the train and held-out errors
+gather one chunk of columns at a time and form (S psi) kron u for that
+chunk only, so psi is the one N-column float array.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .babbling import SnapshotDataset
-from .observables import ObservableMap, descriptor_hash, evaluate_batch
+from .observables import ObservableMap, descriptor_hash
 from .tensor import (matrix_from_json, matrix_to_json, row_chunks,
                      streamed_qr, truncated_svd)
 
@@ -68,44 +68,22 @@ def solve_chunks(chunks, targets, d_in: int, d_out: int, ridge: float):
     ``targets`` the matching row blocks of the target B (d_out columns).
     Only A is factored; B rides along as ``streamed_qr``'s right-hand
     side, and the ridge rows [sqrt(ridge) I] come last with a zero target
-    block.  Returns (K, info): K is the (d_out, d_in) minimum-norm
-    minimizer, and info records the regressor's effective rank and
-    condition number and flags a rank-deficient unridged problem.
+    block.  Returns (K, info, R): K is the (d_out, d_in) minimum-norm
+    minimizer, info records the regressor's effective rank and condition
+    number and flags a rank-deficient unridged problem, and R is the
+    triangle of A's rows alone, before the ridge rows.
     """
+    r_data, qtb = streamed_qr(chunks, targets)
+    r = r_data
     if ridge > 0:
-        chunks = itertools.chain(chunks, [np.sqrt(ridge) * np.eye(d_in)])
-        targets = itertools.chain(targets, [np.zeros((d_in, d_out))])
-    r, qtb = streamed_qr(chunks, targets)
+        r, qtb = streamed_qr([np.sqrt(ridge) * np.eye(d_in)],
+                             [np.zeros((d_in, d_out))], start=(r, qtb))
     u, s, vt, cond = truncated_svd(r)
     k = ((qtb.T @ u) / s) @ vt
     flags = []
     if len(s) < d_in and ridge == 0:
         flags.append("rank-deficient regressors: minimum-norm solution")
-    return k, {"rank": len(s), "cond": cond, "flags": flags}
-
-
-def lift_snapshots(ds: SnapshotDataset, map_x: ObservableMap):
-    """(psi, next_cols): every distinct state of ``ds`` lifted once, and
-    where each psi(x_next) sits among them.
-
-    psi is feature-major (d_psi, N + n_ends): columns :N are psi(x), and
-    the last n_ends columns lift the states of x_next that are not the
-    next state of x.  Column k of psi(x_next) is psi[:, next_cols[k]].
-    x_next[k] is x[k+1] bitwise inside every babbled or loaded trajectory,
-    so next_cols[k] is k + 1 there and only the trajectory ends are
-    lifted again; no N-column psi(x_next) is built.
-    """
-    x = np.ascontiguousarray(ds.x, dtype=float)
-    x_next = np.ascontiguousarray(ds.x_next, dtype=float)
-    n = len(x)
-    chained = np.zeros(n, dtype=bool)
-    chained[:-1] = np.all(x_next[:-1].view(np.uint64)
-                          == x[1:].view(np.uint64), axis=1)
-    ends = np.flatnonzero(~chained)
-    psi = evaluate_batch(map_x, np.concatenate([x, x_next[ends]]))
-    next_cols = np.arange(1, n + 1)
-    next_cols[ends] = np.arange(n, n + len(ends))
-    return psi, next_cols
+    return k, {"rank": len(s), "cond": cond, "flags": flags}, r_data
 
 
 def _selection(S, map_x: ObservableMap) -> np.ndarray:
@@ -118,14 +96,42 @@ def _selection(S, map_x: ObservableMap) -> np.ndarray:
 
 
 def _bilinear_rows(S: np.ndarray, psi: np.ndarray, u: np.ndarray):
-    """Columnwise (S psi) kron u: row (i*d_u + a) is (S psi)_i * u_a."""
+    """Columnwise (S psi) kron u: row (i*d_u + a) is (S psi)_i * u_a.
+
+    The (d_S d_u, N) result is snapshot-major (Fortran order), like a
+    gather psi[:, c], so a regressor chunk stacked from the two is
+    row-major for every d_S: ``streamed_qr`` hands its first chunk to
+    LAPACK as is, and that layout sets the rounding of the reflector
+    products that follow.
+    """
     sel = S @ psi                                   # (d_S, N)
-    return (sel[:, None, :] * u[None, :, :]).reshape(-1, psi.shape[1])
+    out = np.empty((psi.shape[1], sel.shape[0], u.shape[0]))
+    np.multiply(sel.T[:, :, None], u.T[:, None, :], out=out)
+    return out.reshape(psi.shape[1], -1).T
 
 
-def _bilinear_flags(bil: np.ndarray) -> list:
-    # rank of bil itself: bil @ bil.T would square its condition number
-    if bil.size and np.linalg.matrix_rank(bil) < bil.shape[0]:
+def _regressor_rows(S: np.ndarray, psi_c: np.ndarray, u_c: np.ndarray):
+    """Rows [psi | (S psi) kron u] of one chunk; psi_c is (d_psi, n) and
+    u_c is (n, d_u)."""
+    return np.vstack([psi_c, _bilinear_rows(S, psi_c, u_c.T)]).T
+
+
+def _bilinear_flags(r_bil: np.ndarray, n_rows: int) -> list:
+    """Flag a rank-deficient (S psi) kron u from its columns ``r_bil`` of
+    the regressor's streamed R, over ``n_rows`` snapshots.
+
+    The regressor is Q R, so its bilinear block is Q r_bil and has the
+    singular values of r_bil; Householder QR perturbs each column only at
+    rounding level relative to that column.  The cut is
+    np.linalg.matrix_rank's, s_max * max(M, N) * eps for the (M, N)
+    block; a Gram matrix would square the condition number.
+    """
+    d_bil = r_bil.shape[1]
+    if d_bil == 0:
+        return []
+    s = np.linalg.svd(r_bil, compute_uv=False)
+    tol = s.max() * max(d_bil, n_rows) * np.finfo(float).eps
+    if np.count_nonzero(s > tol) < d_bil:
         return ["bilinear block rank-deficient: K_xu unidentifiable"]
     return []
 
@@ -144,11 +150,12 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
     near-collinear constant/cosine regressors without visibly biasing
     the fit.  MSE values are per entry of the lifted prediction.
 
-    Every state is lifted once (``lift_snapshots``) into one
-    feature-major array, and (S psi) kron u is formed once for all
-    snapshots; the solve and both errors gather chunks of the train or
-    held-out columns of those arrays.  Raises ValueError when the split
-    leaves no training snapshot.
+    The lifted states are the dataset's own (``SnapshotDataset.lift``,
+    which ``fit_pair`` has usually made already); the solve and both
+    errors gather chunks of the train or held-out columns and form
+    (S psi) kron u one chunk at a time.  The bilinear rank flag reads the
+    regressor's streamed R.  Raises ValueError when the split leaves no
+    training snapshot.
     """
     if len(ds) == 0:
         raise ValueError("empty dataset")
@@ -163,42 +170,39 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
     rho = 1e-8 * n_train if ridge is None else float(ridge)
     if rho < 0:
         raise ValueError("ridge must be nonnegative")
-    psi, next_cols = lift_snapshots(ds, map_x)
-    bil = _bilinear_rows(S, psi[:, : len(ds)], ds.u.T)
+    psi = ds.lift(map_x)
     d_psi = map_x.dim
-    d_in = d_psi + bil.shape[0]
+    d_in = d_psi + S.shape[0] * ds.u.shape[1]
     train_cols = _column_chunks(np.flatnonzero(train))
-    chunks = (np.vstack([psi[:, c], bil[:, c]]).T for c in train_cols)
-    targets = (psi[:, next_cols[c]].T for c in train_cols)
-    k, info = solve_chunks(chunks, targets, d_in, d_psi, rho)
+    chunks = (_regressor_rows(S, psi[:, c], ds.u[c]) for c in train_cols)
+    targets = (psi[:, ds.next_cols(c)].T for c in train_cols)
+    k, info, r = solve_chunks(chunks, targets, d_in, d_psi, rho)
     info["flags"] = ([UNDERDETERMINED] if n_train < d_in else []) \
-        + _bilinear_flags(bil[:, train]) + info["flags"]
+        + _bilinear_flags(r[:, d_psi:], n_train) + info["flags"]
     model = BilinearKoopmanModel(
         K_xx=k[:, :d_psi], K_xu=k[:, d_psi:], S=S,
         map_descriptor=map_x.to_descriptor(),
     )
-    diag = {"train_mse": _one_step_mse(model, psi, bil, next_cols,
-                                       train_cols),
+    diag = {"train_mse": _one_step_mse(model, ds, psi, train_cols),
             "n_train": n_train, "n_holdout": int(holdout.sum()),
             "ridge": rho, **info, "n_snapshots": n_train}
     if holdout.any():
         diag["holdout_mse"] = _one_step_mse(
-            model, psi, bil, next_cols,
-            _column_chunks(np.flatnonzero(holdout)))
+            model, ds, psi, _column_chunks(np.flatnonzero(holdout)))
     model.diagnostics = diag
     return model
 
 
-def _one_step_mse(model: BilinearKoopmanModel, psi: np.ndarray,
-                  bil: np.ndarray, next_cols: np.ndarray,
-                  col_chunks) -> float:
-    """Mean squared one-step error over the columns in ``col_chunks``;
-    psi and next_cols are what ``lift_snapshots`` returns."""
+def _one_step_mse(model: BilinearKoopmanModel, ds: SnapshotDataset,
+                  psi: np.ndarray, col_chunks) -> float:
+    """Mean squared one-step error over the snapshots in ``col_chunks``;
+    psi is the dataset's lift."""
     sse = 0.0
     for c in col_chunks:
-        err = model.K_xx @ psi[:, c]
-        err += model.K_xu @ bil[:, c]
-        err -= psi[:, next_cols[c]]
+        psi_c = psi[:, c]
+        err = model.K_xx @ psi_c
+        err += model.K_xu @ _bilinear_rows(model.S, psi_c, ds.u[c].T)
+        err -= psi[:, ds.next_cols(c)]
         sse += float(np.vdot(err, err))
     return sse / (psi.shape[0] * sum(len(c) for c in col_chunks))
 

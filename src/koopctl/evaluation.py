@@ -13,7 +13,6 @@ fraction is reported but is not a feasibility criterion.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -244,8 +243,10 @@ def export_plot_data(report: EvaluationReport, outdir) -> list:
     """``trajectories_controlled.csv`` and ``trajectories_uncontrolled.csv``,
     one row per stored state with the columns traj, k, t, x1..xd.
 
-    Re-reading the files reproduces the stored floats exactly: csv writes
-    a float as its repr, the shortest string that round-trips (t is k * dt).
+    Each row is one formatted string, the bytes ``csv.writer`` writes:
+    a float as its repr, the shortest string that round-trips, so
+    re-reading the files reproduces the stored floats exactly (t is
+    k * dt), and "\\r\\n" line ends.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -255,10 +256,11 @@ def export_plot_data(report: EvaluationReport, outdir) -> list:
         d_x = trajs[0].states.shape[1] if trajs else 1
         path = outdir / f"trajectories_{tag}.csv"
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["traj", "k", "t"] + [f"x{i + 1}" for i in range(d_x)])
+            fh.write(",".join(["traj", "k", "t"]
+                              + [f"x{i + 1}" for i in range(d_x)]) + "\r\n")
             for tid, traj in enumerate(trajs):
-                w.writerows([tid, k, k * report.dt, *x]
-                            for k, x in enumerate(traj.states.tolist()))
+                fh.write("".join([
+                    f"{tid},{k},{k * report.dt!r},{','.join(map(repr, x))}\r\n"
+                    for k, x in enumerate(traj.states.tolist())]))
         written.append(path)
     return written

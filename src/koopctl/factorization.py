@@ -15,9 +15,11 @@ Every block is a set of product columns psi_x[i] * psi_u[a], and all of
 them are fit together.  Each distinct product is formed and fit once:
 when psi_u is psi_x, products (i, a) and (a, i) are the same bits, so
 d(d+1)/2 columns stand for the d^2 of the blocks.  The states are lifted
-once into feature-major (d_psi, N) arrays, and the fit makes two passes
-over them in chunks of ``QR_CHUNK`` snapshots, forming one chunk of
-products at a time:
+once into feature-major (d_psi, N) arrays; a ``SnapshotDataset`` keeps
+its lift (``SnapshotDataset.lift``), so the identification that follows
+reads the same array instead of lifting again.  The fit makes two passes
+over the arrays in chunks of ``QR_CHUNK`` snapshots, forming one chunk
+of products at a time:
 
 1. a streamed Householder QR of psi_x that carries the product chunks
    as its right-hand side, applying each step's reflectors in compact-WY
@@ -79,16 +81,27 @@ class FactorizationPair:
 
 
 def _lift_states(data, map_x: ObservableMap, map_u: ObservableMap):
-    """(psi_x, psi_u), each feature-major (d_psi, N), lifting the states
-    once per map.
+    """(psi_x, psi_u), each feature-major (d_psi, N).
 
-    psi_u is the psi_x array itself when ``map_u is map_x``.
+    A dataset's lift is its own (``SnapshotDataset.lift``), made once per
+    map and kept for the identification; an array of states is lifted
+    here.  psi_u is the psi_x array itself when ``map_u is map_x``.
     """
-    states = data.x if isinstance(data, SnapshotDataset) else np.asarray(data)
-    if states.size == 0:
+    if isinstance(data, SnapshotDataset):
+        size = len(data)
+
+        def lift(m):
+            return data.lift(m)[:, :size]
+    else:
+        states = np.asarray(data)
+        size = states.size
+
+        def lift(m):
+            return evaluate_batch(m, states)
+    if size == 0:
         raise ValueError("empty dataset")
-    psi_x = evaluate_batch(map_x, states)
-    psi_u = psi_x if map_u is map_x else evaluate_batch(map_u, states)
+    psi_x = lift(map_x)
+    psi_u = psi_x if map_u is map_x else lift(map_u)
     return psi_x, psi_u
 
 

@@ -66,7 +66,7 @@ def row_chunks(n: int) -> list:
     return [slice(i, min(i + QR_CHUNK, n)) for i in range(0, n, QR_CHUNK)]
 
 
-def streamed_qr(chunks, rhs=None):
+def streamed_qr(chunks, rhs=None, start=None):
     """R factor of the row stack of the 2-d arrays ``chunks`` yields.
 
     A flat-tree tall-skinny QR: each step factors [R so far; next chunk]
@@ -77,8 +77,10 @@ def streamed_qr(chunks, rhs=None):
     formed: each step keeps LAPACK's raw Householder vectors and applies
     their transpose to [Q^T B so far; next block] in compact-WY form
     (``_apply_qt``).  The R of either path is the R of ``mode="r"``.
+    ``start``, the (R, Q^T B) of an earlier call, continues its stream:
+    the result is bitwise that of one call over both streams' chunks.
     """
-    r = qtb = None
+    r, qtb = (None, None) if start is None else start
     blocks = None if rhs is None else iter(rhs)
     for c in chunks:
         top = 0 if r is None else r.shape[0]

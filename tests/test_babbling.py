@@ -58,6 +58,13 @@ def per_gain_reference(plant, m, cfg):
     return tuple(np.concatenate(acc) for acc in out) + (dropped,)
 
 
+@pytest.mark.parametrize("count", ["num_gains", "num_initial_conditions",
+                                   "steps"])
+def test_counts_must_be_positive(count):
+    with pytest.raises(ValueError, match="at least 1"):
+        small_config(**{count: 0})
+
+
 class TestGains:
     def test_seed_determinism(self):
         cfg = small_config()
@@ -182,6 +189,112 @@ class TestGenerateDataset:
         assert hold.sum() > 0
 
 
+def stored_arrays(plant, m, cfg):
+    """The seven arrays as the dataset stored them when it held x_next and
+    the three index arrays in full: per-trajectory snapshots from the
+    per-gain loop, indices from traj_id."""
+    x, u, x_next, traj_id, _ = per_gain_reference(plant, m, cfg)
+    n_ic = cfg.num_initial_conditions
+    return {"x": x, "u": u, "x_next": x_next, "gain_index": traj_id // n_ic,
+            "ic_index": traj_id % n_ic,
+            "step_index": np.tile(np.arange(cfg.steps),
+                                  len(x) // cfg.steps),
+            "traj_id": traj_id}
+
+
+def assert_arrays_bitwise(ds, want: dict):
+    for name, array in want.items():
+        got = getattr(ds, name)
+        assert got.dtype == array.dtype, name
+        assert got.shape == array.shape, name
+        assert got.tobytes() == array.tobytes(), name
+
+
+def assert_tails(ds, want: dict):
+    """The tails are the rows of x_next that are not the next row of x."""
+    moved = np.ones(len(ds), dtype=bool)
+    x, x_next = (np.ascontiguousarray(want[k]).view(np.uint64)
+                 for k in ("x", "x_next"))
+    moved[:-1] = np.any(x_next[:-1] != x[1:], axis=1)
+    np.testing.assert_array_equal(ds.tail_rows, np.flatnonzero(moved))
+    assert ds.tails.tobytes() == want["x_next"][moved].tobytes()
+
+
+class TestLeanDataset:
+    """x_next and the index arrays are rebuilt from x, the tails, traj_id
+    and meta; the arrays stored in full are the oracle."""
+
+    @pytest.mark.parametrize("case", ["clean", "gappy", "origin"])
+    def test_rebuilt_arrays_equal_stored_ones(self, case, tmp_path):
+        plant, m, cfg = {
+            "clean": (plants.single_pendulum(), single_pendulum_map(),
+                      small_config(gain_scale=3.0)),
+            "gappy": (blowup_plant(), polynomial_map("lin", (1,)),
+                      small_config(num_initial_conditions=4,
+                                   state_grid=((0.0, 3.0),), dt=0.5)),
+            # one trajectory resting at the origin: only its end is a tail
+            "origin": (plants.single_pendulum(), single_pendulum_map(),
+                       small_config(num_gains=1, num_initial_conditions=1,
+                                    gain_scale=0.0,
+                                    state_grid=((0.0, 0.0), (0.0, 0.0)))),
+        }[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ds = babbling.generate_dataset(plant, m, m, cfg)
+            want = stored_arrays(plant, m, cfg)
+        assert (ds.n_dropped > 0) == (case == "gappy")
+        assert_arrays_bitwise(ds, want)
+        assert_tails(ds, want)
+        # and a saved and loaded copy rebuilds the same arrays
+        babbling.save_dataset(ds, tmp_path / "ds")
+        back = babbling.load_dataset(tmp_path / "ds")
+        assert_arrays_bitwise(back, want)
+        assert back.tail_rows.tobytes() == ds.tail_rows.tobytes()
+
+    @pytest.mark.parametrize("pass_indices", [True, False])
+    def test_hand_built_unchained_and_permuted(self, pass_indices):
+        ds = babbling.generate_dataset(
+            plants.single_pendulum(), single_pendulum_map(),
+            single_pendulum_map(),
+            small_config(num_gains=2, num_initial_conditions=4))
+        order = np.random.default_rng(5).permutation(len(ds))
+        want = {name: getattr(ds, name)[order] for name in SNAPSHOT_ARRAYS}
+        indices = {k: want[k] for k in babbling.PROVENANCE} \
+            if pass_indices else {}
+        hand = babbling.SnapshotDataset(
+            x=want["x"], u=want["u"], x_next=want["x_next"],
+            traj_id=want["traj_id"], meta=ds.meta, **indices)
+        assert_tails(hand, want)
+        assert len(hand.tail_rows) > len(hand) - 5   # almost nothing chains
+        if pass_indices:
+            assert_arrays_bitwise(hand, want)
+        else:
+            # rebuilt from traj_id and meta, which a permutation breaks
+            # for the step index only
+            assert_arrays_bitwise(hand, {k: want[k] for k in
+                                         ("x", "u", "x_next", "gain_index",
+                                          "ic_index", "traj_id")})
+
+    def test_indices_need_meta_when_not_given(self):
+        hand = babbling.SnapshotDataset(
+            x=np.zeros((3, 1)), u=np.zeros((3, 1)), x_next=np.ones((3, 1)),
+            traj_id=np.zeros(3, dtype=int))
+        with pytest.raises(ValueError, match="num_initial_conditions"):
+            hand.gain_index
+
+    def test_next_cols_point_at_the_lift_of_x_next(self):
+        m = single_pendulum_map()
+        ds = babbling.generate_dataset(
+            plants.single_pendulum(), m, m,
+            small_config(num_gains=2, num_initial_conditions=4))
+        psi = ds.lift(m)
+        assert ds.lift(single_pendulum_map()) is psi   # equal maps share it
+        assert psi.shape == (m.dim, len(ds) + ds.n_trajectories)
+        rows = np.arange(len(ds))
+        assert psi[:, ds.next_cols(rows)].T.tobytes() \
+            == m(ds.x_next).tobytes()
+        assert psi[:, : len(ds)].T.tobytes() == m(ds.x).tobytes()
+
+
 class TestPaperScale:
     @pytest.mark.slow
     def test_snapshot_count_at_full_scale(self):
@@ -280,6 +393,48 @@ class TestPersistence:
             gc.collect()
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
+
+
+    @pytest.mark.parametrize("name,cut", [
+        (name, "rows") for name in SNAPSHOT_ARRAYS] + [
+        ("x", "width"), ("x_next", "width"), ("u", "width")])
+    def test_array_shapes_must_match_the_manifest(self, name, cut,
+                                                  tmp_path):
+        outdir = tmp_path / "dataset"
+        babbling.save_dataset(persisted_datasets()[0], outdir)
+        payload = outdir / "snapshots.npz"
+        with np.load(payload) as f:
+            arrays = dict(f)
+        if cut == "rows":
+            arrays[name] = arrays[name][:-5]
+        else:
+            arrays[name] = np.hstack([arrays[name], arrays[name]])
+        with open(payload, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match=f"{name} in .*snapshots.npz "
+                                             f"has shape"):
+            babbling.load_dataset(outdir)
+
+    def test_load_keeps_only_indices_it_cannot_rebuild(self, tmp_path):
+        clean = persisted_datasets()[0]
+        babbling.save_dataset(clean, tmp_path / "a")
+        assert babbling.load_dataset(tmp_path / "a")._provenance == {}
+        # reversed rows: traj_id still rebuilds the gain and initial
+        # condition indices, but not the step index, which is kept
+        order = np.arange(len(clean))[::-1]
+        hand = babbling.SnapshotDataset(
+            **{k: getattr(clean, k)[order] for k in SNAPSHOT_ARRAYS},
+            n_trajectories=clean.n_trajectories, meta=clean.meta)
+        babbling.save_dataset(hand, tmp_path / "b")
+        back = babbling.load_dataset(tmp_path / "b")
+        assert list(back._provenance) == ["step_index"]
+        babbling.save_dataset(back, tmp_path / "c")
+        with np.load(tmp_path / "b" / babbling.PAYLOAD) as b, \
+                np.load(tmp_path / "c" / babbling.PAYLOAD) as c:
+            assert list(b.keys()) == list(c.keys())
+            for k in SNAPSHOT_ARRAYS:
+                assert b[k].dtype == c[k].dtype, k
+                assert b[k].tobytes() == c[k].tobytes(), k
 
 
 @settings(max_examples=200, deadline=None)

@@ -651,6 +651,26 @@ class TestBrokenArtifacts:
         assert "snapshots.npz" in err and f"in {array} of" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("array,cut", [("x", "one column"),
+                                           ("u", "5 rows short")])
+    def test_misshapen_dataset_exits_3_naming_the_file(
+            self, array, cut, tmp_path, capsys):
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["babble", "--config", str(cfgfile)]) == 0
+        npz = tmp_path / "out" / "dataset" / "snapshots.npz"
+        with np.load(npz) as f:
+            arrays = dict(f)
+        arrays[array] = arrays[array][:, :1] if cut == "one column" \
+            else arrays[array][:-5]
+        with open(npz, "wb") as fh:
+            np.savez(fh, **arrays)
+        capsys.readouterr()
+        code = cli.main(["factorize", "--config", str(cfgfile)])
+        assert code == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "snapshots.npz" in err and f"{array} in " in err
+        assert err.count("\n") == 1
+
     def test_failed_dataset_write_is_a_cache_miss(self, tmp_path, capsys,
                                                   monkeypatch):
         from koopctl import babbling

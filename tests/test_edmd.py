@@ -3,7 +3,11 @@ import pytest
 
 from koopctl import edmd, tensor
 from koopctl.babbling import SnapshotDataset
-from koopctl.observables import polynomial_map, single_pendulum_map
+from koopctl.observables import (
+    evaluate_batch,
+    polynomial_map,
+    single_pendulum_map,
+)
 
 
 def dataset_from_arrays(x, u, x_next):
@@ -39,7 +43,7 @@ def solve(psi_in, psi_out, ridge=0.0, chunk=tensor.QR_CHUNK):
     spans = [slice(i, i + chunk) for i in range(0, psi_in.shape[1], chunk)]
     return edmd.solve_chunks((psi_in[:, s].T for s in spans),
                              (psi_out[:, s].T for s in spans),
-                             psi_in.shape[0], psi_out.shape[0], ridge)
+                             psi_in.shape[0], psi_out.shape[0], ridge)[:2]
 
 
 def augmented_solve(psi_in, psi_out, ridge=0.0, chunk=tensor.QR_CHUNK):
@@ -355,7 +359,8 @@ class TestLiftSnapshots:
             ds = permuted(ds, np.random.default_rng(12).permutation(len(ds)))
             assert not np.any(np.all(ds.x_next[:-1] == ds.x[1:], axis=1))
         counted = CountingMap(m)
-        psi, next_cols = edmd.lift_snapshots(ds, counted)
+        psi = ds.lift(counted)
+        next_cols = ds.next_cols(np.arange(len(ds)))
         # one lift of x and of the rows of x_next that do not chain
         ends = len(ds) if kind == "permuted" else ds.n_trajectories
         assert counted.rows == [len(ds) + ends]
@@ -481,8 +486,8 @@ class TestRegressorOnlySolve:
         model = edmd.identify_model(ds, m, s)
         diag = model.diagnostics
         train, _ = ds.split_by_trajectory(0.1)
-        psi, next_cols = edmd.lift_snapshots(ds, m)
-        psi_next = psi[:, next_cols]
+        psi = ds.lift(m)
+        psi_next = psi[:, ds.next_cols(np.arange(len(ds)))]
         assert psi_next.T.tobytes() == m(ds.x_next).tobytes()
         psi = psi[:, : len(ds)]
         assert psi.T.tobytes() == m(ds.x).tobytes()
@@ -497,3 +502,118 @@ class TestRegressorOnlySolve:
         assert [f for f in diag["flags"] if "minimum-norm" in f] \
             == info_ref["flags"]
         assert diag["cond"] == pytest.approx(info_ref["cond"], rel=1e-10)
+
+
+def one_shot_identify(ds, m, S, ridge=None, holdout_fraction=0.1):
+    """identify_model as it was with (S psi) kron u formed once for every
+    snapshot and gathered per chunk, and the rank flag taken from
+    np.linalg.matrix_rank of its train columns; returns (K, diagnostics).
+    psi is lifted here, apart from the dataset's own lift."""
+    n = len(ds)
+    psi = evaluate_batch(m, np.concatenate([ds.x, ds.tails]))
+    next_cols = ds.next_cols(np.arange(n))
+    sel = S @ psi[:, :n]
+    bil = (sel[:, None, :] * ds.u.T[None, :, :]).reshape(-1, n)
+    train, holdout = ds.split_by_trajectory(holdout_fraction)
+    n_train = int(train.sum())
+    rho = 1e-8 * n_train if ridge is None else float(ridge)
+    d_psi = m.dim
+    d_in = d_psi + bil.shape[0]
+    cols = edmd._column_chunks(np.flatnonzero(train))
+    k, info, _ = edmd.solve_chunks(
+        (np.vstack([psi[:, c], bil[:, c]]).T for c in cols),
+        (psi[:, next_cols[c]].T for c in cols), d_in, d_psi, rho)
+    flags = ["bilinear block rank-deficient: K_xu unidentifiable"] \
+        if np.linalg.matrix_rank(bil[:, train]) < bil.shape[0] else []
+    info["flags"] = ([edmd.UNDERDETERMINED] if n_train < d_in else []) \
+        + flags + info["flags"]
+
+    def mse(chunks):
+        sse = 0.0
+        for c in chunks:
+            err = k[:, :d_psi] @ psi[:, c]
+            err += k[:, d_psi:] @ bil[:, c]
+            err -= psi[:, next_cols[c]]
+            sse += float(np.vdot(err, err))
+        return sse / (d_psi * sum(len(c) for c in chunks))
+
+    diag = {"train_mse": mse(cols), "n_train": n_train,
+            "n_holdout": int(holdout.sum()), "ridge": rho, **info,
+            "n_snapshots": n_train}
+    if holdout.any():
+        diag["holdout_mse"] = mse(edmd._column_chunks(np.flatnonzero(holdout)))
+    return k, diag
+
+
+class TestChunkedBilinear:
+    """(S psi) kron u formed per chunk against the one-shot array."""
+
+    @pytest.mark.parametrize("kind", [
+        "single", pytest.param("double", marks=pytest.mark.slow)])
+    def test_protocol_model_bitwise_equal_to_one_shot(self, kind):
+        ds, m, s = protocol_dataset(kind)
+        model = edmd.identify_model(ds, m, s)
+        k, diag = one_shot_identify(ds, m, s)
+        assert np.hstack([model.K_xx, model.K_xu]).tobytes() == k.tobytes()
+        assert model.diagnostics == diag
+
+    @pytest.mark.parametrize("ridge,holdout", [(None, 0.1), (0.0, 0.25),
+                                               (1e-3, 0.0)])
+    def test_babbled_model_bitwise_equal_to_one_shot(self, ridge, holdout):
+        ds, m = babbled_dataset(steps=40)
+        S = np.eye(m.dim)[[m.labels.index("1"), 0]]
+        model = edmd.identify_model(ds, m, S, ridge=ridge,
+                                    holdout_fraction=holdout)
+        k, diag = one_shot_identify(ds, m, S, ridge, holdout)
+        assert np.hstack([model.K_xx, model.K_xu]).tobytes() == k.tobytes()
+        assert model.diagnostics == diag
+
+
+class TestOneLiftForFitAndIdentify:
+    @pytest.mark.parametrize("kind", ["babbled", "saved"])
+    def test_each_distinct_state_lifted_once(self, kind, tmp_path):
+        from koopctl import babbling
+        from koopctl.factorization import fit_pair, pair_to_json
+
+        ds, m = babbled_dataset(steps=40)
+        if kind == "saved":
+            babbling.save_dataset(ds, tmp_path / "ds")
+            ds = babbling.load_dataset(tmp_path / "ds")
+        counted = CountingMap(m)
+        pair = fit_pair(ds, counted, counted)
+        model = edmd.identify_model(ds, counted, pair.S)
+        assert counted.rows == [len(ds) + ds.n_trajectories]
+        # separate lifts: the fit on the states alone, the identification
+        # on a dataset of its own
+        alone = fit_pair(ds.x, m, m)
+        assert pair_to_json(pair) == pair_to_json(alone)
+        fresh, _ = babbled_dataset(steps=40)
+        again = edmd.identify_model(fresh, m, alone.S)
+        assert edmd.model_to_json(model) == edmd.model_to_json(again)
+
+
+class TestStreamedRankFlag:
+    """The bilinear flag from the streamed R against np.linalg.matrix_rank
+    of the train columns of (S psi) kron u."""
+
+    @pytest.mark.parametrize("inputs", ["full", "one-zero", "duplicated"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_flag_matches_matrix_rank(self, inputs, rows):
+        rng = np.random.default_rng(21)
+        n = 3000
+        x = rng.uniform(-2, 2, size=(n, 2))
+        u = rng.uniform(-1, 1, size=(n, 2))
+        if inputs == "one-zero":
+            u[:, 1] = 0.0
+        elif inputs == "duplicated":
+            u[:, 1] = u[:, 0]
+        ds = dataset_from_arrays(x, u, rng.uniform(-2, 2, size=(n, 2)))
+        m = single_pendulum_map()
+        S = np.eye(m.dim)[[m.labels.index("1"), 0, 7][:rows]]
+        model = edmd.identify_model(ds, m, S)
+        train, _ = ds.split_by_trajectory(0.1)
+        bil = edmd._bilinear_rows(S, m(x).T, u.T)[:, train]
+        deficient = np.linalg.matrix_rank(bil) < bil.shape[0]
+        assert deficient == (inputs != "full")
+        assert deficient == any("unidentifiable" in f
+                                for f in model.diagnostics["flags"])

@@ -474,6 +474,73 @@ class TestExportPlotData:
                 assert len(list(csv.reader(fh))) == 1
 
 
+def csv_writer_export(report, outdir) -> list:
+    """The plot export as it was written through ``csv.writer``."""
+    written = []
+    for tag, trajs in (("controlled", report.controlled_trajs),
+                       ("uncontrolled", report.uncontrolled_trajs)):
+        d_x = trajs[0].states.shape[1] if trajs else 1
+        path = outdir / f"trajectories_{tag}.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["traj", "k", "t"] + [f"x{i + 1}" for i in range(d_x)])
+            for tid, traj in enumerate(trajs):
+                w.writerows([tid, k, k * report.dt, *x]
+                            for k, x in enumerate(traj.states.tolist()))
+        written.append(path)
+    return written
+
+
+class TestExportMatchesCsvWriter:
+    """One formatted string per row against the csv.writer export."""
+
+    @staticmethod
+    def report(d_x, dt=0.01):
+        rng = np.random.default_rng(d_x)
+
+        def traj(steps, scale=1.0):
+            states = scale * rng.standard_normal((steps + 1, d_x))
+            return plants.Trajectory(states=states,
+                                     inputs=np.zeros((steps, 1)), dt=dt)
+
+        special = traj(6)
+        special.states[1, 0] = np.nan
+        special.states[2, -1] = np.inf
+        special.states[3, 0] = -np.inf
+        special.states[4, -1] = -0.0
+        special.states[5] = [1e-300, 1e300, 5e-324, 0.1, 2.0 / 3][:d_x]
+        # a trajectory that went non-finite, truncated where it diverged
+        diverged = traj(3, scale=1e5)
+        diverged.diverged = True
+        controlled = [traj(40), special, diverged, traj(0)]
+        return ev.EvaluationReport(
+            records=[], uncontrolled_final=[], success_rate=0.0,
+            median_settling_time=float("nan"), lam=float("nan"),
+            settle_tol=0.05, horizon_seconds=0.4, dt=dt,
+            controlled_trajs=controlled,
+            uncontrolled_trajs=[traj(40, scale=1e-3) for _ in range(3)])
+
+    @pytest.mark.parametrize("d_x", [1, 2, 4])
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5])
+    def test_bytes_equal(self, d_x, dt, tmp_path):
+        rep = self.report(d_x, dt)
+        got = ev.export_plot_data(rep, tmp_path / "new")
+        (tmp_path / "old").mkdir()
+        want = csv_writer_export(rep, tmp_path / "old")
+        assert [p.name for p in got] == [p.name for p in want]
+        for a, b in zip(got, want):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
+    def test_empty_report_bytes_equal(self, tmp_path):
+        rep = self.report(2)
+        rep.controlled_trajs = rep.uncontrolled_trajs = []
+        got = ev.export_plot_data(rep, tmp_path / "new")
+        (tmp_path / "old").mkdir()
+        want = csv_writer_export(rep, tmp_path / "old")
+        for a, b in zip(got, want):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, allow_nan=False), min_size=1,
                 max_size=12))

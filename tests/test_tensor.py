@@ -155,6 +155,19 @@ class TestStreamedQr:
         np.testing.assert_allclose(qtb, formed_q_qtb(chunks, blocks),
                                    rtol=0, atol=1e-13 * scale)
 
+    @pytest.mark.parametrize("split", [1, 2, 3])
+    def test_start_continues_the_stream_bitwise(self, split):
+        # the ridge rows of edmd.solve_chunks follow the data this way
+        rng = np.random.default_rng(split)
+        chunks = [rng.standard_normal((m, 5)) for m in (9, 3, 12, 5)]
+        blocks = [rng.standard_normal((len(c), 2)) for c in chunks]
+        whole = tensor.streamed_qr(iter(chunks), iter(blocks))
+        head = tensor.streamed_qr(iter(chunks[:split]), iter(blocks[:split]))
+        tail = tensor.streamed_qr(iter(chunks[split:]), iter(blocks[split:]),
+                                  start=head)
+        for got, want in zip(tail, whole):
+            assert got.tobytes() == want.tobytes()
+
     def test_row_chunks_cover_the_rows(self):
         n = 2 * tensor.QR_CHUNK + 5
         chunks = tensor.row_chunks(n)
