@@ -1,15 +1,16 @@
 """Pipeline driver: babble -> factorize -> identify -> synthesize -> evaluate.
 
 Exit codes: 0 success, 2 config error, 3 stage-precondition error
-(missing, corrupt or stale upstream artifact, a babble whose every
-trajectory diverged, or a dataset identify cannot fit), 4 synthesis
+(missing, corrupt or stale upstream artifact, or a stage's ValueError,
+such as a babble whose every trajectory diverged), 4 synthesis
 infeasible, 5 evaluation gate failed, 6 factorization retained no
 block, 7 artifact could not be written (e.g. disk full), reported in
-one line naming the file.  ``STAGES`` holds one row per stage.  Each
-artifact embeds its stage key, the hash of the config sections read by
-the stage and the stages upstream of it (``output_dir`` is in none).
-``pipeline`` reuses every artifact whose key is current and reruns the
-rest, so an ``evaluation`` edit reruns only ``evaluate``; a single-stage
+one line naming the file.  ``STAGES`` holds one row per stage, with the
+reader of its artifact.  Each artifact embeds its stage key, the hash of
+the config sections read by the stage and the stages upstream of it
+(``output_dir`` is in none).  ``pipeline`` reuses every artifact whose
+key is current and that its reader accepts (not a failed synthesis or
+an evaluation below its gate) and reruns the rest; a single-stage
 command exits 3 on an upstream artifact whose key is stale.  Artifacts
 are written atomically.
 """
@@ -21,7 +22,7 @@ import json
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class Stage(NamedTuple):
     kind: str
     sections: tuple            # config sections the stage reads itself
     upstream: tuple            # stages whose outputs ``run`` takes, in order
-    read: Optional[Callable]   # (payload, path) -> output; None: never read
+    read: Callable             # (cfg, payload, path) -> output
     run: Callable              # cmd_*(cfg, *upstream outputs)
 
 
@@ -130,7 +131,7 @@ def _load(cfg: dict, name: str):
             raise ValueError(f"not a {stage.kind} artifact")
         if payload.get("meta", {}).get("config_hash") != stage_key(cfg, name):
             raise ValueError("stale, written under another config")
-        return stage.read(payload, path)
+        return stage.read(cfg, payload, path)
     except FileNotFoundError as exc:
         problem = f"missing stage artifact {exc.filename}"
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -138,21 +139,40 @@ def _load(cfg: dict, name: str):
     raise StageError(f"{problem}; run '{name}' first", EXIT_PRECONDITION)
 
 
-def _read_result(payload: dict, path: Path):
+def _run(cfg: dict, name: str, inputs):
+    """Run stage ``name`` on its upstream outputs.  A ValueError it raises,
+    other than a ConfigError, is exit 3: ``cannot <stage>: <message>``."""
+    try:
+        return STAGES[name].run(cfg, *inputs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise StageError(f"cannot {name}: {exc}", EXIT_PRECONDITION) from exc
+
+
+def _read_result(cfg: dict, payload: dict, path: Path):
     result = result_from_json(payload)
     if result.status != "optimal":
         raise ValueError(f"synthesis status is {result.status}")
     return result
 
 
+def _read_report(cfg: dict, payload: dict, path: Path) -> dict:
+    """The report, current only with both plot files beside it and a
+    success rate that meets the gate, as a failed synthesis is a miss."""
+    for name in evaluation.PLOT_FILES:
+        (path.parent / "plots" / name).stat()  # FileNotFoundError names it
+    rate, gate = payload["success_rate"], cfg["evaluation"]["success_gate"]
+    if rate < gate:
+        raise ValueError(f"success rate {rate:.2%} below gate {gate:.2%}")
+    return payload
+
+
 def cmd_babble(cfg: dict) -> SnapshotDataset:
     plant = build_plant(cfg)
     map_x, map_u = build_maps(cfg)
     bcfg = babbling_config(cfg, plant.state_dim)
-    try:
-        ds = generate_dataset(plant, map_x, map_u, bcfg)
-    except ValueError as exc:
-        raise StageError(f"cannot babble: {exc}", EXIT_PRECONDITION)
+    ds = generate_dataset(plant, map_x, map_u, bcfg)
     path = _outdir(cfg) / STAGES["babble"].path
     with _writing(path.parent):
         save_dataset(ds, path.parent, extra_meta=_meta(cfg, "babble"))
@@ -176,11 +196,8 @@ def cmd_factorize(cfg: dict, ds: SnapshotDataset):
 def cmd_identify(cfg: dict, ds: SnapshotDataset, pair):
     map_x, _ = build_maps(cfg)
     ident = cfg["identification"]
-    try:
-        model = identify_model(ds, map_x, pair.S, ridge=ident["ridge"],
-                               holdout_fraction=ident["holdout_fraction"])
-    except ValueError as exc:
-        raise StageError(f"cannot identify: {exc}", EXIT_PRECONDITION)
+    model = identify_model(ds, map_x, pair.S, ridge=ident["ridge"],
+                           holdout_fraction=ident["holdout_fraction"])
     path = _write_json(cfg, "identify", model_to_json(model))
     diag = model.diagnostics
     holdout = diag.get("holdout_mse")
@@ -235,9 +252,14 @@ def cmd_evaluate(cfg: dict, result, model, pair):
     report.fidelity = evaluation.lifted_vs_true(
         model, pair, result.K_u, map_x, report.controlled_trajs[:10],
         ev["fidelity_steps"])
-    path = _write_json(cfg, "evaluate", report.to_json())
+    # the old report goes before the plots are written and the new one
+    # comes after them, so an interrupted export is a cache miss
+    path = _outdir(cfg) / STAGES["evaluate"].path
+    with _writing(path):
+        path.unlink(missing_ok=True)
     with _writing(path.parent / "plots"):
         files = evaluation.export_plot_data(report, path.parent / "plots")
+    _write_json(cfg, "evaluate", report.to_json())
     print(f"evaluate: success rate {report.success_rate:.2%} over "
           f"{len(report.records)} trajectories, median settle "
           f"{report.median_settling_time:.2f} s -> {path} "
@@ -255,21 +277,20 @@ STAGES = {
     "babble": Stage(
         "dataset/manifest.json", "koopctl/dataset",
         ("plant", "observables", "babbling", "seed"), (),
-        lambda payload, path: load_dataset(path.parent), cmd_babble),
+        lambda cfg, payload, path: load_dataset(path.parent), cmd_babble),
     "factorize": Stage(
         "pair.json", "koopctl/pair", ("factorization",), ("babble",),
-        lambda payload, path: pair_from_json(payload), cmd_factorize),
+        lambda cfg, payload, path: pair_from_json(payload), cmd_factorize),
     "identify": Stage(
         "model.json", "koopctl/model", ("identification",),
         ("babble", "factorize"),
-        lambda payload, path: model_from_json(payload), cmd_identify),
+        lambda cfg, payload, path: model_from_json(payload), cmd_identify),
     "synthesize": Stage(
         "result.json", "koopctl/synthesis", ("synthesis",),
         ("identify", "factorize"), _read_result, cmd_synthesize),
-    # nothing reads the report back, so pipeline always evaluates
     "evaluate": Stage(
         "report.json", "koopctl/report", ("evaluation",),
-        ("synthesize", "identify", "factorize"), None, cmd_evaluate),
+        ("synthesize", "identify", "factorize"), _read_report, cmd_evaluate),
 }
 
 
@@ -278,13 +299,11 @@ def cmd_pipeline(cfg: dict):
     evaluation_initial_states(cfg, build_plant(cfg).state_dim)
     done = {}
     for name, stage in STAGES.items():
-        if stage.read:
-            with suppress(StageError):  # missing, corrupt, other kind, stale
-                done[name] = _load(cfg, name)
-                print(f"{name}: cache hit")
+        with suppress(StageError):  # missing, corrupt, other kind, stale
+            done[name] = _load(cfg, name)
+            print(f"{name}: cache hit")
         if name not in done:
-            done[name] = stage.run(cfg, *(done[u] for u in stage.upstream))
-    return done["evaluate"]
+            done[name] = _run(cfg, name, [done[u] for u in stage.upstream])
 
 
 def main(argv=None) -> int:
@@ -325,8 +344,8 @@ def main(argv=None) -> int:
         if args.command == "pipeline":
             cmd_pipeline(cfg)
         else:
-            stage = STAGES[args.command]
-            stage.run(cfg, *[_load(cfg, u) for u in stage.upstream])
+            _run(cfg, args.command,
+                 [_load(cfg, u) for u in STAGES[args.command].upstream])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

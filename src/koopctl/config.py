@@ -160,6 +160,9 @@ def template_json() -> str:
 def build_plant(cfg: dict) -> ControlAffinePlant:
     section = cfg["plant"]
     kind = section["kind"]
+    if not isinstance(section["params"], dict):
+        raise ConfigError("plant.params must be an object of constructor "
+                          f"overrides, got {section['params']!r}")
     params = dict(section["params"])
     # the plant names input_bound; say which of the two keys set it
     where = "plant.params" if "input_bound" in params else "plant"
@@ -186,13 +189,19 @@ def _build_map(section: dict) -> ObservableMap:
     if kind == "double_pendulum":
         return double_pendulum_map()
     if kind == "custom":
-        if not section.get("features"):
-            raise ConfigError("custom observables need a 'features' list")
+        features = section["features"]
+        if not (features and isinstance(features, list)
+                and all(isinstance(f, dict) for f in features)):
+            raise ConfigError("custom observables need a 'features' list of "
+                              f"feature objects, got {features!r}")
+        if type(section["state_dim"]) is not int:
+            raise ConfigError("custom observables need an integer "
+                              f"'state_dim', got {section['state_dim']!r}")
         try:
             return map_from_descriptor(
                 {"name": "custom", "state_dim": section["state_dim"],
-                 "features": section["features"]})
-        except (KeyError, ValueError) as exc:
+                 "features": features})
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad custom observables: {exc}")
     raise ConfigError(f"unknown observables kind {kind!r}")
 
@@ -247,6 +256,8 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
             ranges = np.asarray(section["ranges"], dtype=float)
             if ranges.shape != (d_x, 2):
                 raise ValueError(f"ranges must be {d_x} x 2, got {ranges.shape}")
+            if not np.all(np.isfinite(ranges)):
+                raise ValueError("ranges must be finite")
         if kind == "list":
             states = np.asarray(section["states"], dtype=float)
         elif kind == "uniform":
@@ -263,6 +274,8 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
         extra = cfg["evaluation"].get("extra_states") or []
         if extra:
             states = np.vstack([states, np.asarray(extra, dtype=float)])
+        if not np.all(np.isfinite(states)):
+            raise ValueError("states must be finite")
     except (TypeError, ValueError) as exc:
         raise ConfigError(
             f"bad evaluation.initial_conditions or extra_states: {exc}")
@@ -292,8 +305,9 @@ _NUMBERS = {
 
 
 def validate(cfg: dict) -> None:
-    """Check the numbers, evaluation horizon, plant and babbling grid before
-    any stage runs, so a malformed value exits 2 in one line naming its key."""
+    """Check the numbers, evaluation horizon, plant, observables and
+    babbling grid before any stage runs, so a malformed value exits 2 in
+    one line naming its key."""
     for key, (integral, positive) in _NUMBERS.items():
         path = key.split(".")
         x = functools.reduce(dict.get, path, cfg)
@@ -318,4 +332,10 @@ def validate(cfg: dict) -> None:
         raise ConfigError(f"evaluation.fidelity_steps must be at most the "
                           f"{steps} evaluation steps, got {ev['fidelity_steps']}")
     d_x = build_plant(cfg).state_dim
+    for key, m in zip(("observables", "observables.controller"),
+                      build_maps(cfg)):
+        if m.state_dim != d_x:
+            raise ConfigError(
+                f"{key} map {m.name!r} has state_dim {m.state_dim}, the "
+                f"{cfg['plant']['kind']} plant {d_x} state components")
     babbling_config(cfg, d_x)

@@ -25,6 +25,9 @@ from .observables import ObservableMap, decoding_operator
 from .plants import ControlAffinePlant, rollout
 from .synthesis import SynthesisResult
 
+# the controlled and uncontrolled trajectory files ``export_plot_data`` writes
+PLOT_FILES = ("trajectories_controlled.csv", "trajectories_uncontrolled.csv")
+
 
 @dataclass
 class TrajectoryRecord:
@@ -251,10 +254,10 @@ def export_plot_data(report: EvaluationReport, outdir) -> list:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for tag, trajs in (("controlled", report.controlled_trajs),
-                       ("uncontrolled", report.uncontrolled_trajs)):
+    for name, trajs in zip(PLOT_FILES, (report.controlled_trajs,
+                                        report.uncontrolled_trajs)):
         d_x = trajs[0].states.shape[1] if trajs else 1
-        path = outdir / f"trajectories_{tag}.csv"
+        path = outdir / name
         with open(path, "w", newline="") as fh:
             fh.write(",".join(["traj", "k", "t"]
                               + [f"x{i + 1}" for i in range(d_x)]) + "\r\n")

@@ -179,9 +179,23 @@ class ObservableMap:
     features: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        for i in range(self.state_dim):
+        d_x = self.state_dim
+        if len(self.features) < d_x:
+            raise ValueError(f"{len(self.features)} features cannot hold the "
+                             f"{d_x} raw state components")
+        for f in self.features:
+            coeffs = [c for _, c in f.trigs]
+            if f.denom is not None:
+                coeffs.append(f.denom[2])
+            if any(len(c) > d_x for c in [f.poly, *coeffs]):
+                raise ValueError(f"feature {f.label!r} has more exponents or "
+                                 f"coefficients than the {d_x} state components")
+            if any(kind not in ("sin", "cos") for kind, _ in f.trigs):
+                raise ValueError(f"feature {f.label!r} has a trig kind other "
+                                 "than sin or cos")
+        for i in range(d_x):
             f = self.features[i]
-            want = tuple(1 if j == i else 0 for j in range(self.state_dim))
+            want = tuple(1 if j == i else 0 for j in range(d_x))
             if f.poly != want or f.trigs or f.denom is not None:
                 raise ValueError(
                     f"feature {i} must be the raw state component x[{i}]"

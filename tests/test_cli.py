@@ -8,6 +8,9 @@ from koopctl import cli, config
 from koopctl.config import ConfigError, config_hash, load_config, merge_defaults
 
 STAGE_NAMES = ["babble", "factorize", "identify", "synthesize", "evaluate"]
+# the leading raw-state features of a custom single-pendulum map
+RAW_STATE = [{"label": "theta", "poly": [1, 0]},
+             {"label": "theta_dot", "poly": [0, 1]}]
 
 
 def smoke_config(tmp_path, **overrides):
@@ -109,6 +112,35 @@ class TestConfig:
         ("evaluation", {"initial_conditions": {
             "kind": "grid", "ranges": [[-1, 1], [-2, 2]], "shape": [2]}},
          "shape must hold 2 counts"),
+        ("evaluation", {"initial_conditions": {
+            "kind": "list", "states": [[0.1, float("nan")]]}},
+         "states must be finite"),
+        ("evaluation", {"extra_states": [[float("nan"), 0.0]]},
+         "states must be finite"),
+        ("evaluation", {"initial_conditions": {
+            "kind": "uniform", "ranges": [[-1, 1], [0, float("inf")]]}},
+         "ranges must be finite"),
+        ("plant", {"params": [1, 2]}, "plant.params must be an object"),
+        ("observables", {"kind": "custom", "state_dim": 2, "features":
+                         RAW_STATE + [{"label": "z", "poly": [0, 0, 1]}]},
+         "feature 'z' has more exponents or coefficients than the 2"),
+        ("observables", {"kind": "custom", "state_dim": 2,
+                         "features": RAW_STATE[:1]},
+         "1 features cannot hold the 2 raw state components"),
+        ("observables", {"kind": "custom", "state_dim": None,
+                         "features": RAW_STATE},
+         "custom observables need an integer 'state_dim', got None"),
+        ("observables", {"kind": "custom", "state_dim": 2, "features": "abc"},
+         "custom observables need a 'features' list"),
+        ("observables", {"kind": "custom", "state_dim": 2, "features":
+                         RAW_STATE + [{"label": "t", "trigs": [["tan", [1, 0]]]}]},
+         "feature 't' has a trig kind other than sin or cos"),
+        ("observables", {"kind": "double_pendulum"},
+         "observables map 'double_pendulum' has state_dim 4, the "
+         "single_pendulum plant 2"),
+        ("observables", {"controller": {"kind": "custom", "state_dim": 1,
+                                        "features": [{"label": "x", "poly": [1]}]}},
+         "observables.controller map 'custom' has state_dim 1"),
     ])
     def test_malformed_value_exits_2_before_any_stage(
             self, tmp_path, capsys, section, values, key):
@@ -292,10 +324,15 @@ class TestPipeline:
         assert result["lambda"] < 1.0
         assert result["meta"]["config_hash"] == cli.stage_key(
             load_config(cfgfile), "synthesize")
-        # second run hits every cache
+        # second run hits every cache, evaluate's included, and rewrites
+        # no file
+        files = [outdir / "report.json"] + [
+            outdir / "plots" / n for n in cli.evaluation.PLOT_FILES]
+        mtimes = [p.stat().st_mtime_ns for p in files]
         assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
         out2 = capsys.readouterr().out
-        assert out2.count("cache hit") == 4
+        assert out2.count("cache hit") == 5
+        assert [p.stat().st_mtime_ns for p in files] == mtimes
 
     def test_equal_configs_give_bitwise_identical_artifacts(self, tmp_path,
                                                             capsys):
@@ -532,6 +569,101 @@ class TestSynthesisFailureCode:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "result.json" in err
         assert "max-resamples-exceeded" in err and "'synthesize'" in err
+
+
+class TestEvaluateCache:
+    @pytest.mark.parametrize("evaluation, code", [
+        ({}, cli.EXIT_OK),
+        # one trajectory in six settles within one second
+        ({"horizon_seconds": 1.0}, cli.EXIT_EVAL_GATE)])
+    def test_same_exit_code_fresh_and_cached(self, tmp_path, capsys,
+                                             evaluation, code):
+        cfgfile = smoke_config(tmp_path, evaluation=evaluation)
+        runs = []
+        for _ in range(2):
+            assert cli.main(["pipeline", "--config", str(cfgfile)]) == code
+            out, err = capsys.readouterr()
+            runs.append((out.count("cache hit"), out.splitlines()[-1], err))
+        fresh, cached = runs
+        assert fresh[0] == 0
+        if code == cli.EXIT_OK:
+            assert cached == (5, "evaluate: cache hit", "")
+        else:  # a gated report is a miss: evaluate reruns and fails again
+            assert cached == (4,) + fresh[1:]
+            assert fresh[1].startswith("evaluate: success rate ")
+            assert fresh[2].startswith("error: success rate ")
+            assert fresh[2].endswith(" below gate 50.00%\n")
+
+    def test_deleted_plot_file_reruns_evaluate_only(self, tmp_path, capsys):
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        plot = tmp_path / "out" / "plots" / cli.evaluation.PLOT_FILES[1]
+        blob = plot.read_bytes()
+        plot.unlink()
+        capsys.readouterr()
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        heads = [line for line in capsys.readouterr().out.splitlines()
+                 if line.endswith(": cache hit")]
+        assert heads == [f"{name}: cache hit" for name in STAGE_NAMES[:4]]
+        assert plot.read_bytes() == blob
+
+    def test_failed_export_exits_7_and_is_a_cache_miss(self, tmp_path, capsys,
+                                                       monkeypatch):
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        report = tmp_path / "out" / "report.json"
+        blob = report.read_bytes()
+
+        def disk_full(report, outdir):
+            path = outdir / cli.evaluation.PLOT_FILES[0]
+            path.write_text("traj,k")
+            raise OSError(28, "No space left on device", str(path))
+
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(cli.evaluation, "export_plot_data", disk_full)
+            assert cli.main(["evaluate", "--config", str(cfgfile)]) \
+                == cli.EXIT_WRITE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "trajectories_controlled.csv" in err
+        # the current report went before the export: no hit on a cut plot
+        assert not report.exists()
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("cache hit") == 4 and "evaluate: success" in out
+        assert report.read_bytes() == blob
+
+    def test_bad_evaluation_states_exit_2_in_evaluate(self, tmp_path,
+                                                      capsys):
+        # evaluate checks the states it reads: a ConfigError raised inside
+        # a stage stays exit 2, not a stage's exit 3
+        assert cli.main(["pipeline", "--config",
+                         str(smoke_config(tmp_path))]) == 0
+        cfgfile = smoke_config(
+            tmp_path, evaluation={"extra_states": [[float("nan"), 0.0]]})
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", str(cfgfile)]) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: bad evaluation.initial_conditions or "
+            "extra_states: states must be finite\n")
+
+    def test_non_finite_lift_exits_3_at_factorize(self, tmp_path, capsys):
+        # 1 / (0 + 0 cos theta) is inf at every state; babble lifts only
+        # the separate controller map, factorize lifts the state map
+        cfgfile = smoke_config(tmp_path, observables={
+            "kind": "custom", "state_dim": 2, "features": RAW_STATE + [
+                {"label": "inf", "denom": {"offset": 0.0, "scale": 0.0,
+                                           "coeffs": [1.0, 0.0]}}],
+            "controller": {"kind": "single_pendulum"}})
+        assert cli.main(["babble", "--config", str(cfgfile)]) == 0
+        capsys.readouterr()
+        assert cli.main(["factorize", "--config", str(cfgfile)]) \
+            == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().err == (
+            "error: cannot factorize: non-finite feature values at state "
+            "index 0\n")
+        assert not (tmp_path / "out" / "pair.json").exists()
 
 
 class TestFactorizeOutputs:

@@ -292,6 +292,22 @@ class TestDescriptors:
             obs.ObservableMap(name="bad", state_dim=1,
                               features=(obs.Feature(label="1"),))
 
+    @pytest.mark.parametrize("extra, why", [
+        (None, "1 features cannot hold the 2 raw state components"),
+        (obs.Feature(label="f", poly=(0, 0, 1)), "more exponents"),
+        (obs.Feature(label="f", trigs=(("sin", (1, 0, 0)),)),
+         "more exponents or coefficients"),
+        (obs.Feature(label="f", denom=(3.0, -2.0, (1, 0, 0))),
+         "more exponents or coefficients"),
+        (obs.Feature(label="f", trigs=(("tan", (1, 0)),)),
+         "trig kind other than sin or cos")])
+    def test_malformed_feature_rejected(self, extra, why):
+        x = obs.state_feature(0, 2, "x")
+        feats = (x,) if extra is None else (x, obs.state_feature(1, 2, "y"),
+                                             extra)
+        with pytest.raises(ValueError, match=why):
+            obs.ObservableMap(name="bad", state_dim=2, features=feats)
+
     def test_polynomial_map(self):
         m = obs.polynomial_map("cubic", (1, 2, 3))
         np.testing.assert_allclose(m([2.0]), [2.0, 4.0, 8.0])
