@@ -18,8 +18,8 @@ distinct states [x; tails] is made on first use, once per map, and kept
 by the dataset, so the Hbar fit and the identification share it.
 
 A saved dataset is a directory of two files: ``snapshots.npz`` holds the
-seven snapshot arrays in full, and ``manifest.json`` holds the counts
-and the babbling metadata.
+``ARRAYS`` a dataset holds in memory, plus any index array it was given,
+and ``manifest.json`` (kind ``KIND``) the counts and babbling metadata.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ import numpy as np
 from .observables import ObservableMap, evaluate_batch
 from .plants import ControlAffinePlant, rollout
 
+KIND = "koopctl/dataset/2"
 PAYLOAD = "snapshots.npz"
-ARRAYS = ("x", "u", "x_next", "gain_index", "ic_index", "step_index",
-          "traj_id")
+ARRAYS = ("x", "u", "traj_id", "tail_rows", "tails")
 PROVENANCE = ("gain_index", "ic_index", "step_index")
 
 
@@ -56,11 +56,13 @@ class BabblingConfig:
     def __post_init__(self):
         if min(self.num_gains, self.num_initial_conditions, self.steps) < 1:
             raise ValueError("counts must be at least 1")
-        if self.gain_scale < 0:
-            raise ValueError("gain_scale must be nonnegative")
+        if not 0 <= 2.0 * float(self.gain_scale) < np.inf:
+            raise ValueError("gain_scale must be nonnegative, with a finite "
+                             f"width 2 * gain_scale, got {self.gain_scale!r}")
         for lo, hi in self.state_grid:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise ValueError("state_grid bounds must be finite with lo <= hi")
+            if not 0 <= float(hi) - float(lo) < np.inf:
+                raise ValueError("state_grid rows need lo <= hi and a finite "
+                                 f"width hi - lo, got {[lo, hi]!r}")
 
 
 class SnapshotDataset:
@@ -73,8 +75,8 @@ class SnapshotDataset:
     read.  ``gain_index``, ``ic_index`` and ``step_index`` are rebuilt
     from traj_id and ``meta`` (``num_initial_conditions``, ``steps``)
     unless they were passed in.  ``lift`` keeps one feature-major lift of
-    [x; tails] per map.  On disk (``save_dataset``) all seven arrays are
-    stored in full.
+    [x; tails] per map.  On disk (``save_dataset``) it is the same arrays
+    and any index arrays that were passed in.
     """
 
     def __init__(self, x, u, x_next, *, traj_id, gain_index=None,
@@ -103,12 +105,12 @@ class SnapshotDataset:
         ds = cls.__new__(cls)
         ds._assign(x, u, traj_id, rows, tails, n_trajectories, n_dropped,
                    meta)
-        ds._provenance = {}
         return ds
 
     def _assign(self, x, u, traj_id, rows, nxt, n_trajectories, n_dropped,
                 meta):
         """Keep x_next[rows] = nxt only where it is not bitwise x[k + 1]."""
+        x = np.ascontiguousarray(x, dtype=float)
         rows = np.asarray(rows, dtype=np.intp)
         nxt = np.ascontiguousarray(nxt, dtype=float)
         inner = rows + 1 < len(x)
@@ -124,6 +126,7 @@ class SnapshotDataset:
         self.n_dropped = n_dropped
         self.meta = {} if meta is None else meta
         self._psi = {}
+        self._provenance = {}
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -296,8 +299,9 @@ def _distinct_count(v) -> int:
 
 
 def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:
-    """Persist as ``snapshots.npz`` (the seven arrays as they are) plus
-    ``manifest.json`` (counts and babbling metadata).
+    """Persist as ``snapshots.npz`` (the ``ARRAYS`` and any index arrays
+    the dataset was given, as they are) plus ``manifest.json`` (counts and
+    babbling metadata).
 
     Any old manifest is removed first and the new one is written last, so
     a save that fails partway leaves no manifest: a cache miss, never a
@@ -310,9 +314,14 @@ def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:
     manifest_path.unlink(missing_ok=True)
     for shard in outdir.glob("traj_*.csv"):
         shard.unlink()
-    write_atomic(outdir / PAYLOAD, lambda tmp: _write_npz(tmp, ds))
+    def write(tmp):
+        # through a file object, so np.savez does not append ".npz" to it
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **{k: getattr(ds, k) for k in ARRAYS},
+                     **ds._provenance)
+    write_atomic(outdir / PAYLOAD, write)
     manifest = {
-        "kind": "koopctl/dataset",
+        "kind": KIND,
         "snapshots": len(ds),
         "trajectories": int(ds.n_trajectories),
         "dropped": int(ds.n_dropped),
@@ -324,12 +333,6 @@ def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:
         manifest.update(extra_meta)
     write_json_atomic(manifest_path, manifest)
     return manifest_path
-
-
-def _write_npz(path, ds: SnapshotDataset) -> None:
-    # through a file object, so np.savez does not append ".npz" to the name
-    with open(path, "wb") as fh:
-        np.savez(fh, **{k: getattr(ds, k) for k in ARRAYS})
 
 
 def write_atomic(path, write) -> None:
@@ -359,52 +362,48 @@ def write_json_atomic(path, payload: dict) -> None:
 
 
 def load_dataset(outdir) -> SnapshotDataset:
-    """Read what ``save_dataset`` wrote, keeping only the tails of x_next
-    and only those index arrays that differ from what traj_id and the
-    babbling metadata rebuild.
+    """Read what ``save_dataset`` wrote, stored index arrays as they are.
 
     Raises ValueError naming the file when ``snapshots.npz`` is
-    unreadable, when an array's row count differs from the manifest's
-    snapshot count or a state or input array's width from its
-    ``state_dim`` or ``input_dim``, or when a state or input is NaN or
-    infinite.
+    unreadable, when an array's shape differs from the one the manifest
+    gives, when a float array (a state, input or tail) holds NaN or an
+    infinity, or when ``tail_rows`` are not increasing integers in [0, N)
+    ending at N - 1.
     """
     outdir = Path(outdir)
     with open(outdir / "manifest.json") as fh:
         manifest = json.load(fh)
     path = outdir / PAYLOAD
-    n = manifest["snapshots"]
-    width = {"x": manifest["state_dim"], "x_next": manifest["state_dim"],
-             "u": manifest["input_dim"]}
+    n, d_x = manifest["snapshots"], manifest["state_dim"]
     # np.load leaks the file it opens when the zip is unreadable
     with open(path, "rb") as fh:
         with _reading(path):
             npz = np.load(fh)
         with npz:
-            def read(name):
+            def read(name, shape=None):
                 with _reading(path):
                     a = npz[name]
-                want = (n, width[name]) if name in width else (n,)
-                if a.shape != want:
+                if shape is not None and a.shape != shape:
                     raise ValueError(f"{name} in {path} has shape {a.shape}, "
-                                     f"the manifest gives {want}")
-                if name in width and not np.all(np.isfinite(a)):
+                                     f"expected {shape}")
+                if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
                     raise ValueError(f"non-finite entries in {name} of {path}")
                 return a
 
-            ds = SnapshotDataset(
-                read("x"), read("u"), read("x_next"), traj_id=read("traj_id"),
-                n_trajectories=manifest["trajectories"],
-                n_dropped=manifest["dropped"], meta=manifest["babbling"])
-            for name in PROVENANCE:
-                stored = read(name)
-                try:
-                    rebuilt = getattr(ds, name)
-                except ValueError:  # no metadata to rebuild it from
-                    rebuilt = None
-                if rebuilt is None or rebuilt.dtype != stored.dtype \
-                        or not np.array_equal(rebuilt, stored):
-                    ds._provenance[name] = stored
+            x, u = read("x", (n, d_x)), read("u", (n, manifest["input_dim"]))
+            traj_id, rows = read("traj_id", (n,)), read("tail_rows")
+            # next_cols relies on the last row being a tail
+            if rows.ndim != 1 or rows.dtype.kind not in "iu" or not (
+                    np.all(rows[:1] >= 0) and np.all(rows[1:] > rows[:-1])
+                    and rows[-1:].tolist() == list(range(n)[-1:])):
+                raise ValueError(f"tail_rows in {path} are not increasing "
+                                 f"rows of [0, {n}) ending at {n - 1}")
+            ds = SnapshotDataset._from_tails(
+                x, u, traj_id, rows, read("tails", (len(rows), d_x)),
+                manifest["trajectories"], manifest["dropped"],
+                manifest["babbling"])
+            ds._provenance = {k: read(k, (n,)) for k in PROVENANCE
+                              if k in npz.files}
     return ds
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__, evaluation
 from .babbling import (
+    KIND,
     SnapshotDataset,
     generate_dataset,
     load_dataset,
@@ -275,7 +276,7 @@ def cmd_evaluate(cfg: dict, result, model, pair):
 
 STAGES = {
     "babble": Stage(
-        "dataset/manifest.json", "koopctl/dataset",
+        "dataset/manifest.json", KIND,
         ("plant", "observables", "babbling", "seed"), (),
         lambda cfg, payload, path: load_dataset(path.parent), cmd_babble),
     "factorize": Stage(

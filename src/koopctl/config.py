@@ -256,8 +256,10 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
             ranges = np.asarray(section["ranges"], dtype=float)
             if ranges.shape != (d_x, 2):
                 raise ValueError(f"ranges must be {d_x} x 2, got {ranges.shape}")
-            if not np.all(np.isfinite(ranges)):
-                raise ValueError("ranges must be finite")
+            # Python floats: an overflowing width is inf, without a warning
+            if not all(math.isfinite(hi - lo) for lo, hi in ranges.tolist()):
+                raise ValueError("ranges must be finite, with a finite "
+                                 "width hi - lo per row")
         if kind == "list":
             states = np.asarray(section["states"], dtype=float)
         elif kind == "uniform":

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -164,6 +165,13 @@ def feature_from_descriptor(d: dict) -> Feature:
     )
 
 
+def _is_number(v) -> bool:
+    """An int or float within the float range; not a bool, nor a string
+    that ``float`` would read."""
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+
+
 def state_feature(i: int, d_x: int, label: str) -> Feature:
     exps = [0] * d_x
     exps[i] = 1
@@ -190,6 +198,10 @@ class ObservableMap:
             if any(len(c) > d_x for c in [f.poly, *coeffs]):
                 raise ValueError(f"feature {f.label!r} has more exponents or "
                                  f"coefficients than the {d_x} state components")
+            # checked, not converted: the descriptor keeps them as given
+            if not all(_is_number(v) for c in coeffs for v in c):
+                raise ValueError(f"feature {f.label!r} has a coefficient "
+                                 "that is not a finite number")
             if any(kind not in ("sin", "cos") for kind, _ in f.trigs):
                 raise ValueError(f"feature {f.label!r} has a trig kind other "
                                  "than sin or cos")

@@ -328,21 +328,52 @@ SNAPSHOT_ARRAYS = ("x", "u", "x_next", "gain_index", "ic_index",
                    "step_index", "traj_id")
 
 
+def hand_built(ds, order, indices=babbling.PROVENANCE):
+    """``ds`` with its rows taken in ``order``, built through the public
+    constructor and given the named index arrays."""
+    return babbling.SnapshotDataset(
+        **{k: getattr(ds, k)[order] for k in ("x", "u", "x_next")},
+        traj_id=ds.traj_id[order],
+        **{k: getattr(ds, k)[order] for k in indices},
+        n_trajectories=ds.n_trajectories, n_dropped=ds.n_dropped,
+        meta=ds.meta)
+
+
+def members(outdir) -> list:
+    with np.load(outdir / babbling.PAYLOAD) as f:
+        return sorted(f.files)
+
+
 class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        for i, ds in enumerate(persisted_datasets()):
-            outdir = tmp_path / f"data{i}"
-            babbling.save_dataset(ds, outdir)
-            assert sorted(p.name for p in outdir.iterdir()) \
-                == ["manifest.json", "snapshots.npz"]
-            back = babbling.load_dataset(outdir)
-            for name in SNAPSHOT_ARRAYS:
-                got, want = getattr(back, name), getattr(ds, name)
-                assert got.dtype == want.dtype, name
-                np.testing.assert_array_equal(got, want, err_msg=name)
-            assert back.n_trajectories == ds.n_trajectories
-            assert back.n_dropped == ds.n_dropped
-            assert back.meta == ds.meta
+    @pytest.mark.parametrize("case", ["clean", "gappy", "at-rest",
+                                      "hand-built"])
+    def test_round_trip_is_bitwise(self, case, tmp_path):
+        clean, gappy = persisted_datasets()
+        m = single_pendulum_map()
+        ds = {
+            "clean": lambda: clean,
+            "gappy": lambda: gappy,
+            # one trajectory resting at the origin: only its end is a tail
+            "at-rest": lambda: babbling.generate_dataset(
+                plants.single_pendulum(), m, m,
+                small_config(num_gains=1, num_initial_conditions=1,
+                             gain_scale=0.0,
+                             state_grid=((0.0, 0.0), (0.0, 0.0)))),
+            "hand-built": lambda: hand_built(
+                clean, np.random.default_rng(5).permutation(len(clean))),
+        }[case]()
+        outdir = tmp_path / "data"
+        babbling.save_dataset(ds, outdir)
+        assert sorted(p.name for p in outdir.iterdir()) \
+            == ["manifest.json", "snapshots.npz"]
+        given = list(babbling.PROVENANCE) if case == "hand-built" else []
+        assert members(outdir) == sorted([*babbling.ARRAYS, *given])
+        back = babbling.load_dataset(outdir)
+        assert_arrays_bitwise(back, {k: getattr(ds, k)
+                                     for k in SNAPSHOT_ARRAYS})
+        assert back.n_trajectories == ds.n_trajectories
+        assert back.n_dropped == ds.n_dropped
+        assert back.meta == ds.meta
 
     def test_rerun_same_seed_identical_manifest(self, tmp_path):
         plant = plants.single_pendulum()
@@ -394,14 +425,17 @@ class TestPersistence:
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
 
-
     @pytest.mark.parametrize("name,cut", [
-        (name, "rows") for name in SNAPSHOT_ARRAYS] + [
-        ("x", "width"), ("x_next", "width"), ("u", "width")])
+        ("x", "rows"), ("u", "rows"), ("traj_id", "rows"), ("tails", "rows"),
+        ("gain_index", "rows"), ("ic_index", "rows"), ("step_index", "rows"),
+        ("x", "width"), ("u", "width"), ("tails", "width")])
     def test_array_shapes_must_match_the_manifest(self, name, cut,
                                                   tmp_path):
         outdir = tmp_path / "dataset"
-        babbling.save_dataset(persisted_datasets()[0], outdir)
+        # given index arrays, so that every kind of member is stored
+        clean = persisted_datasets()[0]
+        babbling.save_dataset(hand_built(clean, np.arange(len(clean))),
+                              outdir)
         payload = outdir / "snapshots.npz"
         with np.load(payload) as f:
             arrays = dict(f)
@@ -415,26 +449,63 @@ class TestPersistence:
                                              f"has shape"):
             babbling.load_dataset(outdir)
 
-    def test_load_keeps_only_indices_it_cannot_rebuild(self, tmp_path):
+    @pytest.mark.parametrize("damage", [
+        "tail_rows-float", "tail_rows-2d", "tail_rows-unsorted",
+        "tail_rows-repeated", "tail_rows-negative", "tail_rows-beyond-last",
+        "tail_rows-without-last", "tails-nan", "tails-inf"])
+    def test_bad_tails_are_refused_naming_the_file(self, damage, tmp_path):
+        outdir = tmp_path / "dataset"
+        ds = persisted_datasets()[0]
+        babbling.save_dataset(ds, outdir)
+        payload = outdir / "snapshots.npz"
+        with np.load(payload) as f:
+            arrays = dict(f)
+        rows, tails = arrays["tail_rows"], arrays["tails"]
+        n = len(ds)
+        if damage == "tail_rows-float":
+            rows = rows.astype(float)
+        elif damage == "tail_rows-2d":
+            rows = rows[:, None]
+        elif damage == "tail_rows-unsorted":
+            rows[[0, 1]] = rows[[1, 0]]
+        elif damage == "tail_rows-repeated":
+            rows[1] = rows[0]
+        elif damage == "tail_rows-negative":
+            rows[0] = -1
+        elif damage == "tail_rows-beyond-last":
+            rows = np.append(rows, n)
+            tails = np.vstack([tails, tails[-1:]])
+        elif damage == "tail_rows-without-last":
+            rows, tails = rows[:-1], tails[:-1]
+        else:
+            tails[2, 1] = np.nan if damage == "tails-nan" else -np.inf
+        arrays.update(tail_rows=rows, tails=tails)
+        with open(payload, "wb") as fh:
+            np.savez(fh, **arrays)
+        what = "tail_rows in" if damage.startswith("tail_rows") \
+            else "non-finite entries in tails of"
+        with pytest.raises(ValueError, match=f"{what} .*snapshots.npz"):
+            babbling.load_dataset(outdir)
+
+    def test_given_indices_round_trip_as_given(self, tmp_path):
         clean = persisted_datasets()[0]
         babbling.save_dataset(clean, tmp_path / "a")
+        assert members(tmp_path / "a") == sorted(babbling.ARRAYS)
         assert babbling.load_dataset(tmp_path / "a")._provenance == {}
-        # reversed rows: traj_id still rebuilds the gain and initial
-        # condition indices, but not the step index, which is kept
+        # reversed rows, given the step index alone: stored, and read back
+        # as given; the other two are rebuilt from traj_id
         order = np.arange(len(clean))[::-1]
-        hand = babbling.SnapshotDataset(
-            **{k: getattr(clean, k)[order] for k in SNAPSHOT_ARRAYS},
-            n_trajectories=clean.n_trajectories, meta=clean.meta)
+        hand = hand_built(clean, order, indices=["step_index"])
         babbling.save_dataset(hand, tmp_path / "b")
+        assert members(tmp_path / "b") \
+            == sorted([*babbling.ARRAYS, "step_index"])
         back = babbling.load_dataset(tmp_path / "b")
         assert list(back._provenance) == ["step_index"]
+        assert_arrays_bitwise(back, {k: getattr(clean, k)[order]
+                                     for k in SNAPSHOT_ARRAYS})
         babbling.save_dataset(back, tmp_path / "c")
-        with np.load(tmp_path / "b" / babbling.PAYLOAD) as b, \
-                np.load(tmp_path / "c" / babbling.PAYLOAD) as c:
-            assert list(b.keys()) == list(c.keys())
-            for k in SNAPSHOT_ARRAYS:
-                assert b[k].dtype == c[k].dtype, k
-                assert b[k].tobytes() == c[k].tobytes(), k
+        assert (tmp_path / "b" / babbling.PAYLOAD).read_bytes() \
+            == (tmp_path / "c" / babbling.PAYLOAD).read_bytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from koopctl import cli, config
+from koopctl import babbling, cli, config
 from koopctl.config import ConfigError, config_hash, load_config, merge_defaults
 
 STAGE_NAMES = ["babble", "factorize", "identify", "synthesize", "evaluate"]
@@ -135,6 +135,35 @@ class TestConfig:
         ("observables", {"kind": "custom", "state_dim": 2, "features":
                          RAW_STATE + [{"label": "t", "trigs": [["tan", [1, 0]]]}]},
          "feature 't' has a trig kind other than sin or cos"),
+        ("observables", {"kind": "custom", "state_dim": 2, "features":
+                         RAW_STATE + [{"label": "t", "trigs": [["sin", ["a", 0]]]}]},
+         "feature 't' has a coefficient that is not a finite number"),
+        ("observables", {"kind": "custom", "state_dim": 2, "features":
+                         RAW_STATE + [{"label": "t", "trigs": [["cos", "ab"]]}]},
+         "feature 't' has a coefficient that is not a finite number"),
+        ("observables", {"kind": "custom", "state_dim": 2, "features":
+                         RAW_STATE + [{"label": "t", "trigs": [["sin", [True, 0]]]}]},
+         "feature 't' has a coefficient that is not a finite number"),
+        ("observables", {"kind": "custom", "state_dim": 2, "features":
+                         RAW_STATE + [{"label": "d", "denom": {
+                             "offset": 3, "scale": -2, "coeffs": [1, "0"]}}]},
+         "feature 'd' has a coefficient that is not a finite number"),
+        ("observables", {"kind": "custom", "state_dim": 2, "features":
+                         RAW_STATE + [{"label": "t", "trigs": [["sin", [10 ** 400, 0]]]}]},
+         "feature 't' has a coefficient that is not a finite number"),
+        ("babbling", {"gain_scale": 1e308},
+         "gain_scale must be nonnegative, with a finite width 2 * gain_scale"),
+        ("babbling", {"state_grid": [[-1e308, 1e308], [0, 1]]},
+         "state_grid rows need lo <= hi and a finite width hi - lo"),
+        ("babbling", {"state_grid": [[1, 0], [0, 1]]},
+         "state_grid rows need lo <= hi"),
+        ("evaluation", {"initial_conditions": {
+            "kind": "uniform", "ranges": [[-1e308, 1e308], [0, 1]]}},
+         "ranges must be finite, with a finite width hi - lo per row"),
+        ("evaluation", {"initial_conditions": {
+            "kind": "grid", "ranges": [[0, 1], [-1e308, 1e308]],
+            "shape": [2, 2]}},
+         "ranges must be finite, with a finite width hi - lo per row"),
         ("observables", {"kind": "double_pendulum"},
          "observables map 'double_pendulum' has state_dim 4, the "
          "single_pendulum plant 2"),
@@ -145,8 +174,11 @@ class TestConfig:
     def test_malformed_value_exits_2_before_any_stage(
             self, tmp_path, capsys, section, values, key):
         cfgfile = smoke_config(tmp_path, **{section: values})
-        assert cli.main(["pipeline", "--config", str(cfgfile)]) \
-            == cli.EXIT_CONFIG
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["pipeline", "--config", str(cfgfile)]) \
+                == cli.EXIT_CONFIG
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert key in err
@@ -803,10 +835,55 @@ class TestBrokenArtifacts:
         assert "snapshots.npz" in err and f"{array} in " in err
         assert err.count("\n") == 1
 
+    def test_bad_tail_rows_exit_3_naming_the_file(self, tmp_path, capsys):
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["babble", "--config", str(cfgfile)]) == 0
+        npz = tmp_path / "out" / "dataset" / "snapshots.npz"
+        with np.load(npz) as f:
+            arrays = dict(f)
+        # without the last row among the tails, next_cols would run off
+        arrays["tail_rows"] = arrays["tail_rows"][:-1]
+        arrays["tails"] = arrays["tails"][:-1]
+        with open(npz, "wb") as fh:
+            np.savez(fh, **arrays)
+        capsys.readouterr()
+        code = cli.main(["factorize", "--config", str(cfgfile)])
+        assert code == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "tail_rows in " in err and "snapshots.npz" in err
+
+    def test_older_dataset_format_is_a_miss_for_babble_only(self, tmp_path,
+                                                            capsys):
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        # rewrite the dataset as the seven-array format of koopctl/dataset
+        data = tmp_path / "out" / "dataset"
+        ds = babbling.load_dataset(data)
+        with open(data / "snapshots.npz", "wb") as fh:
+            np.savez(fh, **{k: getattr(ds, k) for k in (
+                "x", "u", "x_next", "gain_index", "ic_index", "step_index",
+                "traj_id")})
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["kind"] = "koopctl/dataset"
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["factorize", "--config", str(cfgfile)]) \
+            == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "manifest.json" in err and "'babble'" in err
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        heads = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith(" ")]
+        assert heads[0].startswith("babble: ") and len(heads) == 5
+        assert heads[1:] == [f"{name}: cache hit"
+                             for name in STAGE_NAMES[1:]]
+        assert json.loads((data / "manifest.json").read_text())["kind"] \
+            == babbling.KIND
+
     def test_failed_dataset_write_is_a_cache_miss(self, tmp_path, capsys,
                                                   monkeypatch):
-        from koopctl import babbling
-
         cfgfile = smoke_config(tmp_path)
         assert cli.main(["babble", "--config", str(cfgfile)]) == 0
         data = tmp_path / "out" / "dataset"

@@ -11,7 +11,9 @@ d_psi = 14), set from measurement with a margin:
 pass                   measured  bound  unit
 =====================  ========  =====  ===================================
 generate_dataset held  1.004     1.05   bytes of x, u, traj_id and tails
-load_dataset held      1.039     1.05   bytes of x, u, traj_id and tails
+load_dataset held      1.008     1.05   bytes of x, u, traj_id and tails
+load_dataset peak      0.91      1.1    bytes of x, u, traj_id and tails,
+                                        beyond two numpy read buffers
 evaluate_batch         0.79      1.25   d_psi x QR_CHUNK floats, beyond psi
 fit_pair               1.54      2      d_psi (d_psi + 1) / 2 x QR_CHUNK
                                         floats, beyond psi
@@ -21,11 +23,15 @@ identify_model         5.39      6      d_psi x QR_CHUNK floats, beyond
                                         psi, which it lifts
 =====================  ========  =====  ===================================
 
-A dataset that also holds x_next and the three index arrays measures
-2.02, a whole-array lift (its pieces N wide) 2.36, a fit with a second
-product buffer 2.40, and an identification that lifts again and forms
-(S psi) kron u for every snapshot 8.97 on a lifted dataset.  LAPACK's
-workspaces are not traced.
+Beyond the arrays, a load holds two ``np.lib.format.BUFFER_SIZE`` (256
+KiB) buffers: numpy reads an npz member in pieces of that size, and
+zipfile copies each piece once.  They do not grow with N; here they are
+0.38 of the arrays.  A dataset that also holds x_next and the three
+index arrays measures 2.02 held (a load that builds them peaks at 1.86
+with the buffers), a whole-array lift (its pieces N wide) 2.36, a fit
+with a second product buffer 2.40, and an identification that lifts
+again and forms (S psi) kron u for every snapshot 8.97 on a lifted
+dataset.  LAPACK's workspaces are not traced.
 """
 
 import gc
@@ -97,6 +103,14 @@ def test_dataset_holds_each_state_once(source, tmp_path):
     assert ds._provenance == {} and ds._psi == {}
     assert ds.n_trajectories <= len(ds.tails) < ds.n_trajectories + 5
     assert held <= 1.05 * lean_bytes(ds)
+
+
+def test_load_dataset_peaks_at_the_arrays_it_keeps(tmp_path):
+    ds = babbled()[0]
+    babbling.save_dataset(ds, tmp_path)
+    babbling.load_dataset(tmp_path)   # first calls import lazily
+    peak = traced_peak(lambda: babbling.load_dataset(tmp_path))
+    assert peak <= 1.1 * lean_bytes(ds) + 2 * np.lib.format.BUFFER_SIZE
 
 
 def test_evaluate_batch_holds_psi_and_one_chunk(dataset):
