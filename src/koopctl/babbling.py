@@ -82,17 +82,11 @@ class SnapshotDataset:
     def __init__(self, x, u, x_next, *, traj_id, gain_index=None,
                  ic_index=None, step_index=None, n_trajectories: int = 0,
                  n_dropped: int = 0, meta: dict = None):
-        x = np.ascontiguousarray(x, dtype=float)
-        x_next = np.ascontiguousarray(x_next, dtype=float)
-        if x_next.shape != x.shape:
-            raise ValueError(f"x_next has shape {x_next.shape}, "
-                             f"x has {x.shape}")
-        moved = np.ones(len(x), dtype=bool)
-        moved[:-1] = np.any(x_next[:-1].view(np.uint64)
-                            != x[1:].view(np.uint64), axis=1)
-        rows = np.flatnonzero(moved)
-        self._assign(x, u, traj_id, rows, x_next[rows], n_trajectories,
-                     n_dropped, meta)
+        if np.shape(x_next) != np.shape(x):
+            raise ValueError(f"x_next has shape {np.shape(x_next)}, "
+                             f"x has {np.shape(x)}")
+        self._assign(x, u, traj_id, np.arange(len(x)), x_next,
+                     n_trajectories, n_dropped, meta)
         self._provenance = {k: np.asarray(v) for k, v in
                             zip(PROVENANCE, (gain_index, ic_index, step_index))
                             if v is not None}

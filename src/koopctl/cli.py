@@ -210,9 +210,7 @@ def cmd_identify(cfg: dict, ds: SnapshotDataset, pair):
 
 def cmd_synthesize(cfg: dict, model, pair):
     map_x, map_u = build_maps(cfg)
-    syn = cfg["synthesis"]
-    gate = syn["assumption_gate"]
-    gate = 10.0 * pair.eps_h if gate is None else float(gate)
+    gate = 10.0 * pair.eps_h  # fixed: 10 x the block threshold fit_pair used
     rng = np.random.default_rng([int(cfg["seed"]), 4242])
     probe = rng.uniform(-1.0, 1.0, size=(256, map_x.state_dim))
     residual = verify_assumption1(pair, map_x, map_u, probe)
@@ -222,9 +220,9 @@ def cmd_synthesize(cfg: dict, model, pair):
             "refusing to synthesize on an invalid factorization",
             EXIT_PRECONDITION,
         )
-    result = synthesize(
-        model, pair, eps_p=syn["eps_p"], max_resamples=syn["max_resamples"],
-        seed=cfg["seed"], lam_tol=syn["lambda_tol"], feas_tol=syn["feas_tol"])
+    result = synthesize(model, pair,
+                        max_resamples=cfg["synthesis"]["max_resamples"],
+                        seed=cfg["seed"])
     result.diagnostics["assumption_residual"] = residual
     path = _write_json(cfg, "synthesize", result_to_json(result))
     if result.status != "optimal":

@@ -62,11 +62,7 @@ DEFAULTS = {
         "eps_h": None,               # None: auto 1e-6 * RMS ||psi_x kron psi_u||
     },
     "synthesis": {
-        "eps_p": 0.01,
-        "lambda_tol": 1e-3,
-        "feas_tol": 1e-8,
         "max_resamples": 50,
-        "assumption_gate": None,     # None: 10 x the eps_h actually used
     },
     "evaluation": {
         "horizon_seconds": 20.0,
@@ -79,7 +75,7 @@ DEFAULTS = {
             "states": None,          # for kind = list
             "shape": None,           # for kind = grid
         },
-        "extra_states": [],          # appended, reported alongside
+        "extra_states": [],          # appended; counted by success_gate
         "fidelity_steps": 100,
     },
     "seed": 0,
@@ -100,12 +96,10 @@ _DOC = {
     "babbling.grid_shape": "explicit per-dimension grid counts; null picks near-equal factors",
     "identification.ridge": "Frobenius ridge; null = 1e-8 * training snapshot count",
     "factorization.eps_h": "block residual threshold; null = 1e-6 * RMS lifted Kronecker norm",
-    "synthesis.eps_p": "ridge inside sampled Lyapunov candidates R^T R + eps_p I",
-    "synthesis.lambda_tol": "the reported lambda is at most the exact optimum plus lambda_tol",
     "synthesis.max_resamples": "sampled candidates tried after the identity start",
-    "synthesis.assumption_gate": "max compatibility residual allowed before synthesis",
     "evaluation.initial_conditions": "uniform sampling, explicit grid, or a literal state list",
-    "evaluation.extra_states": "stress-case states appended to the evaluation set",
+    "evaluation.extra_states": "stress-case states appended to the evaluation set; "
+                               "their outcomes count toward success_gate",
     "evaluation.fidelity_steps": "lifted-model fidelity steps, at most horizon_seconds / dt",
     "seed": "global seed; stage streams are derived deterministically from it",
 }
@@ -294,10 +288,8 @@ _NUMBERS = {
     "babbling.gain_scale": (False, False), "babbling.dt": (False, True),
     "identification.ridge": (False, False),
     "identification.holdout_fraction": (False, False),
-    "factorization.eps_h": (False, True), "synthesis.eps_p": (False, True),
-    "synthesis.lambda_tol": (False, True), "synthesis.feas_tol": (False, False),
+    "factorization.eps_h": (False, True),
     "synthesis.max_resamples": (True, False),
-    "synthesis.assumption_gate": (False, False),
     "evaluation.horizon_seconds": (False, True),
     "evaluation.settle_tol": (False, True),
     "evaluation.success_gate": (False, False),

@@ -156,10 +156,15 @@ def feature_from_descriptor(d: dict) -> Feature:
     denom = None
     if d.get("denom") is not None:
         dd = d["denom"]
-        denom = (float(dd["offset"]), float(dd["scale"]), tuple(dd["coeffs"]))
+        offset, scale = dd["offset"], dd["scale"]
+        # checked, then stored as floats, so descriptors keep their bytes
+        if not (_is_number(offset) and _is_number(scale)):
+            raise ValueError(f"feature {d['label']!r} has a denominator "
+                             "offset or scale that is not a finite number")
+        denom = (float(offset), float(scale), tuple(dd["coeffs"]))
     return Feature(
         label=d["label"],
-        poly=tuple(int(p) for p in d.get("poly", [])),
+        poly=tuple(d.get("poly", [])),
         trigs=tuple((k, tuple(c)) for k, c in d.get("trigs", [])),
         denom=denom,
     )
@@ -202,6 +207,10 @@ class ObservableMap:
             if not all(_is_number(v) for c in coeffs for v in c):
                 raise ValueError(f"feature {f.label!r} has a coefficient "
                                  "that is not a finite number")
+            if not all(isinstance(p, (int, np.integer))
+                       and not isinstance(p, bool) for p in f.poly):
+                raise ValueError(f"feature {f.label!r} has an exponent "
+                                 "that is not an integer")
             if any(kind not in ("sin", "cos") for kind, _ in f.trigs):
                 raise ValueError(f"feature {f.label!r} has a trig kind other "
                                  "than sin or cos")

@@ -191,13 +191,12 @@ def rk4_step(plant: ControlAffinePlant, x, u, dt: float) -> np.ndarray:
 
 
 def rollout(plant: ControlAffinePlant, x0, controller, T: int, dt: float):
-    """Roll the plant forward T steps under a feedback law or input sequence.
+    """Roll the plant forward T steps under a feedback law.
 
     ``x0`` is one state (d_x,) or a batch (B, d_x); the whole batch is
-    stepped together.  ``controller`` is either a callable mapping states
-    shaped like ``x0`` to inputs (d_u,) or (B, d_u), or an array of
-    shape (T, d_u) applied to every row.  Controls are clipped to the
-    plant input bounds before integration.
+    stepped together.  ``controller`` maps states shaped like ``x0`` to
+    inputs (d_u,) or (B, d_u), or to one (d_u,) input for every row.
+    Controls are clipped to the plant input bounds before integration.
 
     A row whose update goes non-finite at step k is truncated to its
     first k + 1 states and k inputs and flagged ``diverged``; it is
@@ -211,8 +210,6 @@ def rollout(plant: ControlAffinePlant, x0, controller, T: int, dt: float):
     u_shape = lead + (d_u,)
     lo = plant.input_bounds[:, 0]
     hi = plant.input_bounds[:, 1]
-    fixed = None if callable(controller) else \
-        np.asarray(controller, dtype=float).reshape(T, d_u)
     states = np.zeros(lead + (T + 1, plant.state_dim))
     inputs = np.zeros(lead + (T, d_u))
     states[..., 0, :] = x
@@ -220,7 +217,7 @@ def rollout(plant: ControlAffinePlant, x0, controller, T: int, dt: float):
     # diverging rows overflow on their way out; n_ok records them instead
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(T):
-            u = controller(x) if fixed is None else fixed[k]
+            u = controller(x)
             if np.shape(u) != u_shape:
                 u = np.broadcast_to(u, u_shape)
             # np.clip(u, lo, hi) bitwise, NaNs and signed zeros included

@@ -43,6 +43,10 @@ resampled uniformly from [-1, 1].  Such P have rank d_x, so M carries
 first-block rows that are zero for every K_u.  The solver deflates them
 exactly (in M + feas_tol I they are feas_tol I), while the reported
 certificate is always the smallest eigenvalue of the full block matrix.
+
+feas_tol, lam_tol and eps_p are the module constants ``DEFAULT_FEAS_TOL``
+(1e-8), ``DEFAULT_LAM_TOL`` (1e-3) and ``CANDIDATE_RIDGE`` (1e-2).  They
+define what a certificate is, so no config key or argument changes them.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .tensor import matrix_from_json, matrix_to_json, symmetrize
 
 DEFAULT_FEAS_TOL = 1e-8   # smallest-eigenvalue floor for a certified LMI
 DEFAULT_LAM_TOL = 1e-3    # reported lam is at most the optimum plus this
+CANDIDATE_RIDGE = 1e-2    # eps_p in the sampled S_x = R^T R + eps_p I
 _IPM_TOL = 1e-9           # duality gap and residuals that end the solve
 _IPM_MAXITER = 100
 _NEWTON_TOL = 1e-7        # Newton decrement that ends the gain centering
@@ -90,13 +95,11 @@ def identity_candidate(d_x: int, d_psi: int) -> LyapunovCandidate:
                              tag="identity-start")
 
 
-def sample_candidate(d_x: int, d_psi: int, eps_p: float,
+def sample_candidate(d_x: int, d_psi: int,
                      rng: np.random.Generator) -> LyapunovCandidate:
-    """S_x = R^T R + eps_p I with R ~ U([-1, 1]^{d_x x d_x})."""
-    if eps_p <= 0:
-        raise ValueError("eps_p must be positive")
+    """S_x = R^T R + CANDIDATE_RIDGE I with R ~ U([-1, 1]^{d_x x d_x})."""
     R = rng.uniform(-1.0, 1.0, size=(d_x, d_x))
-    S_x = R.T @ R + eps_p * np.eye(d_x)
+    S_x = R.T @ R + CANDIDATE_RIDGE * np.eye(d_x)
     return LyapunovCandidate(P=_restrict(S_x, d_psi), S_x=S_x, tag="sampled")
 
 
@@ -156,7 +159,7 @@ class LmiProblem:
         return float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
 
 
-def _sdp_terms(problem: LmiProblem, feas_tol: float) -> np.ndarray:
+def _sdp_terms(problem: LmiProblem) -> np.ndarray:
     """F with F_0 + sum_i theta_i F_i + lam F_{n+1} equal to
     blockdiag(M(theta, lam) + feas_tol I, lam, 1 - lam), its first-block
     rows that are zero in P deflated."""
@@ -170,7 +173,7 @@ def _sdp_terms(problem: LmiProblem, feas_tol: float) -> np.ndarray:
     F[:-1, :n1, n1:m] = coupling
     F[:-1, n1:m, :n1] = coupling.transpose(0, 2, 1)
     F[-1, n1:m, n1:m] = problem.P
-    F[0, :m, :m] += feas_tol * np.eye(m)
+    F[0, :m, :m] += DEFAULT_FEAS_TOL * np.eye(m)
     F[0, m + 1, m + 1] = 1.0          # 1 - lam
     F[-1, m, m] = 1.0                 # lam
     F[-1, m + 1, m + 1] = -1.0
@@ -292,8 +295,7 @@ def _center(F, rho: float, lam: float, theta):
     return None, _NEWTON_MAXITER
 
 
-def solve_fixed_p(problem: LmiProblem, lam_tol: float = DEFAULT_LAM_TOL,
-                  feas_tol: float = DEFAULT_FEAS_TOL) -> dict:
+def solve_fixed_p(problem: LmiProblem) -> dict:
     """Minimize lam subject to M(K_u, lam) + feas_tol I >= 0 and pick a gain.
 
     Returns {outcome, iterations, theta, lam, min_eig}.  ``outcome`` is
@@ -305,8 +307,8 @@ def solve_fixed_p(problem: LmiProblem, lam_tol: float = DEFAULT_LAM_TOL,
     centering Newton steps.  theta, lam and min_eig are None unless the
     centering step produced a gain.
     """
-    F = _sdp_terms(problem, feas_tol)
-    shift = 0.1 * lam_tol
+    F = _sdp_terms(problem)
+    shift = 0.1 * DEFAULT_LAM_TOL
     outcome, y, iterations = _interior_point(F, shift)
     sol = {"outcome": outcome, "iterations": iterations,
            "theta": None, "lam": None, "min_eig": None}
@@ -322,7 +324,7 @@ def solve_fixed_p(problem: LmiProblem, lam_tol: float = DEFAULT_LAM_TOL,
     sol["outcome"] = "infeasible"
     if theta is not None:
         sol.update(theta=theta, lam=lam, min_eig=problem.min_eig(theta, lam))
-        if sol["min_eig"] >= -feas_tol:
+        if sol["min_eig"] >= -DEFAULT_FEAS_TOL:
             sol["outcome"] = "certified"
     return sol
 
@@ -338,9 +340,7 @@ class SynthesisResult:
 
 
 def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
-               eps_p: float = 1e-2, max_resamples: int = 50, seed: int = 0,
-               lam_tol: float = DEFAULT_LAM_TOL,
-               feas_tol: float = DEFAULT_FEAS_TOL) -> SynthesisResult:
+               max_resamples: int = 50, seed: int = 0) -> SynthesisResult:
     """Iterate Lyapunov candidates until the LMI program is solved.
 
     The identity-start candidate is tried first, then up to
@@ -352,13 +352,13 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
     candidate_log = []
     total_iter = 0
     for n_sampled in range(max_resamples + 1):
-        cand = sample_candidate(d_x, d_psi, eps_p, rng) if n_sampled \
+        cand = sample_candidate(d_x, d_psi, rng) if n_sampled \
             else identity_candidate(d_x, d_psi)
         problem = LmiProblem(
             P=cand.P, K_xx=model.K_xx, K_xu=model.K_xu, H=pair.H,
             d_S=pair.d_S, d_u=model.input_dim, d_psi_u=pair.d_psi_u,
         )
-        sol = solve_fixed_p(problem, lam_tol=lam_tol, feas_tol=feas_tol)
+        sol = solve_fixed_p(problem)
         certified = sol["outcome"] == "certified"
         total_iter += sol["iterations"]
         candidate_log.append({
@@ -373,9 +373,9 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
                 P=problem.P, S_x=cand.S_x, status="optimal",
                 diagnostics={
                     "min_eig": sol["min_eig"], "iterations": total_iter,
-                    "resample_count": n_sampled, "eps_p": eps_p,
-                    "feas_tol": feas_tol, "lam_tol": lam_tol, "seed": seed,
-                    "candidates": candidate_log,
+                    "resample_count": n_sampled, "eps_p": CANDIDATE_RIDGE,
+                    "feas_tol": DEFAULT_FEAS_TOL, "lam_tol": DEFAULT_LAM_TOL,
+                    "seed": seed, "candidates": candidate_log,
                 },
             )
     status = "infeasible" if max_resamples == 0 else "max-resamples-exceeded"
@@ -383,8 +383,8 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
         K_u=np.zeros((model.input_dim, pair.d_psi_u)), lam=float("nan"),
         P=_restrict(np.eye(d_x), d_psi), S_x=np.eye(d_x), status=status,
         diagnostics={"resample_count": max_resamples,
-                     "iterations": total_iter, "eps_p": eps_p,
-                     "feas_tol": feas_tol, "seed": seed,
+                     "iterations": total_iter, "eps_p": CANDIDATE_RIDGE,
+                     "feas_tol": DEFAULT_FEAS_TOL, "seed": seed,
                      "candidates": candidate_log},
     )
 

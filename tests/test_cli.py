@@ -57,7 +57,9 @@ class TestConfig:
         assert config_hash(a) == config_hash(b)
 
     @pytest.mark.parametrize("key, value", [
-        ("backend", "bisection"), ("rate_budget", 0), ("ridge_delta", 0.0)])
+        ("backend", "bisection"), ("rate_budget", 0), ("ridge_delta", 0.0),
+        ("eps_p", 0.01), ("lambda_tol", 1e-3), ("feas_tol", 1e10),
+        ("assumption_gate", 1e308)])
     def test_removed_backend_key_exits_2(self, tmp_path, capsys, key, value):
         cfgfile = smoke_config(tmp_path, synthesis={key: value})
         assert cli.main(["babble", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
@@ -65,8 +67,9 @@ class TestConfig:
         assert f"synthesis.{key}" in err and err.count("\n") == 1
 
     def test_every_doc_key_names_a_default(self):
-        # the koopctl init template documents only keys that exist
-        for key in config._DOC:
+        # the koopctl init template documents, and validate checks, only
+        # keys that exist
+        for key in [*config._DOC, *config._NUMBERS]:
             *sections, name = key.split(".")
             section = config.DEFAULTS
             for part in sections:
@@ -74,9 +77,7 @@ class TestConfig:
             assert name in section, key
 
     @pytest.mark.parametrize("section, values, key", [
-        ("synthesis", {"eps_p": 0}, "synthesis.eps_p"),
         ("factorization", {"eps_h": -1}, "factorization.eps_h"),
-        ("synthesis", {"lambda_tol": "a"}, "synthesis.lambda_tol"),
         ("evaluation", {"horizon_seconds": "a"}, "evaluation.horizon_seconds"),
         ("evaluation", {"fidelity_steps": -1}, "evaluation.fidelity_steps"),
         ("evaluation", {"initial_conditions": {"kind": "uniform", "count": "x"}},
@@ -89,9 +90,6 @@ class TestConfig:
             "shape": [2, 2]}}, "ranges must be 2 x 2, got (2, 3)"),
         ("synthesis", {"max_resamples": -1}, "synthesis.max_resamples"),
         ("synthesis", {"max_resamples": 2.0}, "synthesis.max_resamples"),
-        ("synthesis", {"eps_p": float("nan")}, "synthesis.eps_p"),
-        ("synthesis", {"feas_tol": True}, "synthesis.feas_tol"),
-        ("synthesis", {"assumption_gate": "a"}, "synthesis.assumption_gate"),
         ("evaluation", {"initial_conditions": {"kind": "uniform", "count": 0}},
          "initial states must be (n, 2) with n >= 1"),
         ("evaluation", {"settle_tol": "a"}, "evaluation.settle_tol"),
@@ -151,6 +149,28 @@ class TestConfig:
         ("observables", {"kind": "custom", "state_dim": 2, "features":
                          RAW_STATE + [{"label": "t", "trigs": [["sin", [10 ** 400, 0]]]}]},
          "feature 't' has a coefficient that is not a finite number"),
+        pytest.param(
+            "observables", {"kind": "custom", "state_dim": 2, "features":
+                            RAW_STATE + [{"label": "p", "poly": [2.5, 0]}]},
+            "feature 'p' has an exponent that is not an integer",
+            id="poly-fractional-exponent"),
+        pytest.param(
+            "observables", {"kind": "custom", "state_dim": 2, "features":
+                            RAW_STATE + [{"label": "p", "poly": [True, 0]}]},
+            "feature 'p' has an exponent that is not an integer",
+            id="poly-boolean-exponent"),
+        pytest.param(
+            "observables", {"kind": "custom", "state_dim": 2, "features":
+                            RAW_STATE + [{"label": "d", "denom": {
+                                "offset": "3", "scale": 1, "coeffs": [1, 0]}}]},
+            "feature 'd' has a denominator offset or scale that is not a "
+            "finite number", id="denom-string-offset"),
+        pytest.param(
+            "observables", {"kind": "custom", "state_dim": 2, "features":
+                            RAW_STATE + [{"label": "d", "denom": {
+                                "offset": 3, "scale": True, "coeffs": [1, 0]}}]},
+            "feature 'd' has a denominator offset or scale that is not a "
+            "finite number", id="denom-boolean-scale"),
         ("babbling", {"gain_scale": 1e308},
          "gain_scale must be nonnegative, with a finite width 2 * gain_scale"),
         ("babbling", {"state_grid": [[-1e308, 1e308], [0, 1]]},
@@ -186,8 +206,8 @@ class TestConfig:
 
     def test_integer_beyond_the_float_range_is_valid(self):
         config.validate(merge_defaults({"seed": 10 ** 400}))
-        with pytest.raises(ConfigError, match="synthesis.eps_p"):
-            config.validate(merge_defaults({"synthesis": {"eps_p": 1e400}}))
+        with pytest.raises(ConfigError, match="babbling.dt"):
+            config.validate(merge_defaults({"babbling": {"dt": 1e400}}))
 
     def test_fidelity_steps_fit_the_evaluation_horizon(self):
         # 20 s at dt 0.01 is 2000 steps; the fidelity prefix may use them all
@@ -404,7 +424,7 @@ class TestPipeline:
          ["factorize", "identify", "synthesize", "evaluate"]),
         ("identification", {"holdout_fraction": 0.2},
          ["identify", "synthesize", "evaluate"]),
-        ("synthesis", {"lambda_tol": 2e-3}, ["synthesize", "evaluate"]),
+        ("synthesis", {"max_resamples": 14}, ["synthesize", "evaluate"]),
         ("evaluation", {"settle_tol": 0.06}, ["evaluate"]),
     ])
     def test_section_edit_reruns_its_stage_and_downstream(

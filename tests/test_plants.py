@@ -27,6 +27,12 @@ def scalar_decay_plant():
     )
 
 
+def replay(seq):
+    """A feedback callable whose k-th call returns seq[k], whatever the state."""
+    it = iter(np.asarray(seq, dtype=float))
+    return lambda x: next(it)
+
+
 def blowup_plant():
     """x' = x^3: every nonzero start leaves the floats in finite time."""
     return plants.ControlAffinePlant(
@@ -383,7 +389,7 @@ class TestRollout:
     def test_input_sequence_and_clipping(self):
         plant = plants.single_pendulum()
         seq = np.full((10, 1), 100.0)  # way beyond the +-5 bound
-        traj = plants.rollout(plant, np.zeros(2), seq, 10, 0.01)
+        traj = plants.rollout(plant, np.zeros(2), replay(seq), 10, 0.01)
         assert np.max(traj.inputs) == 5.0
 
     def test_replay_determinism(self):
@@ -435,9 +441,9 @@ class TestRollout:
         plant = plants.single_pendulum()
         seq = np.linspace(-8.0, 8.0, 30).reshape(30, 1)
         x0s = np.array([[0.1, 0.0], [-0.4, 1.0]])
-        batch = plants.rollout(plant, x0s, seq, 30, 0.01)
+        batch = plants.rollout(plant, x0s, replay(seq), 30, 0.01)
         for got, x0 in zip(batch, x0s):
-            alone = plants.rollout(plant, x0, seq, 30, 0.01)
+            alone = plants.rollout(plant, x0, replay(seq), 30, 0.01)
             np.testing.assert_array_equal(got.states, alone.states)
             np.testing.assert_array_equal(got.inputs, np.clip(seq, -5, 5))
 
@@ -449,14 +455,12 @@ def reference_rollout(plant, x0, controller, T, dt):
     x = np.asarray(x0, dtype=float).copy()
     lead = x.shape[:-1]
     d_u = plant.input_dim
-    fixed = None if callable(controller) else \
-        np.asarray(controller, dtype=float).reshape(T, d_u)
     states = np.zeros(lead + (T + 1, plant.state_dim))
     inputs = np.zeros(lead + (T, d_u))
     states[..., 0, :] = x
     n_ok = np.full(lead, T)
     for k in range(T):
-        u = controller(x) if fixed is None else fixed[k]
+        u = controller(x)
         u = clip(plant, np.broadcast_to(u, lead + (d_u,)))
         x = plants.rk4_step(plant, x, u, dt)
         bad = ~np.all(np.isfinite(x), axis=-1)
@@ -487,9 +491,13 @@ class TestRolloutMatchesReference:
     """The lean rollout loop against the loop it replaced, bitwise."""
 
     def check(self, plant, x0, controller, T, dt):
+        """``controller`` is a feedback callable, or a (T, d_u) input
+        sequence that each of the two rollouts replays from its start."""
+        control = (lambda: controller) if callable(controller) else \
+            (lambda: replay(controller))
         with np.errstate(over="ignore", invalid="ignore"):
-            want = reference_rollout(plant, x0, controller, T, dt)
-        got = plants.rollout(plant, x0, controller, T, dt)
+            want = reference_rollout(plant, x0, control(), T, dt)
+        got = plants.rollout(plant, x0, control(), T, dt)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.diverged == w.diverged

@@ -81,18 +81,20 @@ class TestCandidates:
     def test_sampled_rank_equals_state_dim(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            cand = syn.sample_candidate(3, 10, 1e-2, rng)
+            cand = syn.sample_candidate(3, 10, rng)
             assert np.linalg.matrix_rank(cand.P) == 3
             assert min_eigenvalue(cand.S_x) > 0
 
     def test_seeded_determinism(self):
-        a = syn.sample_candidate(2, 5, 1e-2, np.random.default_rng(3))
-        b = syn.sample_candidate(2, 5, 1e-2, np.random.default_rng(3))
+        a = syn.sample_candidate(2, 5, np.random.default_rng(3))
+        b = syn.sample_candidate(2, 5, np.random.default_rng(3))
         np.testing.assert_array_equal(a.P, b.P)
 
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            syn.sample_candidate(2, 5, 0.0, np.random.default_rng(0))
+    def test_ridge_is_the_module_constant(self):
+        cand = syn.sample_candidate(2, 5, np.random.default_rng(3))
+        R = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 2))
+        np.testing.assert_array_equal(
+            cand.S_x, R.T @ R + syn.CANDIDATE_RIDGE * np.eye(2))
 
 
 class TestLmiProblem:
@@ -176,9 +178,9 @@ class TestSolveFixedP:
         prob = syn.LmiProblem(P=np.eye(2), K_xx=0.5 * np.eye(2),
                               K_xu=np.zeros((2, 1)), H=np.ones((1, 2)),
                               d_S=1, d_u=1, d_psi_u=1)
-        sol = syn.solve_fixed_p(prob, lam_tol=1e-3)
+        sol = syn.solve_fixed_p(prob)
         assert sol["outcome"] == "certified"
-        assert 0.25 - 1e-12 <= sol["lam"] <= 0.25 + 1e-3
+        assert 0.25 - 1e-12 <= sol["lam"] <= 0.25 + syn.DEFAULT_LAM_TOL
 
     def test_iteration_cap_gives_no_verdict(self, monkeypatch):
         monkeypatch.setattr(syn, "_IPM_MAXITER", 2)
@@ -470,14 +472,14 @@ class TestDeflation:
         # M + feas_tol I is the deflated block plus feas_tol on each
         # first-block row that is zero in P
         rng = np.random.default_rng(12)
-        d_psi, d_x, feas_tol = 5, 2, 1e-8
+        d_psi, d_x, feas_tol = 5, 2, syn.DEFAULT_FEAS_TOL
         root = rng.standard_normal((d_x, d_x))
         problem = syn.LmiProblem(
             P=syn._restrict(root.T @ root, d_psi),
             K_xx=rng.standard_normal((d_psi, d_psi)),
             K_xu=rng.standard_normal((d_psi, 2)),
             H=rng.standard_normal((4, d_psi)), d_S=2, d_u=1, d_psi_u=2)
-        F = syn._sdp_terms(problem, feas_tol)
+        F = syn._sdp_terms(problem)
         theta, lam = rng.standard_normal(problem.n_vars), 0.7
         z = F[0] + np.tensordot(theta, F[1:-1], 1) + lam * F[-1]
         m = z.shape[0] - 2
@@ -548,7 +550,7 @@ class TestWellPosedGain:
 
 def candidate_problem(model, pair, sampled):
     d_x, d_psi = model.state_dim, model.lifted_dim
-    cand = syn.sample_candidate(d_x, d_psi, 1e-2, np.random.default_rng(0)) \
+    cand = syn.sample_candidate(d_x, d_psi, np.random.default_rng(0)) \
         if sampled else syn.identity_candidate(d_x, d_psi)
     return syn.LmiProblem(P=cand.P, K_xx=model.K_xx, K_xu=model.K_xu,
                           H=pair.H, d_S=pair.d_S, d_u=model.input_dim,
@@ -580,9 +582,10 @@ TOY_PROBLEMS = {
 }
 
 
-def reference_solve(problem, lam_tol, feas_tol):
+def reference_solve(problem):
     """``solve_fixed_p`` with the reference bisection in place of the SDP."""
-    ref = reference_bisection(problem, lam_tol, feas_tol)
+    ref = reference_bisection(problem, syn.DEFAULT_LAM_TOL,
+                              syn.DEFAULT_FEAS_TOL)
     sol = {"outcome": "infeasible", "iterations": 0,
            "theta": None, "lam": None, "min_eig": None}
     if ref is not None:
