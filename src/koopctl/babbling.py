@@ -18,8 +18,8 @@ distinct states [x; tails] is made on first use, once per map, and kept
 by the dataset, so the Hbar fit and the identification share it.
 
 A saved dataset is a directory of two files: ``snapshots.npz`` holds the
-``ARRAYS`` a dataset holds in memory, plus any index array it was given,
-and ``manifest.json`` (kind ``KIND``) the counts and babbling metadata.
+``ARRAYS`` a dataset holds in memory, and ``manifest.json`` (kind
+``KIND``) the counts and babbling metadata.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ class SnapshotDataset:
     read.  ``gain_index``, ``ic_index`` and ``step_index`` are rebuilt
     from traj_id and ``meta`` (``num_initial_conditions``, ``steps``)
     unless they were passed in.  ``lift`` keeps one feature-major lift of
-    [x; tails] per map.  On disk (``save_dataset``) it is the same arrays
-    and any index arrays that were passed in.
+    [x; tails] per map.  On disk (``save_dataset``) it is the ``ARRAYS``.
     """
 
     def __init__(self, x, u, x_next, *, traj_id, gain_index=None,
@@ -293,9 +292,8 @@ def _distinct_count(v) -> int:
 
 
 def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:
-    """Persist as ``snapshots.npz`` (the ``ARRAYS`` and any index arrays
-    the dataset was given, as they are) plus ``manifest.json`` (counts and
-    babbling metadata).
+    """Persist as ``snapshots.npz`` (the ``ARRAYS``) plus
+    ``manifest.json`` (counts and babbling metadata).
 
     Any old manifest is removed first and the new one is written last, so
     a save that fails partway leaves no manifest: a cache miss, never a
@@ -311,8 +309,7 @@ def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:
     def write(tmp):
         # through a file object, so np.savez does not append ".npz" to it
         with open(tmp, "wb") as fh:
-            np.savez(fh, **{k: getattr(ds, k) for k in ARRAYS},
-                     **ds._provenance)
+            np.savez(fh, **{k: getattr(ds, k) for k in ARRAYS})
     write_atomic(outdir / PAYLOAD, write)
     manifest = {
         "kind": KIND,
@@ -356,7 +353,7 @@ def write_json_atomic(path, payload: dict) -> None:
 
 
 def load_dataset(outdir) -> SnapshotDataset:
-    """Read what ``save_dataset`` wrote, stored index arrays as they are.
+    """Read what ``save_dataset`` wrote.
 
     Raises ValueError naming the file when ``snapshots.npz`` is
     unreadable, when an array's shape differs from the one the manifest
@@ -396,8 +393,6 @@ def load_dataset(outdir) -> SnapshotDataset:
                 x, u, traj_id, rows, read("tails", (len(rows), d_x)),
                 manifest["trajectories"], manifest["dropped"],
                 manifest["babbling"])
-            ds._provenance = {k: read(k, (n,)) for k in PROVENANCE
-                              if k in npz.files}
     return ds
 
 

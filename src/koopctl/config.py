@@ -37,13 +37,11 @@ DEFAULTS = {
     "plant": {
         "kind": "single_pendulum",
         "params": {},           # plant constructor overrides, e.g. {"b": 0.3}
-        "input_bound": 5.0,
     },
     "observables": {
         "kind": "single_pendulum",   # single_pendulum | double_pendulum | custom
-        "features": None,            # custom feature descriptors
-        "state_dim": None,           # required for custom features
-        "controller": None,          # separate psi_u config; None reuses psi_x
+        "features": None,            # feature descriptors, for kind custom
+        "controller": None,          # psi_u {kind, features}; None reuses psi_x
     },
     "babbling": {
         "num_gains": 25,
@@ -84,20 +82,20 @@ DEFAULTS = {
 
 _DOC = {
     "plant.kind": "single_pendulum or double_pendulum",
-    "plant.params": "constructor overrides (m, L, b, gravity; m1, m2, l1, l2, damping); "
+    "plant.params": "constructor overrides (m, L, b, gravity; m1, m2, l1, l2, damping; "
+                    "input_bound, the per-channel torque bound |u| <= 5.0 by default); "
                     "the template sets gravity 1.0 so the torque bound dominates m g L, "
                     "as in the acceptance experiments: at the default 9.81 it "
                     "stabilizes about 13% of its evaluation states, below its 0.9 gate",
-    "plant.input_bound": "per-channel torque saturation, u in [-bound, bound]",
-    "observables.kind": "lifting map; 'custom' reads observables.features descriptors",
-    "observables.controller": "separate controller-feature map config, null reuses the state map",
+    "observables.kind": "lifting map; 'custom' reads observables.features at the plant's state_dim",
+    "observables.controller": "separate psi_u map {kind, features}; null reuses the state map",
     "babbling.num_gains": "random feedback gains; trajectories = num_gains * num_initial_conditions",
     "babbling.state_grid": "per-state [lo, hi] bounds for the initial-condition grid",
     "babbling.grid_shape": "explicit per-dimension grid counts; null picks near-equal factors",
     "identification.ridge": "Frobenius ridge; null = 1e-8 * training snapshot count",
     "factorization.eps_h": "block residual threshold; null = 1e-6 * RMS lifted Kronecker norm",
     "synthesis.max_resamples": "sampled candidates tried after the identity start",
-    "evaluation.initial_conditions": "uniform sampling, explicit grid, or a literal state list",
+    "evaluation.initial_conditions": "uniform (ranges, count), grid (ranges, shape) or list (states)",
     "evaluation.extra_states": "stress-case states appended to the evaluation set; "
                                "their outcomes count toward success_gate",
     "evaluation.fidelity_steps": "lifted-model fidelity steps, at most horizon_seconds / dt",
@@ -158,9 +156,6 @@ def build_plant(cfg: dict) -> ControlAffinePlant:
         raise ConfigError("plant.params must be an object of constructor "
                           f"overrides, got {section['params']!r}")
     params = dict(section["params"])
-    # the plant names input_bound; say which of the two keys set it
-    where = "plant.params" if "input_bound" in params else "plant"
-    params.setdefault("input_bound", section["input_bound"])
     try:
         if kind == "single_pendulum":
             return single_pendulum(**params)
@@ -171,29 +166,30 @@ def build_plant(cfg: dict) -> ControlAffinePlant:
     except (TypeError, ValueError) as exc:
         msg = str(exc)
         if msg.startswith("input_bound "):
-            raise ConfigError(f"{where}.{msg}")
+            raise ConfigError(f"plant.params.{msg}")
         raise ConfigError(f"bad plant params: {msg}")
     raise ConfigError(f"unknown plant kind {kind!r}")
 
 
-def _build_map(section: dict) -> ObservableMap:
-    kind = section["kind"]
+def _build_map(section: dict, key: str, state_dim: int) -> ObservableMap:
+    """The map of one observables section; a custom map takes the plant's
+    ``state_dim``, and ``features`` is read by kind custom alone."""
+    kind, features = section["kind"], section["features"]
+    if kind in ("single_pendulum", "double_pendulum") and features is not None:
+        raise ConfigError(f"{key}.features is read only by kind 'custom', "
+                          f"not {kind!r}; got {features!r}")
     if kind == "single_pendulum":
         return single_pendulum_map()
     if kind == "double_pendulum":
         return double_pendulum_map()
     if kind == "custom":
-        features = section["features"]
         if not (features and isinstance(features, list)
                 and all(isinstance(f, dict) for f in features)):
             raise ConfigError("custom observables need a 'features' list of "
                               f"feature objects, got {features!r}")
-        if type(section["state_dim"]) is not int:
-            raise ConfigError("custom observables need an integer "
-                              f"'state_dim', got {section['state_dim']!r}")
         try:
             return map_from_descriptor(
-                {"name": "custom", "state_dim": section["state_dim"],
+                {"name": "custom", "state_dim": state_dim,
                  "features": features})
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad custom observables: {exc}")
@@ -203,12 +199,14 @@ def _build_map(section: dict) -> ObservableMap:
 def build_maps(cfg: dict):
     """Returns (map_x, map_u); psi_u defaults to the psi_x map object."""
     section = cfg["observables"]
-    map_x = _build_map(section)
-    if section.get("controller") is None:
+    d_x = build_plant(cfg).state_dim
+    map_x = _build_map(section, "observables", d_x)
+    if section["controller"] is None:
         return map_x, map_x
-    ctrl = merge_defaults(section["controller"], DEFAULTS["observables"],
+    ctrl = merge_defaults(section["controller"],
+                          {"kind": "single_pendulum", "features": None},
                           "observables.controller.")
-    return map_x, _build_map(ctrl)
+    return map_x, _build_map(ctrl, "observables.controller", d_x)
 
 
 def babbling_config(cfg: dict, state_dim: int) -> BabblingConfig:
@@ -245,6 +243,11 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
     """Initial-condition set for closed-loop evaluation (seeded, deterministic)."""
     section = cfg["evaluation"]["initial_conditions"]
     kind = section["kind"]
+    for key, reader in (("states", "list"), ("shape", "grid")):
+        if section[key] is not None and kind != reader:
+            raise ConfigError(
+                f"evaluation.initial_conditions.{key} is read only by kind "
+                f"{reader!r}, not {kind!r}; got {section[key]!r}")
     try:
         if kind in ("uniform", "grid"):
             ranges = np.asarray(section["ranges"], dtype=float)
@@ -267,9 +270,9 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
             states = grid_points(ranges, [int(n) for n in shape])
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        extra = cfg["evaluation"].get("extra_states") or []
-        if extra:
-            states = np.vstack([states, np.asarray(extra, dtype=float)])
+        extra = np.asarray(cfg["evaluation"]["extra_states"], dtype=float)
+        if extra.size:
+            states = np.vstack([states, extra])
         if not np.all(np.isfinite(states)):
             raise ValueError("states must be finite")
     except (TypeError, ValueError) as exc:
@@ -299,9 +302,12 @@ _NUMBERS = {
 
 
 def validate(cfg: dict) -> None:
-    """Check the numbers, evaluation horizon, plant, observables and
-    babbling grid before any stage runs, so a malformed value exits 2 in
-    one line naming its key."""
+    """Check the numbers, output directory, evaluation horizon, plant,
+    observables and babbling grid before any stage runs, so a malformed
+    value exits 2 in one line naming its key."""
+    if not isinstance(cfg["output_dir"], str):
+        raise ConfigError(
+            f"output_dir must be a path string, got {cfg['output_dir']!r}")
     for key, (integral, positive) in _NUMBERS.items():
         path = key.split(".")
         x = functools.reduce(dict.get, path, cfg)

@@ -175,10 +175,15 @@ def evaluate_closed_loop(plant: ControlAffinePlant, map_u: ObservableMap,
             settled_at = k_settle * dt
         lyap_frac = float("nan")
         if lift_map is not None and not traj.diverged:
-            psis = lift_map(traj.states)
-            trace = lyapunov_trace(result, psis,
-                                   slack=1e-9 * max(1.0, float(np.max(psis ** 2))))
-            lyap_frac = trace["decrease_fraction"]
+            # a huge finite state can overflow psi, the slack or V; that
+            # row is NaN, as a diverged one, and nothing is warned
+            with np.errstate(all="ignore"):
+                psis = lift_map(traj.states)
+                slack = 1e-9 * max(1.0, float(np.max(psis ** 2)))
+                trace = lyapunov_trace(result, psis, slack=slack)
+            if (np.isfinite(slack) and np.all(np.isfinite(psis))
+                    and np.all(np.isfinite(trace["V"]))):
+                lyap_frac = trace["decrease_fraction"]
         records.append(TrajectoryRecord(
             initial_state=x0,
             final_state=traj.states[-1],
@@ -224,16 +229,16 @@ def lifted_vs_true(model: BilinearKoopmanModel, pair: FactorizationPair,
     a_dec = decoding_operator(map_x)
     ktilde = assemble_ktilde(model, K_u, pair.H).Ktilde
     errs = np.full((len(trajs), steps), np.nan)
-    for i, traj in enumerate(trajs):
-        psi_traj = lifted_rollout(ktilde, map_x(traj.states[0]), steps)
-        n_ok = min(steps, len(traj.states) - 1)
-        err = psi_traj[1 : n_ok + 1] @ a_dec.T - traj.states[1 : n_ok + 1]
-        errs[i, :n_ok] = np.linalg.norm(err, axis=1)
-    # a huge error overflows to inf and a step that no trajectory reaches
-    # is a mean of nothing, NaN: both silently
+    # a huge state or error overflows to inf and a step that no trajectory
+    # reaches is a mean of nothing, NaN: both silently
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.filterwarnings("ignore", "Mean of empty slice",
                                 RuntimeWarning)
+        for i, traj in enumerate(trajs):
+            psi_traj = lifted_rollout(ktilde, map_x(traj.states[0]), steps)
+            n_ok = min(steps, len(traj.states) - 1)
+            err = psi_traj[1 : n_ok + 1] @ a_dec.T - traj.states[1 : n_ok + 1]
+            errs[i, :n_ok] = np.linalg.norm(err, axis=1)
         return {
             "one_step_rmse": float(np.sqrt(np.nanmean(errs[:, 0] ** 2))),
             "final_step_rmse": float(np.sqrt(np.nanmean(errs[:, -1] ** 2))),

@@ -262,10 +262,6 @@ def descriptor_hash(descriptor: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def map_hash(m: ObservableMap) -> str:
-    return descriptor_hash(m.to_descriptor())
-
-
 def single_pendulum_map() -> ObservableMap:
     """9-feature map [x; 1; x^2; sin(x); cos(x)] with blocks elementwise."""
     feats = [
@@ -360,13 +356,11 @@ def evaluate_batch(m: ObservableMap, states) -> np.ndarray:
     return cols
 
 
-def polynomial_map(name: str, degrees, d_x: int = 1) -> ObservableMap:
+def polynomial_map(name: str, degrees) -> ObservableMap:
     """Monomial map for scalar-state systems, e.g. degrees (1, 2, 3).
 
     The first degree must be 1 so the state leads the feature list.
     """
-    if d_x != 1:
-        raise ValueError("polynomial_map only supports scalar states")
     feats = [state_feature(0, 1, "x")]
     for d in degrees[1:]:
         feats.append(Feature(label=f"x^{d}", poly=(int(d),)))

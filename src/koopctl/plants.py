@@ -64,14 +64,6 @@ class Trajectory:
     dt: float
     diverged: bool = False
 
-    @property
-    def steps(self) -> int:
-        return self.inputs.shape[0]
-
-    def snapshots(self):
-        """Triples (x_k, u_k, x_{k+1}) for k = 0 .. T-1 as three arrays."""
-        return self.states[:-1], self.inputs, self.states[1:]
-
 
 def _check_input_bound(bound) -> None:
     # a negative bound would clip every input to an empty interval and

@@ -66,22 +66,21 @@ def row_chunks(n: int) -> list:
     return [slice(i, min(i + QR_CHUNK, n)) for i in range(0, n, QR_CHUNK)]
 
 
-def streamed_qr(chunks, rhs=None, start=None):
-    """R factor of the row stack of the 2-d arrays ``chunks`` yields.
+def streamed_qr(chunks, rhs, start=None):
+    """(R, Q^T B) for the row stack A of the 2-d arrays ``chunks`` yields
+    and the row stack B of ``rhs``, one right-hand block per chunk (its
+    rows, any number of columns).
 
     A flat-tree tall-skinny QR: each step factors [R so far; next chunk]
     with Householder ``np.linalg.qr``, so only R and one chunk are held.
-    R has min(rows, columns) rows.  Given ``rhs``, an iterable of one
-    right-hand block per chunk (its rows, any number of columns), the
-    result is (R, Q^T B) for the row stack B of the blocks.  Q is never
-    formed: each step keeps LAPACK's raw Householder vectors and applies
-    their transpose to [Q^T B so far; next block] in compact-WY form
-    (``_apply_qt``).  The R of either path is the R of ``mode="r"``.
+    R has min(rows, columns) rows.  Q is never formed: each step keeps
+    LAPACK's raw Householder vectors and applies their transpose to
+    [Q^T B so far; next block] in compact-WY form (``_apply_qt``).
     ``start``, the (R, Q^T B) of an earlier call, continues its stream:
     the result is bitwise that of one call over both streams' chunks.
     """
     r, qtb = (None, None) if start is None else start
-    blocks = None if rhs is None else iter(rhs)
+    blocks = iter(rhs)
     for c in chunks:
         top = 0 if r is None else r.shape[0]
         if top:
@@ -92,16 +91,13 @@ def streamed_qr(chunks, rhs=None, start=None):
             a[top:] = c
         else:
             a = c
-        if blocks is None:
-            r = np.linalg.qr(a, mode="r")
-            continue
         h, tau = np.linalg.qr(a, mode="raw")
         f = h.T                 # R on and above the diagonal, V below it
         r = np.triu(f[: len(tau)])
         qtb = _apply_qt(f, tau, qtb, next(blocks))
     if r is None:
         raise ValueError("no rows to factor")
-    return r if blocks is None else (r, qtb)
+    return r, qtb
 
 
 def _apply_qt(f, tau, qtb, block):

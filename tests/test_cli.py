@@ -56,15 +56,27 @@ class TestConfig:
         b = merge_defaults({"output_dir": "x", "seed": 1})
         assert config_hash(a) == config_hash(b)
 
-    @pytest.mark.parametrize("key, value", [
-        ("backend", "bisection"), ("rate_budget", 0), ("ridge_delta", 0.0),
-        ("eps_p", 0.01), ("lambda_tol", 1e-3), ("feas_tol", 1e10),
-        ("assumption_gate", 1e308)])
-    def test_removed_backend_key_exits_2(self, tmp_path, capsys, key, value):
-        cfgfile = smoke_config(tmp_path, synthesis={key: value})
-        assert cli.main(["babble", "--config", str(cfgfile)]) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"synthesis.{key}" in err and err.count("\n") == 1
+    @pytest.mark.parametrize("section, values, key", [
+        *[("synthesis", {key: value}, f"synthesis.{key}") for key, value in [
+            ("backend", "bisection"), ("rate_budget", 0), ("ridge_delta", 0.0),
+            ("eps_p", 0.01), ("lambda_tol", 1e-3), ("feas_tol", 1e10),
+            ("assumption_gate", 1e308)]],
+        ("plant", {"input_bound": 3.0,
+                   "params": {"gravity": 1.0, "input_bound": 4.0}},
+         "plant.input_bound"),
+        ("observables", {"state_dim": 2}, "observables.state_dim"),
+        ("observables", {"controller": {"controller": None}},
+         "observables.controller.controller"),
+        ("observables", {"controller": {"state_dim": 2}},
+         "observables.controller.state_dim")])
+    def test_removed_key_exits_2_before_any_stage(self, tmp_path, capsys,
+                                                  section, values, key):
+        cfgfile = smoke_config(tmp_path, **{section: values})
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err \
+            == f"config error: unknown config key '{key}'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_every_doc_key_names_a_default(self):
         # the koopctl init template documents, and validate checks, only
@@ -119,54 +131,50 @@ class TestConfig:
             "kind": "uniform", "ranges": [[-1, 1], [0, float("inf")]]}},
          "ranges must be finite"),
         ("plant", {"params": [1, 2]}, "plant.params must be an object"),
-        ("observables", {"kind": "custom", "state_dim": 2, "features":
+        ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "z", "poly": [0, 0, 1]}]},
          "feature 'z' has more exponents or coefficients than the 2"),
-        ("observables", {"kind": "custom", "state_dim": 2,
-                         "features": RAW_STATE[:1]},
+        ("observables", {"kind": "custom", "features": RAW_STATE[:1]},
          "1 features cannot hold the 2 raw state components"),
-        ("observables", {"kind": "custom", "state_dim": None,
-                         "features": RAW_STATE},
-         "custom observables need an integer 'state_dim', got None"),
-        ("observables", {"kind": "custom", "state_dim": 2, "features": "abc"},
+        ("observables", {"kind": "custom", "features": "abc"},
          "custom observables need a 'features' list"),
-        ("observables", {"kind": "custom", "state_dim": 2, "features":
+        ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "t", "trigs": [["tan", [1, 0]]]}]},
          "feature 't' has a trig kind other than sin or cos"),
-        ("observables", {"kind": "custom", "state_dim": 2, "features":
+        ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "t", "trigs": [["sin", ["a", 0]]]}]},
          "feature 't' has a coefficient that is not a finite number"),
-        ("observables", {"kind": "custom", "state_dim": 2, "features":
+        ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "t", "trigs": [["cos", "ab"]]}]},
          "feature 't' has a coefficient that is not a finite number"),
-        ("observables", {"kind": "custom", "state_dim": 2, "features":
+        ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "t", "trigs": [["sin", [True, 0]]]}]},
          "feature 't' has a coefficient that is not a finite number"),
-        ("observables", {"kind": "custom", "state_dim": 2, "features":
+        ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "d", "denom": {
                              "offset": 3, "scale": -2, "coeffs": [1, "0"]}}]},
          "feature 'd' has a coefficient that is not a finite number"),
-        ("observables", {"kind": "custom", "state_dim": 2, "features":
+        ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "t", "trigs": [["sin", [10 ** 400, 0]]]}]},
          "feature 't' has a coefficient that is not a finite number"),
         pytest.param(
-            "observables", {"kind": "custom", "state_dim": 2, "features":
+            "observables", {"kind": "custom", "features":
                             RAW_STATE + [{"label": "p", "poly": [2.5, 0]}]},
             "feature 'p' has an exponent that is not an integer",
             id="poly-fractional-exponent"),
         pytest.param(
-            "observables", {"kind": "custom", "state_dim": 2, "features":
+            "observables", {"kind": "custom", "features":
                             RAW_STATE + [{"label": "p", "poly": [True, 0]}]},
             "feature 'p' has an exponent that is not an integer",
             id="poly-boolean-exponent"),
         pytest.param(
-            "observables", {"kind": "custom", "state_dim": 2, "features":
+            "observables", {"kind": "custom", "features":
                             RAW_STATE + [{"label": "d", "denom": {
                                 "offset": "3", "scale": 1, "coeffs": [1, 0]}}]},
             "feature 'd' has a denominator offset or scale that is not a "
             "finite number", id="denom-string-offset"),
         pytest.param(
-            "observables", {"kind": "custom", "state_dim": 2, "features":
+            "observables", {"kind": "custom", "features":
                             RAW_STATE + [{"label": "d", "denom": {
                                 "offset": 3, "scale": True, "coeffs": [1, 0]}}]},
             "feature 'd' has a denominator offset or scale that is not a "
@@ -187,9 +195,21 @@ class TestConfig:
         ("observables", {"kind": "double_pendulum"},
          "observables map 'double_pendulum' has state_dim 4, the "
          "single_pendulum plant 2"),
-        ("observables", {"controller": {"kind": "custom", "state_dim": 1,
-                                        "features": [{"label": "x", "poly": [1]}]}},
-         "observables.controller map 'custom' has state_dim 1"),
+        ("observables", {"controller": {"kind": "double_pendulum"}},
+         "observables.controller map 'double_pendulum' has state_dim 4"),
+        ("observables", {"features": RAW_STATE},
+         "observables.features is read only by kind 'custom', not "
+         "'single_pendulum'"),
+        ("observables", {"controller": {"features": []}},
+         "observables.controller.features is read only by kind 'custom'"),
+        ("evaluation", {"initial_conditions": {"states": [[0.1, 0.0]]}},
+         "evaluation.initial_conditions.states is read only by kind 'list', "
+         "not 'uniform'"),
+        ("evaluation", {"initial_conditions": {
+            "kind": "list", "states": [[0.1, 0.0]], "shape": [1, 1]}},
+         "evaluation.initial_conditions.shape is read only by kind 'grid', "
+         "not 'list'"),
+        ("evaluation", {"extra_states": {}}, "extra_states"),
     ])
     def test_malformed_value_exits_2_before_any_stage(
             self, tmp_path, capsys, section, values, key):
@@ -284,22 +304,18 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "singular mass matrix" in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("plant, key", [
-        ({"input_bound": -1}, "plant.input_bound"),
-        ({"input_bound": float("inf")}, "plant.input_bound"),
-        ({"params": {"gravity": 1.0, "input_bound": 0.0}},
-         "plant.params.input_bound"),
-    ])
+    @pytest.mark.parametrize("bound", [-1, float("inf"), 0.0])
     def test_bad_input_bound_exits_2_before_babble(self, tmp_path, capsys,
-                                                   plant, key):
+                                                   bound):
         # a bound of -1 used to babble, identify and synthesize, then
         # exit 5 with every evaluation trajectory failing
-        cfgfile = smoke_config(tmp_path, plant=plant)
+        cfgfile = smoke_config(tmp_path, plant={
+            "params": {"gravity": 1.0, "input_bound": bound}})
         assert cli.main(["pipeline", "--config", str(cfgfile)]) \
             == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {key} must be a positive "
-                              "finite number")
+        assert err.startswith("config error: plant.params.input_bound must "
+                              "be a positive finite number")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -334,6 +350,72 @@ class TestConfig:
             == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"config error: bad babbling config: grid_shape {why}\n"
+
+
+def sweep_leaves(tree, prefix=()):
+    """The key paths of every leaf of ``tree``; an empty-dict default,
+    such as plant.params, is one leaf."""
+    for key, value in tree.items():
+        if isinstance(value, dict) and value:
+            yield from sweep_leaves(value, (*prefix, key))
+        else:
+            yield (*prefix, key)
+
+
+SWEEP_LEAVES = [*sweep_leaves(config.DEFAULTS),
+                ("observables", "controller", "kind"),
+                ("observables", "controller", "features")]
+SWEEP_VALUES = [None, "x", -1, 0, 1e308, -1e308, float("nan"), [], {}, [1],
+                True, 2.5, {"junk": 1}, [[-1e308, 1e308], [0, 1]]]
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6, 7}
+
+
+class TestConfigSweep:
+    """Every leaf of the config against a family of bad values: a
+    documented exit code, one stderr line on failure, no traceback and
+    no warning.  A string or an object is a config error on every leaf
+    but output_dir."""
+
+    @staticmethod
+    def tiny_config(path: tuple, value) -> dict:
+        cfg = {
+            "plant": {"params": {"gravity": 1.0}},
+            "observables": {},
+            "babbling": {"num_gains": 2, "num_initial_conditions": 4,
+                         "steps": 50},
+            "evaluation": {"horizon_seconds": 2.0,
+                           "initial_conditions": {"count": 3}},
+            "output_dir": "out",
+        }
+        if path[:2] == ("observables", "controller") and len(path) == 3:
+            cfg["observables"]["controller"] = {path[2]: value}
+            return cfg
+        section = cfg
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+        return cfg
+
+    @pytest.mark.parametrize("path", SWEEP_LEAVES, ids=".".join)
+    def test_every_value_has_a_documented_outcome(self, tmp_path, capsys,
+                                                  monkeypatch, path):
+        monkeypatch.chdir(tmp_path)  # output_dir "x" is a relative path
+        failures = []
+        for value in SWEEP_VALUES:
+            cfgfile = tmp_path / "config.json"
+            cfgfile.write_text(json.dumps(self.tiny_config(path, value)))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(["pipeline", "--config", str(cfgfile)])
+            err = capsys.readouterr().err
+            strict = value in ("x", {"junk": 1}) and path != ("output_dir",)
+            if (code not in DOCUMENTED_EXITS
+                    or err.count("\n") != (code != 0)
+                    or "Traceback" in err or caught
+                    or (strict and code != cli.EXIT_CONFIG)):
+                failures.append((value, code, err,
+                                 [str(w.message) for w in caught]))
+        assert failures == []
 
 
 class TestInit:
@@ -415,7 +497,8 @@ class TestPipeline:
         assert "cache hit" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("section, value, reruns", [
-        ("plant", {"input_bound": 6.0}, STAGE_NAMES),
+        ("plant", {"params": {"gravity": 1.0, "input_bound": 6.0}},
+         STAGE_NAMES),
         ("observables", {"controller": {"kind": "single_pendulum"}},
          STAGE_NAMES),
         ("babbling", {"gain_scale": 0.9}, STAGE_NAMES),
@@ -447,7 +530,7 @@ class TestPipeline:
         # psi_u = [theta, theta_dot, 1, sin theta, cos theta] differs from
         # the 9-feature psi_x: K_u applies to psi_u only, so the fidelity
         # metrics must read the closed loop that evaluation ran under psi_u
-        controller = {"kind": "custom", "state_dim": 2, "features": [
+        controller = {"kind": "custom", "features": [
             {"label": "theta", "poly": [1, 0]},
             {"label": "theta_dot", "poly": [0, 1]},
             {"label": "1"},
@@ -700,11 +783,34 @@ class TestEvaluateCache:
             "config error: bad evaluation.initial_conditions or "
             "extra_states: states must be finite\n")
 
+    def test_huge_finite_states_score_nan_without_warnings(self, tmp_path,
+                                                           capsys):
+        # from 1e100 up, psi ** 2, the slack or V overflows, or the lift
+        # of x0 in the fidelity rollout does: the row's Lyapunov score is
+        # NaN, as for a diverged row, and nothing is printed but the gate
+        rows = [[-v, v] for v in (1e40, 1e100, 1e150, 1e200, 1e308)]
+        cfgfile = smoke_config(tmp_path, evaluation={"extra_states": rows,
+                                                     "success_gate": 1.0})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["pipeline", "--config", str(cfgfile)])
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_EVAL_GATE
+        assert err.startswith("error: success rate ") and err.count("\n") == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        records = report["records"][-len(rows):]
+        assert [r["initial_state"] for r in records] == rows
+        lyap = [r["lyap_decrease_fraction"] for r in records]
+        assert 0 <= lyap[0] <= 1 and np.isnan(lyap[1:]).all()
+        # the 1e100 row stays finite and is scored, not dropped as diverged
+        assert not records[1]["diverged"]
+
     def test_non_finite_lift_exits_3_at_factorize(self, tmp_path, capsys):
         # 1 / (0 + 0 cos theta) is inf at every state; babble lifts only
         # the separate controller map, factorize lifts the state map
         cfgfile = smoke_config(tmp_path, observables={
-            "kind": "custom", "state_dim": 2, "features": RAW_STATE + [
+            "kind": "custom", "features": RAW_STATE + [
                 {"label": "inf", "denom": {"offset": 0.0, "scale": 0.0,
                                            "coeffs": [1.0, 0.0]}}],
             "controller": {"kind": "single_pendulum"}})
@@ -740,20 +846,20 @@ class TestFactorizeOutputs:
     def test_custom_observables_through_config(self, tmp_path):
         from koopctl.config import build_maps
 
+        # a custom map has the plant's state dimension
         cfg = merge_defaults({
             "observables": {
                 "kind": "custom",
-                "state_dim": 1,
-                "features": [
-                    {"label": "x", "poly": [1]},
-                    {"label": "x^2", "poly": [2]},
-                    {"label": "sin(x)", "trigs": [["sin", [1.0]]]},
+                "features": RAW_STATE + [
+                    {"label": "theta^2", "poly": [2, 0]},
+                    {"label": "sin(theta_dot)", "trigs": [["sin", [0.0, 1.0]]]},
                 ],
             },
         })
         map_x, map_u = build_maps(cfg)
-        assert map_x is map_u
-        np.testing.assert_allclose(map_x([2.0]), [2.0, 4.0, np.sin(2.0)])
+        assert map_x is map_u and map_x.state_dim == 2
+        np.testing.assert_allclose(map_x([2.0, 3.0]),
+                                   [2.0, 3.0, 4.0, np.sin(3.0)])
 
     def test_polynomial_toy_with_zero_like_eps(self):
         # eps_h at the numerical floor keeps exactly the expressible blocks

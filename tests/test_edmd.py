@@ -47,16 +47,17 @@ def solve(psi_in, psi_out, ridge=0.0, chunk=tensor.QR_CHUNK):
 
 
 def augmented_solve(psi_in, psi_out, ridge=0.0, chunk=tensor.QR_CHUNK):
-    """The solve the regressor-only one replaced: an R-only streamed QR of
-    the augmented rows [A | B], ridge rows [sqrt(ridge) I | 0] last, and K
-    from the SVD of R's regressor columns; returns (K, info)."""
+    """The solve the regressor-only one replaced: the streamed R (with an
+    empty right-hand side) of the augmented rows [A | B], ridge rows
+    [sqrt(ridge) I | 0] last, and K from the SVD of R's regressor columns;
+    returns (K, info)."""
     d_in, d_out = psi_in.shape[0], psi_out.shape[0]
     rows = np.hstack([psi_in.T, psi_out.T])
     chunks = [rows[i : i + chunk] for i in range(0, len(rows), chunk)]
     if ridge > 0:
         chunks.append(np.hstack([np.sqrt(ridge) * np.eye(d_in),
                                  np.zeros((d_in, d_out))]))
-    r = tensor.streamed_qr(iter(chunks))
+    r, _ = tensor.streamed_qr(iter(chunks), (c[:, :0] for c in chunks))
     u, s, vt, cond = tensor.truncated_svd(r[:, :d_in])
     k = ((r[:, d_in:].T @ u) / s) @ vt
     flags = []

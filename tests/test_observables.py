@@ -285,7 +285,8 @@ class TestDescriptors:
             rng = np.random.default_rng(4)
             x = rng.uniform(-2, 2, size=(50, m.state_dim))
             np.testing.assert_array_equal(back(x), m(x))
-            assert obs.map_hash(back) == obs.map_hash(m)
+            assert obs.descriptor_hash(back.to_descriptor()) \
+                == obs.descriptor_hash(m.to_descriptor())
 
     def test_state_must_lead(self):
         with pytest.raises(ValueError, match="raw state"):

@@ -383,8 +383,7 @@ class TestRollout:
         plant = plants.single_pendulum()
         traj = plants.rollout(plant, np.array([0.2, 0.0]),
                               lambda x: np.zeros(1), 100, 0.01)
-        x, u, xn = traj.snapshots()
-        assert x.shape == (100, 2) and u.shape == (100, 1) and xn.shape == (100, 2)
+        assert traj.states.shape == (101, 2) and traj.inputs.shape == (100, 1)
 
     def test_input_sequence_and_clipping(self):
         plant = plants.single_pendulum()
@@ -398,10 +397,10 @@ class TestRollout:
         K = rng.uniform(-1, 1, size=(2, 4))
         traj = plants.rollout(plant, rng.uniform(-1, 1, size=4),
                               lambda x: K @ x, 50, 0.01)
-        x, u, xn = traj.snapshots()
+        x, u = traj.states, traj.inputs
         for k in range(50):
             np.testing.assert_array_equal(
-                plants.rk4_step(plant, x[k], u[k], 0.01), xn[k])
+                plants.rk4_step(plant, x[k], u[k], 0.01), x[k + 1])
 
     def test_divergence_flagged(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -539,7 +538,7 @@ class TestRolloutMatchesReference:
         x0 = np.array([[0.5], [-0.5], [0.0], [0.05]])
         got = self.check(blowup_plant(), x0, lambda x: np.sin(x), 30, 0.5)
         assert [t.diverged for t in got] == [True, True, False, False]
-        assert got[0].steps == got[1].steps > 0
+        assert len(got[0].inputs) == len(got[1].inputs) > 0
         # and when every row diverges the loop stops early
         got = self.check(blowup_plant(), x0[:2], lambda x: np.sin(x), 30, 0.5)
         assert [t.diverged for t in got] == [True, True]
@@ -563,5 +562,5 @@ class TestRolloutMatchesReference:
         got = self.check(held_plant(bounds), np.zeros((2, 2)), seq, 10, 0.01)
         want = clip(held_plant(bounds), seq)
         for traj in got:  # a NaN input passes the clip: 0 * NaN diverges
-            assert traj.diverged and traj.steps == 9
+            assert traj.diverged and len(traj.inputs) == 9
             assert_bitwise(traj.inputs, want[:9])

@@ -125,7 +125,6 @@ class TestStreamedQr:
         np.testing.assert_allclose(r.T @ qtb, a.T @ b, atol=1e-13)
         _, qta = tensor.streamed_qr(iter(chunks), iter(chunks))
         np.testing.assert_allclose(qta, r, atol=1e-14)
-        np.testing.assert_array_equal(tensor.streamed_qr(iter(chunks)), r)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 8),
@@ -145,7 +144,6 @@ class TestStreamedQr:
         chunks = np.split(a, np.cumsum(sizes)[:-1])
         blocks = np.split(b, np.cumsum(sizes)[:-1])
         r, qtb = tensor.streamed_qr(iter(chunks), iter(blocks))
-        np.testing.assert_array_equal(r, tensor.streamed_qr(iter(chunks)))
         scale = np.abs(a).max() * max(np.abs(a).max(), np.abs(b).max())
         np.testing.assert_allclose(r.T @ qtb, a.T @ b, rtol=0,
                                    atol=1e-13 * scale)
@@ -178,7 +176,7 @@ class TestStreamedQr:
 
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match="no rows"):
-            tensor.streamed_qr(iter([]))
+            tensor.streamed_qr(iter([]), iter([]))
 
     def test_truncated_svd_cuts_at_eps(self):
         eps = np.finfo(float).eps
