@@ -25,6 +25,7 @@ A saved dataset is a directory of two files: ``snapshots.npz`` holds the
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 from contextlib import contextmanager
@@ -35,6 +36,7 @@ import numpy as np
 
 from .observables import ObservableMap, evaluate_batch
 from .plants import ControlAffinePlant, rollout
+from .tensor import as_number
 
 KIND = "koopctl/dataset/2"
 PAYLOAD = "snapshots.npz"
@@ -54,15 +56,28 @@ class BabblingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.num_gains, self.num_initial_conditions, self.steps) < 1:
-            raise ValueError("counts must be at least 1")
-        if not 0 <= 2.0 * float(self.gain_scale) < np.inf:
+        # each message leads with the field it names
+        for name in ("num_gains", "num_initial_conditions", "steps", "seed"):
+            as_number(getattr(self, name), name, "nonnegative" if name ==
+                      "seed" else "positive", integer=True, any_size=True)
+        as_number(self.dt, "dt", "positive")
+        if not 2.0 * as_number(self.gain_scale, "gain_scale",
+                               "nonnegative") < np.inf:
             raise ValueError("gain_scale must be nonnegative, with a finite "
                              f"width 2 * gain_scale, got {self.gain_scale!r}")
-        for lo, hi in self.state_grid:
-            if not 0 <= float(hi) - float(lo) < np.inf:
+        rows, shape = self.state_grid, self.grid_shape
+        if not (isinstance(rows, (list, tuple)) and all(
+                isinstance(r, (list, tuple)) and len(r) == 2 for r in rows)):
+            raise ValueError(f"state_grid must be [lo, hi] rows, got {rows!r}")
+        for i, (lo, hi) in enumerate(rows):
+            lo, hi = (as_number(lo, f"state_grid[{i}][0]"),
+                      as_number(hi, f"state_grid[{i}][1]"))
+            if not 0 <= hi - lo < np.inf:
                 raise ValueError("state_grid rows need lo <= hi and a finite "
                                  f"width hi - lo, got {[lo, hi]!r}")
+        if not (shape is None or isinstance(shape, (list, tuple))):
+            raise ValueError("grid_shape must be null or a list of positive "
+                             f"integers, got {shape!r}")
 
 
 class SnapshotDataset:
@@ -225,13 +240,16 @@ def grid_initial_conditions(cfg: BabblingConfig, d_x: int = None) -> np.ndarray:
     """
     d_x = len(cfg.state_grid) if d_x is None else d_x
     if len(cfg.state_grid) != d_x:
-        raise ValueError("state_grid dimension mismatch")
+        raise ValueError(f"state_grid must hold {d_x} [lo, hi] rows, one per "
+                         f"state component, got {cfg.state_grid!r}")
     if cfg.grid_shape is not None:
-        shape = tuple(int(n) for n in cfg.grid_shape)
+        shape = tuple(as_number(n, f"grid_shape[{i}]", "positive",
+                                integer=True, any_size=True)
+                      for i, n in enumerate(cfg.grid_shape))
         if len(shape) != d_x:
             raise ValueError(f"grid_shape {shape} needs {d_x} counts, "
                              f"one per state component")
-        if int(np.prod(shape)) != cfg.num_initial_conditions:
+        if math.prod(shape) != cfg.num_initial_conditions:
             raise ValueError(
                 f"grid_shape {shape} does not factor "
                 f"{cfg.num_initial_conditions} initial conditions"
@@ -278,7 +296,7 @@ def generate_dataset(plant: ControlAffinePlant, map_x: ObservableMap,
     return SnapshotDataset._from_tails(
         x, u, np.repeat(kept, T), np.arange(T - 1, len(x), T), ends,
         n_trajectories=len(kept), n_dropped=len(trajs) - len(kept),
-        meta={"seed": cfg.seed, "steps": T, "dt": cfg.dt,
+        meta={"seed": cfg.seed, "steps": T, "dt": float(cfg.dt),
               "num_gains": cfg.num_gains, "num_initial_conditions": n_ic,
               "grid_shape": [_distinct_count(ics[:, d])
                              for d in range(ics.shape[1])]})

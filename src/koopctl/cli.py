@@ -294,8 +294,6 @@ STAGES = {
 
 
 def cmd_pipeline(cfg: dict):
-    # check the evaluation states, which only evaluate reads, before babble
-    evaluation_initial_states(cfg, build_plant(cfg).state_dim)
     done = {}
     for name, stage in STAGES.items():
         with suppress(StageError):  # missing, corrupt, other kind, stale
@@ -339,7 +337,7 @@ def main(argv=None) -> int:
             cfg["output_dir"] = args.out
         if args.seed is not None:
             cfg["seed"] = args.seed
-        validate(cfg)
+        validate(cfg, evaluates=args.command in ("pipeline", "evaluate"))
         if args.command == "pipeline":
             cmd_pipeline(cfg)
         else:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .babbling import SnapshotDataset
 from .observables import ObservableMap, descriptor_hash
-from .tensor import (matrix_from_json, matrix_to_json, row_chunks,
+from .tensor import (as_number, matrix_from_json, matrix_to_json, row_chunks,
                      streamed_qr, truncated_svd)
 
 
@@ -167,9 +167,8 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
             f"no training snapshots: holdout_fraction {holdout_fraction:g} "
             f"holds out every trajectory (trajectory count "
             f"{np.unique(ds.traj_id).size})")
-    rho = 1e-8 * n_train if ridge is None else float(ridge)
-    if rho < 0:
-        raise ValueError("ridge must be nonnegative")
+    rho = (1e-8 * n_train if ridge is None
+           else as_number(ridge, "ridge", "nonnegative"))
     psi = ds.lift(map_x)
     d_psi = map_x.dim
     d_in = d_psi + S.shape[0] * ds.u.shape[1]

@@ -54,8 +54,8 @@ import numpy as np
 from .babbling import SnapshotDataset
 from .edmd import BilinearKoopmanModel
 from .observables import ObservableMap, evaluate_batch
-from .tensor import (QR_CHUNK, matrix_from_json, matrix_to_json, row_chunks,
-                     streamed_qr, truncated_svd)
+from .tensor import (QR_CHUNK, as_number, matrix_from_json, matrix_to_json,
+                     row_chunks, streamed_qr, truncated_svd)
 
 
 class FactorizationError(RuntimeError):
@@ -197,8 +197,7 @@ def threshold_mask(hbar: np.ndarray, residuals: np.ndarray, eps_h: float,
     Raises FactorizationError when nothing is retained, since the
     closed-loop factorization would lose its input term entirely.
     """
-    if eps_h <= 0:
-        raise ValueError("eps_h must be positive")
+    eps_h = as_number(eps_h, "eps_h", "positive")
     residuals = np.asarray(residuals, dtype=float)
     d_psi_x = residuals.shape[0]
     mask = (residuals <= eps_h).astype(int)
@@ -214,7 +213,7 @@ def threshold_mask(hbar: np.ndarray, residuals: np.ndarray, eps_h: float,
     blocks = [hbar[i * d_psi_u : (i + 1) * d_psi_u] for i in kept]
     H = np.vstack(blocks)
     return FactorizationPair(S=S, H=H, mask=mask, residuals=residuals,
-                             eps_h=float(eps_h))
+                             eps_h=eps_h)
 
 
 def fit_pair(data, map_x: ObservableMap, map_u: ObservableMap,

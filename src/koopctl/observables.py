@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .tensor import row_chunks
+from .tensor import as_number, row_chunks
 
 
 @dataclass(frozen=True)
@@ -153,28 +152,16 @@ class LiftPlan:
 
 
 def feature_from_descriptor(d: dict) -> Feature:
-    denom = None
-    if d.get("denom") is not None:
-        dd = d["denom"]
-        offset, scale = dd["offset"], dd["scale"]
-        # checked, then stored as floats, so descriptors keep their bytes
-        if not (_is_number(offset) and _is_number(scale)):
-            raise ValueError(f"feature {d['label']!r} has a denominator "
-                             "offset or scale that is not a finite number")
-        denom = (float(offset), float(scale), tuple(dd["coeffs"]))
+    dd, name = d.get("denom"), f"feature {d['label']!r} denominator"
     return Feature(
         label=d["label"],
         poly=tuple(d.get("poly", [])),
         trigs=tuple((k, tuple(c)) for k, c in d.get("trigs", [])),
-        denom=denom,
+        # checked, then stored as floats, so descriptors keep their bytes
+        denom=None if dd is None else (
+            as_number(dd["offset"], f"{name} offset"),
+            as_number(dd["scale"], f"{name} scale"), tuple(dd["coeffs"])),
     )
-
-
-def _is_number(v) -> bool:
-    """An int or float within the float range; not a bool, nor a string
-    that ``float`` would read."""
-    return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
 
 
 def state_feature(i: int, d_x: int, label: str) -> Feature:
@@ -204,13 +191,10 @@ class ObservableMap:
                 raise ValueError(f"feature {f.label!r} has more exponents or "
                                  f"coefficients than the {d_x} state components")
             # checked, not converted: the descriptor keeps them as given
-            if not all(_is_number(v) for c in coeffs for v in c):
-                raise ValueError(f"feature {f.label!r} has a coefficient "
-                                 "that is not a finite number")
-            if not all(isinstance(p, (int, np.integer))
-                       and not isinstance(p, bool) for p in f.poly):
-                raise ValueError(f"feature {f.label!r} has an exponent "
-                                 "that is not an integer")
+            for v in [v for c in coeffs for v in c]:
+                as_number(v, f"feature {f.label!r} coefficient")
+            for p in f.poly:
+                as_number(p, f"feature {f.label!r} exponent", integer=True)
             if any(kind not in ("sin", "cos") for kind, _ in f.trigs):
                 raise ValueError(f"feature {f.label!r} has a trig kind other "
                                  "than sin or cos")

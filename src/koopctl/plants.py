@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import as_number
+
 
 @dataclass(frozen=True)
 class ControlAffinePlant:
@@ -65,31 +67,25 @@ class Trajectory:
     diverged: bool = False
 
 
-def _check_input_bound(bound) -> None:
-    # a negative bound would clip every input to an empty interval and
-    # fail only after babble, identify and synthesize had run on it
-    if not (isinstance(bound, (int, float)) and math.isfinite(bound)
-            and bound > 0):
-        raise ValueError(
-            f"input_bound must be a positive finite number, got {bound!r}")
-
-
 def single_pendulum(m: float = 1.0, L: float = 1.0, b: float = 0.3,
                     gravity: float = 9.81,
                     input_bound: float = 5.0) -> ControlAffinePlant:
     """Damped point-mass pendulum, state [theta, theta_dot], torque input.
 
     theta'' = (gravity / L) sin(theta) - b / (m L^2) theta_dot + u / (m L^2)
+
+    An m L^2 that is 0 or not finite, or an infinite coefficient, is rejected.
     """
-    if m <= 0 or L <= 0:
-        raise ValueError("mass and length must be positive")
-    if b < 0 or gravity < 0:
-        raise ValueError("damping and gravity must be nonnegative")
-    _check_input_bound(input_bound)
+    m, L = as_number(m, "m", "positive"), as_number(L, "L", "positive")
+    b = as_number(b, "b", "nonnegative")
+    gravity = as_number(gravity, "gravity", "nonnegative")
+    input_bound = as_number(input_bound, "input_bound", "positive")
     inertia = m * L * L
-    k_sin = gravity / L
-    k_om = b / inertia
-    k_u = 1.0 / inertia
+    if not 0 < inertia < math.inf:
+        raise ValueError(f"m and L give m L^2 = {inertia!r}, not in (0, inf)")
+    k_sin, k_om, k_u = gravity / L, b / inertia, 1.0 / inertia
+    if not all(map(math.isfinite, (k_sin, k_om, k_u))):
+        raise ValueError("m, L, b and gravity give an infinite coefficient")
 
     def rhs(x, u):
         # f + g[..., 0] u0 with g = [0, k_u]: 0.0 * u0 keeps the sign of
@@ -116,18 +112,23 @@ def double_pendulum(m1: float = 1.0, m2: float = 1.0, l1: float = 1.0,
     State [th1, th2, th1_dot, th2_dot]; see the module docstring for the
     equations of motion.  Joint damping defaults to zero.
     """
-    if min(m1, m2, l1, l2) <= 0:
-        raise ValueError("masses and lengths must be positive")
-    _check_input_bound(input_bound)
-    b1, b2 = float(damping[0]), float(damping[1])
+    m1, m2 = as_number(m1, "m1", "positive"), as_number(m2, "m2", "positive")
+    l1, l2 = as_number(l1, "l1", "positive"), as_number(l2, "l2", "positive")
+    gravity = as_number(gravity, "gravity", "nonnegative")
+    input_bound = as_number(input_bound, "input_bound", "positive")
+    if not (isinstance(damping, (list, tuple)) and len(damping) == 2):
+        raise ValueError(f"damping must hold two entries, got {damping!r}")
+    b1, b2 = (as_number(b, f"damping[{i}]", "nonnegative")
+              for i, b in enumerate(damping))
     # the same float expressions as the dynamics below; the module
     # docstring shows det >= a * c - k * k for every state
     a = (m1 + m2) * l1 * l1
     c = m2 * l2 * l2
     k = m2 * l1 * l2
     if not a * c - k * k > 0:
-        raise ValueError("singular mass matrix: (m1 + m2) l1^2 m2 l2^2 - "
-                         "(m2 l1 l2)^2 is not positive in floats")
+        raise ValueError("m1, m2, l1 and l2 give a singular mass matrix: "
+                         "(m1 + m2) l1^2 m2 l2^2 - (m2 l1 l2)^2 is not "
+                         "positive in floats")
     g1 = (m1 + m2) * gravity * l1
     g2 = m2 * gravity * l2
 

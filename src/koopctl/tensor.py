@@ -1,4 +1,4 @@
-"""Small dense-matrix utilities used by every other module.
+"""Small dense-matrix utilities and the number rule, used by every module.
 
 Everything in this project is desk scale (lifted dimensions of at most a
 few tens), so all storage is plain dense ``numpy`` arrays.  Symmetric
@@ -10,11 +10,35 @@ factored by ``streamed_qr``, one chunk of rows at a time.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Rows per chunk of ``streamed_qr``: each step factors one chunk plus the
 # running triangle, so its working copy is a few MB at the widths used here.
 QR_CHUNK = 8192
+
+
+def as_number(x, name: str, sign: str = "", integer: bool = False,
+              any_size: bool = False, error: type = ValueError):
+    """``x`` read as a float (as it is, when ``integer``), if it passes the
+    one number rule: an int or float, numpy scalars included, never a
+    bool, finite as a float; an int when ``integer``, of any size with
+    ``any_size`` (a seed or a count); > 0 or >= 0 for ``sign`` "positive"
+    or "nonnegative".  Else raises ``error``: "<name> must be a ..., got x".
+    """
+    kinds = (int, np.integer) + (() if integer else (float, np.floating))
+    ok = isinstance(x, kinds) and not isinstance(x, bool)
+    try:  # an int beyond the float range is not finite as a float
+        ok = ok and ((integer and any_size) or math.isfinite(x)) and (
+            not sign or (x > 0 if sign == "positive" else x >= 0))
+    except OverflowError:
+        ok = False
+    if not ok:
+        what = f"{sign} {'integer' if integer else 'number'}".strip()
+        raise error(f"{name} must be {'an' if what == 'integer' else 'a'} "
+                    f"{what}, got {x!r}")
+    return x if integer else float(x)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

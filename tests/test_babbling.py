@@ -60,9 +60,11 @@ def per_gain_reference(plant, m, cfg):
 
 @pytest.mark.parametrize("count", ["num_gains", "num_initial_conditions",
                                    "steps"])
-def test_counts_must_be_positive(count):
-    with pytest.raises(ValueError, match="at least 1"):
-        small_config(**{count: 0})
+@pytest.mark.parametrize("value", [0, 2.5, True])
+def test_counts_must_be_positive(count, value):
+    with pytest.raises(ValueError, match=f"^{count} must be a positive "
+                                         f"integer, got {value!r}$"):
+        small_config(**{count: value})
 
 
 class TestGains:

@@ -1,13 +1,16 @@
+import inspect
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from koopctl import babbling, cli, config
+from koopctl import babbling, cli, config, plants
 from koopctl.config import ConfigError, config_hash, load_config, merge_defaults
 
 STAGE_NAMES = ["babble", "factorize", "identify", "synthesize", "evaluate"]
+# an integer beyond the float range
+HUGE = 10 ** 400
 # the leading raw-state features of a custom single-pendulum map
 RAW_STATE = [{"label": "theta", "poly": [1, 0]},
              {"label": "theta_dot", "poly": [0, 1]}]
@@ -118,7 +121,7 @@ class TestConfig:
         ("evaluation", {"fidelity_steps": 2001, "horizon_seconds": 20.0},
          "evaluation.fidelity_steps"),
         ("evaluation", {"horizon_seconds": 10 ** 400},
-         "evaluation.horizon_seconds / babbling.dt overflows"),
+         "evaluation.horizon_seconds must be a positive number"),
         ("evaluation", {"initial_conditions": {
             "kind": "grid", "ranges": [[-1, 1], [-2, 2]], "shape": [2]}},
          "shape must hold 2 counts"),
@@ -143,42 +146,42 @@ class TestConfig:
          "feature 't' has a trig kind other than sin or cos"),
         ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "t", "trigs": [["sin", ["a", 0]]]}]},
-         "feature 't' has a coefficient that is not a finite number"),
+         "feature 't' coefficient must be a number"),
         ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "t", "trigs": [["cos", "ab"]]}]},
-         "feature 't' has a coefficient that is not a finite number"),
+         "feature 't' coefficient must be a number"),
         ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "t", "trigs": [["sin", [True, 0]]]}]},
-         "feature 't' has a coefficient that is not a finite number"),
+         "feature 't' coefficient must be a number"),
         ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "d", "denom": {
                              "offset": 3, "scale": -2, "coeffs": [1, "0"]}}]},
-         "feature 'd' has a coefficient that is not a finite number"),
+         "feature 'd' coefficient must be a number, got '0'"),
         ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "t", "trigs": [["sin", [10 ** 400, 0]]]}]},
-         "feature 't' has a coefficient that is not a finite number"),
+         "feature 't' coefficient must be a number"),
         pytest.param(
             "observables", {"kind": "custom", "features":
                             RAW_STATE + [{"label": "p", "poly": [2.5, 0]}]},
-            "feature 'p' has an exponent that is not an integer",
+            "feature 'p' exponent must be an integer",
             id="poly-fractional-exponent"),
         pytest.param(
             "observables", {"kind": "custom", "features":
                             RAW_STATE + [{"label": "p", "poly": [True, 0]}]},
-            "feature 'p' has an exponent that is not an integer",
+            "feature 'p' exponent must be an integer",
             id="poly-boolean-exponent"),
         pytest.param(
             "observables", {"kind": "custom", "features":
                             RAW_STATE + [{"label": "d", "denom": {
                                 "offset": "3", "scale": 1, "coeffs": [1, 0]}}]},
-            "feature 'd' has a denominator offset or scale that is not a "
-            "finite number", id="denom-string-offset"),
+            "feature 'd' denominator offset must be a number, got '3'",
+            id="denom-string-offset"),
         pytest.param(
             "observables", {"kind": "custom", "features":
                             RAW_STATE + [{"label": "d", "denom": {
                                 "offset": 3, "scale": True, "coeffs": [1, 0]}}]},
-            "feature 'd' has a denominator offset or scale that is not a "
-            "finite number", id="denom-boolean-scale"),
+            "feature 'd' denominator scale must be a number, got True",
+            id="denom-boolean-scale"),
         ("babbling", {"gain_scale": 1e308},
          "gain_scale must be nonnegative, with a finite width 2 * gain_scale"),
         ("babbling", {"state_grid": [[-1e308, 1e308], [0, 1]]},
@@ -210,6 +213,52 @@ class TestConfig:
          "evaluation.initial_conditions.shape is read only by kind 'grid', "
          "not 'list'"),
         ("evaluation", {"extra_states": {}}, "extra_states"),
+        # one number rule for every value read as a number
+        *[pytest.param(section, {key: HUGE},
+                       f"{section}.{key} must be a {sign} number, got {HUGE}",
+                       id=f"{section}.{key}-huge")
+          for section, key, sign in [
+              ("babbling", "gain_scale", "nonnegative"),
+              ("identification", "ridge", "nonnegative"),
+              ("factorization", "eps_h", "positive"),
+              ("evaluation", "settle_tol", "positive"),
+              ("evaluation", "success_gate", "nonnegative")]],
+        pytest.param("plant", {"params": {"m": HUGE}},
+                     f"plant.params.m must be a positive number, got {HUGE}",
+                     id="plant.params.m-huge"),
+        pytest.param("plant", {"params": {"m": float("nan")}},
+                     "plant.params.m must be a positive number, got nan",
+                     id="plant.params.m-nan"),
+        pytest.param("plant", {"params": {"gravity": float("inf")}},
+                     "plant.params.gravity must be a nonnegative number, "
+                     "got inf", id="plant.params.gravity-infinite"),
+        pytest.param("plant", {"params": {"L": 1e-300}},
+                     "plant.params.m and L give m L^2 = 0.0",
+                     id="plant.params.L-inertia-underflows"),
+        pytest.param("plant", {"params": {"input_bound": True}},
+                     "plant.params.input_bound must be a positive number, "
+                     "got True", id="plant.params.input_bound-true"),
+        *[pytest.param("plant", {"kind": "double_pendulum",
+                                 "params": {"damping": damping}}, key,
+                       id=f"plant.params.damping-{name}")
+          for damping, key, name in [
+              ([1], "plant.params.damping must hold two entries, got [1]",
+               "one-entry"),
+              ([0.1, 0.1, 7], "plant.params.damping must hold two entries",
+               "three-entries"),
+              ([-1, 0], "plant.params.damping[0] must be a nonnegative "
+                        "number, got -1", "negative")]],
+        pytest.param(
+            "observables", {"kind": "custom", "features":
+                            RAW_STATE + [{"label": "p", "poly": [HUGE, 0]}]},
+            f"feature 'p' exponent must be an integer, got {HUGE}",
+            id="poly-huge-exponent"),
+        *[pytest.param("evaluation", {"initial_conditions": {
+            "kind": "grid", "ranges": [[-1, 1], [-2, 2]], "shape": shape}},
+            "bad evaluation.initial_conditions or extra_states: shape[0] "
+            f"must be a positive integer, got {shape[0]!r}",
+            id=f"evaluation-grid-shape-{name}")
+          for shape, name in [([2.5, 2], "fractional"), ([True, 3], "boolean")]],
     ])
     def test_malformed_value_exits_2_before_any_stage(
             self, tmp_path, capsys, section, values, key):
@@ -236,11 +285,10 @@ class TestConfig:
             config.validate(merge_defaults(
                 {"evaluation": {"fidelity_steps": 2001}}))
         # a step count beyond the float range is an error, not a traceback
-        for horizon, dt in [(10 ** 400, 0.01), (1e300, 1e-300)]:
-            with pytest.raises(ConfigError, match="overflows"):
-                config.validate(merge_defaults(
-                    {"evaluation": {"horizon_seconds": horizon},
-                     "babbling": {"dt": dt}}))
+        with pytest.raises(ConfigError, match="overflows"):
+            config.validate(merge_defaults(
+                {"evaluation": {"horizon_seconds": 1e300},
+                 "babbling": {"dt": 1e-300}}))
 
     @pytest.mark.parametrize("section, states", [
         ({"initial_conditions": {"kind": "grid", "shape": [2, 3],
@@ -314,8 +362,8 @@ class TestConfig:
         assert cli.main(["pipeline", "--config", str(cfgfile)]) \
             == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: plant.params.input_bound must "
-                              "be a positive finite number")
+        assert err == ("config error: plant.params.input_bound must be a "
+                       f"positive number, got {bound!r}\n")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -335,9 +383,8 @@ class TestConfig:
             "state_grid": [[-1.0, 1.0], [None, 1.0]]})
         assert cli.main(["babble", "--config", str(cfgfile)]) \
             == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("config error: bad babbling config")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == ("config error: babbling.state_grid"
+                                           "[1][0] must be a number, got None\n")
 
     @pytest.mark.parametrize("shape, why", [
         ([3, 3], "(3, 3) does not factor 4 initial conditions"),
@@ -349,7 +396,7 @@ class TestConfig:
         assert cli.main(["babble", "--config", str(cfgfile)]) \
             == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == f"config error: bad babbling config: grid_shape {why}\n"
+        assert err == f"config error: babbling.grid_shape {why}\n"
 
 
 def sweep_leaves(tree, prefix=()):
@@ -362,31 +409,52 @@ def sweep_leaves(tree, prefix=()):
             yield (*prefix, key)
 
 
-SWEEP_LEAVES = [*sweep_leaves(config.DEFAULTS),
-                ("observables", "controller", "kind"),
-                ("observables", "controller", "features")]
+PLANTS = ("single_pendulum", "double_pendulum")
+# (path, plant kind): every default leaf and the controller's keys under
+# the single pendulum, and every constructor parameter of each plant,
+# read from its signature, under its own kind
+SWEEP_LEAVES = [*((path, PLANTS[0]) for path in sweep_leaves(config.DEFAULTS)),
+                (("observables", "controller", "kind"), PLANTS[0]),
+                (("observables", "controller", "features"), PLANTS[0]),
+                *((("plant", "params", name), kind) for kind in PLANTS
+                  for name in inspect.signature(getattr(plants, kind)).parameters)]
 SWEEP_VALUES = [None, "x", -1, 0, 1e308, -1e308, float("nan"), [], {}, [1],
                 True, 2.5, {"junk": 1}, [[-1e308, 1e308], [0, 1]]]
+# the real-valued keys also take HUGE; counts do not, as a huge count is
+# unbounded work, not a validation hole
+REAL_NUMBERS = {("babbling", "gain_scale"), ("babbling", "dt"),
+                *(tuple(key.split(".")) for key, (integral, _)
+                  in config._NUMBERS.items() if not integral)}
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6, 7}
+
+
+def sweep_values(path: tuple) -> list:
+    if path[:2] == ("plant", "params") and len(path) == 3:
+        return [*SWEEP_VALUES, 1e-300, HUGE]
+    return [*SWEEP_VALUES, HUGE] if path in REAL_NUMBERS else SWEEP_VALUES
 
 
 class TestConfigSweep:
     """Every leaf of the config against a family of bad values: a
     documented exit code, one stderr line on failure, no traceback and
-    no warning.  A string or an object is a config error on every leaf
-    but output_dir."""
+    no warning.  A string, an object or an integer beyond the float range
+    is a config error on every leaf but output_dir."""
 
     @staticmethod
-    def tiny_config(path: tuple, value) -> dict:
+    def tiny_config(path: tuple, value, kind: str) -> dict:
         cfg = {
-            "plant": {"params": {"gravity": 1.0}},
-            "observables": {},
+            "plant": {"kind": kind, "params": {"gravity": 1.0}},
+            "observables": {"kind": kind},
             "babbling": {"num_gains": 2, "num_initial_conditions": 4,
                          "steps": 50},
             "evaluation": {"horizon_seconds": 2.0,
                            "initial_conditions": {"count": 3}},
             "output_dir": "out",
         }
+        if kind == "double_pendulum":
+            cfg["babbling"]["state_grid"] = [[-1.0, 1.0]] * 4
+            cfg["evaluation"]["initial_conditions"]["ranges"] = \
+                [[-0.5, 0.5]] * 4
         if path[:2] == ("observables", "controller") and len(path) == 3:
             cfg["observables"]["controller"] = {path[2]: value}
             return cfg
@@ -396,19 +464,23 @@ class TestConfigSweep:
         section[path[-1]] = value
         return cfg
 
-    @pytest.mark.parametrize("path", SWEEP_LEAVES, ids=".".join)
+    @pytest.mark.parametrize(
+        "path, kind", SWEEP_LEAVES,
+        ids=[".".join(path) + ("" if kind == PLANTS[0] else f"-{kind}")
+             for path, kind in SWEEP_LEAVES])
     def test_every_value_has_a_documented_outcome(self, tmp_path, capsys,
-                                                  monkeypatch, path):
+                                                  monkeypatch, path, kind):
         monkeypatch.chdir(tmp_path)  # output_dir "x" is a relative path
         failures = []
-        for value in SWEEP_VALUES:
+        for value in sweep_values(path):
             cfgfile = tmp_path / "config.json"
-            cfgfile.write_text(json.dumps(self.tiny_config(path, value)))
+            cfgfile.write_text(json.dumps(self.tiny_config(path, value, kind)))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = cli.main(["pipeline", "--config", str(cfgfile)])
             err = capsys.readouterr().err
-            strict = value in ("x", {"junk": 1}) and path != ("output_dir",)
+            strict = (value in ("x", {"junk": 1}) or value is HUGE) \
+                and path != ("output_dir",)
             if (code not in DOCUMENTED_EXITS
                     or err.count("\n") != (code != 0)
                     or "Traceback" in err or caught
@@ -770,8 +842,16 @@ class TestEvaluateCache:
 
     def test_bad_evaluation_states_exit_2_in_evaluate(self, tmp_path,
                                                       capsys):
-        # evaluate checks the states it reads: a ConfigError raised inside
-        # a stage stays exit 2, not a stage's exit 3
+        # evaluate checks the states before it reads any artifact: with
+        # none written yet, a bad count is exit 2, not exit 3 for the
+        # missing upstream file
+        cfgfile = smoke_config(tmp_path, evaluation={"initial_conditions": {
+            "kind": "uniform", "ranges": [[-1, 1], [-1, 1]], "count": 0}})
+        assert cli.main(["evaluate", "--config", str(cfgfile)]) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: initial states must be (n, 2) with n >= 1\n")
+        assert not (tmp_path / "out").exists()
         assert cli.main(["pipeline", "--config",
                          str(smoke_config(tmp_path))]) == 0
         cfgfile = smoke_config(

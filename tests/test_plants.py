@@ -69,6 +69,16 @@ class TestSinglePendulum:
         with pytest.raises(ValueError):
             plants.single_pendulum(L=-1.0)
 
+    @pytest.mark.parametrize("params, why", [
+        ({"L": 1e-300}, r"m and L give m L\^2 = 0.0"),
+        ({"m": 1e300, "L": 1e10}, r"m and L give m L\^2 = inf"),
+        ({"m": 1e-300, "L": 1e-5}, "infinite coefficient"),  # 1 / (m L^2)
+        ({"b": 1e308, "m": 0.5}, "infinite coefficient"),    # b / (m L^2)
+    ])
+    def test_rejects_zero_or_infinite_coefficients(self, params, why):
+        with pytest.raises(ValueError, match=why):
+            plants.single_pendulum(**params)
+
     def test_control_affinity(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -135,7 +145,7 @@ class TestDoublePendulum:
     def test_rejects_bad_input_bound(self, bound):
         for make in (plants.single_pendulum, plants.double_pendulum):
             with pytest.raises(ValueError, match="input_bound must be a "
-                               "positive finite number"):
+                               "positive number"):
                 make(input_bound=bound)
 
     def test_rejects_singular_mass_matrix(self):
