@@ -15,7 +15,10 @@ trajectory ids, plus the "tails", the rows of x_next that are not the
 next row's x (the trajectory ends).  x_next and the gain, initial
 condition and step indices are rebuilt when read.  The lift of the
 distinct states [x; tails] is made on first use, once per map, and kept
-by the dataset, so the Hbar fit and the identification share it.
+by the dataset, so the Hbar fit and the identification share it.  Its
+leading rows are the raw states, so after the first lift by an
+``ObservableMap`` x and the tails are read-only views of them and the
+dataset holds each state once, inside the lift.
 
 A saved dataset is a directory of two files: ``snapshots.npz`` holds the
 ``ARRAYS`` a dataset holds in memory, and ``manifest.json`` (kind
@@ -90,7 +93,9 @@ class SnapshotDataset:
     read.  ``gain_index``, ``ic_index`` and ``step_index`` are rebuilt
     from traj_id and ``meta`` (``num_initial_conditions``, ``steps``)
     unless they were passed in.  ``lift`` keeps one feature-major lift of
-    [x; tails] per map.  On disk (``save_dataset``) it is the ``ARRAYS``.
+    [x; tails] per map; after the first by an ``ObservableMap``, x and
+    the tails are read-only views of its raw-state rows.  On disk
+    (``save_dataset``) it is the ``ARRAYS``.
     """
 
     def __init__(self, x, u, x_next, *, traj_id, gain_index=None,
@@ -141,7 +146,7 @@ class SnapshotDataset:
 
     @property
     def x_next(self) -> np.ndarray:
-        out = np.empty_like(self.x)
+        out = np.empty(self.x.shape)
         out[:-1] = self.x[1:]
         out[self.tail_rows] = self.tails
         return out
@@ -175,12 +180,19 @@ class SnapshotDataset:
 
         Columns :N are psi(x); psi(x_next[k]) is column ``next_cols(k)``.
         Maps are told apart by equality, so two ``ObservableMap``s built
-        from one descriptor share a lift.
+        from one descriptor share a lift.  An ``ObservableMap``'s lift
+        rebinds x and the tails to read-only views of its rows :d_x, which
+        hold the raw states bit for bit, so the first such lift lets the
+        dataset's own arrays go.
         """
         psi = self._psi.get(m)
         if psi is None:
-            psi = self._psi[m] = evaluate_batch(
-                m, np.concatenate([self.x, self.tails]))
+            psi = evaluate_batch(m, self.x, self.tails)
+            if isinstance(m, ObservableMap):
+                d_x, n = self.x.shape[1], len(self)
+                self.x, self.tails = psi[:d_x, :n].T, psi[:d_x, n:].T
+                self.x.flags.writeable = self.tails.flags.writeable = False
+            self._psi[m] = psi
         return psi
 
     def next_cols(self, rows) -> np.ndarray:
@@ -327,7 +339,10 @@ def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:
     def write(tmp):
         # through a file object, so np.savez does not append ".npz" to it
         with open(tmp, "wb") as fh:
-            np.savez(fh, **{k: getattr(ds, k) for k in ARRAYS})
+            # C order, so a dataset whose x is a view of its lift
+            # writes the same bytes
+            np.savez(fh, **{k: np.ascontiguousarray(getattr(ds, k))
+                            for k in ARRAYS})
     write_atomic(outdir / PAYLOAD, write)
     manifest = {
         "kind": KIND,

@@ -229,7 +229,7 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
                 f"{reader!r}, not {kind!r}; got {section[key]!r}")
     try:
         if kind in ("uniform", "grid"):
-            ranges = np.asarray(section["ranges"], dtype=float)
+            ranges = _number_rows(section["ranges"], "ranges")
             if ranges.shape != (d_x, 2):
                 raise ValueError(f"ranges must be {d_x} x 2, got {ranges.shape}")
             # Python floats: an overflowing width is inf, without a warning
@@ -237,7 +237,7 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
                 raise ValueError("ranges must be finite, with a finite "
                                  "width hi - lo per row")
         if kind == "list":
-            states = np.asarray(section["states"], dtype=float)
+            states = _number_rows(section["states"], "states")
         elif kind == "uniform":
             rng = np.random.default_rng([cfg["seed"], 7001])
             states = rng.uniform(ranges[:, 0], ranges[:, 1],
@@ -251,17 +251,28 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
                           any_size=True) for i, n in enumerate(shape)])
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        extra = np.asarray(cfg["evaluation"]["extra_states"], dtype=float)
+        extra = _number_rows(cfg["evaluation"]["extra_states"],
+                             "extra_states")
         if extra.size:
             states = np.vstack([states, extra])
-        if not np.all(np.isfinite(states)):
-            raise ValueError("states must be finite")
     except (TypeError, ValueError) as exc:
         raise ConfigError(
             f"bad evaluation.initial_conditions or extra_states: {exc}")
     if states.ndim != 2 or states.shape[1] != d_x or not len(states):
         raise ConfigError(f"initial states must be (n, {d_x}) with n >= 1")
     return states
+
+
+def _number_rows(rows, name: str) -> np.ndarray:
+    """A list of equal-length rows as a float array, each entry passed
+    through the number rule as ``name[i][j]``."""
+    if not (isinstance(rows, (list, tuple)) and all(
+            isinstance(r, (list, tuple)) for r in rows)
+            and len({len(r) for r in rows}) <= 1):
+        raise ValueError(f"{name} must be a list of equal-length rows, "
+                         f"got {rows!r}")
+    return np.array([[as_number(v, f"{name}[{i}][{j}]") for j, v in
+                      enumerate(r)] for i, r in enumerate(rows)], ndmin=2)
 
 
 # numbers checked before any stage runs: key -> (integral, positive); a

@@ -184,9 +184,11 @@ def fit_candidate_hbar(data, map_x: ObservableMap, map_u: ObservableMap):
 
 
 def _auto_eps_h(psi_x: np.ndarray, psi_u: np.ndarray) -> float:
-    """1e-6 times the RMS magnitude of psi_x kron psi_u over the data."""
-    kron_sq = np.einsum("ij,ij->j", psi_x, psi_x) \
-        * np.einsum("ij,ij->j", psi_u, psi_u)
+    """1e-6 times the RMS magnitude of psi_x kron psi_u over the data;
+    the norm of a shared map's lift is taken once and squared."""
+    kron_sq = np.einsum("ij,ij->j", psi_x, psi_x)
+    kron_sq *= kron_sq if psi_u is psi_x else \
+        np.einsum("ij,ij->j", psi_u, psi_u)
     return 1e-6 * float(np.sqrt(np.mean(kron_sq)))
 
 

@@ -307,30 +307,32 @@ def decoding_operator(m: ObservableMap) -> np.ndarray:
     return a
 
 
-def evaluate_batch(m: ObservableMap, states) -> np.ndarray:
-    """Lift a list of states into a C-contiguous (d_psi, N) matrix, one
-    column per state: each feature is one contiguous row, which an
+def evaluate_batch(m: ObservableMap, *blocks) -> np.ndarray:
+    """Lift a list of states, or the row stack of several arrays of
+    states ``blocks``, into a C-contiguous (d_psi, N) matrix, one column
+    per state: each feature is one contiguous row, which an
     ``ObservableMap`` writes directly.
 
     The states are lifted in ``row_chunks`` of QR_CHUNK, each straight
     into its columns, so the piece temporaries of a lift are one chunk
-    wide whatever N is; every lift is row-wise, so the bits are those of
-    one lift of all states.
+    wide whatever N is, and the blocks are never stacked: only a chunk
+    that straddles two of them is gathered.  Every lift is row-wise, so
+    the bits are those of one lift of all states.
 
     Raises on non-finite feature values, naming the offending state index.
     """
-    states = np.asarray(states, dtype=float)
-    if states.size == 0:
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    blocks = [b.reshape(1, -1) if b.ndim == 1 else b for b in blocks]
+    if sum(b.size for b in blocks) == 0:
         return np.zeros((m.dim, 0))
-    if states.ndim == 1:
-        states = states.reshape(1, -1)
-    cols = np.empty((m.dim, states.shape[0]))
-    for s in row_chunks(states.shape[0]):
+    cols = np.empty((m.dim, sum(len(b) for b in blocks)))
+    for s in row_chunks(cols.shape[1]):
+        states = _stacked_rows(blocks, s)
         with np.errstate(all="ignore"):  # non-finite values are flagged below
             if isinstance(m, ObservableMap):
-                m(states[s], out=cols[:, s].T)
+                m(states, out=cols[:, s].T)
             else:  # any other callable map: its (n, d_psi) lift, copied
-                cols[:, s] = m(states[s]).T
+                cols[:, s] = m(states).T
         bad = np.nonzero(~np.all(np.isfinite(cols[:, s]), axis=0))[0]
         if bad.size:
             raise ValueError(
@@ -338,6 +340,17 @@ def evaluate_batch(m: ObservableMap, states) -> np.ndarray:
                 f"{s.start + int(bad[0])}"
             )
     return cols
+
+
+def _stacked_rows(blocks, s: slice) -> np.ndarray:
+    """Rows ``s`` of the row stack of ``blocks``: a view of one block, or
+    a copy of the parts when ``s`` straddles several."""
+    parts, at = [], 0
+    for b in blocks:
+        if s.start < at + len(b) and at < s.stop:
+            parts.append(b[max(s.start - at, 0): s.stop - at])
+        at += len(b)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def polynomial_map(name: str, degrees) -> ObservableMap:

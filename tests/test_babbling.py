@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from koopctl import babbling, plants
 from koopctl.observables import (
+    Feature,
+    ObservableMap,
     double_pendulum_map,
     polynomial_map,
     single_pendulum_map,
@@ -295,6 +297,70 @@ class TestLeanDataset:
         assert psi[:, ds.next_cols(rows)].T.tobytes() \
             == m(ds.x_next).tobytes()
         assert psi[:, : len(ds)].T.tobytes() == m(ds.x).tobytes()
+
+
+
+class OtherMap:
+    """A map that is not an ObservableMap: its lift need not lead with
+    the raw state."""
+
+    def __init__(self, m):
+        self.m = m
+        self.dim = m.dim
+
+    def __call__(self, x):
+        return self.m(x)
+
+
+class TestStatesBecomeViewsOfTheLift:
+    """After an ObservableMap's lift, x and the tails are read-only views
+    of its raw-state rows; copies taken before the lift are the oracle."""
+
+    def hand_built(self):
+        # nothing chains, and signed zeros must survive the lift
+        rng = np.random.default_rng(8)
+        x, x_next = rng.uniform(-3, 3, (2, 50, 2))
+        x[::4, 0] = -0.0
+        x_next[::3, 1] = -0.0
+        return babbling.SnapshotDataset(
+            x=x, u=rng.uniform(-1, 1, (50, 1)), x_next=x_next,
+            traj_id=np.zeros(50, dtype=int))
+
+    def test_views_keep_every_bit(self):
+        ds, m = self.hand_built(), single_pendulum_map()
+        want = {k: getattr(ds, k).tobytes() for k in ("x", "tails",
+                                                      "x_next")}
+        psi = ds.lift(m)
+        assert np.shares_memory(ds.x, psi) and np.shares_memory(ds.tails, psi)
+        assert {k: getattr(ds, k).tobytes() for k in want} == want
+        assert ds.x_next.flags.c_contiguous
+
+    def test_other_map_leaves_the_states(self):
+        ds, m = self.hand_built(), single_pendulum_map()
+        x, tails = ds.x, ds.tails
+        psi = ds.lift(OtherMap(m))
+        assert ds.x is x and ds.tails is tails
+        assert psi.tobytes() == ds.lift(m).tobytes()
+
+    def test_failed_lift_changes_nothing(self):
+        x = np.array([[1.0], [0.0], [2.0]])
+        ds = babbling.SnapshotDataset(x=x, u=np.zeros((3, 1)),
+                                      x_next=x + 1.0,
+                                      traj_id=np.zeros(3, dtype=int))
+        x, tails = ds.x, ds.tails
+        with pytest.raises(ValueError, match="state index 1"):
+            ds.lift(polynomial_map("inverse", (1, -1)))
+        assert ds.x is x and ds.tails is tails and ds._psi == {}
+        assert x.flags.writeable
+
+    def test_second_map_reads_the_views(self):
+        ds, m = self.hand_built(), single_pendulum_map()
+        cubic = ObservableMap(name="cubic", state_dim=2, features=(
+            *m.features[:2], Feature(label="theta^3", poly=(3, 0))))
+        states = np.concatenate([ds.x, ds.tails])
+        ds.lift(m)
+        assert ds.lift(cubic).tobytes() == cubic(states).T.tobytes()
+        assert np.concatenate([ds.x, ds.tails]).tobytes() == states.tobytes()
 
 
 class TestPaperScale:

@@ -127,12 +127,12 @@ class TestConfig:
          "shape must hold 2 counts"),
         ("evaluation", {"initial_conditions": {
             "kind": "list", "states": [[0.1, float("nan")]]}},
-         "states must be finite"),
+         "states[0][1] must be a number, got nan"),
         ("evaluation", {"extra_states": [[float("nan"), 0.0]]},
-         "states must be finite"),
+         "extra_states[0][0] must be a number, got nan"),
         ("evaluation", {"initial_conditions": {
             "kind": "uniform", "ranges": [[-1, 1], [0, float("inf")]]}},
-         "ranges must be finite"),
+         "ranges[1][1] must be a number, got inf"),
         ("plant", {"params": [1, 2]}, "plant.params must be an object"),
         ("observables", {"kind": "custom", "features":
                          RAW_STATE + [{"label": "z", "poly": [0, 0, 1]}]},
@@ -259,6 +259,33 @@ class TestConfig:
             f"must be a positive integer, got {shape[0]!r}",
             id=f"evaluation-grid-shape-{name}")
           for shape, name in [([2.5, 2], "fractional"), ([True, 3], "boolean")]],
+        *[pytest.param("evaluation", values,
+                       f"bad evaluation.initial_conditions or extra_states: "
+                       f"{key}", id=f"evaluation-{name}")
+          for values, key, name in [
+              ({"initial_conditions": {"kind": "list",
+                                       "states": [["0.5", True]]}},
+               "states[0][0] must be a number, got '0.5'", "states-string"),
+              ({"initial_conditions": {"kind": "list",
+                                       "states": [[0.5, True]]}},
+               "states[0][1] must be a number, got True", "states-boolean"),
+              ({"initial_conditions": {"kind": "uniform",
+                                       "ranges": [[-1, "1"], [-2, 2]]}},
+               "ranges[0][1] must be a number, got '1'",
+               "uniform-ranges-string"),
+              ({"initial_conditions": {"kind": "grid", "shape": [2, 2],
+                                       "ranges": [[-1, 1], [False, 2]]}},
+               "ranges[1][0] must be a number, got False",
+               "grid-ranges-boolean"),
+              ({"extra_states": [[0.5, "-0.5"]]},
+               "extra_states[0][1] must be a number, got '-0.5'",
+               "extra-states-string"),
+              ({"extra_states": [[True, 0.0]]},
+               "extra_states[0][0] must be a number, got True",
+               "extra-states-boolean"),
+              ({"extra_states": [0.5, -0.5]},
+               "extra_states must be a list of equal-length rows, got "
+               "[0.5, -0.5]", "extra-states-flat")]],
     ])
     def test_malformed_value_exits_2_before_any_stage(
             self, tmp_path, capsys, section, values, key):
@@ -861,7 +888,7 @@ class TestEvaluateCache:
             == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
             "config error: bad evaluation.initial_conditions or "
-            "extra_states: states must be finite\n")
+            "extra_states: extra_states[0][0] must be a number, got nan\n")
 
     def test_huge_finite_states_score_nan_without_warnings(self, tmp_path,
                                                            capsys):

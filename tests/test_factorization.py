@@ -512,3 +512,21 @@ class TestOneResidualBufferMatchesTwo:
         assert hbar.tobytes() == hbar_ref.tobytes()
         assert res.tobytes() == res_ref.tobytes()
         assert info == info_ref
+
+
+class TestAutoEpsH:
+    """The automatic eps_h takes a shared map's norm once and squares it;
+    the product of two norm passes is its oracle."""
+
+    @pytest.mark.parametrize("make", [single_pendulum_map,
+                                      double_pendulum_map])
+    def test_bitwise_equal_to_two_norm_passes(self, make):
+        m = make()
+        states = np.random.default_rng(14).uniform(
+            -3, 3, (2 * QR_CHUNK + 17, m.state_dim))
+        psi, _ = fz._lift_states(states, m, m)
+        want = 1e-6 * float(np.sqrt(np.mean(
+            np.einsum("ij,ij->j", psi, psi)
+            * np.einsum("ij,ij->j", psi, psi))))
+        assert fz._auto_eps_h(psi, psi) == want
+        assert fz._auto_eps_h(psi, psi.copy()) == want
