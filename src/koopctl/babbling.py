@@ -2,8 +2,9 @@
 
 Random feedback gains are paired with gridded initial conditions and
 rolled out through the plant; every (x_k, u_k, x_{k+1}) triple is kept
-with its provenance.  Trajectories that go non-finite are dropped whole
-(a bad suffix would leave near-singular leverage points) and counted.
+with the id of its trajectory.  Trajectories that go non-finite are
+dropped whole (a bad suffix would leave near-singular leverage points)
+and counted.
 
 All gain x initial-condition pairs are rolled out as one batch, in
 gain-major, initial-condition-minor order, and snapshots are assembled
@@ -12,13 +13,12 @@ bitwise-identical datasets.
 
 In memory, a ``SnapshotDataset`` holds each state once: x, u and the
 trajectory ids, plus the "tails", the rows of x_next that are not the
-next row's x (the trajectory ends).  x_next and the gain, initial
-condition and step indices are rebuilt when read.  The lift of the
-distinct states [x; tails] is made on first use, once per map, and kept
-by the dataset, so the Hbar fit and the identification share it.  Its
-leading rows are the raw states, so after the first lift by an
-``ObservableMap`` x and the tails are read-only views of them and the
-dataset holds each state once, inside the lift.
+next row's x (the trajectory ends).  x_next is rebuilt when read.  The
+lift of the distinct states [x; tails] is made on first use, once per
+map, and kept by the dataset, so the Hbar fit and the identification
+share it.  Its leading rows are the raw states, so after the first lift
+by an ``ObservableMap`` x and the tails are read-only views of them and
+the dataset holds each state once, inside the lift.
 
 A saved dataset is a directory of two files: ``snapshots.npz`` holds the
 ``ARRAYS`` a dataset holds in memory, and ``manifest.json`` (kind
@@ -44,7 +44,6 @@ from .tensor import as_number
 KIND = "koopctl/dataset/2"
 PAYLOAD = "snapshots.npz"
 ARRAYS = ("x", "u", "traj_id", "tail_rows", "tails")
-PROVENANCE = ("gain_index", "ic_index", "step_index")
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,12 @@ class SnapshotDataset:
     ``tails`` (n_tails, d_x): the rows ``tail_rows`` of x_next that are
     not bitwise the next row's x, which in a babbled dataset are the
     trajectory ends.  ``x_next`` is rebuilt from x and the tails when
-    read.  ``gain_index``, ``ic_index`` and ``step_index`` are rebuilt
-    from traj_id and ``meta`` (``num_initial_conditions``, ``steps``)
-    unless they were passed in.  ``lift`` keeps one feature-major lift of
-    [x; tails] per map; after the first by an ``ObservableMap``, x and
-    the tails are read-only views of its raw-state rows.  On disk
-    (``save_dataset``) it is the ``ARRAYS``.
+    read.  ``gain_index``, ``ic_index`` and ``step_index`` are kept as
+    the constructor was given them, and are None in a babbled or loaded
+    dataset.  ``lift`` keeps one feature-major lift of [x; tails] per
+    map; after the first by an ``ObservableMap``, x and the tails are
+    read-only views of its raw-state rows.  On disk (``save_dataset``)
+    it is the ``ARRAYS``.
     """
 
     def __init__(self, x, u, x_next, *, traj_id, gain_index=None,
@@ -106,9 +105,8 @@ class SnapshotDataset:
                              f"x has {np.shape(x)}")
         self._assign(x, u, traj_id, np.arange(len(x)), x_next,
                      n_trajectories, n_dropped, meta)
-        self._provenance = {k: np.asarray(v) for k, v in
-                            zip(PROVENANCE, (gain_index, ic_index, step_index))
-                            if v is not None}
+        self.gain_index, self.ic_index, self.step_index = (
+            gain_index, ic_index, step_index)
 
     @classmethod
     def _from_tails(cls, x, u, traj_id, rows, tails, n_trajectories,
@@ -139,7 +137,7 @@ class SnapshotDataset:
         self.n_dropped = n_dropped
         self.meta = {} if meta is None else meta
         self._psi = {}
-        self._provenance = {}
+        self.gain_index = self.ic_index = self.step_index = None
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -150,29 +148,6 @@ class SnapshotDataset:
         out[:-1] = self.x[1:]
         out[self.tail_rows] = self.tails
         return out
-
-    def _index(self, name: str, derive) -> np.ndarray:
-        if name in self._provenance:
-            return self._provenance[name]
-        try:
-            return derive(self.meta["num_initial_conditions"],
-                          self.meta["steps"])
-        except KeyError as exc:
-            raise ValueError(f"{name} was not given and meta has no "
-                             f"{exc.args[0]!r} to rebuild it from") from None
-
-    @property
-    def gain_index(self) -> np.ndarray:
-        return self._index("gain_index", lambda n_ic, _: self.traj_id // n_ic)
-
-    @property
-    def ic_index(self) -> np.ndarray:
-        return self._index("ic_index", lambda n_ic, _: self.traj_id % n_ic)
-
-    @property
-    def step_index(self) -> np.ndarray:
-        return self._index("step_index",
-                           lambda _, steps: np.arange(len(self)) % steps)
 
     def lift(self, m) -> np.ndarray:
         """psi of the distinct states [x; tails], feature-major
@@ -327,15 +302,13 @@ def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:
 
     Any old manifest is removed first and the new one is written last, so
     a save that fails partway leaves no manifest: a cache miss, never a
-    manifest that describes another payload.  The ``traj_*.csv`` shards
-    of the older one-CSV-per-trajectory layout are deleted as well.
+    manifest that describes another payload.  Other files in ``outdir``
+    are left as they are.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_path = outdir / "manifest.json"
     manifest_path.unlink(missing_ok=True)
-    for shard in outdir.glob("traj_*.csv"):
-        shard.unlink()
     def write(tmp):
         # through a file object, so np.savez does not append ".npz" to it
         with open(tmp, "wb") as fh:

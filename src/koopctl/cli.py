@@ -1,7 +1,8 @@
 """Pipeline driver: babble -> factorize -> identify -> synthesize -> evaluate.
 
 Exit codes: 0 success, 2 config error, 3 stage-precondition error
-(missing, corrupt or stale upstream artifact, or a stage's ValueError,
+(missing, corrupt or stale upstream artifact, one with a field its
+reader rejects, such as a NaN matrix entry, or a stage's ValueError,
 such as a babble whose every trajectory diverged), 4 synthesis
 infeasible, 5 evaluation gate failed, 6 factorization retained no
 block, 7 artifact could not be written (e.g. disk full), reported in
@@ -121,8 +122,9 @@ def _write_json(cfg: dict, name: str, payload: dict) -> Path:
 
 def _load(cfg: dict, name: str):
     """Stage ``name``'s output, read back from its artifact.  A missing,
-    corrupt or stale artifact, or one of another kind, is exit 3 in one
-    line naming the file and the stage to rerun."""
+    corrupt or stale artifact, one of another kind, or one with a field
+    its reader rejects is exit 3 in one line naming the file, the reason
+    and the stage to rerun."""
     stage = STAGES[name]
     path = Path(cfg["output_dir"]) / stage.path
     try:
@@ -155,6 +157,9 @@ def _read_result(cfg: dict, payload: dict, path: Path):
     result = result_from_json(payload)
     if result.status != "optimal":
         raise ValueError(f"synthesis status is {result.status}")
+    if not 0 <= result.lam < 1:
+        raise ValueError(f"lambda of an optimal synthesis must be in [0, 1), "
+                         f"got {result.lam!r}")
     return result
 
 

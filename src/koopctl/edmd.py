@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .babbling import SnapshotDataset
-from .observables import ObservableMap, descriptor_hash
+from .observables import ObservableMap, descriptor_hash, map_from_descriptor
 from .tensor import (as_number, matrix_from_json, matrix_to_json, row_chunks,
                      streamed_qr, truncated_svd)
 
@@ -219,8 +219,13 @@ def model_to_json(model: BilinearKoopmanModel) -> dict:
 
 
 def model_from_json(d: dict) -> BilinearKoopmanModel:
+    try:  # the descriptor is kept as written, once it reads as a map
+        map_from_descriptor(d["map"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"map is not a map descriptor: {exc!r}") from exc
     return BilinearKoopmanModel(
-        K_xx=matrix_from_json(d["K_xx"]), K_xu=matrix_from_json(d["K_xu"]),
-        S=matrix_from_json(d["S"]), map_descriptor=d["map"],
+        K_xx=matrix_from_json(d["K_xx"], "K_xx"),
+        K_xu=matrix_from_json(d["K_xu"], "K_xu"),
+        S=matrix_from_json(d["S"], "S"), map_descriptor=d["map"],
         diagnostics=d.get("diagnostics", {}),
     )

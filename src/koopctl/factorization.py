@@ -258,13 +258,9 @@ def verify_assumption1(pair: FactorizationPair, map_x: ObservableMap,
 
 @dataclass
 class ClosedLoopOperator:
-    """Ktilde together with the constituents it was assembled from."""
+    """The closed-loop lifted operator Ktilde."""
 
     Ktilde: np.ndarray
-    K_xx: np.ndarray
-    K_xu: np.ndarray
-    K_u: np.ndarray
-    H: np.ndarray
 
 
 def assemble_ktilde(model: BilinearKoopmanModel, K_u: np.ndarray,
@@ -282,9 +278,8 @@ def assemble_ktilde(model: BilinearKoopmanModel, K_u: np.ndarray,
         raise ValueError(
             f"H has shape {H.shape}, expected {(d_S * d_psi_u, model.lifted_dim)}"
         )
-    ktilde = model.K_xx + model.K_xu @ np.kron(np.eye(d_S), K_u) @ H
-    return ClosedLoopOperator(Ktilde=ktilde, K_xx=model.K_xx,
-                              K_xu=model.K_xu, K_u=K_u, H=H)
+    return ClosedLoopOperator(
+        Ktilde=model.K_xx + model.K_xu @ np.kron(np.eye(d_S), K_u) @ H)
 
 
 def pair_to_json(pair: FactorizationPair) -> dict:
@@ -301,8 +296,9 @@ def pair_to_json(pair: FactorizationPair) -> dict:
 
 def pair_from_json(d: dict) -> FactorizationPair:
     return FactorizationPair(
-        S=matrix_from_json(d["S"]), H=matrix_from_json(d["H"]),
+        S=matrix_from_json(d["S"], "S"), H=matrix_from_json(d["H"], "H"),
         mask=np.asarray(d["mask"], dtype=int),
         residuals=np.asarray(d["residuals"], dtype=float),
-        eps_h=float(d["eps_h"]), diagnostics=d.get("diagnostics", {}),
+        eps_h=as_number(d["eps_h"], "eps_h", "positive"),
+        diagnostics=d.get("diagnostics", {}),
     )

@@ -200,7 +200,6 @@ def rollout(plant: ControlAffinePlant, x0, controller, T: int, dt: float):
     x = np.asarray(x0, dtype=float).copy()
     lead = x.shape[:-1]
     d_u = plant.input_dim
-    u_shape = lead + (d_u,)
     lo = plant.input_bounds[:, 0]
     hi = plant.input_bounds[:, 1]
     states = np.zeros(lead + (T + 1, plant.state_dim))
@@ -210,11 +209,9 @@ def rollout(plant: ControlAffinePlant, x0, controller, T: int, dt: float):
     # diverging rows overflow on their way out; n_ok records them instead
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(T):
-            u = controller(x)
-            if np.shape(u) != u_shape:
-                u = np.broadcast_to(u, u_shape)
-            # np.clip(u, lo, hi) bitwise, NaNs and signed zeros included
-            u = np.minimum(hi, np.maximum(lo, u))
+            # np.clip(u, lo, hi) bitwise, NaNs and signed zeros included;
+            # a (d_u,) input broadcasts against the rows from here on
+            u = np.minimum(hi, np.maximum(lo, controller(x)))
             x = rk4_step(plant, x, u, dt)
             if not np.isfinite(x).all():
                 bad = ~np.all(np.isfinite(x), axis=-1)

@@ -58,7 +58,7 @@ import numpy as np
 
 from .edmd import BilinearKoopmanModel
 from .factorization import FactorizationPair
-from .tensor import matrix_from_json, matrix_to_json, symmetrize
+from .tensor import as_number, matrix_from_json, matrix_to_json, symmetrize
 
 DEFAULT_FEAS_TOL = 1e-8   # smallest-eigenvalue floor for a certified LMI
 DEFAULT_LAM_TOL = 1e-3    # reported lam is at most the optimum plus this
@@ -410,9 +410,10 @@ def result_to_json(result: SynthesisResult) -> dict:
 
 
 def result_from_json(d: dict) -> SynthesisResult:
-    lam = d.get("lambda")
+    lam = d.get("lambda")   # null for a failed synthesis
     return SynthesisResult(
-        K_u=matrix_from_json(d["K_u"]), lam=float("nan") if lam is None else lam,
-        P=matrix_from_json(d["P"]), S_x=matrix_from_json(d["S_x"]),
+        K_u=matrix_from_json(d["K_u"], "K_u"),
+        lam=float("nan") if lam is None else as_number(lam, "lambda"),
+        P=matrix_from_json(d["P"], "P"), S_x=matrix_from_json(d["S_x"], "S_x"),
         status=d["status"], diagnostics=d.get("diagnostics", {}),
     )

@@ -76,14 +76,6 @@ def symmetrize(m) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a symmetric matrix (symmetric solver only)."""
-    a = symmetrize(m)
-    if a.size == 0:
-        raise ValueError("empty matrix has no eigenvalues")
-    return float(np.linalg.eigvalsh(a)[0])
-
-
 def row_chunks(n: int) -> list:
     """Consecutive slices of at most QR_CHUNK rows (or snapshots, in a
     feature-major array) covering range(n)."""
@@ -181,9 +173,11 @@ def matrix_to_json(m) -> dict:
             "data": [float(v) for v in a.ravel()]}
 
 
-def matrix_from_json(d: dict) -> np.ndarray:
+def matrix_from_json(d: dict, name: str = "matrix") -> np.ndarray:
+    """Read the wire format under ``as_matrix``'s rule, the one
+    ``matrix_to_json`` writes by; a ValueError names the field ``name``."""
     rows, cols = int(d["rows"]), int(d["cols"])
-    data = np.asarray(d["data"], dtype=float)
+    data = as_matrix(d["data"], name)
     if data.size != rows * cols:
-        raise ValueError(f"data length {data.size} != {rows}x{cols}")
+        raise ValueError(f"{name} data length {data.size} != {rows}x{cols}")
     return data.reshape(rows, cols)

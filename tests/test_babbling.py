@@ -194,16 +194,10 @@ class TestGenerateDataset:
 
 
 def stored_arrays(plant, m, cfg):
-    """The seven arrays as the dataset stored them when it held x_next and
-    the three index arrays in full: per-trajectory snapshots from the
-    per-gain loop, indices from traj_id."""
+    """The arrays as the dataset stored them when it held x_next in full:
+    per-trajectory snapshots from the per-gain loop."""
     x, u, x_next, traj_id, _ = per_gain_reference(plant, m, cfg)
-    n_ic = cfg.num_initial_conditions
-    return {"x": x, "u": u, "x_next": x_next, "gain_index": traj_id // n_ic,
-            "ic_index": traj_id % n_ic,
-            "step_index": np.tile(np.arange(cfg.steps),
-                                  len(x) // cfg.steps),
-            "traj_id": traj_id}
+    return {"x": x, "u": u, "x_next": x_next, "traj_id": traj_id}
 
 
 def assert_arrays_bitwise(ds, want: dict):
@@ -225,8 +219,8 @@ def assert_tails(ds, want: dict):
 
 
 class TestLeanDataset:
-    """x_next and the index arrays are rebuilt from x, the tails, traj_id
-    and meta; the arrays stored in full are the oracle."""
+    """x_next is rebuilt from x and the tails; the arrays stored in full
+    are the oracle."""
 
     @pytest.mark.parametrize("case", ["clean", "gappy", "origin"])
     def test_rebuilt_arrays_equal_stored_ones(self, case, tmp_path):
@@ -262,28 +256,20 @@ class TestLeanDataset:
             small_config(num_gains=2, num_initial_conditions=4))
         order = np.random.default_rng(5).permutation(len(ds))
         want = {name: getattr(ds, name)[order] for name in SNAPSHOT_ARRAYS}
-        indices = {k: want[k] for k in babbling.PROVENANCE} \
+        n_ic, steps = ds.meta["num_initial_conditions"], ds.meta["steps"]
+        indices = {"gain_index": want["traj_id"] // n_ic,
+                   "ic_index": want["traj_id"] % n_ic,
+                   "step_index": (np.arange(len(ds)) % steps)[order]} \
             if pass_indices else {}
         hand = babbling.SnapshotDataset(
             x=want["x"], u=want["u"], x_next=want["x_next"],
             traj_id=want["traj_id"], meta=ds.meta, **indices)
         assert_tails(hand, want)
         assert len(hand.tail_rows) > len(hand) - 5   # almost nothing chains
-        if pass_indices:
-            assert_arrays_bitwise(hand, want)
-        else:
-            # rebuilt from traj_id and meta, which a permutation breaks
-            # for the step index only
-            assert_arrays_bitwise(hand, {k: want[k] for k in
-                                         ("x", "u", "x_next", "gain_index",
-                                          "ic_index", "traj_id")})
-
-    def test_indices_need_meta_when_not_given(self):
-        hand = babbling.SnapshotDataset(
-            x=np.zeros((3, 1)), u=np.zeros((3, 1)), x_next=np.ones((3, 1)),
-            traj_id=np.zeros(3, dtype=int))
-        with pytest.raises(ValueError, match="num_initial_conditions"):
-            hand.gain_index
+        assert_arrays_bitwise(hand, want)
+        # the index arrays are kept as given, and are None when not given
+        for name in ("gain_index", "ic_index", "step_index"):
+            assert getattr(hand, name) is indices.get(name)
 
     def test_next_cols_point_at_the_lift_of_x_next(self):
         m = single_pendulum_map()
@@ -392,17 +378,15 @@ def persisted_datasets():
     return clean, gappy
 
 
-SNAPSHOT_ARRAYS = ("x", "u", "x_next", "gain_index", "ic_index",
-                   "step_index", "traj_id")
+SNAPSHOT_ARRAYS = ("x", "u", "x_next", "traj_id")
 
 
 def hand_built(ds, order):
     """``ds`` with its rows taken in ``order``, built through the public
-    constructor and given its index arrays."""
+    constructor."""
     return babbling.SnapshotDataset(
         **{k: getattr(ds, k)[order] for k in ("x", "u", "x_next")},
         traj_id=ds.traj_id[order],
-        **{k: getattr(ds, k)[order] for k in babbling.PROVENANCE},
         n_trajectories=ds.n_trajectories, n_dropped=ds.n_dropped,
         meta=ds.meta)
 
@@ -436,11 +420,9 @@ class TestPersistence:
             == ["manifest.json", "snapshots.npz"]
         assert members(outdir) == sorted(babbling.ARRAYS)
         back = babbling.load_dataset(outdir)
-        # the index arrays are rebuilt from traj_id and meta, which a
-        # permutation breaks for the step index only
-        assert_arrays_bitwise(back, {
-            k: getattr(ds, k) for k in SNAPSHOT_ARRAYS
-            if not (case == "hand-built" and k == "step_index")})
+        assert_arrays_bitwise(back, {k: getattr(ds, k)
+                                     for k in SNAPSHOT_ARRAYS})
+        assert back.gain_index is back.ic_index is back.step_index is None
         assert back.n_trajectories == ds.n_trajectories
         assert back.n_dropped == ds.n_dropped
         assert back.meta == ds.meta
@@ -457,19 +439,19 @@ class TestPersistence:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
 
-    def test_save_deletes_old_csv_shards_and_nothing_else(self, tmp_path):
-        # a directory first written in the one-CSV-per-trajectory layout
+    def test_save_leaves_other_files_alone(self, tmp_path):
+        # shards of the one-CSV-per-trajectory layout are other files too
         outdir = tmp_path / "dataset"
         outdir.mkdir()
-        for tid in range(3):
-            (outdir / f"traj_{tid:06d}.csv").write_text("k,x1,x2,u1\n")
-        (outdir / "notes.txt").write_text("kept")
-        (outdir / "traj_summary.json").write_text("{}")
+        others = {"traj_000000.csv": "k,x1,x2,u1\n", "notes.txt": "kept",
+                  "traj_summary.json": "{}"}
+        for name, text in others.items():
+            (outdir / name).write_text(text)
         babbling.save_dataset(persisted_datasets()[0], outdir)
-        assert sorted(p.name for p in outdir.iterdir()) == [
-            "manifest.json", "notes.txt", "snapshots.npz",
-            "traj_summary.json"]
-        assert (outdir / "notes.txt").read_text() == "kept"
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(
+            [*others, "manifest.json", "snapshots.npz"])
+        assert {name: (outdir / name).read_text() for name in others} \
+            == others
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "not-a-zip"])
     def test_unreadable_npz_closes_its_file(self, damage, tmp_path):

@@ -528,12 +528,15 @@ class TestInit:
         path = tmp_path / "template.json"
         assert cli.main(["init", str(path)]) == 0
         assert load_config(path)["plant"]["params"] == {"gravity": 1.0}
-        code = cli.main(["pipeline", "--config", str(path),
-                         "--out", str(tmp_path / "out")])
+        args = ["--config", str(path), "--out", str(tmp_path / "out")]
+        code = cli.main(["pipeline"] + args)
         out = capsys.readouterr().out
         assert code == 0, out
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["success_rate"] >= 0.9
+        # and every artifact it wrote reads back as current
+        assert cli.main(["pipeline"] + args) == 0
+        assert capsys.readouterr().out.count("cache hit") == 5
 
     def test_unwritable_path_exits_7_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "no-such-dir" / "template.json"
@@ -1093,10 +1096,14 @@ class TestBrokenArtifacts:
         # rewrite the dataset as the seven-array format of koopctl/dataset
         data = tmp_path / "out" / "dataset"
         ds = babbling.load_dataset(data)
+        n_ic, steps = (ds.meta[k] for k in ("num_initial_conditions",
+                                            "steps"))
         with open(data / "snapshots.npz", "wb") as fh:
-            np.savez(fh, **{k: getattr(ds, k) for k in (
-                "x", "u", "x_next", "gain_index", "ic_index", "step_index",
-                "traj_id")})
+            np.savez(fh, x=ds.x, u=ds.u, x_next=ds.x_next,
+                     gain_index=ds.traj_id // n_ic,
+                     ic_index=ds.traj_id % n_ic,
+                     step_index=np.arange(len(ds)) % steps,
+                     traj_id=ds.traj_id)
         manifest = json.loads((data / "manifest.json").read_text())
         manifest["kind"] = "koopctl/dataset"
         (data / "manifest.json").write_text(json.dumps(manifest))
@@ -1187,6 +1194,109 @@ class TestBrokenArtifacts:
                                                "H": [2.0], "z": object()})
         assert path.read_bytes() == before
         assert sorted(p.name for p in outdir.iterdir()) == ["pair.json"]
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """(config file, output directory) of one smoke pipeline."""
+    tmp = tmp_path_factory.mktemp("finished")
+    cfgfile = smoke_config(tmp)
+    assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+    return cfgfile, tmp / "out"
+
+
+def copy_run(finished_run, tmp_path):
+    """A copy of the finished run's output directory; output_dir is in no
+    stage key, so every artifact in it is current under ``--out``."""
+    import shutil
+
+    cfgfile, outdir = finished_run
+    shutil.copytree(outdir, tmp_path / "out")
+    return ["--config", str(cfgfile), "--out", str(tmp_path / "out")]
+
+
+NAN = float("nan")
+
+
+class TestDamagedArtifacts:
+    """An artifact whose key is current but whose content a stage cannot
+    use exits 3 in one line naming the file and the field."""
+
+    @pytest.mark.parametrize("artifact, field, value, stage", [
+        pytest.param("model.json", ("map",), {}, "synthesize",
+                     id="model-map-empty"),
+        pytest.param("result.json", ("lambda",), "x", "evaluate",
+                     id="result-lambda-string"),
+        pytest.param("pair.json", ("H", "data", 0), NAN, "identify",
+                     id="pair-H-nan"),
+        pytest.param("pair.json", ("eps_h",), NAN, "identify",
+                     id="pair-eps_h-nan"),
+        pytest.param("pair.json", ("eps_h",), -1.0, "identify",
+                     id="pair-eps_h-negative"),
+        pytest.param("model.json", ("S", "data", 0), NAN, "synthesize",
+                     id="model-S-nan"),
+        pytest.param("model.json", ("K_xx", "data", 0), NAN, "synthesize",
+                     id="model-K_xx-nan"),
+        pytest.param("model.json", ("K_xu", "data", 0), NAN, "synthesize",
+                     id="model-K_xu-nan"),
+        pytest.param("result.json", ("P", "data", 0), NAN, "evaluate",
+                     id="result-P-nan"),
+        pytest.param("result.json", ("S_x", "data", 0), NAN, "evaluate",
+                     id="result-S_x-nan"),
+        pytest.param("result.json", ("K_u", "data", 0), NAN, "evaluate",
+                     id="result-K_u-nan"),
+        pytest.param("result.json", ("lambda",), None, "evaluate",
+                     id="result-optimal-lambda-null"),
+        pytest.param("result.json", ("lambda",), NAN, "evaluate",
+                     id="result-optimal-lambda-nan"),
+        pytest.param("result.json", ("lambda",), -1.0, "evaluate",
+                     id="result-optimal-lambda-negative"),
+    ])
+    def test_unusable_field_exits_3_naming_it(self, finished_run, tmp_path,
+                                              capsys, artifact, field, value,
+                                              stage):
+        args = copy_run(finished_run, tmp_path)
+        path = tmp_path / "out" / artifact
+        payload = json.loads(path.read_text())
+        node = payload
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main([stage] + args) == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"{artifact}: {field[0]} " in err, err
+
+    def test_what_koopctl_writes_reads_back(self, finished_run, tmp_path,
+                                            capsys):
+        # the report's fidelity entries are NaN for a step that no
+        # trajectory reaches; its reader leaves them be
+        args = copy_run(finished_run, tmp_path)
+        path = tmp_path / "out" / "report.json"
+        report = json.loads(path.read_text())
+        report["fidelity"]["per_step_mean"][-1] = NAN
+        report["fidelity"]["final_step_rmse"] = NAN
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert cli.main(["pipeline"] + args) == cli.EXIT_OK
+        assert capsys.readouterr().out.count("cache hit") == 5
+
+    def test_failed_synthesis_keeps_its_null_lambda(self, tmp_path, capsys):
+        cfgfile = zero_authority_model(tmp_path)
+        assert cli.main(["synthesize", "--config", str(cfgfile)]) \
+            == cli.EXIT_INFEASIBLE
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert result["lambda"] is None
+        assert np.isnan(cli.result_from_json(result).lam)
+        capsys.readouterr()
+        # evaluate names the failed status, not the lambda
+        assert cli.main(["evaluate", "--config", str(cfgfile)]) \
+            == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().err.endswith(
+            "synthesis status is max-resamples-exceeded; run 'synthesize' "
+            "first\n")
 
 
 def test_pipeline_does_not_import_numpy_ma(tmp_path):

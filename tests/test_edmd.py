@@ -325,8 +325,7 @@ def permuted(ds, order):
 
     return SnapshotDataset(
         x=ds.x[order], u=ds.u[order], x_next=ds.x_next[order],
-        gain_index=ds.gain_index[order], ic_index=ds.ic_index[order],
-        step_index=ds.step_index[order], traj_id=ds.traj_id[order],
+        traj_id=ds.traj_id[order],
         n_trajectories=ds.n_trajectories, n_dropped=ds.n_dropped,
         meta=ds.meta)
 
@@ -384,8 +383,7 @@ def reference_identify(ds, map_x, S, ridge=None, holdout_fraction=0.1):
     def subset(mask):
         return SnapshotDataset(
             x=ds.x[mask], u=ds.u[mask], x_next=ds.x_next[mask],
-            gain_index=ds.gain_index[mask], ic_index=ds.ic_index[mask],
-            step_index=ds.step_index[mask], traj_id=ds.traj_id[mask])
+            traj_id=ds.traj_id[mask])
 
     def regressors(sub):
         psi = map_x(sub.x).T

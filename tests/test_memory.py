@@ -126,7 +126,8 @@ def test_dataset_holds_each_state_once(source, tmp_path):
     held, _ = traced(make)
     arrays = [v for v in vars(ds).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) == lean_bytes(ds)
-    assert ds._provenance == {} and ds._psi == {}
+    assert ds._psi == {}
+    assert ds.gain_index is ds.ic_index is ds.step_index is None
     assert ds.n_trajectories <= len(ds.tails) < ds.n_trajectories + 5
     assert held <= 1.05 * lean_bytes(ds)
 

@@ -68,31 +68,14 @@ class TestHadamard:
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1, np.abs(lhs).max())
 
 
-class TestMinEigenvalue:
-    def test_diagonal(self):
-        assert tensor.min_eigenvalue(np.diag([2.0, 5.0])) == pytest.approx(2.0)
-
-    def test_exchange_matrix(self):
-        assert tensor.min_eigenvalue([[0, 1], [1, 0]]) == pytest.approx(-1.0)
-
-    def test_against_characteristic_polynomial(self):
-        # independent cross-check: companion-matrix roots of det(M - t I)
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            g = rng.standard_normal((6, 6))
-            m = 0.5 * (g + g.T)
-            roots = np.roots(np.poly(m))
-            oracle = float(np.min(np.real(roots)))
-            got = tensor.min_eigenvalue(m)
-            assert got == pytest.approx(oracle, rel=1e-9, abs=1e-9)
-
+class TestSymmetrize:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            tensor.min_eigenvalue([[0.0, 1.0], [0.0, 0.0]])
+            tensor.symmetrize([[0.0, 1.0], [0.0, 0.0]])
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            tensor.min_eigenvalue([[np.nan, 0], [0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            tensor.symmetrize([[np.nan, 0], [0, 1.0]])
 
 
 def formed_q_qtb(chunks, blocks):
@@ -198,3 +181,11 @@ class TestJsonRoundTrip:
     def test_shape_check(self):
         with pytest.raises(ValueError, match="length"):
             tensor.matrix_from_json({"rows": 2, "cols": 2, "data": [1.0]})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_reads_under_the_rule_it_is_written_by(self, value):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            tensor.matrix_to_json([[1.0, value]])
+        with pytest.raises(ValueError, match="K_u has non-finite entries"):
+            tensor.matrix_from_json({"rows": 1, "cols": 2,
+                                     "data": [1.0, value]}, "K_u")
