@@ -220,12 +220,15 @@ def model_to_json(model: BilinearKoopmanModel) -> dict:
 
 def model_from_json(d: dict) -> BilinearKoopmanModel:
     try:  # the descriptor is kept as written, once it reads as a map
-        map_from_descriptor(d["map"])
+        n_features = map_from_descriptor(d["map"]).dim
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"map is not a map descriptor: {exc!r}") from exc
+    K_xx = matrix_from_json(d["K_xx"], "K_xx")
+    if K_xx.shape != (n_features, n_features):
+        raise ValueError(f"map has {n_features} features, but K_xx is "
+                         f"{K_xx.shape[0]} x {K_xx.shape[1]}")
     return BilinearKoopmanModel(
-        K_xx=matrix_from_json(d["K_xx"], "K_xx"),
-        K_xu=matrix_from_json(d["K_xu"], "K_xu"),
+        K_xx=K_xx, K_xu=matrix_from_json(d["K_xu"], "K_xu"),
         S=matrix_from_json(d["S"], "S"), map_descriptor=d["map"],
         diagnostics=d.get("diagnostics", {}),
     )

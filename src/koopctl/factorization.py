@@ -54,8 +54,8 @@ import numpy as np
 from .babbling import SnapshotDataset
 from .edmd import BilinearKoopmanModel
 from .observables import ObservableMap, evaluate_batch
-from .tensor import (QR_CHUNK, as_number, matrix_from_json, matrix_to_json,
-                     row_chunks, streamed_qr, truncated_svd)
+from .tensor import (QR_CHUNK, as_matrix, as_number, matrix_from_json,
+                     matrix_to_json, row_chunks, streamed_qr, truncated_svd)
 
 
 class FactorizationError(RuntimeError):
@@ -298,7 +298,7 @@ def pair_from_json(d: dict) -> FactorizationPair:
     return FactorizationPair(
         S=matrix_from_json(d["S"], "S"), H=matrix_from_json(d["H"], "H"),
         mask=np.asarray(d["mask"], dtype=int),
-        residuals=np.asarray(d["residuals"], dtype=float),
+        residuals=as_matrix(d["residuals"], "residuals"),
         eps_h=as_number(d["eps_h"], "eps_h", "positive"),
         diagnostics=d.get("diagnostics", {}),
     )

@@ -13,8 +13,11 @@ and serialized map descriptors record it.
 
 A map is compiled once into a lift plan of its distinct pieces: powers
 of state components, linear combinations, sin/cos terms keyed by (kind,
-coefficients) and denominators.  Each call evaluates every piece once
-and writes each feature into its column of one preallocated output.
+coefficients) and denominators.  Each call copies the raw-state block
+into one preallocated output in one assignment, evaluates every piece
+once and writes each other feature into its column; a piece that is the
+only factor of one column and of no other (a square, a sine or a
+cosine) is computed straight into that column, with no temporary.
 ``evaluate_batch`` hands the plan, one chunk of states at a time, the
 transpose of that chunk's columns of a feature-major (d_psi, N) array as
 its output, so each feature is written into one contiguous row and the
@@ -28,23 +31,33 @@ bitwise what evaluating the feature on its own gives:
   starts the product at the first factor, which is exact as 1.0 * y == y;
 * a linear combination is 0.0 + c_i x_i + ... in index order over the
   nonzero coefficients; the leading 0.0 + stays, because it turns a
-  -0.0 first term into +0.0;
+  -0.0 first term into +0.0, and a unit term is x_i itself, as
+  1.0 * x_i == x_i exactly;
+* x_i ** 2 is np.square(x_i), the ufunc x_i ** 2 calls;
 * a denominator is offset + scale * cos(c . x).
 
 Sums are accumulated term by term, never as dot products, so one state
 and any batch shape give the same bits.
+
+The plan holds its coefficients, offsets and scales as 0-d float64
+arrays: numpy resolves a Python float operand anew as a weak scalar on
+every call, which costs more than the arithmetic on a small batch.  A
+0-d array is a strong operand under numpy 2's promotion rules (NEP 50),
+so states must be float64, as ``ObservableMap.__call__`` makes them; a
+float32 state handed to the plan would be promoted to float64.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .tensor import as_number, row_chunks
+from .tensor import as_number, constants, row_chunks
 
 
 @dataclass(frozen=True)
@@ -65,29 +78,21 @@ class Feature:
         return d
 
 
-def _linear_combination(x, coeffs):
-    """0.0 + c_i x_i + ... over the nonzero coefficients, in index order."""
-    acc = None
-    for i, c in enumerate(coeffs):
-        if c:
-            term = c * x[..., i]
-            if acc is None:
-                acc = np.add(term, 0.0, out=term)  # turns -0.0 into +0.0
-            else:
-                acc += term
-    return np.zeros(x.shape[:-1]) if acc is None else acc
-
-
 class LiftPlan:
     """The distinct pieces of a feature tuple, and each feature's recipe.
 
-    ``powers`` holds (piece, i, p) for x_i ** p; ``combos`` holds each
-    distinct linear combination with the (piece, kind) sin/cos terms of
-    it; ``denoms`` holds (offset, scale, cos piece); ``columns`` holds
-    each feature's factor pieces and denominator index (or None).
+    The first ``d_x`` features are the raw state, copied as one block.
+    ``powers`` holds (piece, i, p, j) for x_i ** p; ``combos`` holds each
+    distinct linear combination, as its nonzero (i, c) terms with c None
+    for a unit coefficient, with the (piece, np.sin or np.cos, j) terms
+    of it; ``denoms`` holds (offset, scale, cos piece).  j is the column
+    of a piece that is the only factor of that column and of no other
+    (a square or a sin/cos), which is computed straight into it, or None.
+    ``products`` holds (j, factor pieces) for each other column past the
+    raw block; ``divides`` holds (j, denominator index).
     """
 
-    def __init__(self, features):
+    def __init__(self, features, d_x: int):
         pieces = {}  # ("pow", i, p) or ("trig", kind, coeffs) -> piece
         denoms = {}  # (offset, scale, cos piece) -> denominator index
 
@@ -98,7 +103,7 @@ class LiftPlan:
             return piece("trig", kind, tuple(float(c) for c in coeffs))
 
         columns = []
-        for f in features:
+        for f in features[d_x:]:
             refs = [piece("pow", i, p) for i, p in enumerate(f.poly) if p]
             refs += [trig(kind, coeffs) for kind, coeffs in f.trigs]
             den = None
@@ -107,38 +112,67 @@ class LiftPlan:
                 den = denoms.setdefault(
                     (offset, scale, trig("cos", coeffs)), len(denoms))
             columns.append((tuple(refs), den))
+        keys = list(pieces)  # piece -> key
+        uses = Counter([k for refs, _ in columns for k in refs]
+                       + [k for _, _, k in denoms])
+        home = {}  # piece -> the one column it is computed into
+        for j, (refs, _) in enumerate(columns, d_x):
+            if len(refs) == 1 and uses[refs[0]] == 1 and (
+                    keys[refs[0]][0] == "trig" or keys[refs[0]][2] == 2):
+                home[refs[0]] = j
         combos = {}
         for (tag, kind, coeffs), k in pieces.items():
             if tag == "trig":
-                combos.setdefault(coeffs, []).append((k, kind))
+                combos.setdefault(coeffs, []).append(
+                    (k, np.sin if kind == "sin" else np.cos, home.get(k)))
+        self.d_x = d_x
+        self.n_columns = len(features)
         self.n_pieces = len(pieces)
-        self.powers = tuple((k, i, p) for (tag, i, p), k in pieces.items()
+        self.powers = tuple((k, i, p, home.get(k))
+                            for (tag, i, p), k in pieces.items()
                             if tag == "pow")
-        self.combos = tuple((c, tuple(t)) for c, t in combos.items())
-        self.denoms = tuple(denoms)
-        self.columns = tuple(columns)
+        self.combos = tuple(
+            (tuple((i, None if c == 1.0 else constants(c)[0])
+                   for i, c in enumerate(coeffs) if c), tuple(t))
+            for coeffs, t in combos.items())
+        self.denoms = tuple((*constants(offset, scale), k)
+                            for offset, scale, k in denoms)
+        homed = set(home.values())
+        self.products = tuple((j, refs) for j, (refs, _)
+                              in enumerate(columns, d_x) if j not in homed)
+        self.divides = tuple((j, den) for j, (_, den)
+                             in enumerate(columns, d_x) if den is not None)
+        self.zero, = constants(0.0)
 
     def __call__(self, x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Lift float states x of shape (..., d_x) to (..., n_features).
+        """Lift float64 states x of shape (..., d_x) to (..., n_features).
 
-        ``out``, when given, is any float array of that shape (a transposed
-        feature-major array among them); it is filled and returned.
+        ``out``, when given, is any float64 array of that shape (a
+        transposed feature-major array among them); it is filled and
+        returned.
         """
         if x.ndim == 1:  # one state: a batch of one keeps every piece an array
             return self(x[None], None if out is None else out[None])[0]
         # the output is allocated before any piece, so a large batch
         # peaks at the output plus the pieces, not pieces plus output
         if out is None:
-            out = np.empty(x.shape[:-1] + (len(self.columns),))
+            out = np.empty(x.shape[:-1] + (self.n_columns,))
+        out[..., : self.d_x] = x
         vals = [None] * self.n_pieces
-        for k, i, p in self.powers:
-            vals[k] = x[..., i] if p == 1 else x[..., i] ** p
-        for coeffs, trigs in self.combos:
-            arg = _linear_combination(x, coeffs)
-            for k, kind in trigs:
-                vals[k] = np.sin(arg) if kind == "sin" else np.cos(arg)
+        for k, i, p, j in self.powers:
+            xi = x[..., i]
+            if p == 1:
+                vals[k] = xi
+            elif p == 2:  # the ufunc x ** 2 calls
+                vals[k] = np.square(xi, out=None if j is None else out[..., j])
+            else:
+                vals[k] = xi ** p
+        for terms, trigs in self.combos:
+            arg = self._linear_combination(x, terms)
+            for k, fn, j in trigs:
+                vals[k] = fn(arg, out=None if j is None else out[..., j])
         dens = [offset + scale * vals[k] for offset, scale, k in self.denoms]
-        for j, (refs, den) in enumerate(self.columns):
+        for j, refs in self.products:
             col = out[..., j]
             if len(refs) > 1:
                 np.multiply(vals[refs[0]], vals[refs[1]], out=col)
@@ -146,9 +180,22 @@ class LiftPlan:
                     np.multiply(col, vals[k], out=col)
             else:
                 col[...] = vals[refs[0]] if refs else 1.0
-            if den is not None:
-                np.divide(col, dens[den], out=col)
+        for j, den in self.divides:
+            col = out[..., j]
+            np.divide(col, dens[den], out=col)
         return out
+
+    def _linear_combination(self, x, terms):
+        """0.0 + c_i x_i + ... over the nonzero terms, in index order; a
+        unit term is x_i itself, as 1.0 * x_i == x_i exactly."""
+        acc = None
+        for i, c in terms:
+            term = x[..., i] if c is None else c * x[..., i]
+            if acc is None:  # 0.0 + turns a -0.0 first term into +0.0
+                acc = np.add(term, self.zero, out=None if c is None else term)
+            else:
+                acc += term
+        return np.zeros(x.shape[:-1]) if acc is None else acc
 
 
 def feature_from_descriptor(d: dict) -> Feature:
@@ -216,7 +263,7 @@ class ObservableMap:
 
     @cached_property
     def plan(self) -> LiftPlan:
-        return LiftPlan(self.features)
+        return LiftPlan(self.features, self.state_dim)
 
     def __call__(self, x, out: np.ndarray = None) -> np.ndarray:
         """Lift a single state (d_x,) or a batch (..., d_x) to (..., d_psi),

@@ -31,16 +31,35 @@ plant has one fused right-hand side rhs(x, u) = f(x) + g(x) u, which
 builds no stacked f and no zero-filled g; the double pendulum's shares
 the mass-matrix terms between f and g.  Zeros of g enter as 0.0 * u, so
 each row keeps the sign of zero that composing f + g u would give.
+
+The coefficients of each rhs, 0.0 included, are built once, at plant
+construction, as 0-d float64 arrays, and ``rk4_step`` takes 0.5 dt, dt,
+dt / 6 and 2 the same way: numpy resolves a Python float operand anew as
+a weak scalar on every call, which on the 2-62 row batches of a rollout
+costs more than the arithmetic.  The operations and their operand order
+are those of the Python-float formulas, so the bits are the same.  A 0-d
+array is a strong operand under numpy 2's promotion rules (NEP 50), so
+states must be float64, as ``rk4_step`` makes them; a float32 state
+handed to an rhs would be promoted to float64.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .tensor import as_number
+from .tensor import as_number, constants
+
+
+@lru_cache(maxsize=8)
+def _rk4_constants(dt: float) -> tuple:
+    """0.5 * dt, dt, dt / 6.0 and 2.0 for ``rk4_step``, built once per dt.
+
+    0.5 * dt * k evaluates as (0.5 * dt) * k anyway."""
+    return constants(0.5 * dt, dt, dt / 6.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -87,12 +106,14 @@ def single_pendulum(m: float = 1.0, L: float = 1.0, b: float = 0.3,
     if not all(map(math.isfinite, (k_sin, k_om, k_u))):
         raise ValueError("m, L, b and gravity give an infinite coefficient")
 
+    zero, k_sin, k_om, k_u = constants(0.0, k_sin, k_om, k_u)
+
     def rhs(x, u):
         # f + g[..., 0] u0 with g = [0, k_u]: 0.0 * u0 keeps the sign of
         # zero the angle row gets from the composition
         th, om, u0 = x[..., 0], x[..., 1], u[..., 0]
         out = np.empty(x.shape)  # u broadcasts against x's rows
-        np.add(om, 0.0 * u0, out=out[..., 0])
+        np.add(om, zero * u0, out=out[..., 0])
         np.add(k_sin * np.sin(th) - k_om * om, k_u * u0, out=out[..., 1])
         return out
 
@@ -131,6 +152,8 @@ def double_pendulum(m1: float = 1.0, m2: float = 1.0, l1: float = 1.0,
                          "positive in floats")
     g1 = (m1 + m2) * gravity * l1
     g2 = m2 * gravity * l2
+    zero, a, c, k, ac, g1, g2, b1, b2 = constants(
+        0.0, a, c, k, a * c, g1, g2, b1, b2)
 
     def rhs(x, u):
         # f + g[..., 0] u0 + g[..., 1] u1 in that order, zeros of g
@@ -138,15 +161,15 @@ def double_pendulum(m1: float = 1.0, m2: float = 1.0, l1: float = 1.0,
         th1, th2, w1, w2 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
         th_r = th1 - th2
         bb = k * np.cos(th_r)
-        det = a * c - bb * bb
-        s_r = np.sin(th_r)
-        r1 = 0.0 - k * s_r * w2 * w2 + g1 * np.sin(th1) - b1 * w1
-        r2 = 0.0 + k * s_r * w1 * w1 + g2 * np.sin(th2) - b2 * w2
+        det = ac - bb * bb
+        ks_r = k * np.sin(th_r)
+        r1 = zero - ks_r * w2 * w2 + g1 * np.sin(th1) - b1 * w1
+        r2 = zero + ks_r * w1 * w1 + g2 * np.sin(th2) - b2 * w2
         # closed-form 2x2 solve keeps batch and single paths identical
         acc1 = (c * r1 - bb * r2) / det
         acc2 = (a * r2 - bb * r1) / det
         u0, u1 = u[..., 0], u[..., 1]
-        z0, z1 = 0.0 * u0, 0.0 * u1
+        z0, z1 = zero * u0, zero * u1
         nb = -bb / det
         out = np.empty(x.shape)  # u broadcasts against x's rows
         np.add(w1 + z0, z1, out=out[..., 0])
@@ -175,12 +198,12 @@ def rk4_step(plant: ControlAffinePlant, x, u, dt: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     f = plant.rhs
-    h = 0.5 * dt  # 0.5 * dt * k evaluates as (0.5 * dt) * k anyway
+    h, dt, sixth, two = _rk4_constants(float(dt))
     k1 = f(x, u)
     k2 = f(x + h * k1, u)
     k3 = f(x + h * k2, u)
     k4 = f(x + dt * k3, u)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + sixth * (k1 + two * k2 + two * k3 + k4)
 
 
 def rollout(plant: ControlAffinePlant, x0, controller, T: int, dt: float):
@@ -209,9 +232,12 @@ def rollout(plant: ControlAffinePlant, x0, controller, T: int, dt: float):
     # diverging rows overflow on their way out; n_ok records them instead
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(T):
-            # np.clip(u, lo, hi) bitwise, NaNs and signed zeros included;
-            # a (d_u,) input broadcasts against the rows from here on
-            u = np.minimum(hi, np.maximum(lo, controller(x)))
+            # np.clip(u, lo, hi) bitwise, NaNs and signed zeros included,
+            # written where the input is stored: a (d_u,) input broadcasts
+            # into its rows, and the entries of a row that fails at this
+            # step lie past its cut
+            u = inputs[..., k, :]
+            np.minimum(hi, np.maximum(lo, controller(x), out=u), out=u)
             x = rk4_step(plant, x, u, dt)
             if not np.isfinite(x).all():
                 bad = ~np.all(np.isfinite(x), axis=-1)
@@ -219,7 +245,6 @@ def rollout(plant: ControlAffinePlant, x0, controller, T: int, dt: float):
                 if np.all(n_ok < T):
                     break
                 x[bad] = 0.0
-            inputs[..., k, :] = u
             states[..., k + 1, :] = x
     trajs = [Trajectory(states=xs[: n + 1], inputs=us[:n], dt=dt,
                         diverged=bool(n < T))

@@ -41,9 +41,24 @@ def as_number(x, name: str, sign: str = "", integer: bool = False,
     return x if integer else float(x)
 
 
+def constants(*values) -> tuple:
+    """Each value as a read-only 0-d float64 array, for a constant operand
+    of a numpy call made once per step: numpy resolves a 0-d array once
+    per call, where it resolves a Python float anew as a weak scalar
+    (NEP 50), which costs more than the arithmetic on a small batch."""
+    arrays = tuple(np.array(v, dtype=np.float64) for v in values)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d float array (1-d input stays 1-d)."""
-    m = np.asarray(a, dtype=float)
+    """Coerce to a finite 2-d float array (1-d input stays 1-d); a
+    ValueError names ``name``."""
+    try:
+        m = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} is not an array of numbers: {exc}") from exc
     if m.ndim > 2:
         raise ValueError(f"{name} must be at most 2-d, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

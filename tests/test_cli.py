@@ -1251,6 +1251,20 @@ class TestDamagedArtifacts:
                      id="result-optimal-lambda-nan"),
         pytest.param("result.json", ("lambda",), -1.0, "evaluate",
                      id="result-optimal-lambda-negative"),
+        pytest.param("pair.json", ("H", "data", 0), "x", "identify",
+                     id="pair-H-string"),
+        pytest.param("pair.json", ("residuals",), "x", "identify",
+                     id="pair-residuals-string"),
+        pytest.param("pair.json", ("residuals", 0), NAN, "identify",
+                     id="pair-residuals-nan"),
+        # a well-formed map of another state dimension: 3 features
+        # beside the 9 x 9 K_xx of the single-pendulum model
+        pytest.param("model.json", ("map",), {
+            "name": "three", "state_dim": 3,
+            "features": [{"label": f"x{i}", "trigs": [],
+                          "poly": [int(i == j) for j in range(3)]}
+                         for i in range(3)]},
+            "synthesize", id="model-map-other-feature-count"),
     ])
     def test_unusable_field_exits_3_naming_it(self, finished_run, tmp_path,
                                               capsys, artifact, field, value,

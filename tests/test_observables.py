@@ -47,6 +47,84 @@ def assert_bitwise(a, b):
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+class FloatConstantPlan:
+    """The lift plan as it stood with Python-float constants, every piece
+    in a temporary and every column built from them: the bitwise oracle
+    for the 0-d constants and the pieces written straight into columns."""
+
+    def __init__(self, features):
+        pieces = {}  # ("pow", i, p) or ("trig", kind, coeffs) -> piece
+        denoms = {}  # (offset, scale, cos piece) -> denominator index
+
+        def piece(*key):
+            return pieces.setdefault(key, len(pieces))
+
+        def trig(kind, coeffs):
+            return piece("trig", kind, tuple(float(c) for c in coeffs))
+
+        columns = []
+        for f in features:
+            refs = [piece("pow", i, p) for i, p in enumerate(f.poly) if p]
+            refs += [trig(kind, coeffs) for kind, coeffs in f.trigs]
+            den = None
+            if f.denom is not None:
+                offset, scale, coeffs = f.denom
+                den = denoms.setdefault(
+                    (offset, scale, trig("cos", coeffs)), len(denoms))
+            columns.append((tuple(refs), den))
+        combos = {}
+        for (tag, kind, coeffs), k in pieces.items():
+            if tag == "trig":
+                combos.setdefault(coeffs, []).append((k, kind))
+        self.n_pieces = len(pieces)
+        self.powers = tuple((k, i, p) for (tag, i, p), k in pieces.items()
+                            if tag == "pow")
+        self.combos = tuple((c, tuple(t)) for c, t in combos.items())
+        self.denoms = tuple(denoms)
+        self.columns = tuple(columns)
+
+    @staticmethod
+    def linear_combination(x, coeffs):
+        acc = None
+        for i, c in enumerate(coeffs):
+            if c:
+                term = c * x[..., i]
+                if acc is None:
+                    acc = np.add(term, 0.0, out=term)  # turns -0.0 into +0.0
+                else:
+                    acc += term
+        return np.zeros(x.shape[:-1]) if acc is None else acc
+
+    def __call__(self, x, out=None):
+        if x.ndim == 1:
+            return self(x[None], None if out is None else out[None])[0]
+        if out is None:
+            out = np.empty(x.shape[:-1] + (len(self.columns),))
+        vals = [None] * self.n_pieces
+        for k, i, p in self.powers:
+            vals[k] = x[..., i] if p == 1 else x[..., i] ** p
+        for coeffs, trigs in self.combos:
+            arg = self.linear_combination(x, coeffs)
+            for k, kind in trigs:
+                vals[k] = np.sin(arg) if kind == "sin" else np.cos(arg)
+        dens = [offset + scale * vals[k] for offset, scale, k in self.denoms]
+        for j, (refs, den) in enumerate(self.columns):
+            col = out[..., j]
+            if len(refs) > 1:
+                np.multiply(vals[refs[0]], vals[refs[1]], out=col)
+                for k in refs[2:]:
+                    np.multiply(col, vals[k], out=col)
+            else:
+                col[...] = vals[refs[0]] if refs else 1.0
+            if den is not None:
+                np.divide(col, dens[den], out=col)
+        return out
+
+
+# signed zeros, NaN and values whose squares and cubes overflow
+EDGES = st.sampled_from([0.0, -0.0, np.nan, 1e300, -1e300])
+
+
 COEFFS = st.sampled_from([0, 0.0, -0.0, 1, -1, 1.0, -2, 2.0, 0.5, -3.0])
 
 
@@ -94,6 +172,39 @@ class TestLiftPlanMatchesPerFeature:
                 batch = obs.evaluate_batch(m, x)
                 assert batch.flags.c_contiguous
                 assert_bitwise(batch, want.T)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=random_maps(), data=st.data())
+    def test_matches_the_float_constant_plan(self, m, data):
+        lead = data.draw(st.sampled_from([(), (1,), (7,), (3, 5)]))
+        x = data.draw(hnp.arrays(
+            np.float64, lead + (m.state_dim,),
+            elements=st.one_of(EDGES, st.floats(-10.0, 10.0))))
+        with np.errstate(all="ignore"):
+            want = FloatConstantPlan(m.features)(x)
+            assert_bitwise(m(x), want)
+            if len(lead) == 1:  # a transposed feature-major output
+                cols = np.empty((m.dim,) + lead)
+                m(x, out=cols.T)
+                assert_bitwise(cols, want.T)
+
+    @pytest.mark.parametrize("make", [obs.single_pendulum_map,
+                                      obs.double_pendulum_map])
+    def test_protocol_maps_match_the_float_constant_plan(self, make):
+        m = make()
+        oracle = FloatConstantPlan(m.features)
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-6, 6, size=(60, m.state_dim))
+        for k, v in enumerate([0.0, -0.0, np.nan, 1e300, -1e300]):
+            x.flat[k::7] = v
+        with np.errstate(all="ignore"):
+            want = oracle(x)
+            assert_bitwise(m(x), want)
+            for i in range(3):  # single states
+                assert_bitwise(m(x[i]), want[i])
+            cols = np.empty((m.dim, len(x)))
+            m(x, out=cols.T)
+            assert_bitwise(cols, want.T)
 
     @pytest.mark.parametrize("make", [obs.single_pendulum_map,
                                       obs.double_pendulum_map])

@@ -225,6 +225,64 @@ def generic_rhs(plant, x, u):
     return out
 
 
+def float_constant_rhs(plant):
+    """Each pendulum's fused rhs as it stood with Python-float constants:
+    the bitwise oracle for its 0-d float64 constants."""
+    p = plant.params
+    if plant.name == "single_pendulum":
+        inertia = p["m"] * p["L"] * p["L"]
+        k_sin, k_om, k_u = p["gravity"] / p["L"], p["b"] / inertia, \
+            1.0 / inertia
+
+        def rhs(x, u):
+            th, om, u0 = x[..., 0], x[..., 1], u[..., 0]
+            out = np.empty(x.shape)
+            np.add(om, 0.0 * u0, out=out[..., 0])
+            np.add(k_sin * np.sin(th) - k_om * om, k_u * u0, out=out[..., 1])
+            return out
+
+        return rhs
+    m1, m2, l1, l2 = p["m1"], p["m2"], p["l1"], p["l2"]
+    (b1, b2), gravity = p["damping"], p["gravity"]
+    a, c, k = (m1 + m2) * l1 * l1, m2 * l2 * l2, m2 * l1 * l2
+    g1, g2 = (m1 + m2) * gravity * l1, m2 * gravity * l2
+
+    def rhs(x, u):
+        th1, th2, w1, w2 = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+        th_r = th1 - th2
+        bb = k * np.cos(th_r)
+        det = a * c - bb * bb
+        s_r = np.sin(th_r)
+        r1 = 0.0 - k * s_r * w2 * w2 + g1 * np.sin(th1) - b1 * w1
+        r2 = 0.0 + k * s_r * w1 * w1 + g2 * np.sin(th2) - b2 * w2
+        acc1 = (c * r1 - bb * r2) / det
+        acc2 = (a * r2 - bb * r1) / det
+        u0, u1 = u[..., 0], u[..., 1]
+        z0, z1 = 0.0 * u0, 0.0 * u1
+        nb = -bb / det
+        out = np.empty(x.shape)
+        np.add(w1 + z0, z1, out=out[..., 0])
+        np.add(w2 + z0, z1, out=out[..., 1])
+        np.add(acc1 + c / det * u0, nb * u1, out=out[..., 2])
+        np.add(acc2 + nb * u0, a / det * u1, out=out[..., 3])
+        return out
+
+    return rhs
+
+
+def float_constant_rk4_step(plant, x, u, dt):
+    """``rk4_step`` as it stood with Python-float constants."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    f = float_constant_rhs(plant)
+    h = 0.5 * dt
+    k1 = f(x, u)
+    k2 = f(x + h * k1, u)
+    k3 = f(x + h * k2, u)
+    k4 = f(x + dt * k3, u)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def clip(plant, u):
     return np.clip(u, *plant.input_bounds.T)
 
@@ -368,6 +426,33 @@ class TestRK4:
         for i in range(16):
             single = plants.rk4_step(plant, xs[i], us[i], 0.01)
             np.testing.assert_array_equal(batch[i], single)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("single", {}), ("single", {"b": 0.0}), ("double", {}),
+        ("double", {"m1": 2.0, "m2": 0.5, "l1": 1.3, "l2": 0.7,
+                    "damping": (0.1, 0.2)}),
+    ])
+    @pytest.mark.parametrize("lead", [(), (60,)])
+    @pytest.mark.parametrize("shared_u", [False, True],
+                             ids=["row-inputs", "one-input"])
+    def test_matches_float_constant_step_bitwise(self, kind, params, lead,
+                                                 shared_u):
+        plant = getattr(plants, f"{kind}_pendulum")(**params)
+        rng = np.random.default_rng(len(lead) + 3 * shared_u)
+        x = rng.uniform(-4, 4, size=lead + (plant.state_dim,))
+        u = rng.uniform(-5, 5, size=(() if shared_u else lead)
+                        + (plant.input_dim,))
+        # signed zeros, NaN and states whose products overflow
+        edges = [0.0, -0.0, np.nan, 1e300, -1e300, 0.0, -0.0]
+        for k, v in enumerate(edges):
+            x.flat[k::9] = v
+        u.flat[::3] = -0.0
+        with np.errstate(all="ignore"):
+            assert_bitwise(plant.rhs(x, u),
+                           float_constant_rhs(plant)(x, u))
+            for dt in (0.01, 0.05):
+                assert_bitwise(plants.rk4_step(plant, x, u, dt),
+                               float_constant_rk4_step(plant, x, u, dt))
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
