@@ -1,19 +1,19 @@
 """Pipeline driver: babble -> factorize -> identify -> synthesize -> evaluate.
 
-Exit codes: 0 success, 2 config error, 3 stage-precondition error
-(missing, corrupt or stale upstream artifact, one with a field its
-reader rejects, such as a NaN matrix entry, or a stage's ValueError,
-such as a babble whose every trajectory diverged), 4 synthesis
-infeasible, 5 evaluation gate failed, 6 factorization retained no
-block, 7 artifact could not be written (e.g. disk full), reported in
-one line naming the file.  ``STAGES`` holds one row per stage, with the
-reader of its artifact.  Each artifact embeds its stage key, the hash of
-the config sections read by the stage and the stages upstream of it
-(``output_dir`` is in none).  ``pipeline`` reuses every artifact whose
-key is current and that its reader accepts (not a failed synthesis or
-an evaluation below its gate) and reruns the rest; a single-stage
-command exits 3 on an upstream artifact whose key is stale.  Artifacts
-are written atomically.
+Exit codes: 0 success, 2 config error, 3 stage-precondition error (a
+missing, corrupt or stale upstream artifact, one with a field its reader
+rejects and names, such as a NaN entry or a matrix whose shape disagrees
+with the config or another artifact, or a stage's ValueError, such as
+an all-diverged babble), 4 synthesis infeasible, 5 evaluation gate
+failed, 6 factorization retained no block, 7 artifact could not be
+written (e.g. disk full), reported in one line naming the file.
+``STAGES`` holds one row per stage, with the reader of its artifact.
+Each artifact embeds its stage key, the hash of the config sections
+read by the stage and the stages upstream of it (``output_dir`` is in
+none).  ``pipeline`` reuses every artifact whose key is current and
+that its reader accepts (not a failed synthesis or an evaluation below
+its gate) and reruns the rest; a single-stage command exits 3 on an
+upstream artifact whose key is stale.  Artifacts are written atomically.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .factorization import (
     verify_assumption1,
 )
 from .synthesis import certified_rate, result_from_json, result_to_json, synthesize
+from .tensor import as_matrix, as_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -153,6 +154,27 @@ def _run(cfg: dict, name: str, inputs):
         raise StageError(f"cannot {name}: {exc}", EXIT_PRECONDITION) from exc
 
 
+def _read_pair(cfg: dict, payload: dict, path: Path):
+    map_x, map_u = build_maps(cfg)
+    # first, as the mask's length sizes the other fields
+    as_matrix(payload["mask"], "mask", (map_x.dim,))
+    pair = pair_from_json(payload)
+    as_matrix(pair.H, "H", (pair.d_S * map_u.dim, map_x.dim))
+    return pair
+
+
+def _read_model(cfg: dict, payload: dict, path: Path):
+    map_x = build_maps(cfg)[0]
+    if payload["map"] != map_x.to_descriptor():
+        raise ValueError("map is not the config's observables map")
+    model, pair = model_from_json(payload), _load(cfg, "factorize")
+    if not np.array_equal(model.S, pair.S):
+        raise ValueError(f"S is not the S of {STAGES['factorize'].path}")
+    as_matrix(model.K_xu, "K_xu",
+              (map_x.dim, pair.d_S * build_plant(cfg).input_dim))
+    return model
+
+
 def _read_result(cfg: dict, payload: dict, path: Path):
     result = result_from_json(payload)
     if result.status != "optimal":
@@ -160,15 +182,22 @@ def _read_result(cfg: dict, payload: dict, path: Path):
     if not 0 <= result.lam < 1:
         raise ValueError(f"lambda of an optimal synthesis must be in [0, 1), "
                          f"got {result.lam!r}")
+    plant, (map_x, map_u) = build_plant(cfg), build_maps(cfg)
+    as_matrix(result.K_u, "K_u", (plant.input_dim, map_u.dim))
+    as_matrix(result.P, "P", (map_x.dim, map_x.dim))
+    as_matrix(result.S_x, "S_x", (plant.state_dim, plant.state_dim))
     return result
 
 
 def _read_report(cfg: dict, payload: dict, path: Path) -> dict:
     """The report, current only with both plot files beside it and a
-    success rate that meets the gate, as a failed synthesis is a miss."""
+    success rate in [0, 1] that meets the gate: a failed one is a miss."""
     for name in evaluation.PLOT_FILES:
         (path.parent / "plots" / name).stat()  # FileNotFoundError names it
-    rate, gate = payload["success_rate"], cfg["evaluation"]["success_gate"]
+    rate = as_number(payload["success_rate"], "success_rate", "nonnegative")
+    gate = cfg["evaluation"]["success_gate"]
+    if rate > 1:
+        raise ValueError(f"success_rate must be at most 1, got {rate!r}")
     if rate < gate:
         raise ValueError(f"success rate {rate:.2%} below gate {gate:.2%}")
     return payload
@@ -284,11 +313,10 @@ STAGES = {
         lambda cfg, payload, path: load_dataset(path.parent), cmd_babble),
     "factorize": Stage(
         "pair.json", "koopctl/pair", ("factorization",), ("babble",),
-        lambda cfg, payload, path: pair_from_json(payload), cmd_factorize),
+        _read_pair, cmd_factorize),
     "identify": Stage(
         "model.json", "koopctl/model", ("identification",),
-        ("babble", "factorize"),
-        lambda cfg, payload, path: model_from_json(payload), cmd_identify),
+        ("babble", "factorize"), _read_model, cmd_identify),
     "synthesize": Stage(
         "result.json", "koopctl/synthesis", ("synthesis",),
         ("identify", "factorize"), _read_result, cmd_synthesize),

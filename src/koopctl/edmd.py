@@ -33,8 +33,8 @@ import numpy as np
 
 from .babbling import SnapshotDataset
 from .observables import ObservableMap, descriptor_hash, map_from_descriptor
-from .tensor import (as_number, matrix_from_json, matrix_to_json, row_chunks,
-                     streamed_qr, truncated_svd)
+from .tensor import (as_matrix, as_number, matrix_from_json, matrix_to_json,
+                     row_chunks, streamed_qr, truncated_svd)
 
 
 UNDERDETERMINED = "underdetermined: fewer snapshots than regressors"
@@ -84,15 +84,6 @@ def solve_chunks(chunks, targets, d_in: int, d_out: int, ridge: float):
     if len(s) < d_in and ridge == 0:
         flags.append("rank-deficient regressors: minimum-norm solution")
     return k, {"rank": len(s), "cond": cond, "flags": flags}, r_data
-
-
-def _selection(S, map_x: ObservableMap) -> np.ndarray:
-    S = np.asarray(S, dtype=float)
-    if S.shape[1] != map_x.dim:
-        raise ValueError(
-            f"selection matrix has {S.shape[1]} columns, map has {map_x.dim}"
-        )
-    return S
 
 
 def _bilinear_rows(S: np.ndarray, psi: np.ndarray, u: np.ndarray):
@@ -159,7 +150,7 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
     """
     if len(ds) == 0:
         raise ValueError("empty dataset")
-    S = _selection(S, map_x)
+    S = as_matrix(S, "S", (None, map_x.dim))
     train, holdout = ds.split_by_trajectory(holdout_fraction)
     n_train = int(train.sum())
     if n_train == 0:
@@ -220,15 +211,12 @@ def model_to_json(model: BilinearKoopmanModel) -> dict:
 
 def model_from_json(d: dict) -> BilinearKoopmanModel:
     try:  # the descriptor is kept as written, once it reads as a map
-        n_features = map_from_descriptor(d["map"]).dim
+        d_psi = map_from_descriptor(d["map"]).dim
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"map is not a map descriptor: {exc!r}") from exc
-    K_xx = matrix_from_json(d["K_xx"], "K_xx")
-    if K_xx.shape != (n_features, n_features):
-        raise ValueError(f"map has {n_features} features, but K_xx is "
-                         f"{K_xx.shape[0]} x {K_xx.shape[1]}")
     return BilinearKoopmanModel(
-        K_xx=K_xx, K_xu=matrix_from_json(d["K_xu"], "K_xu"),
-        S=matrix_from_json(d["S"], "S"), map_descriptor=d["map"],
-        diagnostics=d.get("diagnostics", {}),
+        K_xx=matrix_from_json(d["K_xx"], "K_xx", (d_psi, d_psi)),
+        K_xu=matrix_from_json(d["K_xu"], "K_xu", (d_psi, None)),
+        S=matrix_from_json(d["S"], "S", (None, d_psi)),
+        map_descriptor=d["map"], diagnostics=d.get("diagnostics", {}),
     )

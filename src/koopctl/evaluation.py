@@ -118,12 +118,10 @@ def lyapunov_trace(result: SynthesisResult, psis: np.ndarray,
 def lifted_rollout(ktilde: np.ndarray, psi0: np.ndarray,
                    steps: int) -> np.ndarray:
     """Iterate psi+ = Ktilde psi; returns (steps+1, d_psi)."""
-    psi = np.asarray(psi0, dtype=float)
-    out = np.zeros((steps + 1, psi.shape[0]))
-    out[0] = psi
+    out = np.zeros((steps + 1, len(psi0)))
+    out[0] = psi0
     for k in range(steps):
-        psi = ktilde @ psi
-        out[k + 1] = psi
+        out[k + 1] = ktilde @ out[k]
     return out
 
 

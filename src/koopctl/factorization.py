@@ -209,9 +209,7 @@ def threshold_mask(hbar: np.ndarray, residuals: np.ndarray, eps_h: float,
             f"no block residual below eps_h={eps_h:g} "
             f"(smallest residual {residuals.min():g})"
         )
-    S = np.zeros((kept.size, d_psi_x))
-    for r, i in enumerate(kept):
-        S[r, i] = 1.0
+    S = np.eye(d_psi_x)[kept]
     blocks = [hbar[i * d_psi_u : (i + 1) * d_psi_u] for i in kept]
     H = np.vstack(blocks)
     return FactorizationPair(S=S, H=H, mask=mask, residuals=residuals,
@@ -235,14 +233,10 @@ def fit_pair(data, map_x: ObservableMap, map_u: ObservableMap,
 
 def augmented_hbar(pair: FactorizationPair) -> np.ndarray:
     """Rebuild Hbar with zero blocks where the mask rejected an index."""
-    d_psi_u = pair.d_psi_u
-    d_psi_x = pair.mask.shape[0]
-    out = np.zeros((d_psi_x * d_psi_u, d_psi_x))
-    row = 0
-    for i in np.nonzero(pair.mask)[0]:
-        out[i * d_psi_u : (i + 1) * d_psi_u] = pair.H[row : row + d_psi_u]
-        row += d_psi_u
-    return out
+    d_psi_x = pair.mask.size
+    out = np.zeros((d_psi_x, pair.d_psi_u, d_psi_x))
+    out[pair.mask == 1] = pair.H.reshape(pair.d_S, pair.d_psi_u, d_psi_x)
+    return out.reshape(-1, d_psi_x)
 
 
 def verify_assumption1(pair: FactorizationPair, map_x: ObservableMap,
@@ -266,18 +260,10 @@ class ClosedLoopOperator:
 def assemble_ktilde(model: BilinearKoopmanModel, K_u: np.ndarray,
                     H: np.ndarray) -> ClosedLoopOperator:
     """Ktilde = K_xx + K_xu (I_{d_S} kron K_u) H."""
-    K_u = np.atleast_2d(np.asarray(K_u, dtype=float))
-    H = np.asarray(H, dtype=float)
-    d_S = model.S.shape[0]
-    d_u, d_psi_u = K_u.shape
-    if model.K_xu.shape[1] != d_S * d_u:
-        raise ValueError(
-            f"K_xu has {model.K_xu.shape[1]} columns, expected {d_S * d_u}"
-        )
-    if H.shape != (d_S * d_psi_u, model.lifted_dim):
-        raise ValueError(
-            f"H has shape {H.shape}, expected {(d_S * d_psi_u, model.lifted_dim)}"
-        )
+    K_u = np.atleast_2d(as_matrix(K_u, "K_u"))
+    (d_u, d_psi_u), d_S = K_u.shape, model.S.shape[0]
+    as_matrix(model.K_xu, "K_xu", (model.lifted_dim, d_S * d_u))
+    H = as_matrix(H, "H", (d_S * d_psi_u, model.lifted_dim))
     return ClosedLoopOperator(
         Ktilde=model.K_xx + model.K_xu @ np.kron(np.eye(d_S), K_u) @ H)
 
@@ -295,10 +281,19 @@ def pair_to_json(pair: FactorizationPair) -> dict:
 
 
 def pair_from_json(d: dict) -> FactorizationPair:
+    mask = d["mask"]
+    if not (isinstance(mask, list) and 1 in mask and all(
+            as_number(v, "mask", integer=True) in (0, 1) for v in mask)):
+        raise ValueError(f"mask must be 0s and 1s with a 1, got {mask!r}")
+    mask = np.array(mask, dtype=int)
+    residuals = as_matrix(d["residuals"], "residuals", (mask.size,))
+    eps_h = as_number(d["eps_h"], "eps_h", "positive")
+    if not np.array_equal(mask, residuals <= eps_h):  # as threshold_mask
+        raise ValueError(f"mask is not residuals <= eps_h: {mask.tolist()}")
+    S = matrix_from_json(d["S"], "S")
+    if not np.array_equal(S, np.eye(mask.size)[mask == 1]):
+        raise ValueError(f"S is not rows of I_{mask.size} at the mask's 1s")
     return FactorizationPair(
-        S=matrix_from_json(d["S"], "S"), H=matrix_from_json(d["H"], "H"),
-        mask=np.asarray(d["mask"], dtype=int),
-        residuals=as_matrix(d["residuals"], "residuals"),
-        eps_h=as_number(d["eps_h"], "eps_h", "positive"),
-        diagnostics=d.get("diagnostics", {}),
+        S=S, H=matrix_from_json(d["H"], "H", (None, mask.size)), mask=mask,
+        residuals=residuals, eps_h=eps_h, diagnostics=d.get("diagnostics", {}),
     )

@@ -212,9 +212,7 @@ def feature_from_descriptor(d: dict) -> Feature:
 
 
 def state_feature(i: int, d_x: int, label: str) -> Feature:
-    exps = [0] * d_x
-    exps[i] = 1
-    return Feature(label=label, poly=tuple(exps))
+    return Feature(label=label, poly=tuple(int(j == i) for j in range(d_x)))
 
 
 @dataclass(frozen=True)
@@ -245,10 +243,8 @@ class ObservableMap:
             if any(kind not in ("sin", "cos") for kind, _ in f.trigs):
                 raise ValueError(f"feature {f.label!r} has a trig kind other "
                                  "than sin or cos")
-        for i in range(d_x):
-            f = self.features[i]
-            want = tuple(1 if j == i else 0 for j in range(d_x))
-            if f.poly != want or f.trigs or f.denom is not None:
+        for i, f in enumerate(self.features[:d_x]):
+            if f != state_feature(i, d_x, f.label):
                 raise ValueError(
                     f"feature {i} must be the raw state component x[{i}]"
                 )
@@ -349,9 +345,7 @@ def double_pendulum_map() -> ObservableMap:
 
 def decoding_operator(m: ObservableMap) -> np.ndarray:
     """Binary [I_{d_x} 0] extracting the state from the lifted vector."""
-    a = np.zeros((m.state_dim, m.dim))
-    a[:, : m.state_dim] = np.eye(m.state_dim)
-    return a
+    return np.eye(m.state_dim, m.dim)
 
 
 def evaluate_batch(m: ObservableMap, *blocks) -> np.ndarray:

@@ -58,7 +58,8 @@ import numpy as np
 
 from .edmd import BilinearKoopmanModel
 from .factorization import FactorizationPair
-from .tensor import as_number, matrix_from_json, matrix_to_json, symmetrize
+from .tensor import (as_matrix, as_number, matrix_from_json, matrix_to_json,
+                     symmetrize)
 
 DEFAULT_FEAS_TOL = 1e-8   # smallest-eigenvalue floor for a certified LMI
 DEFAULT_LAM_TOL = 1e-3    # reported lam is at most the optimum plus this
@@ -83,10 +84,7 @@ class LyapunovCandidate:
 
 
 def _restrict(S_x: np.ndarray, d_psi: int) -> np.ndarray:
-    d_x = S_x.shape[0]
-    P = np.zeros((d_psi, d_psi))
-    P[:d_x, :d_x] = S_x
-    return P
+    return np.pad(S_x, (0, d_psi - len(S_x)))  # zero rows and columns
 
 
 def identity_candidate(d_x: int, d_psi: int) -> LyapunovCandidate:
@@ -116,18 +114,11 @@ class LmiProblem:
     d_psi_u: int
 
     def __post_init__(self):
-        d_psi = self.K_xx.shape[0]
-        if self.K_xu.shape != (d_psi, self.d_S * self.d_u):
-            raise ValueError(
-                f"K_xu shape {self.K_xu.shape} does not match "
-                f"(d_psi, d_S * d_u) = {(d_psi, self.d_S * self.d_u)}"
-            )
-        if self.H.shape != (self.d_S * self.d_psi_u, d_psi):
-            raise ValueError(
-                f"H shape {self.H.shape} does not match "
-                f"{(self.d_S * self.d_psi_u, d_psi)}"
-            )
-        self.P = symmetrize(self.P)
+        d_psi, d_S = len(self.K_xx), self.d_S
+        self.K_xx = as_matrix(self.K_xx, "K_xx", (d_psi, d_psi))
+        self.K_xu = as_matrix(self.K_xu, "K_xu", (d_psi, d_S * self.d_u))
+        self.H = as_matrix(self.H, "H", (d_S * self.d_psi_u, d_psi))
+        self.P = symmetrize(as_matrix(self.P, "P", (d_psi, d_psi)))
         # coefficient tensor: Ktilde(K_u) = K_xx + sum_ab K_u[a,b] T[a,b]
         kxu3 = self.K_xu.reshape(d_psi, self.d_S, self.d_u)
         h3 = self.H.reshape(self.d_S, self.d_psi_u, d_psi)

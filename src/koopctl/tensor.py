@@ -52,9 +52,10 @@ def constants(*values) -> tuple:
     return arrays
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d float array (1-d input stays 1-d); a
-    ValueError names ``name``."""
+def as_matrix(a, name: str = "matrix", shape: tuple = None) -> np.ndarray:
+    """Coerce to a finite 2-d float array (1-d input stays 1-d), of
+    ``shape`` when one is given, where None is any size: the one shape
+    rule.  A ValueError names ``name``."""
     try:
         m = np.asarray(a, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -63,6 +64,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be at most 2-d, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
+    if shape is not None and (m.ndim != len(shape) or any(
+            n not in (None, k) for n, k in zip(shape, m.shape))):
+        raise ValueError(f"{name} has shape {m.shape}, expected {shape}")
     return m
 
 
@@ -73,11 +77,8 @@ def kron(a, b) -> np.ndarray:
 
 def hadamard(a, b) -> np.ndarray:
     """Elementwise product of two equal-length vectors."""
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.shape != bv.shape:
-        raise ValueError(f"length mismatch: {av.shape} vs {bv.shape}")
-    return av * bv
+    a = as_matrix(a, "a", (None,))
+    return a * as_matrix(b, "b", a.shape)
 
 
 def symmetrize(m) -> np.ndarray:
@@ -188,11 +189,16 @@ def matrix_to_json(m) -> dict:
             "data": [float(v) for v in a.ravel()]}
 
 
-def matrix_from_json(d: dict, name: str = "matrix") -> np.ndarray:
+def matrix_from_json(d: dict, name: str = "matrix",
+                     shape: tuple = None) -> np.ndarray:
     """Read the wire format under ``as_matrix``'s rule, the one
     ``matrix_to_json`` writes by; a ValueError names the field ``name``."""
-    rows, cols = int(d["rows"]), int(d["cols"])
+    if not isinstance(d, dict) or not {"rows", "cols", "data"} <= d.keys():
+        raise ValueError(f"{name} must be a {{rows, cols, data}} object, "
+                         f"got {d!r:.40}")
+    rows, cols = (as_number(d[k], f"{name} {k}", "nonnegative", integer=True)
+                  for k in ("rows", "cols"))
     data = as_matrix(d["data"], name)
     if data.size != rows * cols:
         raise ValueError(f"{name} data length {data.size} != {rows}x{cols}")
-    return data.reshape(rows, cols)
+    return as_matrix(data.reshape(rows, cols), name, shape)

@@ -1218,6 +1218,27 @@ def copy_run(finished_run, tmp_path):
 NAN = float("nan")
 
 
+def rotated(values: list) -> list:
+    """The list shifted one place to the right, its last entry first."""
+    return values[-1:] + values[:-1]
+
+
+def with_columns(m: dict, extra: int) -> dict:
+    """The {rows, cols, data} matrix ``m`` with ``extra`` more zero
+    columns, or -extra fewer columns when ``extra`` is negative."""
+    rows = [m["data"][i * m["cols"]:(i + 1) * m["cols"]]
+            for i in range(m["rows"])]
+    rows = [r + [0.0] * extra if extra > 0 else r[:extra] for r in rows]
+    return {"rows": m["rows"], "cols": m["cols"] + extra,
+            "data": [v for r in rows for v in r]}
+
+
+def with_row(m: dict) -> dict:
+    """The {rows, cols, data} matrix ``m`` with its last row repeated."""
+    return {**m, "rows": m["rows"] + 1,
+            "data": m["data"] + m["data"][-m["cols"]:]}
+
+
 class TestDamagedArtifacts:
     """An artifact whose key is current but whose content a stage cannot
     use exits 3 in one line naming the file and the field."""
@@ -1265,6 +1286,33 @@ class TestDamagedArtifacts:
                           "poly": [int(i == j) for j in range(3)]}
                          for i in range(3)]},
             "synthesize", id="model-map-other-feature-count"),
+        # shapes that disagree with each other or with the config; a
+        # callable value is applied to the field as written
+        pytest.param("pair.json", ("mask",), lambda m: m[:-1], "identify",
+                     id="pair-mask-one-short"),
+        pytest.param("pair.json", ("mask",), rotated, "identify",
+                     id="pair-mask-disagrees-with-S"),
+        pytest.param("pair.json", ("residuals",), lambda r: r[:-1],
+                     "identify", id="pair-residuals-one-short"),
+        pytest.param("pair.json", ("S", "data"),
+                     lambda d: [0.5 * v for v in d], "identify",
+                     id="pair-S-halves"),
+        pytest.param("model.json", ("K_xu",), lambda m: with_columns(m, 1),
+                     "synthesize", id="model-K_xu-extra-column"),
+        pytest.param("model.json", ("S", "data"), rotated, "synthesize",
+                     id="model-S-not-the-pairs"),
+        pytest.param("pair.json", ("H",), with_row, "synthesize",
+                     id="pair-H-extra-row"),
+        pytest.param("pair.json", ("H",), lambda m: with_columns(m, -1),
+                     "synthesize", id="pair-H-one-column-short"),
+        pytest.param("result.json", ("K_u",), lambda m: with_columns(m, -1),
+                     "evaluate", id="result-K_u-one-column-short"),
+        pytest.param("result.json", ("P",),
+                     {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0]},
+                     "evaluate", id="result-P-2x2"),
+        pytest.param("result.json", ("S_x",),
+                     {"rows": 3, "cols": 3, "data": np.eye(3).ravel().tolist()},
+                     "evaluate", id="result-S_x-3x3"),
     ])
     def test_unusable_field_exits_3_naming_it(self, finished_run, tmp_path,
                                               capsys, artifact, field, value,
@@ -1275,7 +1323,7 @@ class TestDamagedArtifacts:
         node = payload
         for key in field[:-1]:
             node = node[key]
-        node[field[-1]] = value
+        node[field[-1]] = value(node[field[-1]]) if callable(value) else value
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert cli.main([stage] + args) == cli.EXIT_PRECONDITION
@@ -1297,6 +1345,22 @@ class TestDamagedArtifacts:
         assert cli.main(["pipeline"] + args) == cli.EXIT_OK
         assert capsys.readouterr().out.count("cache hit") == 5
 
+    @pytest.mark.parametrize("rate", [NAN, True, 1.5, "x"])
+    def test_unreadable_success_rate_is_a_cache_miss(self, finished_run,
+                                                     tmp_path, capsys, rate):
+        # the run's rate is 1.0; each of these read as passing a 0.5 gate
+        # before the rate went through the number rule, but "x"
+        args = copy_run(finished_run, tmp_path)
+        path = tmp_path / "out" / "report.json"
+        report = json.loads(path.read_text())
+        report["success_rate"] = rate
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert cli.main(["pipeline"] + args) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("cache hit") == 4 and "evaluate: success" in out
+        assert json.loads(path.read_text())["success_rate"] == 1.0
+
     def test_failed_synthesis_keeps_its_null_lambda(self, tmp_path, capsys):
         cfgfile = zero_authority_model(tmp_path)
         assert cli.main(["synthesize", "--config", str(cfgfile)]) \
@@ -1311,6 +1375,54 @@ class TestDamagedArtifacts:
         assert capsys.readouterr().err.endswith(
             "synthesis status is max-resamples-exceeded; run 'synthesize' "
             "first\n")
+
+
+def artifact_sweep_values(value) -> list:
+    """The sweep's values for an artifact field that holds ``value``: a
+    fixed family, then, for a list or a {rows, cols, data} matrix, one
+    entry short and one row more."""
+    values = [None, "x", NAN, -1, [], {}]
+    if isinstance(value, list):
+        values += [value[:-1], value + value[-1:]]
+    elif isinstance(value, dict) and "data" in value:
+        values += [{**value, "data": value["data"][:-1]}, with_row(value)]
+    return values
+
+
+class TestArtifactSweep:
+    """Every field of each JSON artifact against a family of bad values,
+    through the one-stage command downstream of it: a documented exit
+    code, one stderr line and no traceback.  A field no stage reads
+    leaves exit 0; every other value exits 3 naming the file and, but
+    for kind and meta, the field."""
+
+    UNREAD = ("diagnostics", "map_hash")
+
+    @pytest.mark.parametrize("artifact, stage", [
+        ("pair.json", "identify"), ("model.json", "synthesize"),
+        ("result.json", "evaluate")])
+    def test_every_value_has_a_documented_outcome(
+            self, finished_run, tmp_path, capsys, artifact, stage):
+        args = copy_run(finished_run, tmp_path)
+        path = tmp_path / "out" / artifact
+        written = path.read_text()
+        payload = json.loads(written)
+        failures = []
+        for key, value in payload.items():
+            for bad in artifact_sweep_values(value):
+                path.write_text(json.dumps({**payload, key: bad}))
+                capsys.readouterr()
+                code = cli.main([stage] + args)
+                err = capsys.readouterr().err
+                want = cli.EXIT_OK if key in self.UNREAD \
+                    else cli.EXIT_PRECONDITION
+                named = code == 0 or key in ("kind", "meta") \
+                    or key in err.partition(f"{artifact}: ")[2]
+                if (code != want or err.count("\n") != (code != 0)
+                        or "Traceback" in err or not named):
+                    failures.append((key, bad, code, err))
+        path.write_text(written)
+        assert failures == []
 
 
 def test_pipeline_does_not_import_numpy_ma(tmp_path):

@@ -198,7 +198,8 @@ class TestAssemble:
         m = polynomial_map("ident", (1, 2))
         ds = dataset_from_arrays(np.ones((5, 1)), np.ones((5, 1)),
                                  np.ones((5, 1)))
-        with pytest.raises(ValueError, match="columns"):
+        with pytest.raises(ValueError, match=r"S has shape \(3, 3\), "
+                                             r"expected \(None, 2\)"):
             edmd.identify_model(ds, m, np.eye(3))
 
 

@@ -243,6 +243,34 @@ class TestPairJson:
         np.testing.assert_array_equal(back.mask, pair.mask)
         assert back.eps_h == pair.eps_h
 
+    @staticmethod
+    def written_pair() -> dict:
+        """pair_to_json of a 3-feature pair that keeps blocks 0 and 2."""
+        pair = fz.threshold_mask(np.arange(18.0).reshape(6, 3),
+                                 np.array([0.0, 1.0, 0.0]), 0.5, 2)
+        return fz.pair_to_json(pair)
+
+    @pytest.mark.parametrize("field, value, message", [
+        # np.asarray(mask, dtype=int) read these as 1 and 0
+        ("mask", [True, 0, 1], "mask must be an integer, got True"),
+        ("mask", [1, 0.5, 1], "mask must be an integer, got 0.5"),
+        ("mask", [1.0, 0, 1], "mask must be an integer, got 1.0"),
+        ("mask", [0, 0, 0], "with a 1"),
+        ("mask", [1, 1, 0], r"mask is not residuals <= eps_h: \[1, 1, 0\]"),
+        ("residuals", [0.0, 1.0], r"residuals has shape \(2,\), "
+                                  r"expected \(3,\)"),
+        ("S", {"rows": 2, "cols": 3, "data": [1, 0, 0, 0, 0.5, 0]},
+         "S is not rows of I_3 at the mask's 1s"),
+        ("H", {"rows": 6, "cols": 2, "data": [0.0] * 12},
+         r"H has shape \(6, 2\), expected \(None, 3\)"),
+    ], ids=["mask-true", "mask-half", "mask-float-one", "mask-no-one",
+            "mask-not-the-residuals", "residuals-short", "S-halves",
+            "H-column-short"])
+    def test_rejects_a_layout_that_does_not_fit(self, field, value, message):
+        d = {**self.written_pair(), field: value}
+        with pytest.raises(ValueError, match=message):
+            fz.pair_from_json(d)
+
 
 def one_shot_reference(states, map_x, map_u):
     """The fit the streamed one replaced: one gelsd solve against the whole

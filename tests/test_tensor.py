@@ -44,6 +44,25 @@ class TestKron:
             tensor.kron([np.nan], [1.0])
 
 
+class TestShapeRule:
+    @pytest.mark.parametrize("a, shape", [
+        (np.zeros((2, 3)), (2, 3)), (np.zeros((2, 3)), (None, 3)),
+        (np.zeros((2, 3)), (None, None)), (np.zeros(4), (4,)),
+        (np.zeros((0, 3)), (None, 3)), (np.zeros((2, 3)), None)])
+    def test_accepts_the_shape_given(self, a, shape):
+        assert tensor.as_matrix(a, "m", shape).shape == a.shape
+
+    @pytest.mark.parametrize("a, shape", [
+        (np.zeros((2, 3)), (3, 2)), (np.zeros((2, 3)), (None, 2)),
+        (np.zeros(3), (3, 1)), (np.zeros((3, 1)), (3,)),
+        (np.float64(1.0), (1,)), (np.zeros((1, 1)), ())])
+    def test_names_the_field_and_both_shapes(self, a, shape):
+        with pytest.raises(ValueError) as exc:
+            tensor.as_matrix(a, "m", shape)
+        assert str(exc.value) == \
+            f"m has shape {np.shape(a)}, expected {shape}"
+
+
 class TestHadamard:
     def test_elementwise(self):
         np.testing.assert_allclose(
@@ -54,7 +73,8 @@ class TestHadamard:
         np.testing.assert_array_equal(tensor.hadamard(a, np.ones(3)), a)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match=r"b has shape \(3,\), "
+                                             r"expected \(2,\)"):
             tensor.hadamard([1, 2], [1, 2, 3])
 
     def test_kron_hadamard_identity(self):
@@ -181,6 +201,20 @@ class TestJsonRoundTrip:
     def test_shape_check(self):
         with pytest.raises(ValueError, match="length"):
             tensor.matrix_from_json({"rows": 2, "cols": 2, "data": [1.0]})
+
+    @pytest.mark.parametrize("d, message", [
+        ([1.0], r"K_u must be a \{rows, cols, data\} object, got \[1\.0\]"),
+        ({"rows": 1, "cols": 2}, "K_u must be a {rows, cols, data} object"),
+        ({"rows": 1.5, "cols": 2, "data": [1.0, 2.0]},
+         "K_u rows must be a nonnegative integer, got 1.5"),
+        ({"rows": 1, "cols": True, "data": [1.0]},
+         "K_u cols must be a nonnegative integer, got True"),
+        ({"rows": 2, "cols": 1, "data": [1.0, 2.0]},
+         r"K_u has shape \(2, 1\), expected \(1, None\)"),
+    ], ids=["list", "no-data", "rows-fraction", "cols-bool", "shape"])
+    def test_reads_the_layout_under_the_rule(self, d, message):
+        with pytest.raises(ValueError, match=message):
+            tensor.matrix_from_json(d, "K_u", (1, None))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_reads_under_the_rule_it_is_written_by(self, value):
