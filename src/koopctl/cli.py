@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 2 config error, 3 stage-precondition error (a
 missing, corrupt or stale upstream artifact, one with a field its reader
-rejects and names, such as a NaN entry or a matrix whose shape disagrees
-with the config or another artifact, or a stage's ValueError, such as
-an all-diverged babble), 4 synthesis infeasible, 5 evaluation gate
-failed, 6 factorization retained no block, 7 artifact could not be
-written (e.g. disk full), reported in one line naming the file.
+rejects and names, such as a NaN entry, a matrix whose shape disagrees
+with the config or another artifact, a meta that is not an object, or a
+result whose S_x is not symmetric positive definite or whose P is not
+that S_x padded with zeros; or a stage's ValueError, such as an
+all-diverged babble), 4 synthesis infeasible, 5 evaluation gate failed,
+6 factorization retained no block, 7 artifact could not be written
+(e.g. disk full), reported in one line naming the file.
 ``STAGES`` holds one row per stage, with the reader of its artifact.
 Each artifact embeds its stage key, the hash of the config sections
 read by the stage and the stages upstream of it (``output_dir`` is in
@@ -133,7 +135,10 @@ def _load(cfg: dict, name: str):
             payload = json.load(fh)
         if not isinstance(payload, dict) or payload.get("kind") != stage.kind:
             raise ValueError(f"not a {stage.kind} artifact")
-        if payload.get("meta", {}).get("config_hash") != stage_key(cfg, name):
+        meta = payload.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta must be an object, got {meta!r:.40}")
+        if meta.get("config_hash") != stage_key(cfg, name):
             raise ValueError("stale, written under another config")
         return stage.read(cfg, payload, path)
     except FileNotFoundError as exc:
@@ -176,16 +181,15 @@ def _read_model(cfg: dict, payload: dict, path: Path):
 
 
 def _read_result(cfg: dict, payload: dict, path: Path):
-    result = result_from_json(payload)
+    plant, (map_x, map_u) = build_plant(cfg), build_maps(cfg)
+    result = result_from_json(payload, {
+        "K_u": (plant.input_dim, map_u.dim), "P": (map_x.dim, map_x.dim),
+        "S_x": (plant.state_dim, plant.state_dim)})
     if result.status != "optimal":
         raise ValueError(f"synthesis status is {result.status}")
     if not 0 <= result.lam < 1:
         raise ValueError(f"lambda of an optimal synthesis must be in [0, 1), "
                          f"got {result.lam!r}")
-    plant, (map_x, map_u) = build_plant(cfg), build_maps(cfg)
-    as_matrix(result.K_u, "K_u", (plant.input_dim, map_u.dim))
-    as_matrix(result.P, "P", (map_x.dim, map_x.dim))
-    as_matrix(result.S_x, "S_x", (plant.state_dim, plant.state_dim))
     return result
 
 

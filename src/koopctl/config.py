@@ -99,6 +99,7 @@ _DOC = {
     "factorization.eps_h": "block residual threshold; null = 1e-6 * RMS lifted Kronecker norm",
     "synthesis.max_resamples": "sampled candidates tried after the identity start",
     "evaluation.initial_conditions": "uniform (ranges, count), grid (ranges, shape) or list (states)",
+    "evaluation.success_gate": "smallest success rate that passes, in [0, 1]",
     "evaluation.extra_states": "stress-case states appended to the evaluation set; "
                                "their outcomes count toward success_gate",
     "evaluation.fidelity_steps": "lifted-model fidelity steps, at most horizon_seconds / dt",
@@ -308,6 +309,9 @@ def validate(cfg: dict, evaluates: bool = True) -> None:
     if holdout >= 1:
         raise ConfigError("identification.holdout_fraction must lie in "
                           f"[0, 1), got {holdout!r}")
+    if (gate := cfg["evaluation"]["success_gate"]) > 1:
+        raise ConfigError(
+            f"evaluation.success_gate must lie in [0, 1], got {gate!r}")
     d_x = build_plant(cfg).state_dim
     for key, m in zip(("observables", "observables.controller"),
                       build_maps(cfg)):

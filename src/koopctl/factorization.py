@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .babbling import SnapshotDataset
-from .edmd import BilinearKoopmanModel
+from .edmd import BilinearKoopmanModel, _bilinear_rows
 from .observables import ObservableMap, evaluate_batch
 from .tensor import (QR_CHUNK, as_matrix, as_number, matrix_from_json,
                      matrix_to_json, row_chunks, streamed_qr, truncated_svd)
@@ -244,8 +244,7 @@ def verify_assumption1(pair: FactorizationPair, map_x: ObservableMap,
     """Max over test states of ||(S psi_x) kron psi_u - H psi_x||_inf."""
     psi_x = evaluate_batch(map_x, test_states)    # (d_psi_x, N)
     psi_u = psi_x if map_u is map_x else evaluate_batch(map_u, test_states)
-    sel = pair.S @ psi_x                           # (d_S, N)
-    lhs = (sel[:, None, :] * psi_u[None, :, :]).reshape(-1, psi_x.shape[1])
+    lhs = _bilinear_rows(pair.S, psi_x, psi_u)
     rhs = pair.H @ psi_x
     return float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
 

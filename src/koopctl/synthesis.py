@@ -37,12 +37,15 @@ plus lam_tol, up to the 1e-9 tolerances times the size of the optimal
 gain.  A candidate is certified only when lam_c < 1 and the smallest
 eigenvalue of the full block matrix at (K_u, lam_c) is >= -feas_tol.
 
-Candidate P matrices follow the decoder-restricted recipe: the first is
-A_dec^T I A_dec, later ones A_dec^T (R^T R + eps_p I) A_dec with R
-resampled uniformly from [-1, 1].  Such P have rank d_x, so M carries
-first-block rows that are zero for every K_u.  The solver deflates them
-exactly (in M + feas_tol I they are feas_tol I), while the reported
-certificate is always the smallest eigenvalue of the full block matrix.
+A candidate is a positive definite S_x: I first, then R^T R + eps_p I
+with R resampled uniformly from [-1, 1].  ``synthesize`` forms its
+P = A_dec^T S_x A_dec (S_x padded with zeros to d_psi) once, for the LMI
+and the result, and ``result_from_json`` requires a read S_x exactly
+symmetric and positive definite and P bit for bit that padding.  Such P
+have rank d_x, so M carries first-block rows that are zero for every
+K_u.  The solver deflates them exactly (in M + feas_tol I they are
+feas_tol I), while the reported certificate is always the smallest
+eigenvalue of the full block matrix.
 
 feas_tol, lam_tol and eps_p are the module constants ``DEFAULT_FEAS_TOL``
 (1e-8), ``DEFAULT_LAM_TOL`` (1e-3) and ``CANDIDATE_RIDGE`` (1e-2).  They
@@ -76,29 +79,14 @@ def energy_norm(S_x: np.ndarray, x) -> float:
     return float(np.sqrt(x @ S_x @ x))
 
 
-@dataclass(frozen=True)
-class LyapunovCandidate:
-    P: np.ndarray      # (d_psi, d_psi) equal to A_dec^T S_x A_dec
-    S_x: np.ndarray    # (d_x, d_x) positive definite generator block
-    tag: str           # "identity-start" or "sampled"
-
-
 def _restrict(S_x: np.ndarray, d_psi: int) -> np.ndarray:
-    return np.pad(S_x, (0, d_psi - len(S_x)))  # zero rows and columns
+    return np.pad(S_x, (0, d_psi - len(S_x)))  # A_dec^T S_x A_dec
 
 
-def identity_candidate(d_x: int, d_psi: int) -> LyapunovCandidate:
-    S_x = np.eye(d_x)
-    return LyapunovCandidate(P=_restrict(S_x, d_psi), S_x=S_x,
-                             tag="identity-start")
-
-
-def sample_candidate(d_x: int, d_psi: int,
-                     rng: np.random.Generator) -> LyapunovCandidate:
+def sample_candidate(d_x: int, rng: np.random.Generator) -> np.ndarray:
     """S_x = R^T R + CANDIDATE_RIDGE I with R ~ U([-1, 1]^{d_x x d_x})."""
     R = rng.uniform(-1.0, 1.0, size=(d_x, d_x))
-    S_x = R.T @ R + CANDIDATE_RIDGE * np.eye(d_x)
-    return LyapunovCandidate(P=_restrict(S_x, d_psi), S_x=S_x, tag="sampled")
+    return R.T @ R + CANDIDATE_RIDGE * np.eye(d_x)
 
 
 @dataclass
@@ -334,50 +322,43 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
                max_resamples: int = 50, seed: int = 0) -> SynthesisResult:
     """Iterate Lyapunov candidates until the LMI program is solved.
 
-    The identity-start candidate is tried first, then up to
-    ``max_resamples`` sampled ones drawn from ``seed``; the first
-    certified candidate is returned.
+    The identity S_x is tried first, then up to ``max_resamples`` sampled
+    ones drawn from ``seed``; the first certified candidate is returned.
     """
     d_psi, d_x = model.lifted_dim, model.state_dim
     rng = np.random.default_rng(seed)
-    candidate_log = []
-    total_iter = 0
+    diagnostics = {"resample_count": max_resamples, "iterations": 0,
+                   "eps_p": CANDIDATE_RIDGE, "feas_tol": DEFAULT_FEAS_TOL,
+                   "seed": seed, "candidates": []}
     for n_sampled in range(max_resamples + 1):
-        cand = sample_candidate(d_x, d_psi, rng) if n_sampled \
-            else identity_candidate(d_x, d_psi)
+        S_x = sample_candidate(d_x, rng) if n_sampled else np.eye(d_x)
+        P = _restrict(S_x, d_psi)
         problem = LmiProblem(
-            P=cand.P, K_xx=model.K_xx, K_xu=model.K_xu, H=pair.H,
+            P=P, K_xx=model.K_xx, K_xu=model.K_xu, H=pair.H,
             d_S=pair.d_S, d_u=model.input_dim, d_psi_u=pair.d_psi_u,
         )
         sol = solve_fixed_p(problem)
         certified = sol["outcome"] == "certified"
-        total_iter += sol["iterations"]
-        candidate_log.append({
-            "tag": cand.tag, "feasible": certified,
+        diagnostics["iterations"] += sol["iterations"]
+        diagnostics["candidates"].append({
+            "tag": "sampled" if n_sampled else "identity-start",
+            "feasible": certified,
             "lam": sol["lam"] if certified else None,
             "min_eig": sol["min_eig"] if certified else None,
             "iterations": sol["iterations"], "outcome": sol["outcome"],
         })
         if certified:
+            diagnostics.update(resample_count=n_sampled,
+                               min_eig=sol["min_eig"],
+                               lam_tol=DEFAULT_LAM_TOL)
             return SynthesisResult(
-                K_u=problem.gain(sol["theta"]), lam=float(sol["lam"]),
-                P=problem.P, S_x=cand.S_x, status="optimal",
-                diagnostics={
-                    "min_eig": sol["min_eig"], "iterations": total_iter,
-                    "resample_count": n_sampled, "eps_p": CANDIDATE_RIDGE,
-                    "feas_tol": DEFAULT_FEAS_TOL, "lam_tol": DEFAULT_LAM_TOL,
-                    "seed": seed, "candidates": candidate_log,
-                },
-            )
-    status = "infeasible" if max_resamples == 0 else "max-resamples-exceeded"
+                K_u=problem.gain(sol["theta"]), lam=float(sol["lam"]), P=P,
+                S_x=S_x, status="optimal", diagnostics=diagnostics)
+    S_x = np.eye(d_x)   # a failed synthesis reports the identity start
     return SynthesisResult(
         K_u=np.zeros((model.input_dim, pair.d_psi_u)), lam=float("nan"),
-        P=_restrict(np.eye(d_x), d_psi), S_x=np.eye(d_x), status=status,
-        diagnostics={"resample_count": max_resamples,
-                     "iterations": total_iter, "eps_p": CANDIDATE_RIDGE,
-                     "feas_tol": DEFAULT_FEAS_TOL, "seed": seed,
-                     "candidates": candidate_log},
-    )
+        P=_restrict(S_x, d_psi), S_x=S_x, diagnostics=diagnostics,
+        status="max-resamples-exceeded" if max_resamples else "infeasible")
 
 
 def certified_rate(result: SynthesisResult) -> float:
@@ -400,11 +381,22 @@ def result_to_json(result: SynthesisResult) -> dict:
     }
 
 
-def result_from_json(d: dict) -> SynthesisResult:
+def result_from_json(d: dict, shapes: dict = None) -> SynthesisResult:
+    """Read what ``result_to_json`` wrote: K_u, P and S_x of the ``shapes``
+    given (``tensor.as_matrix``), S_x symmetric positive definite and P
+    formed from it as ``synthesize`` does.  A ValueError names the field."""
+    K_u, P, S_x = (matrix_from_json(d[k], k, (shapes or {}).get(k))
+                   for k in ("K_u", "P", "S_x"))
+    if not np.array_equal(S_x, S_x.T):
+        raise ValueError("S_x is not symmetric")
+    try:
+        np.linalg.cholesky(S_x)
+    except np.linalg.LinAlgError:
+        raise ValueError("S_x is not positive definite") from None
+    if len(P) < len(S_x) or not np.array_equal(P, _restrict(S_x, len(P))):
+        raise ValueError("P is not A_dec^T S_x A_dec, S_x padded with zeros")
     lam = d.get("lambda")   # null for a failed synthesis
     return SynthesisResult(
-        K_u=matrix_from_json(d["K_u"], "K_u"),
-        lam=float("nan") if lam is None else as_number(lam, "lambda"),
-        P=matrix_from_json(d["P"], "P"), S_x=matrix_from_json(d["S_x"], "S_x"),
-        status=d["status"], diagnostics=d.get("diagnostics", {}),
+        K_u=K_u, lam=float("nan") if lam is None else as_number(lam, "lambda"),
+        P=P, S_x=S_x, status=d["status"], diagnostics=d.get("diagnostics", {}),
     )

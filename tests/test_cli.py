@@ -109,6 +109,9 @@ class TestConfig:
          "initial states must be (n, 2) with n >= 1"),
         ("evaluation", {"settle_tol": "a"}, "evaluation.settle_tol"),
         ("evaluation", {"success_gate": "a"}, "evaluation.success_gate"),
+        pytest.param("evaluation", {"success_gate": 1.5},
+                     "evaluation.success_gate must lie in [0, 1], got 1.5",
+                     id="evaluation.success_gate-above-1"),
         ("identification", {"ridge": "a"}, "identification.ridge"),
         ("identification", {"holdout_fraction": 1.5},
          "identification.holdout_fraction must lie in [0, 1)"),
@@ -1313,6 +1316,25 @@ class TestDamagedArtifacts:
         pytest.param("result.json", ("S_x",),
                      {"rows": 3, "cols": 3, "data": np.eye(3).ravel().tolist()},
                      "evaluate", id="result-S_x-3x3"),
+        # P must be S_x padded with zeros, S_x symmetric positive definite
+        pytest.param("result.json", ("P", "data"),
+                     lambda d: [0.0] * len(d), "evaluate",
+                     id="result-P-zeroed"),
+        pytest.param("result.json", ("S_x", "data"),
+                     lambda d: [0.0] * len(d), "evaluate",
+                     id="result-S_x-zeroed"),
+        pytest.param("result.json", ("S_x", "data"),
+                     lambda d: [d[0], d[1] + 0.5, *d[2:]], "evaluate",
+                     id="result-S_x-asymmetric"),
+        # meta must be an object
+        pytest.param("model.json", ("meta",), None, "synthesize",
+                     id="model-meta-null"),
+        pytest.param("pair.json", ("meta",), "x", "identify",
+                     id="pair-meta-string"),
+        pytest.param("result.json", ("meta",), 1.0, "evaluate",
+                     id="result-meta-number"),
+        pytest.param("dataset/manifest.json", ("meta",), [], "factorize",
+                     id="manifest-meta-list"),
     ])
     def test_unusable_field_exits_3_naming_it(self, finished_run, tmp_path,
                                               capsys, artifact, field, value,
@@ -1330,6 +1352,21 @@ class TestDamagedArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{artifact}: {field[0]} " in err, err
+
+    @pytest.mark.parametrize("field", ["P", "S_x"])
+    def test_result_of_another_formation_is_a_cache_miss(
+            self, finished_run, tmp_path, capsys, field):
+        args = copy_run(finished_run, tmp_path)
+        path = tmp_path / "out" / "result.json"
+        written = path.read_bytes()
+        payload = json.loads(written)
+        payload[field]["data"] = [0.0] * len(payload[field]["data"])
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["pipeline"] + args) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("cache hit") == 4 and "synthesize: lambda*" in out
+        assert path.read_bytes() == written
 
     def test_what_koopctl_writes_reads_back(self, finished_run, tmp_path,
                                             capsys):

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,29 +75,44 @@ class TestLyapunovResidual:
 
 
 class TestCandidates:
-    def test_identity_start_structure(self):
-        cand = syn.identity_candidate(2, 9)
-        assert cand.tag == "identity-start"
-        np.testing.assert_array_equal(cand.P[:2, :2], np.eye(2))
-        assert np.all(cand.P[2:, :] == 0) and np.all(cand.P[:, 2:] == 0)
+    def test_identity_start_structure(self, monkeypatch):
+        # synthesize tries S_x = I first, so its first P is A_dec^T A_dec
+        problems = []
+
+        def record(problem):
+            problems.append(problem)
+            return {"outcome": "infeasible", "iterations": 0,
+                    "theta": None, "lam": None, "min_eig": None}
+
+        monkeypatch.setattr(syn, "solve_fixed_p", record)
+        model = identity_lift_model(np.eye(9), np.zeros((9, 1)), d_s=1)
+        model.map_descriptor["state_dim"] = 2
+        pair = FactorizationPair(S=np.eye(9)[:1], H=np.ones((1, 9)),
+                                 mask=np.eye(9, dtype=int)[0],
+                                 residuals=np.zeros(9), eps_h=1e-9)
+        result = syn.synthesize(model, pair, max_resamples=0)
+        assert result.diagnostics["candidates"][0]["tag"] == "identity-start"
+        P = problems[0].P
+        np.testing.assert_array_equal(P[:2, :2], np.eye(2))
+        assert np.all(P[2:, :] == 0) and np.all(P[:, 2:] == 0)
 
     def test_sampled_rank_equals_state_dim(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            cand = syn.sample_candidate(3, 10, rng)
-            assert np.linalg.matrix_rank(cand.P) == 3
-            assert np.linalg.eigvalsh(cand.S_x)[0] > 0
+            S_x = syn.sample_candidate(3, rng)
+            assert np.linalg.matrix_rank(syn._restrict(S_x, 10)) == 3
+            assert np.linalg.eigvalsh(S_x)[0] > 0
 
     def test_seeded_determinism(self):
-        a = syn.sample_candidate(2, 5, np.random.default_rng(3))
-        b = syn.sample_candidate(2, 5, np.random.default_rng(3))
-        np.testing.assert_array_equal(a.P, b.P)
+        a = syn.sample_candidate(2, np.random.default_rng(3))
+        b = syn.sample_candidate(2, np.random.default_rng(3))
+        np.testing.assert_array_equal(a, b)
 
     def test_ridge_is_the_module_constant(self):
-        cand = syn.sample_candidate(2, 5, np.random.default_rng(3))
+        S_x = syn.sample_candidate(2, np.random.default_rng(3))
         R = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 2))
         np.testing.assert_array_equal(
-            cand.S_x, R.T @ R + syn.CANDIDATE_RIDGE * np.eye(2))
+            S_x, R.T @ R + syn.CANDIDATE_RIDGE * np.eye(2))
 
 
 class TestLmiProblem:
@@ -252,18 +269,6 @@ class TestSynthesize:
         assert result.status == "optimal"
         assert syn.certified_rate(result) == pytest.approx(
             np.sqrt(result.lam))
-
-    def test_result_json_round_trip(self):
-        model = identity_lift_model(np.diag([0.5, 0.5]), np.zeros((2, 1)),
-                                    d_s=1)
-        pair = FactorizationPair(S=np.eye(2)[:1], H=np.eye(2),
-                                 mask=np.array([1, 0]),
-                                 residuals=np.zeros(2), eps_h=1e-9)
-        result = syn.synthesize(model, pair, max_resamples=2, seed=0)
-        back = syn.result_from_json(syn.result_to_json(result))
-        np.testing.assert_array_equal(back.K_u, result.K_u)
-        np.testing.assert_array_equal(back.P, result.P)
-        assert back.status == result.status and back.lam == result.lam
 
 
 class TestLyapunovImplication:
@@ -551,11 +556,11 @@ class TestWellPosedGain:
 
 def candidate_problem(model, pair, sampled):
     d_x, d_psi = model.state_dim, model.lifted_dim
-    cand = syn.sample_candidate(d_x, d_psi, np.random.default_rng(0)) \
-        if sampled else syn.identity_candidate(d_x, d_psi)
-    return syn.LmiProblem(P=cand.P, K_xx=model.K_xx, K_xu=model.K_xu,
-                          H=pair.H, d_S=pair.d_S, d_u=model.input_dim,
-                          d_psi_u=pair.d_psi_u)
+    S_x = syn.sample_candidate(d_x, np.random.default_rng(0)) \
+        if sampled else np.eye(d_x)
+    return syn.LmiProblem(P=syn._restrict(S_x, d_psi), K_xx=model.K_xx,
+                          K_xu=model.K_xu, H=pair.H, d_S=pair.d_S,
+                          d_u=model.input_dim, d_psi_u=pair.d_psi_u)
 
 
 def spanning_ridge_problem():
@@ -629,6 +634,89 @@ class TestBoundMatchesUnprunedBisection:
             np.testing.assert_array_equal(got.P, want.P)
             np.testing.assert_array_equal(got.S_x, want.S_x)
             assert got.lam <= want.lam + syn.DEFAULT_LAM_TOL
+
+
+def toy_synthesis(k_xx, k_xu, H, d_x=None, max_resamples=10, seed=0):
+    """synthesize on an identity-lift toy whose one kept block is psi_0;
+    ``d_x`` below the lifted dimension makes P rank deficient."""
+    model = identity_lift_model(np.asarray(k_xx, dtype=float),
+                                np.asarray(k_xu, dtype=float), d_s=1)
+    d = len(model.K_xx)
+    if d_x is not None:
+        model.map_descriptor["state_dim"] = d_x
+    pair = FactorizationPair(S=np.eye(d)[:1], H=np.asarray(H, dtype=float),
+                             mask=np.eye(d, dtype=int)[0],
+                             residuals=np.zeros(d), eps_h=1e-9)
+    return syn.synthesize(model, pair, max_resamples=max_resamples,
+                          seed=seed)
+
+
+SYNTHESIS_TOYS = {
+    "stable-rank-deficient": lambda: toy_synthesis(
+        np.diag([0.5, 0.4, 0.9]), np.zeros((3, 1)), np.ones((1, 3)), d_x=2),
+    **{f"controllable-seed{seed}": lambda seed=seed: toy_synthesis(
+        [[0.5, 0.3], [0.8, 1.2]], [[0.0], [1.0]], np.eye(2), seed=seed)
+       for seed in range(3)},
+    "half-rate": lambda: toy_synthesis(
+        np.diag([0.5, 0.5]), np.zeros((2, 1)), np.eye(2), max_resamples=2),
+    "zero-authority-failed": lambda: toy_synthesis(
+        np.diag([1.4, 1.2]), np.zeros((2, 1)), np.ones((1, 2)),
+        max_resamples=3),
+    "zero-authority-infeasible": lambda: toy_synthesis(
+        np.diag([1.4, 1.2]), np.zeros((2, 1)), np.ones((1, 2)),
+        max_resamples=0),
+}
+
+
+def assert_reads_back(result):
+    """result.json's reader accepts what synthesize wrote, unchanged."""
+    text = json.dumps(syn.result_to_json(result), sort_keys=True)
+    back = syn.result_from_json(json.loads(text))
+    for name in ("K_u", "P", "S_x"):
+        np.testing.assert_array_equal(getattr(back, name),
+                                      getattr(result, name))
+    assert back.status == result.status
+    assert back.lam == result.lam or (math.isnan(back.lam)
+                                      and math.isnan(result.lam))
+
+
+class TestResultReadsBack:
+    """``result_from_json`` holds every result to the formation synthesize
+    uses (S_x symmetric positive definite, P its padding), and accepts
+    every result synthesize returns, failed ones included."""
+
+    @pytest.mark.parametrize("name", sorted(SYNTHESIS_TOYS))
+    def test_toy_results(self, name):
+        assert_reads_back(SYNTHESIS_TOYS[name]())
+
+    @pytest.mark.parametrize("kind", ["single", "double", "controllable"])
+    def test_protocol_fixture_results(self, kind, model_pairs):
+        result = syn.synthesize(*model_pairs[kind], max_resamples=20, seed=0)
+        assert result.status == "optimal"
+        assert_reads_back(result)
+
+    @pytest.mark.parametrize("field, edit, message", [
+        ("P", lambda P, S: P.__setitem__((0, 0), np.nextafter(P[0, 0], 2)),
+         "P is not A_dec^T S_x A_dec"),
+        ("P", lambda P, S: P.__setitem__((2, 2), 1e-300),
+         "P is not A_dec^T S_x A_dec"),
+        ("S_x", lambda P, S: S.__setitem__((0, 1), np.nextafter(S[0, 1], 2)),
+         "S_x is not symmetric"),
+        ("S_x", lambda P, S: S.__setitem__((1, 1), -1.0),
+         "S_x is not positive definite"),
+    ], ids=["P-one-ulp", "P-outside-the-decoder-block",
+            "S_x-one-ulp-asymmetric", "S_x-indefinite"])
+    def test_another_formation_is_rejected(self, field, edit, message):
+        result = SYNTHESIS_TOYS["stable-rank-deficient"]()
+        payload = syn.result_to_json(result)
+        P = syn.matrix_from_json(payload["P"])
+        S_x = syn.matrix_from_json(payload["S_x"])
+        edit(P, S_x)
+        if field == "S_x":   # keep P the padding of the edited S_x
+            P = syn._restrict(S_x, len(P))
+        payload.update(P=syn.matrix_to_json(P), S_x=syn.matrix_to_json(S_x))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            syn.result_from_json(payload)
 
 
 class TestDualBoundSoundness:
