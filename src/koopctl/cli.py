@@ -10,12 +10,13 @@ all-diverged babble), 4 synthesis infeasible, 5 evaluation gate failed,
 6 factorization retained no block, 7 artifact could not be written
 (e.g. disk full), reported in one line naming the file.
 ``STAGES`` holds one row per stage, with the reader of its artifact.
-Each artifact embeds its stage key, the hash of the config sections
-read by the stage and the stages upstream of it (``output_dir`` is in
-none).  ``pipeline`` reuses every artifact whose key is current and
-that its reader accepts (not a failed synthesis or an evaluation below
-its gate) and reruns the rest; a single-stage command exits 3 on an
-upstream artifact whose key is stale.  Artifacts are written atomically.
+Each artifact embeds its stage key, the hash of ``ARTIFACT_FORMAT``
+and the config sections read by the stage and the stages upstream of
+it (``output_dir`` is in none).  ``pipeline`` reuses every artifact
+whose key is current and that its reader accepts (not a failed
+synthesis or an evaluation below its gate) and reruns the rest; a
+single-stage command exits 3 on an upstream artifact whose key is
+stale.  Artifacts are written atomically.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ EXIT_EVAL_GATE = 5
 EXIT_FACTORIZATION = 6
 EXIT_WRITE = 7
 
+# Hashed into every stage key, and raised whenever equal config and seed
+# stop writing equal artifact bytes, so that an older cache is a miss.
+# 2: the streamed passes take 4096-row chunks (``tensor.QR_CHUNK``).
+ARTIFACT_FORMAT = 2
+
 
 class StageError(RuntimeError):
     def __init__(self, message: str, code: int):
@@ -104,11 +110,12 @@ def _outdir(cfg: dict) -> Path:
 
 
 def stage_key(cfg: dict, name: str) -> str:
-    """config_hash of the sections that stage ``name`` and every stage
-    upstream of it read."""
+    """config_hash of ARTIFACT_FORMAT and the sections that stage ``name``
+    and every stage upstream of it read."""
     def sections(n):
         return set(STAGES[n].sections).union(*map(sections, STAGES[n].upstream))
-    return config_hash({s: cfg[s] for s in sections(name)})
+    return config_hash({"artifact_format": ARTIFACT_FORMAT,
+                        "sections": {s: cfg[s] for s in sections(name)}})
 
 
 def _meta(cfg: dict, name: str) -> dict:

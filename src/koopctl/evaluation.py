@@ -108,7 +108,7 @@ def lyapunov_trace(result: SynthesisResult, psis: np.ndarray,
     approximately.
     """
     psis = np.asarray(psis, dtype=float)
-    v = np.einsum("ki,ij,kj->k", psis, result.P, psis)
+    v = np.einsum("ij,ij->i", psis @ result.P, psis)
     if v.size < 2:
         return {"V": v, "decrease_fraction": 1.0}
     ok = v[1:] <= result.lam * v[:-1] + slack

@@ -329,7 +329,7 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
     rng = np.random.default_rng(seed)
     diagnostics = {"resample_count": max_resamples, "iterations": 0,
                    "eps_p": CANDIDATE_RIDGE, "feas_tol": DEFAULT_FEAS_TOL,
-                   "seed": seed, "candidates": []}
+                   "lam_tol": DEFAULT_LAM_TOL, "seed": seed, "candidates": []}
     for n_sampled in range(max_resamples + 1):
         S_x = sample_candidate(d_x, rng) if n_sampled else np.eye(d_x)
         P = _restrict(S_x, d_psi)
@@ -349,8 +349,7 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
         })
         if certified:
             diagnostics.update(resample_count=n_sampled,
-                               min_eig=sol["min_eig"],
-                               lam_tol=DEFAULT_LAM_TOL)
+                               min_eig=sol["min_eig"])
             return SynthesisResult(
                 K_u=problem.gain(sol["theta"]), lam=float(sol["lam"]), P=P,
                 S_x=S_x, status="optimal", diagnostics=diagnostics)

@@ -14,9 +14,13 @@ import math
 
 import numpy as np
 
-# Rows per chunk of ``streamed_qr``: each step factors one chunk plus the
-# running triangle, so its working copy is a few MB at the widths used here.
-QR_CHUNK = 8192
+# Rows (or snapshots) per chunk of every streamed pass: ``streamed_qr``
+# factors one chunk plus the running triangle, and the Hbar fit, the
+# identification and the dataset lift hold a few chunk-wide buffers, so
+# each working copy is a few MB at the widths used here.  The chunk sets
+# the order of the floating-point sums, so changing it moves every
+# artifact from pair.json on at rounding level (``cli.ARTIFACT_FORMAT``).
+QR_CHUNK = 4096
 
 
 def as_number(x, name: str, sign: str = "", integer: bool = False,

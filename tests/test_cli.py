@@ -710,6 +710,33 @@ class TestStageOrdering:
         assert "manifest.json" in err and "'babble'" in err
         assert not (tmp_path / "out" / "pair.json").exists()
 
+    def test_key_without_the_artifact_format_is_stale(self, tmp_path,
+                                                      capsys):
+        # artifacts written before the format entered the stage key (with
+        # 8192-row chunks) carry the hash of their config sections alone
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        cfg = load_config(cfgfile)
+
+        def sections(n):
+            stage = cli.STAGES[n]
+            return set(stage.sections).union(*map(sections, stage.upstream))
+
+        for name in STAGE_NAMES:
+            path = tmp_path / "out" / cli.STAGES[name].path
+            payload = json.loads(path.read_text())
+            payload["meta"]["config_hash"] = config_hash(
+                {s: cfg[s] for s in sections(name)})
+            assert payload["meta"]["config_hash"] != cli.stage_key(cfg, name)
+            path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["synthesize", "--config", str(cfgfile)]) \
+            == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "stale" in err
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        assert "cache hit" not in capsys.readouterr().out
+
     def test_bad_config_is_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"plant": {"kind": "tripod"}}')

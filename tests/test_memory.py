@@ -6,34 +6,35 @@ holds each state inside its lift: x and the tails are views of psi's
 raw-state rows.  A pass over N snapshots may hold the dataset's lift
 psi (d_psi x (N + n_tails) floats) plus a fixed number of QR_CHUNK-wide
 buffers, whatever N is.  The bounds are on a double-pendulum dataset of
-about 3 QR_CHUNK snapshots (24,600, d_psi = 14), set from measurement
+about 3 QR_CHUNK snapshots (12,300, d_psi = 14), set from measurement
 with a margin:
 
 =====================  ========  =====  ===================================
 pass                   measured  bound  unit
 =====================  ========  =====  ===================================
-generate_dataset held  1.004     1.05   bytes of x, u, traj_id and tails
-load_dataset held      1.008     1.05   bytes of x, u, traj_id and tails
-load_dataset peak      0.91      1.1    bytes of x, u, traj_id and tails,
+generate_dataset held  1.019     1.05   bytes of x, u, traj_id and tails
+load_dataset held      1.016     1.05   bytes of x, u, traj_id and tails
+load_dataset peak      0.69      1.1    bytes of x, u, traj_id and tails,
                                         beyond two numpy read buffers
-lift (dataset)         0.79      1.25   d_psi x QR_CHUNK floats, beyond psi
-lifted dataset held    1.004     1.05   bytes of psi, u, traj_id and
+lift (dataset)         0.72      1.25   d_psi x QR_CHUNK floats, beyond psi
+lifted dataset held    1.010     1.05   bytes of psi, u, traj_id and
                                         tail_rows
-evaluate_batch         0.79      1.25   d_psi x QR_CHUNK floats, beyond psi
+evaluate_batch         0.72      1.25   d_psi x QR_CHUNK floats, beyond psi
 fit_pair               1.54      2      d_psi (d_psi + 1) / 2 x QR_CHUNK
                                         floats, beyond psi
-identify_model         5.39      6      d_psi x QR_CHUNK floats, psi
+identify_model         5.37      6      d_psi x QR_CHUNK floats, psi
                                         already lifted
-identify_model         5.39      6      d_psi x QR_CHUNK floats, beyond
+identify_model         5.37      6      d_psi x QR_CHUNK floats, beyond
                                         psi, which it lifts
 =====================  ========  =====  ===================================
 
 Beyond the arrays, a load holds two ``np.lib.format.BUFFER_SIZE`` (256
 KiB) buffers: numpy reads an npz member in pieces of that size, and
 zipfile copies each piece once.  They do not grow with N; here they are
-0.38 of the arrays.  A dataset that also holds x_next and the three
-index arrays measures 2.02 held (a load that builds them peaks at 1.86
-with the buffers), a dataset lift that first copies [x; tails] 1.66, a
+0.76 of the arrays.  On the same fixture at twice the snapshots and
+QR_CHUNK 8192, a dataset that also held x_next and the three index
+arrays measured 2.02 held (a load that builds them peaked at 1.86 with
+the buffers), a dataset lift that first copies [x; tails] 1.66, a
 lifted dataset that keeps its own x and tails 1.24 held, a whole-array
 lift (its pieces N wide) 2.36, a fit with a second product buffer 2.40,
 and an identification that lifts again and forms (S psi) kron u for
@@ -44,14 +45,17 @@ tracemalloc sees neither those workspaces nor the heap the allocator
 keeps, so one ``slow`` test guards the process itself: babble,
 ``fit_pair`` and ``identify_model`` on the criterion-7 dataset, in a
 fresh interpreter, may grow its peak RSS over the post-import baseline
-by at most psi + the babbled dataset - x + 3.25 product chunks
-(d_psi (d_psi + 1) / 2 x QR_CHUNK floats).  That is 49.7 MiB; it
-measured 47.0-47.2 MiB, and 54.1-54.4 MiB when the lift first copies
-[x; tails] and the dataset keeps its own x (2-vCPU VM, numpy 2.4,
-OpenBLAS's default two threads).  The peak is VmHWM, the high-water
-mark of the process image: Linux carries ``ru_maxrss`` across fork and
-exec, so in a child of the test runner it would start at the runner's
-own peak.
+by at most psi + the babbled dataset - x + 4.25 product chunks
+(d_psi (d_psi + 1) / 2 x QR_CHUNK floats).  That is 42.3 MiB; it
+measured 40.2 MiB (3.61-3.62 chunks in three runs), and 47.7-47.8 MiB
+when the lift first copies [x; tails] and the dataset keeps its own x
+(2-vCPU VM, numpy 2.4, OpenBLAS's default two threads).  About 6 MiB of
+the transient beyond psi and the dataset does not scale with the chunk
+(it measured 17.8 MiB at QR_CHUNK 8192 and 11.9 at 4096), so the
+multiplier is larger than the 3.25 that held at 8192.  The peak
+is VmHWM, the high-water mark of the process image: Linux carries
+``ru_maxrss`` across fork and exec, so in a child of the test runner it
+would start at the runner's own peak.
 """
 
 import gc
@@ -75,7 +79,7 @@ FLOAT = 8
 def babbled():
     m = observables.double_pendulum_map()
     cfg = babbling.BabblingConfig(
-        num_gains=2, num_initial_conditions=123, gain_scale=1.0,
+        num_gains=3, num_initial_conditions=41, gain_scale=1.0,
         state_grid=((-np.pi, np.pi), (-np.pi, np.pi), (-2.0, 2.0),
                     (-2.0, 2.0)),
         steps=100, dt=0.01, seed=0)
@@ -264,5 +268,5 @@ def test_criterion_7_rss_growth_is_psi_and_the_lean_dataset():
                          capture_output=True, text=True, check=True,
                          timeout=300)
     got = json.loads(run.stdout)
-    bound = got["psi"] + got["dataset"] - got["x"] + 3.25 * got["products"]
+    bound = got["psi"] + got["dataset"] - got["x"] + 4.25 * got["products"]
     assert got["growth"] <= bound, (got, bound)

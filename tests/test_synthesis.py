@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koopctl import babbling, edmd, plants
+from koopctl import evaluation as ev
 from koopctl import synthesis as syn
 from koopctl.edmd import BilinearKoopmanModel
 from koopctl.factorization import FactorizationPair, assemble_ktilde, fit_pair
@@ -499,18 +500,24 @@ class TestDeflation:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def smoke_plant(kind):
+    """(plant, lift) of the benchmark protocol ``kind``."""
+    if kind == "single":
+        return (plants.single_pendulum(m=1.0, L=1.0, b=0.3, gravity=1.0),
+                single_pendulum_map())
+    return (plants.double_pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0,
+                                   gravity=1.0),
+            double_pendulum_map())
+
+
 def smoke_pendulum(kind):
     """(model, pair) from a small babbling run of the benchmark protocols."""
+    plant, lift = smoke_plant(kind)
     if kind == "single":
-        plant = plants.single_pendulum(m=1.0, L=1.0, b=0.3, gravity=1.0)
-        lift = single_pendulum_map()
         cfg = babbling.BabblingConfig(
             num_gains=4, num_initial_conditions=4, steps=50, dt=0.01,
             state_grid=((-np.pi, np.pi), (-6.0, 6.0)), seed=0)
     else:
-        plant = plants.double_pendulum(m1=1.0, m2=1.0, l1=1.0, l2=1.0,
-                                       gravity=1.0)
-        lift = double_pendulum_map()
         cfg = babbling.BabblingConfig(
             num_gains=2, num_initial_conditions=108, steps=100, dt=0.01,
             state_grid=((-np.pi, np.pi), (-np.pi, np.pi), (-2.0, 2.0),
@@ -695,6 +702,17 @@ class TestResultReadsBack:
         assert result.status == "optimal"
         assert_reads_back(result)
 
+    @pytest.mark.parametrize("name", ["zero-authority-failed",
+                                      "zero-authority-infeasible"])
+    def test_failed_result_records_lam_tol(self, name):
+        result = SYNTHESIS_TOYS[name]()
+        assert result.status != "optimal"
+        assert result.diagnostics["lam_tol"] == syn.DEFAULT_LAM_TOL
+        assert "min_eig" not in result.diagnostics   # certified only
+        text = json.dumps(syn.result_to_json(result), sort_keys=True)
+        back = syn.result_from_json(json.loads(text))
+        assert back.diagnostics == result.diagnostics
+
     @pytest.mark.parametrize("field, edit, message", [
         ("P", lambda P, S: P.__setitem__((0, 0), np.nextafter(P[0, 0], 2)),
          "P is not A_dec^T S_x A_dec"),
@@ -768,6 +786,43 @@ class TestCandidateDiagnostics:
         # rejected candidates' solver work counts too
         assert sum(c["iterations"] for c in cands) \
             == result.diagnostics["iterations"]
+
+
+def three_operand_trace(result, psis, slack):
+    """lyapunov_trace as it was, V from one unoptimized einsum."""
+    v = np.einsum("ki,ij,kj->k", psis, result.P, psis)
+    return v, float(np.mean(v[1:] <= result.lam * v[:-1] + slack))
+
+
+class TestLyapunovTraceFormation:
+    """V = (psi P) . psi against the three-operand einsum it replaced, on
+    the closed loops of the protocol fixtures: V within rounding (the
+    largest relative gap here measured 8.5e-16) and every decrease
+    fraction the same."""
+
+    @pytest.mark.parametrize("kind", ["single", "double"])
+    def test_matches_three_operand_einsum(self, kind, model_pairs):
+        model, pair = model_pairs[kind]
+        result = syn.synthesize(model, pair, max_resamples=20, seed=0)
+        assert result.status == "optimal"
+        plant, lift = smoke_plant(kind)
+        rng = np.random.default_rng(5)
+        states = rng.uniform(-1.0, 1.0, (8, model.state_dim))
+        report = ev.evaluate_closed_loop(plant, lift, result.K_u, states,
+                                         3.0, 0.01, result=result)
+        fractions = []
+        for traj in report.controlled_trajs:
+            assert not traj.diverged
+            psis = lift(traj.states)
+            slack = 1e-9 * max(1.0, float(np.max(psis ** 2)))
+            got = ev.lyapunov_trace(result, psis, slack)
+            v, fraction = three_operand_trace(result, psis, slack)
+            assert np.all(v > 0)
+            assert np.max(np.abs(got["V"] - v) / v) <= 1e-14
+            assert got["decrease_fraction"] == fraction
+            fractions.append(fraction)
+        assert [r.lyap_decrease_fraction for r in report.records] \
+            == fractions
 
 
 def test_import_does_not_load_scipy():
