@@ -3,20 +3,20 @@
 Exit codes: 0 success, 2 config error, 3 stage-precondition error (a
 missing, corrupt or stale upstream artifact, one with a field its reader
 rejects and names, such as a NaN entry, a matrix whose shape disagrees
-with the config or another artifact, a meta that is not an object, or a
-result whose S_x is not symmetric positive definite or whose P is not
-that S_x padded with zeros; or a stage's ValueError, such as an
-all-diverged babble), 4 synthesis infeasible, 5 evaluation gate failed,
-6 factorization retained no block, 7 artifact could not be written
-(e.g. disk full), reported in one line naming the file.
-``STAGES`` holds one row per stage, with the reader of its artifact.
-Each artifact embeds its stage key, the hash of ``ARTIFACT_FORMAT``
-and the config sections read by the stage and the stages upstream of
-it (``output_dir`` is in none).  ``pipeline`` reuses every artifact
-whose key is current and that its reader accepts (not a failed
-synthesis or an evaluation below its gate) and reruns the rest; a
-single-stage command exits 3 on an upstream artifact whose key is
-stale.  Artifacts are written atomically.
+with the config or another artifact, a meta that is not an object, a
+result whose S_x is not symmetric positive definite, whose P is not that
+S_x padded with zeros or whose certificate fails with the current model
+and pair; or a stage's ValueError, such as an all-diverged babble),
+4 synthesis infeasible, 5 evaluation gate failed, 6 factorization
+retained no block, 7 artifact could not be written (e.g. disk full),
+reported in one line naming the file.  ``STAGES`` holds one row per
+stage, with the reader of its artifact and its format number.  Each
+artifact embeds its stage key, the hash of the format numbers and config
+sections of the stage and the stages upstream of it (``output_dir`` is
+in none).  ``pipeline`` reuses every artifact whose key is current and
+that its reader accepts (not a failed synthesis or an evaluation below
+its gate) and reruns the rest; a single-stage command exits 3 on an
+upstream artifact whose key is stale.  Artifacts are written atomically.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ from .factorization import (
     pair_to_json,
     verify_assumption1,
 )
-from .synthesis import certified_rate, result_from_json, result_to_json, synthesize
+from .synthesis import (DEFAULT_FEAS_TOL, certificate, certified_rate,
+                        result_from_json, result_to_json, synthesize)
 from .tensor import as_matrix, as_number
 
 EXIT_OK = 0
@@ -68,12 +69,6 @@ EXIT_INFEASIBLE = 4
 EXIT_EVAL_GATE = 5
 EXIT_FACTORIZATION = 6
 EXIT_WRITE = 7
-
-# Hashed into every stage key, and raised whenever equal config and seed
-# stop writing equal artifact bytes, so that an older cache is a miss.
-# 2: the streamed passes take 4096-row chunks (``tensor.QR_CHUNK``).
-ARTIFACT_FORMAT = 2
-
 
 class StageError(RuntimeError):
     def __init__(self, message: str, code: int):
@@ -88,6 +83,7 @@ class Stage(NamedTuple):
     upstream: tuple            # stages whose outputs ``run`` takes, in order
     read: Callable             # (cfg, payload, path) -> output
     run: Callable              # cmd_*(cfg, *upstream outputs)
+    format: int = 1            # raised when its bytes for equal inputs move
 
 
 @contextmanager
@@ -110,12 +106,14 @@ def _outdir(cfg: dict) -> Path:
 
 
 def stage_key(cfg: dict, name: str) -> str:
-    """config_hash of ARTIFACT_FORMAT and the sections that stage ``name``
-    and every stage upstream of it read."""
-    def sections(n):
-        return set(STAGES[n].sections).union(*map(sections, STAGES[n].upstream))
-    return config_hash({"artifact_format": ARTIFACT_FORMAT,
-                        "sections": {s: cfg[s] for s in sections(name)}})
+    """config_hash of the format numbers of stage ``name`` and every stage
+    upstream of it, and of the config sections they read."""
+    def closure(n):
+        return {n}.union(*map(closure, STAGES[n].upstream))
+    names = closure(name)
+    return config_hash({
+        "formats": {n: STAGES[n].format for n in names},
+        "sections": {s: cfg[s] for n in names for s in STAGES[n].sections}})
 
 
 def _meta(cfg: dict, name: str) -> dict:
@@ -197,6 +195,12 @@ def _read_result(cfg: dict, payload: dict, path: Path):
     if not 0 <= result.lam < 1:
         raise ValueError(f"lambda of an optimal synthesis must be in [0, 1), "
                          f"got {result.lam!r}")
+    min_eig = certificate(result, _load(cfg, "identify"),
+                          _load(cfg, "factorize"))
+    if not min_eig >= -DEFAULT_FEAS_TOL:
+        raise ValueError(f"K_u and lambda fail the certificate with "
+                         f"model.json and pair.json: full-block min eig "
+                         f"{min_eig:.3e} < -{DEFAULT_FEAS_TOL:g}")
     return result
 
 
@@ -317,6 +321,9 @@ def cmd_evaluate(cfg: dict, result, model, pair):
     return report
 
 
+# Stage.format enters the stage's key and those downstream: raising it
+# makes their older caches a miss.  factorize 2: 4096-row chunks in the
+# streamed passes (tensor.QR_CHUNK); synthesize 2: the barrier method.
 STAGES = {
     "babble": Stage(
         "dataset/manifest.json", KIND,
@@ -324,13 +331,13 @@ STAGES = {
         lambda cfg, payload, path: load_dataset(path.parent), cmd_babble),
     "factorize": Stage(
         "pair.json", "koopctl/pair", ("factorization",), ("babble",),
-        _read_pair, cmd_factorize),
+        _read_pair, cmd_factorize, 2),
     "identify": Stage(
         "model.json", "koopctl/model", ("identification",),
         ("babble", "factorize"), _read_model, cmd_identify),
     "synthesize": Stage(
         "result.json", "koopctl/synthesis", ("synthesis",),
-        ("identify", "factorize"), _read_result, cmd_synthesize),
+        ("identify", "factorize"), _read_result, cmd_synthesize, 2),
     "evaluate": Stage(
         "report.json", "koopctl/report", ("evaluation",),
         ("synthesize", "identify", "factorize"), _read_report, cmd_evaluate),

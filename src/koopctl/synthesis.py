@@ -7,35 +7,51 @@ For a fixed PSD candidate P the constraint
 is jointly affine in (K_u, lam) because Ktilde = K_xx + K_xu (I kron K_u) H
 is affine in K_u.  Minimizing lam subject to
 
-    blockdiag(M(K_u, lam) + feas_tol I, lam, 1 - lam) >= 0
+    F(theta, lam) = blockdiag(M(K_u, lam) + feas_tol I, lam, 1 - lam) >= 0,
 
-is therefore one linear semidefinite program (SDP).  ``solve_fixed_p``
-solves it with a primal-dual path-following method from an infeasible
-start: the HKM search direction with Mehrotra's predictor-corrector
-(Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 1996;
-Vandenberghe and Boyd, SIAM Review 1996).  Each iteration solves one
-Schur system with a row per gain entry and one for lam.  Once the primal
-iterate is feasible its objective bounds lam* from below, so a candidate
-whose bound shows lam* + lam_tol / 10 >= 1 is rejected as soon as that
-shows; otherwise the method runs until the complementarity gap <X, Z>
-and both relative residuals are below 1e-9.
+theta the entries of K_u, is therefore one linear semidefinite program.
+``solve_fixed_p`` solves it with a barrier method (Boyd and Vandenberghe,
+Convex Optimization, 2004, 11.3-11.4) built on one damped Newton routine
+for c.y + rho ||y||^2 - log det G(y), G affine of order m, the barrier
+parameter (Nesterov and Nemirovskii, 1994).  Phase I fixes
+lam_1 = 1 - lam_tol / 10 and follows the central path of min s subject
+to F(theta, lam_1) + s D > 0, D the identity on the M block, from
+theta = 0, s_0 putting the M block's smallest eigenvalue at 1, and
+t_0 = m / s_0.  An iterate with s < 0 is a strictly feasible gain; one
+with s > m / t proves the least s positive, so no gain satisfies the LMI
+at lam_1 or, as M grows with lam, below it: the candidate is rejected.
+Phase II follows the central path of min lam from that gain at lam_1,
+from t_0 = m, until m / t <= 1e-9.  Every iterate is strictly feasible,
+so lam* <= lam(t) <= lam* + m / t.
 
-The lam-optimal gains form a flat set, and the method would stop at an
+Both bounds hold at the point reached, by this derivation.  A path
+centering stops once the Newton decrement delta at y is at most 1/4 and
+takes the full step d.  With G = G(y) and E = sum_j d_j G_j, the Newton
+equation gives Z = G^-1 (G - E) G^-1 / t the dual equality constraints,
+Z >= 0 as ||G^-1/2 E G^-1/2||_F = delta <= 1, and the duality gap at
+y + d is (m - delta^2) / t.  This takes the Newton system as solved
+exactly; where its Hessian is singular to working precision (condition
+above 1e20), rounding can break the bound.  At large t, t c and the
+barrier's gradient cancel, so no tighter decrement is reachable, and f
+itself rounds a step's decrease away: the line search forms the change
+from the eigenvalues of G^-1/2 E G^-1/2.
+
+The lam-optimal gains form a flat set, and the path would stop at an
 arbitrary point of it.  The gain is instead chosen at
-lam_c = lam* + lam_tol / 10 as the minimizer of the strictly convex
+lam_c = lam(t) + lam_tol / 10 as the minimizer of the strictly convex
 
     rho ||K_u||^2 - log det(M(K_u, lam_c) + feas_tol I),
 
-found by Newton steps from the method's last iterate, which makes it a
-smooth function of the model.  rho = 1 / ||K_ac||^2, where K_ac is the
-analytic center (the same minimization with rho = 0; its least-squares
-Newton steps never move gain components that leave M unchanged).  The
-penalty is then one barrier unit at the center, so it does not depend
-on the units of the input and keeps the minimizer well inside the
-feasible set.  The reported lam is lam_c: at most the exact optimum
-plus lam_tol, up to the 1e-9 tolerances times the size of the optimal
-gain.  A candidate is certified only when lam_c < 1 and the smallest
-eigenvalue of the full block matrix at (K_u, lam_c) is >= -feas_tol.
+found by Newton steps from the path's last gain, which makes it a smooth
+function of the model.  rho = 1 / ||K_ac||^2, where K_ac is the analytic
+center (the same minimization with rho = 0; its least-squares Newton
+steps never move gain components that leave M unchanged).  The penalty
+is then one barrier unit at the center, so it does not depend on the
+units of the input and keeps the minimizer well inside the feasible set.
+The reported lam is lam_c, at most the exact optimum plus lam_tol.  A
+candidate is certified only when lam_c < 1 and its ``certificate``, the
+smallest eigenvalue of the full block matrix at (K_u, lam_c), is
+>= -feas_tol.
 
 A candidate is a positive definite S_x: I first, then R^T R + eps_p I
 with R resampled uniformly from [-1, 1].  ``synthesize`` forms its
@@ -67,10 +83,11 @@ from .tensor import (as_matrix, as_number, matrix_from_json, matrix_to_json,
 DEFAULT_FEAS_TOL = 1e-8   # smallest-eigenvalue floor for a certified LMI
 DEFAULT_LAM_TOL = 1e-3    # reported lam is at most the optimum plus this
 CANDIDATE_RIDGE = 1e-2    # eps_p in the sampled S_x = R^T R + eps_p I
-_IPM_TOL = 1e-9           # duality gap and residuals that end the solve
-_IPM_MAXITER = 100
 _NEWTON_TOL = 1e-7        # Newton decrement that ends the gain centering
-_NEWTON_MAXITER = 50
+_NEWTON_MAXITER = 50      # Newton steps in one centering
+_PATH_TOL = 0.25          # Newton decrement that ends a path centering
+_PATH_STEP = 100.0        # factor on t between path centerings
+_PATH_GAP = 1e-9          # duality-gap bound that ends the lam path
 
 
 def energy_norm(S_x: np.ndarray, x) -> float:
@@ -159,119 +176,60 @@ def _sdp_terms(problem: LmiProblem) -> np.ndarray:
     return F
 
 
-def _max_step(X, dX) -> float:
-    """Largest alpha with X + alpha dX PSD, for X positive definite."""
-    li = np.linalg.inv(np.linalg.cholesky(X))
-    w = np.linalg.eigvalsh(li @ dX @ li.T)[0]
-    return np.inf if w >= 0.0 else -1.0 / w
-
-
-def _interior_point(F, shift: float):
-    """Maximize -lam subject to Z = F_0 + sum_j y_j F_j >= 0, y = (theta, lam).
-
-    The primal problem is: minimize <F_0, X> subject to <F_j, X> = [j is
-    lam] and X >= 0.  Once its residual vanishes, its objective is >= -lam
-    for every feasible y, so -<F_0, X> bounds lam* from below.
-    The residual counts as vanished below 1e-9 relative to ||X||: if the
-    LMI has no solution at all, X grows along a Farkas ray and the bound
-    grows without limit.  Returns (outcome, y, iterations) with outcome
-    "optimal", "infeasible" (the bound shows lam* + shift >= 1) or
-    "iteration-cap" (no verdict within the cap, or rounding broke positive
-    definiteness).
-    """
-    f0, fj = F[0], F[1:]
-    k, m = fj.shape[:2]
-    a = np.zeros(k)
-    a[-1] = 1.0
-    start = max(10.0, math.sqrt(m), math.sqrt(np.max(np.sum(F ** 2, (1, 2)))))
-    X, Z, y = start * np.eye(m), start * np.eye(m), np.zeros(k)
-    norm0 = 1.0 + np.linalg.norm(f0)
-    for it in range(_IPM_MAXITER):
-        rp = a - np.einsum("jmn,mn->j", fj, X)
-        Rd = f0 + np.tensordot(y, fj, 1) - Z
-        lower = -np.sum(f0 * X)
-        rp_norm = np.linalg.norm(rp)
-        if rp_norm <= _IPM_TOL * (1.0 + np.linalg.norm(X)):
-            # lam* >= lower - y*.rp for every feasible y*; the current y
-            # stands in for y*
-            if lower - np.linalg.norm(y) * rp_norm + shift >= 1.0:
-                return "infeasible", y, it
-            if (np.sum(X * Z) <= _IPM_TOL
-                    and np.linalg.norm(Rd) <= _IPM_TOL * norm0):
-                return "optimal", y, it
-        try:
-            zi = np.linalg.inv(Z)
-            xfz = X @ fj @ zi
-            S = np.einsum("imn,jmn->ij", fj, xfz)
-            base = np.einsum("jmn,mn->j", fj, X @ Rd @ zi) + rp
-
-            def direction(K):
-                # HKM: dX = K - X dZ Z^-1 with dZ = sum_j dy_j F_j + Rd
-                rhs = np.einsum("jmn,mn->j", fj, K) - base
-                dy = np.linalg.lstsq(S, rhs, rcond=None)[0]
-                dZ = np.tensordot(dy, fj, 1) + Rd
-                dX = K - X @ dZ @ zi
-                dX = 0.5 * (dX + dX.T)
-                return dX, dy, dZ, _max_step(X, dX), _max_step(Z, dZ)
-
-            mu = np.sum(X * Z) / m
-            dX, dy, dZ, ap, ad = direction(-X)         # predictor
-            ap, ad = min(1.0, ap), min(1.0, ad)
-            sigma = min(1.0, (np.sum((X + ap * dX) * (Z + ad * dZ))
-                              / (m * mu)) ** 3)
-            dX, dy, dZ, ap, ad = direction(              # corrector
-                (sigma * mu * np.eye(m) - dX @ dZ) @ zi - X)
-        except np.linalg.LinAlgError:
-            return "iteration-cap", y, it
-        tau = 0.9 + 0.09 * min(ap, ad, 1.0)
-        ap, ad = min(1.0, tau * ap), min(1.0, tau * ad)
-        X = X + ap * dX
-        y = y + ad * dy
-        Z = Z + ad * dZ
-    return "iteration-cap", y, _IPM_MAXITER
-
-
-def _center(F, rho: float, lam: float, theta):
-    """Minimize f(theta) = rho ||theta||^2 - log det(F_0 + sum_i theta_i F_i
-    + lam F_{n+1}) by Newton steps with a backtracking line search (Boyd
-    and Vandenberghe, Convex Optimization, 2004, 9.5) from a strictly
-    feasible theta.  Returns (theta, steps), theta None if a step leaves
-    the domain or the cap is hit."""
-    base = F[0] + lam * F[-1]
-    fi = F[1:-1]
-    eye = np.eye(len(fi))
-
-    def factor(th):
-        try:
-            c = np.linalg.cholesky(base + np.tensordot(th, fi, 1))
-        except np.linalg.LinAlgError:
-            return None, np.inf
-        return c, rho * (th @ th) - 2.0 * np.sum(np.log(np.diag(c)))
-
-    c, f = factor(theta)
+def _newton(F, y, c, rho: float, tol: float):
+    """Minimize f(y) = c.y + rho ||y||^2 - log det(F_0 + sum_j y_j F_j) by
+    Newton steps with a backtracking line search (Boyd and Vandenberghe,
+    Convex Optimization, 2004, 9.5) from a strictly feasible y, until the
+    Newton decrement is at most ``tol``; then the full step d is taken.
+    Returns (y + d, steps), y None if the cap is hit or rounding stops the
+    line search."""
+    m, k = len(F[0]), len(F) - 1
+    fj = F[1:].reshape(k, -1)
     for step in range(_NEWTON_MAXITER):
-        if c is None:
+        try:
+            li = np.linalg.inv(np.linalg.cholesky(
+                F[0] + (y @ fj).reshape(m, m)))
+        except np.linalg.LinAlgError:
             return None, step
-        li = np.linalg.inv(c)
-        w = li @ fi @ li.T
-        grad = 2.0 * rho * theta - np.einsum("imm->i", w)
-        hess = 2.0 * rho * eye + np.einsum("imn,jmn->ij", w, w)
-        d_theta = -np.linalg.lstsq(hess, grad, rcond=None)[0]
-        dec2 = max(-grad @ d_theta, 0.0)     # squared Newton decrement
-        if dec2 <= _NEWTON_TOL ** 2:
+        w = (li @ F[1:] @ li.T).reshape(k, -1)
+        grad = c + 2.0 * rho * y - w[:, ::m + 1].sum(axis=1)
+        hess = w @ w.T + 2.0 * rho * np.eye(k)
+        d = -np.linalg.lstsq(hess, grad, rcond=None)[0]
+        dec2 = max(-grad @ d, 0.0)     # squared Newton decrement
+        if dec2 <= tol ** 2:
             # within the Dikin ellipsoid: the full step stays feasible
-            return theta + d_theta, step + 1
-        t = 1.0
-        c_new, f_new = factor(theta + d_theta)
+            return y + d, step + 1
+        # F(y + a d) = L (I + a W) L^T, so f changes by a c.d + rho a
+        # d.(2 y + a d) - sum log(1 + a mu), mu the eigenvalues of W
+        mu = np.linalg.eigvalsh((d @ w).reshape(m, m))
+        a = 1.0
         # full steps once the decrement is below 1/4, where they are safe
-        # and rounding in f can hide their decrease
-        while dec2 >= 0.0625 and f_new > f - 0.25 * t * dec2:
-            t *= 0.5
-            if t < 1e-12:
+        while dec2 >= 0.0625 and not (
+                a * mu[0] > -1.0
+                and a * (c @ d) + rho * a * (d @ (2.0 * y + a * d))
+                - np.sum(np.log1p(a * mu)) <= -0.25 * a * dec2):
+            a *= 0.5
+            if a < 1e-12:
                 return None, step + 1
-            c_new, f_new = factor(theta + t * d_theta)
-        theta, c, f = theta + t * d_theta, c_new, f_new
+        y = y + a * d
     return None, _NEWTON_MAXITER
+
+
+def _path(F, y, t: float, stop):
+    """Center t y[-1] - log det(F_0 + sum_j y_j F_j) for t growing by
+    _PATH_STEP until ``stop(y, m / t)``, m the order of F_0.  Returns
+    (y, steps), y None when a centering fails or the centerings reach
+    the Newton cap."""
+    c = np.zeros(len(y))
+    steps = 0
+    for _ in range(_NEWTON_MAXITER):
+        c[-1] = t
+        y, more = _newton(F, y, c, 0.0, _PATH_TOL)
+        steps += more
+        if y is None or stop(y, len(F[0]) / t):
+            return y, steps
+        t *= _PATH_STEP
+    return None, steps
 
 
 def solve_fixed_p(problem: LmiProblem) -> dict:
@@ -280,24 +238,43 @@ def solve_fixed_p(problem: LmiProblem) -> dict:
     Returns {outcome, iterations, theta, lam, min_eig}.  ``outcome`` is
     "certified" when lam < 1 and min_eig, the smallest eigenvalue of the
     full block matrix at (theta, lam), is >= -feas_tol; "infeasible" when
-    the solver's lower bound shows no lam < 1 can be certified or the
-    chosen gain fails that check; "iteration-cap" when the solver gives
-    no verdict.  ``iterations`` counts interior-point iterations plus
-    centering Newton steps.  theta, lam and min_eig are None unless the
-    centering step produced a gain.
+    phase I rules out every lam < 1 or the chosen gain fails that check;
+    "iteration-cap" when a path gives no verdict.  ``iterations`` counts
+    Newton steps.  theta, lam and min_eig are None unless the centering
+    step produced a gain.
     """
     F = _sdp_terms(problem)
     shift = 0.1 * DEFAULT_LAM_TOL
-    outcome, y, iterations = _interior_point(F, shift)
-    sol = {"outcome": outcome, "iterations": iterations,
+    m = len(F[0])
+    sol = {"outcome": "iteration-cap", "iterations": 0,
            "theta": None, "lam": None, "min_eig": None}
-    if outcome != "optimal":
+    # phase I: minimize s subject to F(theta, 1 - shift) + s D > 0
+    base = F[0] + (1.0 - shift) * F[-1]
+    D = np.diag(np.arange(m) < m - 2).astype(float)
+    s = 1.0 + max(0.0, -np.linalg.eigvalsh(base[:-2, :-2])[0])
+    y, steps = _path(np.concatenate([[base], F[1:-1], [D]]),
+                     np.append(np.zeros(problem.n_vars), s), m / s,
+                     lambda y, bound: not 0.0 <= y[-1] <= bound)
+    sol["iterations"] += steps
+    if y is None or y[-1] >= 0.0:      # then s* >= s - m / t > 0
+        sol["outcome"] = "iteration-cap" if y is None else "infeasible"
+        return sol
+    # phase II: the central path of min lam from that gain
+    y, steps = _path(F, np.append(y[:-1], 1.0 - shift), float(m),
+                     lambda y, bound: bound <= _PATH_GAP)
+    sol["iterations"] += steps
+    if y is None:
         return sol
     lam = float(y[-1] + shift)
-    theta, steps = _center(F, 0.0, lam, y[:-1]) if lam < 1.0 else (None, 0)
+    # the gain centerings: rho ||theta||^2 - log det F(theta, lam)
+    G = np.concatenate([[F[0] + lam * F[-1]], F[1:-1]])
+    zero = np.zeros(problem.n_vars)
+    theta, steps = (_newton(G, y[:-1], zero, 0.0, _NEWTON_TOL) if lam < 1.0
+                    else (None, 0))
     if theta is not None and theta.any():
         # the analytic center sets the scale of the gain penalty
-        theta, more = _center(F, 1.0 / (theta @ theta), lam, theta)
+        theta, more = _newton(G, theta, zero, 1.0 / (theta @ theta),
+                              _NEWTON_TOL)
         steps += more
     sol["iterations"] += steps
     sol["outcome"] = "infeasible"
@@ -318,6 +295,20 @@ class SynthesisResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _lmi_problem(model: BilinearKoopmanModel, pair: FactorizationPair,
+                 P: np.ndarray) -> LmiProblem:
+    return LmiProblem(P=P, K_xx=model.K_xx, K_xu=model.K_xu, H=pair.H,
+                      d_S=pair.d_S, d_u=model.input_dim, d_psi_u=pair.d_psi_u)
+
+
+def certificate(result: SynthesisResult, model: BilinearKoopmanModel,
+                pair: FactorizationPair) -> float:
+    """The smallest eigenvalue of the full block matrix M(K_u, lam) that
+    ``result``'s P, K_u and lam form with ``model`` and ``pair``.  A result
+    holds only while this is >= -DEFAULT_FEAS_TOL."""
+    return _lmi_problem(model, pair, result.P).min_eig(result.K_u, result.lam)
+
+
 def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
                max_resamples: int = 50, seed: int = 0) -> SynthesisResult:
     """Iterate Lyapunov candidates until the LMI program is solved.
@@ -333,26 +324,26 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
     for n_sampled in range(max_resamples + 1):
         S_x = sample_candidate(d_x, rng) if n_sampled else np.eye(d_x)
         P = _restrict(S_x, d_psi)
-        problem = LmiProblem(
-            P=P, K_xx=model.K_xx, K_xu=model.K_xu, H=pair.H,
-            d_S=pair.d_S, d_u=model.input_dim, d_psi_u=pair.d_psi_u,
-        )
+        problem = _lmi_problem(model, pair, P)
         sol = solve_fixed_p(problem)
-        certified = sol["outcome"] == "certified"
         diagnostics["iterations"] += sol["iterations"]
+        certified = sol["theta"] is not None
+        if certified:
+            result = SynthesisResult(
+                K_u=problem.gain(sol["theta"]), lam=sol["lam"], P=P, S_x=S_x,
+                status="optimal", diagnostics=diagnostics)
+            min_eig = certificate(result, model, pair)
+            certified = min_eig >= -DEFAULT_FEAS_TOL
         diagnostics["candidates"].append({
             "tag": "sampled" if n_sampled else "identity-start",
             "feasible": certified,
             "lam": sol["lam"] if certified else None,
-            "min_eig": sol["min_eig"] if certified else None,
+            "min_eig": min_eig if certified else None,
             "iterations": sol["iterations"], "outcome": sol["outcome"],
         })
         if certified:
-            diagnostics.update(resample_count=n_sampled,
-                               min_eig=sol["min_eig"])
-            return SynthesisResult(
-                K_u=problem.gain(sol["theta"]), lam=float(sol["lam"]), P=P,
-                S_x=S_x, status="optimal", diagnostics=diagnostics)
+            diagnostics.update(resample_count=n_sampled, min_eig=min_eig)
+            return result
     S_x = np.eye(d_x)   # a failed synthesis reports the identity start
     return SynthesisResult(
         K_u=np.zeros((model.input_dim, pair.d_psi_u)), lam=float("nan"),

@@ -19,7 +19,8 @@ import numpy as np
 # identification and the dataset lift hold a few chunk-wide buffers, so
 # each working copy is a few MB at the widths used here.  The chunk sets
 # the order of the floating-point sums, so changing it moves every
-# artifact from pair.json on at rounding level (``cli.ARTIFACT_FORMAT``).
+# artifact from pair.json on at rounding level (factorize's format number
+# in ``cli.STAGES``).
 QR_CHUNK = 4096
 
 

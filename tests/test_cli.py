@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import warnings
 
 import numpy as np
@@ -737,6 +738,43 @@ class TestStageOrdering:
         assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
         assert "cache hit" not in capsys.readouterr().out
 
+    def test_synthesize_format_bump_keeps_upstream_hits(
+            self, finished_run, tmp_path, capsys, monkeypatch):
+        # a stage's format number enters its own key and those downstream
+        args = copy_run(finished_run, tmp_path)
+        stage = cli.STAGES["synthesize"]
+        monkeypatch.setitem(cli.STAGES, "synthesize",
+                            stage._replace(format=stage.format + 1))
+        capsys.readouterr()
+        assert cli.main(["pipeline"] + args) == 0
+        out = capsys.readouterr().out
+        assert out.count("cache hit") == 3
+        for name in ("babble", "factorize", "identify"):
+            assert f"{name}: cache hit" in out
+        assert "synthesize: lambda*" in out and "evaluate: success" in out
+
+    def test_key_of_the_single_artifact_format_is_stale(self, finished_run,
+                                                        tmp_path, capsys):
+        # before the per-stage numbers, one artifact_format (2) was hashed
+        # beside the config sections into every key
+        args = copy_run(finished_run, tmp_path)
+        cfg = load_config(finished_run[0])
+
+        def sections(n):
+            stage = cli.STAGES[n]
+            return set(stage.sections).union(*map(sections, stage.upstream))
+
+        for name in STAGE_NAMES:
+            path = tmp_path / "out" / cli.STAGES[name].path
+            payload = json.loads(path.read_text())
+            payload["meta"]["config_hash"] = config_hash(
+                {"artifact_format": 2,
+                 "sections": {s: cfg[s] for s in sections(name)}})
+            path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["pipeline"] + args) == 0
+        assert "cache hit" not in capsys.readouterr().out
+
     def test_bad_config_is_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"plant": {"kind": "tripod"}}')
@@ -1394,6 +1432,46 @@ class TestDamagedArtifacts:
         out = capsys.readouterr().out
         assert out.count("cache hit") == 4 and "synthesize: lambda*" in out
         assert path.read_bytes() == written
+
+    @pytest.mark.parametrize("artifact, field, edit, code", [
+        pytest.param("result.json", "K_u",
+                     lambda m: {**m, "data": [3.0 * v for v in m["data"]]},
+                     cli.EXIT_OK, id="result-K_u-tripled"),
+        pytest.param("result.json", "lambda", lambda lam: 0.5,
+                     cli.EXIT_OK, id="result-lambda-0.5"),
+        # the constant feature then grows by 1.05 a step whatever the gain
+        pytest.param("model.json", "K_xx",
+                     lambda m: {**m, "data": [m["data"][0] + 0.05,
+                                              *m["data"][1:]]},
+                     cli.EXIT_INFEASIBLE, id="model-K_xx-00-plus-0.05"),
+    ])
+    def test_result_whose_certificate_fails_is_a_cache_miss(
+            self, finished_run, tmp_path, capsys, artifact, field, edit,
+            code):
+        # each edit is well formed; only the recomputed full-block min eig
+        # at (K_u, lambda) with the model and pair shows the break, and
+        # pipeline reruns synthesize: on the result's own model it writes
+        # the same bytes again, on the edited model it finds no gain
+        args = copy_run(finished_run, tmp_path)
+        result = tmp_path / "out" / "result.json"
+        written = result.read_bytes()
+        path = tmp_path / "out" / artifact
+        payload = json.loads(path.read_text())
+        payload[field] = edit(payload[field])
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["evaluate"] + args) == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "result.json: K_u and lambda fail the certificate" in err, err
+        assert re.search(r"min eig -\d\.\d{3}e-\d\d < -1e-08", err), err
+        assert cli.main(["pipeline"] + args) == code
+        out = capsys.readouterr().out
+        assert "synthesize: cache hit" not in out
+        for name in ("babble", "factorize", "identify"):
+            assert f"{name}: cache hit" in out
+        if code == cli.EXIT_OK:
+            assert result.read_bytes() == written
 
     def test_what_koopctl_writes_reads_back(self, finished_run, tmp_path,
                                             capsys):

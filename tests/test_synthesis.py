@@ -202,7 +202,7 @@ class TestSolveFixedP:
         assert 0.25 - 1e-12 <= sol["lam"] <= 0.25 + syn.DEFAULT_LAM_TOL
 
     def test_iteration_cap_gives_no_verdict(self, monkeypatch):
-        monkeypatch.setattr(syn, "_IPM_MAXITER", 2)
+        monkeypatch.setattr(syn, "_NEWTON_MAXITER", 2)
         sol = syn.solve_fixed_p(scalar_problem())
         assert sol["outcome"] == "iteration-cap"
         assert sol["iterations"] == 2 and sol["theta"] is None
@@ -462,8 +462,10 @@ class TestMatchesReferenceBisection:
 
     @pytest.mark.xfail(strict=True, reason=(
         "the reference certifies lam = 0 with a gain of norm 6.3e6; the "
-        "interior-point method stops at lam 0.0168, where a primal "
-        "residual of 1e-8 times that gain hides the better optimum"))
+        "barrier method, which has no primal residual, stops at lam "
+        "0.0168 as the interior-point method did: its Newton Hessian "
+        "reaches a condition number of 1e24 there, and the least-squares "
+        "cutoff drops the direction towards that gain"))
     def test_optimum_needing_a_huge_gain(self):
         problem = random_problem(102302)
         ref = reference_bisection(problem, syn.DEFAULT_LAM_TOL,
@@ -641,6 +643,44 @@ class TestBoundMatchesUnprunedBisection:
             np.testing.assert_array_equal(got.P, want.P)
             np.testing.assert_array_equal(got.S_x, want.S_x)
             assert got.lam <= want.lam + syn.DEFAULT_LAM_TOL
+
+
+REFERENCE_SOLVES = json.loads(
+    Path(__file__).with_name("solve_fixed_p_reference.json").read_text())
+
+
+def recorded_problem(name, model_pairs):
+    """The LmiProblem a row of ``solve_fixed_p_reference.json`` names."""
+    group, _, rest = name.partition(":")
+    if group == "toy":
+        toys = {**TOY_PROBLEMS, "spanning-ridge": spanning_ridge_problem}
+        return toys[rest]()
+    if group == "candidate":
+        kind, start = rest.split(":")
+        return candidate_problem(*model_pairs[kind], start == "sampled")
+    return random_problem(int(rest))
+
+
+class TestMatchesInteriorPointSolver:
+    """The barrier method against the primal-dual interior-point solver it
+    replaced, whose outcome and lam on each problem are recorded in
+    ``solve_fixed_p_reference.json``: the same outcome everywhere, and lam
+    within 1e-9.  random_problem(3098791338) is a rejection whose phase I
+    starts far from the central path."""
+
+    @pytest.mark.parametrize("group", ["toy", "candidate", "random"])
+    def test_same_outcome_and_lam(self, group, model_pairs):
+        misses = []
+        for row in REFERENCE_SOLVES["rows"]:
+            if not row["problem"].startswith(group + ":"):
+                continue
+            sol = syn.solve_fixed_p(recorded_problem(row["problem"],
+                                                     model_pairs))
+            if sol["outcome"] != row["outcome"] or (
+                    row["lam"] is not None
+                    and not abs(sol["lam"] - row["lam"]) <= 1e-9):
+                misses.append((row, sol["outcome"], sol["lam"]))
+        assert not misses
 
 
 def toy_synthesis(k_xx, k_xu, H, d_x=None, max_resamples=10, seed=0):
