@@ -13,10 +13,12 @@ reported in one line naming the file.  ``STAGES`` holds one row per
 stage, with the reader of its artifact and its format number.  Each
 artifact embeds its stage key, the hash of the format numbers and config
 sections of the stage and the stages upstream of it (``output_dir`` is
-in none).  ``pipeline`` reuses every artifact whose key is current and
-that its reader accepts (not a failed synthesis or an evaluation below
-its gate) and reruns the rest; a single-stage command exits 3 on an
-upstream artifact whose key is stale.  Artifacts are written atomically.
+in none).  ``pipeline`` reuses the artifacts whose key is current and
+that their reader accepts (not a failed synthesis or an evaluation below
+its gate) up to the first that is not, then reruns that stage and every
+later one, as make would, since each is downstream of all before it; a
+single-stage command exits 3 on a stale upstream.  Artifacts are
+written atomically.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -81,7 +83,7 @@ class Stage(NamedTuple):
     kind: str
     sections: tuple            # config sections the stage reads itself
     upstream: tuple            # stages whose outputs ``run`` takes, in order
-    read: Callable             # (cfg, payload, path) -> output
+    read: Callable             # (cfg, payload, path, done) -> output
     run: Callable              # cmd_*(cfg, *upstream outputs)
     format: int = 1            # raised when its bytes for equal inputs move
 
@@ -128,11 +130,14 @@ def _write_json(cfg: dict, name: str, payload: dict) -> Path:
     return path
 
 
-def _load(cfg: dict, name: str):
-    """Stage ``name``'s output, read back from its artifact.  A missing,
-    corrupt or stale artifact, one of another kind, or one with a field
-    its reader rejects is exit 3 in one line naming the file, the reason
-    and the stage to rerun."""
+def _load(cfg: dict, name: str, done: dict):
+    """Stage ``name``'s output, kept in ``done`` once this command has read
+    or run it, so a command reads each artifact once, readers included.  A
+    missing, corrupt or stale artifact, one of another kind, or one with a
+    field its reader rejects is exit 3 in one line naming the file, the
+    reason and the stage to rerun."""
+    if name in done:
+        return done[name]
     stage = STAGES[name]
     path = Path(cfg["output_dir"]) / stage.path
     try:
@@ -145,7 +150,7 @@ def _load(cfg: dict, name: str):
             raise ValueError(f"meta must be an object, got {meta!r:.40}")
         if meta.get("config_hash") != stage_key(cfg, name):
             raise ValueError("stale, written under another config")
-        return stage.read(cfg, payload, path)
+        return done.setdefault(name, stage.read(cfg, payload, path, done))
     except FileNotFoundError as exc:
         problem = f"missing stage artifact {exc.filename}"
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -153,18 +158,19 @@ def _load(cfg: dict, name: str):
     raise StageError(f"{problem}; run '{name}' first", EXIT_PRECONDITION)
 
 
-def _run(cfg: dict, name: str, inputs):
+def _run(cfg: dict, name: str, done: dict):
     """Run stage ``name`` on its upstream outputs.  A ValueError it raises,
     other than a ConfigError, is exit 3: ``cannot <stage>: <message>``."""
+    inputs = [_load(cfg, u, done) for u in STAGES[name].upstream]
     try:
-        return STAGES[name].run(cfg, *inputs)
+        done[name] = STAGES[name].run(cfg, *inputs)
     except ConfigError:
         raise
     except ValueError as exc:
         raise StageError(f"cannot {name}: {exc}", EXIT_PRECONDITION) from exc
 
 
-def _read_pair(cfg: dict, payload: dict, path: Path):
+def _read_pair(cfg: dict, payload: dict, path: Path, done: dict):
     map_x, map_u = build_maps(cfg)
     # first, as the mask's length sizes the other fields
     as_matrix(payload["mask"], "mask", (map_x.dim,))
@@ -173,11 +179,11 @@ def _read_pair(cfg: dict, payload: dict, path: Path):
     return pair
 
 
-def _read_model(cfg: dict, payload: dict, path: Path):
+def _read_model(cfg: dict, payload: dict, path: Path, done: dict):
     map_x = build_maps(cfg)[0]
     if payload["map"] != map_x.to_descriptor():
         raise ValueError("map is not the config's observables map")
-    model, pair = model_from_json(payload), _load(cfg, "factorize")
+    model, pair = model_from_json(payload), _load(cfg, "factorize", done)
     if not np.array_equal(model.S, pair.S):
         raise ValueError(f"S is not the S of {STAGES['factorize'].path}")
     as_matrix(model.K_xu, "K_xu",
@@ -185,7 +191,7 @@ def _read_model(cfg: dict, payload: dict, path: Path):
     return model
 
 
-def _read_result(cfg: dict, payload: dict, path: Path):
+def _read_result(cfg: dict, payload: dict, path: Path, done: dict):
     plant, (map_x, map_u) = build_plant(cfg), build_maps(cfg)
     result = result_from_json(payload, {
         "K_u": (plant.input_dim, map_u.dim), "P": (map_x.dim, map_x.dim),
@@ -195,8 +201,8 @@ def _read_result(cfg: dict, payload: dict, path: Path):
     if not 0 <= result.lam < 1:
         raise ValueError(f"lambda of an optimal synthesis must be in [0, 1), "
                          f"got {result.lam!r}")
-    min_eig = certificate(result, _load(cfg, "identify"),
-                          _load(cfg, "factorize"))
+    min_eig = certificate(result, _load(cfg, "identify", done),
+                          _load(cfg, "factorize", done))
     if not min_eig >= -DEFAULT_FEAS_TOL:
         raise ValueError(f"K_u and lambda fail the certificate with "
                          f"model.json and pair.json: full-block min eig "
@@ -204,7 +210,7 @@ def _read_result(cfg: dict, payload: dict, path: Path):
     return result
 
 
-def _read_report(cfg: dict, payload: dict, path: Path) -> dict:
+def _read_report(cfg: dict, payload: dict, path: Path, done: dict) -> dict:
     """The report, current only with both plot files beside it and a
     success rate in [0, 1] that meets the gate: a failed one is a miss."""
     for name in evaluation.PLOT_FILES:
@@ -260,8 +266,9 @@ def cmd_identify(cfg: dict, ds: SnapshotDataset, pair):
 def cmd_synthesize(cfg: dict, model, pair):
     map_x, map_u = build_maps(cfg)
     gate = 10.0 * pair.eps_h  # fixed: 10 x the block threshold fit_pair used
+    lo, hi = np.array(cfg["babbling"]["state_grid"], dtype=float).T
     rng = np.random.default_rng([int(cfg["seed"]), 4242])
-    probe = rng.uniform(-1.0, 1.0, size=(256, map_x.state_dim))
+    probe = rng.uniform(lo, hi, size=(256, len(lo)))  # over the data's box
     residual = verify_assumption1(pair, map_x, map_u, probe)
     if residual > gate:
         raise StageError(
@@ -323,21 +330,22 @@ def cmd_evaluate(cfg: dict, result, model, pair):
 
 # Stage.format enters the stage's key and those downstream: raising it
 # makes their older caches a miss.  factorize 2: 4096-row chunks in the
-# streamed passes (tensor.QR_CHUNK); synthesize 2: the barrier method.
+# streamed passes (tensor.QR_CHUNK), 3: pair.json without S; synthesize
+# 2: the barrier method, 3: the Assumption-1 probe over the grid's box.
 STAGES = {
     "babble": Stage(
         "dataset/manifest.json", KIND,
         ("plant", "observables", "babbling", "seed"), (),
-        lambda cfg, payload, path: load_dataset(path.parent), cmd_babble),
+        lambda cfg, payload, path, _: load_dataset(path.parent), cmd_babble),
     "factorize": Stage(
         "pair.json", "koopctl/pair", ("factorization",), ("babble",),
-        _read_pair, cmd_factorize, 2),
+        _read_pair, cmd_factorize, 3),
     "identify": Stage(
         "model.json", "koopctl/model", ("identification",),
         ("babble", "factorize"), _read_model, cmd_identify),
     "synthesize": Stage(
         "result.json", "koopctl/synthesis", ("synthesis",),
-        ("identify", "factorize"), _read_result, cmd_synthesize, 2),
+        ("identify", "factorize"), _read_result, cmd_synthesize, 3),
     "evaluate": Stage(
         "report.json", "koopctl/report", ("evaluation",),
         ("synthesize", "identify", "factorize"), _read_report, cmd_evaluate),
@@ -346,12 +354,14 @@ STAGES = {
 
 def cmd_pipeline(cfg: dict):
     done = {}
-    for name, stage in STAGES.items():
-        with suppress(StageError):  # missing, corrupt, other kind, stale
-            done[name] = _load(cfg, name)
-            print(f"{name}: cache hit")
-        if name not in done:
-            done[name] = _run(cfg, name, [done[u] for u in stage.upstream])
+    for name in STAGES:
+        try:
+            _load(cfg, name, done)
+        except StageError:  # missing, corrupt, other kind, stale
+            break
+        print(f"{name}: cache hit")
+    for name in list(STAGES)[len(done):]:
+        _run(cfg, name, done)
 
 
 def main(argv=None) -> int:
@@ -392,8 +402,7 @@ def main(argv=None) -> int:
         if args.command == "pipeline":
             cmd_pipeline(cfg)
         else:
-            _run(cfg, args.command,
-                 [_load(cfg, u) for u in STAGES[args.command].upstream])
+            _run(cfg, args.command, {})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

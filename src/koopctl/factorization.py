@@ -242,11 +242,9 @@ def augmented_hbar(pair: FactorizationPair) -> np.ndarray:
 def verify_assumption1(pair: FactorizationPair, map_x: ObservableMap,
                        map_u: ObservableMap, test_states) -> float:
     """Max over test states of ||(S psi_x) kron psi_u - H psi_x||_inf."""
-    psi_x = evaluate_batch(map_x, test_states)    # (d_psi_x, N)
-    psi_u = psi_x if map_u is map_x else evaluate_batch(map_u, test_states)
+    psi_x, psi_u = _lift_states(test_states, map_x, map_u)
     lhs = _bilinear_rows(pair.S, psi_x, psi_u)
-    rhs = pair.H @ psi_x
-    return float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
+    return float(np.max(np.abs(lhs - pair.H @ psi_x)))
 
 
 @dataclass
@@ -270,7 +268,6 @@ def assemble_ktilde(model: BilinearKoopmanModel, K_u: np.ndarray,
 def pair_to_json(pair: FactorizationPair) -> dict:
     return {
         "kind": "koopctl/pair",
-        "S": matrix_to_json(pair.S),
         "H": matrix_to_json(pair.H),
         "mask": [int(v) for v in pair.mask],
         "residuals": [float(v) for v in pair.residuals],
@@ -289,10 +286,7 @@ def pair_from_json(d: dict) -> FactorizationPair:
     eps_h = as_number(d["eps_h"], "eps_h", "positive")
     if not np.array_equal(mask, residuals <= eps_h):  # as threshold_mask
         raise ValueError(f"mask is not residuals <= eps_h: {mask.tolist()}")
-    S = matrix_from_json(d["S"], "S")
-    if not np.array_equal(S, np.eye(mask.size)[mask == 1]):
-        raise ValueError(f"S is not rows of I_{mask.size} at the mask's 1s")
     return FactorizationPair(
-        S=S, H=matrix_from_json(d["H"], "H", (None, mask.size)), mask=mask,
-        residuals=residuals, eps_h=eps_h, diagnostics=d.get("diagnostics", {}),
-    )
+        S=np.eye(mask.size)[mask == 1], mask=mask, residuals=residuals,
+        H=matrix_from_json(d["H"], "H", (None, mask.size)), eps_h=eps_h,
+        diagnostics=d.get("diagnostics", {}))

@@ -327,23 +327,19 @@ def synthesize(model: BilinearKoopmanModel, pair: FactorizationPair,
         problem = _lmi_problem(model, pair, P)
         sol = solve_fixed_p(problem)
         diagnostics["iterations"] += sol["iterations"]
-        certified = sol["theta"] is not None
-        if certified:
-            result = SynthesisResult(
-                K_u=problem.gain(sol["theta"]), lam=sol["lam"], P=P, S_x=S_x,
-                status="optimal", diagnostics=diagnostics)
-            min_eig = certificate(result, model, pair)
-            certified = min_eig >= -DEFAULT_FEAS_TOL
+        certified = sol["outcome"] == "certified"
         diagnostics["candidates"].append({
             "tag": "sampled" if n_sampled else "identity-start",
             "feasible": certified,
             "lam": sol["lam"] if certified else None,
-            "min_eig": min_eig if certified else None,
-            "iterations": sol["iterations"], "outcome": sol["outcome"],
-        })
+            "min_eig": sol["min_eig"] if certified else None,
+            "iterations": sol["iterations"], "outcome": sol["outcome"]})
         if certified:
-            diagnostics.update(resample_count=n_sampled, min_eig=min_eig)
-            return result
+            diagnostics.update(resample_count=n_sampled,
+                               min_eig=sol["min_eig"])
+            return SynthesisResult(
+                K_u=problem.gain(sol["theta"]), lam=sol["lam"], P=P, S_x=S_x,
+                status="optimal", diagnostics=diagnostics)
     S_x = np.eye(d_x)   # a failed synthesis reports the identity start
     return SynthesisResult(
         K_u=np.zeros((model.input_dim, pair.d_psi_u)), lam=float("nan"),

@@ -1161,6 +1161,8 @@ class TestBrokenArtifacts:
                                                             capsys):
         cfgfile = smoke_config(tmp_path)
         assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        content = ["pair.json", "model.json", "result.json", "report.json"]
+        written = {n: (tmp_path / "out" / n).read_bytes() for n in content}
         # rewrite the dataset as the seven-array format of koopctl/dataset
         data = tmp_path / "out" / "dataset"
         ds = babbling.load_dataset(data)
@@ -1182,11 +1184,14 @@ class TestBrokenArtifacts:
         assert err.count("\n") == 1
         assert "manifest.json" in err and "'babble'" in err
         assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
+        # only the dataset is a miss, but every stage after babble reruns,
+        # as after any stage that ran, and writes the same bytes again
         heads = [line for line in capsys.readouterr().out.splitlines()
                  if not line.startswith(" ")]
-        assert heads[0].startswith("babble: ") and len(heads) == 5
-        assert heads[1:] == [f"{name}: cache hit"
-                             for name in STAGE_NAMES[1:]]
+        assert len(heads) == 5 and "cache hit" not in "".join(heads)
+        assert [h.split(":")[0] for h in heads] == STAGE_NAMES
+        assert {n: (tmp_path / "out" / n).read_bytes()
+                for n in content} == written
         assert json.loads((data / "manifest.json").read_text())["kind"] \
             == babbling.KIND
 
@@ -1362,9 +1367,6 @@ class TestDamagedArtifacts:
                      id="pair-mask-disagrees-with-S"),
         pytest.param("pair.json", ("residuals",), lambda r: r[:-1],
                      "identify", id="pair-residuals-one-short"),
-        pytest.param("pair.json", ("S", "data"),
-                     lambda d: [0.5 * v for v in d], "identify",
-                     id="pair-S-halves"),
         pytest.param("model.json", ("K_xu",), lambda m: with_columns(m, 1),
                      "synthesize", id="model-K_xu-extra-column"),
         pytest.param("model.json", ("S", "data"), rotated, "synthesize",
@@ -1430,7 +1432,9 @@ class TestDamagedArtifacts:
         capsys.readouterr()
         assert cli.main(["pipeline"] + args) == cli.EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("cache hit") == 4 and "synthesize: lambda*" in out
+        # evaluate reruns after synthesize, as every stage after one that ran
+        assert out.count("cache hit") == 3 and "synthesize: lambda*" in out
+        assert "evaluate: success" in out
         assert path.read_bytes() == written
 
     @pytest.mark.parametrize("artifact, field, edit, code", [
@@ -1517,6 +1521,69 @@ class TestDamagedArtifacts:
         assert capsys.readouterr().err.endswith(
             "synthesis status is max-resamples-exceeded; run 'synthesize' "
             "first\n")
+
+
+class TestOneResolution:
+    """A command reads each artifact at most once, and ``pipeline`` reruns
+    every stage after one that ran."""
+
+    def test_report_scores_the_gain_of_a_rerun_synthesis(
+            self, finished_run, tmp_path, capsys):
+        # a model.json edit that synthesis still stabilizes, at another
+        # lambda: the old gain fails the certificate, synthesize reruns,
+        # and the report must not be the one scored under the old gain
+        args = copy_run(finished_run, tmp_path)
+        out = tmp_path / "out"
+        before = json.loads((out / "result.json").read_text())["lambda"]
+        path = out / "model.json"
+        payload = json.loads(path.read_text())
+        payload["K_xx"]["data"][0] += 1e-4
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["pipeline"] + args) == cli.EXIT_OK
+        printed = capsys.readouterr().out
+        assert "identify: cache hit" in printed
+        assert "synthesize: lambda*" in printed
+        assert "evaluate: success" in printed
+        lam = json.loads((out / "result.json").read_text())["lambda"]
+        assert lam != before
+        assert json.loads((out / "report.json").read_text())["lambda"] == lam
+
+    @pytest.mark.parametrize("command", ["evaluate", "pipeline"])
+    def test_each_artifact_is_parsed_once(self, finished_run, tmp_path,
+                                          capsys, monkeypatch, command):
+        args = copy_run(finished_run, tmp_path)
+        calls = []
+        for name in ("pair_from_json", "model_from_json"):
+            def counted(d, read=getattr(cli, name), name=name):
+                calls.append(name)
+                return read(d)
+            monkeypatch.setattr(cli, name, counted)
+        capsys.readouterr()
+        assert cli.main([command] + args) == cli.EXIT_OK
+        assert sorted(calls) == ["model_from_json", "pair_from_json"]
+        if command == "pipeline":
+            assert capsys.readouterr().out.count("cache hit") == 5
+
+    def test_assumption_probe_covers_the_grid_box(self, finished_run,
+                                                  tmp_path, monkeypatch):
+        # the smoke config keeps the template's grid, [-pi, pi] x [-6, 6]
+        args = copy_run(finished_run, tmp_path)
+        probes = []
+
+        def recorded(pair, map_x, map_u, states, check=cli.verify_assumption1):
+            probes.append(np.array(states))
+            return check(pair, map_x, map_u, states)
+
+        monkeypatch.setattr(cli, "verify_assumption1", recorded)
+        assert cli.main(["synthesize"] + args) == cli.EXIT_OK
+        (probe,) = probes
+        grid = load_config(finished_run[0])["babbling"]["state_grid"]
+        assert grid == config.DEFAULTS["babbling"]["state_grid"]
+        lo, hi = np.array(grid).T
+        assert probe.shape == (256, 2)
+        assert np.all((lo <= probe) & (probe <= hi))
+        assert np.abs(probe[:, 1]).max() > 1.0
 
 
 def artifact_sweep_values(value) -> list:

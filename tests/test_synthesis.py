@@ -741,6 +741,9 @@ class TestResultReadsBack:
         result = syn.synthesize(*model_pairs[kind], max_resamples=20, seed=0)
         assert result.status == "optimal"
         assert_reads_back(result)
+        # the candidate's own min eig is the certificate its reader forms
+        assert syn.certificate(result, *model_pairs[kind]) \
+            == result.diagnostics["min_eig"]
 
     @pytest.mark.parametrize("name", ["zero-authority-failed",
                                       "zero-authority-infeasible"])
