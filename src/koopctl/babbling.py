@@ -11,18 +11,23 @@ gain-major, initial-condition-minor order, and snapshots are assembled
 in that order, step-increasing, so identical configs and seeds give
 bitwise-identical datasets.
 
-In memory, a ``SnapshotDataset`` holds each state once: x, u and the
-trajectory ids, plus the "tails", the rows of x_next that are not the
-next row's x (the trajectory ends).  x_next is rebuilt when read.  The
-lift of the distinct states [x; tails] is made on first use, once per
-map, and kept by the dataset, so the Hbar fit and the identification
-share it.  Its leading rows are the raw states, so after the first lift
-by an ``ObservableMap`` x and the tails are read-only views of them and
-the dataset holds each state once, inside the lift.
+In memory, a ``SnapshotDataset`` holds each state once: x and u, the
+"tails", the rows of x_next that are not the next row's x (the
+trajectory ends), and the trajectory ids run-length encoded, one entry
+per run of equal ids.  x_next and the per-snapshot ids are rebuilt when
+read.  The lift of the distinct states [x; tails] is made on first use,
+once per map, and kept by the dataset, so the Hbar fit and the
+identification share it.  Its leading rows are the raw states: an
+``ObservableMap``'s lift copies x and the tails into them, makes x and
+the tails read-only views of them and fills the other rows in place, so
+the dataset holds each state once, inside the lift, and psi and u are
+its only N-wide arrays.
 
 A saved dataset is a directory of two files: ``snapshots.npz`` holds the
 ``ARRAYS`` a dataset holds in memory, and ``manifest.json`` (kind
-``KIND``) the counts and babbling metadata.
+``KIND``) the counts and babbling metadata.  ``load_dataset`` given the
+map reads x and the tails straight into the raw-state rows of the
+lift's array, so a loaded x never exists on its own.
 """
 
 from __future__ import annotations
@@ -39,11 +44,11 @@ import numpy as np
 
 from .observables import ObservableMap, evaluate_batch
 from .plants import ControlAffinePlant, rollout
-from .tensor import as_number
+from .tensor import as_number, row_chunks
 
-KIND = "koopctl/dataset/2"
+KIND = "koopctl/dataset/3"
 PAYLOAD = "snapshots.npz"
-ARRAYS = ("x", "u", "traj_id", "tail_rows", "tails")
+ARRAYS = ("x", "u", "traj_ids", "traj_ends", "tail_rows", "tails")
 
 
 @dataclass(frozen=True)
@@ -85,58 +90,56 @@ class BabblingConfig:
 class SnapshotDataset:
     """Snapshot triples (x_k, u_k, x_{k+1}) with their trajectory ids.
 
-    In memory it holds x (N, d_x), u (N, d_u) and traj_id (N,), plus
-    ``tails`` (n_tails, d_x): the rows ``tail_rows`` of x_next that are
-    not bitwise the next row's x, which in a babbled dataset are the
-    trajectory ends.  ``x_next`` is rebuilt from x and the tails when
-    read.  ``gain_index``, ``ic_index`` and ``step_index`` are kept as
-    the constructor was given them, and are None in a babbled or loaded
-    dataset.  ``lift`` keeps one feature-major lift of [x; tails] per
-    map; after the first by an ``ObservableMap``, x and the tails are
-    read-only views of its raw-state rows.  On disk (``save_dataset``)
-    it is the ``ARRAYS``.
+    In memory it holds x (N, d_x) and u (N, d_u); ``tails`` (n_tails,
+    d_x), the rows ``tail_rows`` of x_next that are not bitwise the next
+    row's x, which in a babbled dataset are the trajectory ends; and the
+    trajectory ids as runs: rows traj_ends[r - 1]:traj_ends[r] (from 0
+    for r = 0) all belong to trajectory traj_ids[r].  ``x_next`` and the
+    per-snapshot ``traj_id`` are rebuilt when read.  ``gain_index``,
+    ``ic_index`` and ``step_index`` are kept as the constructor was given
+    them, and are None in a babbled or loaded dataset.  ``lift`` keeps one
+    feature-major lift of [x; tails] per map; after the first by an
+    ``ObservableMap``, x and the tails are read-only views of its
+    raw-state rows.  On disk (``save_dataset``) it is the ``ARRAYS``.
     """
 
     def __init__(self, x, u, x_next, *, traj_id, gain_index=None,
                  ic_index=None, step_index=None, n_trajectories: int = 0,
                  n_dropped: int = 0, meta: dict = None):
-        if np.shape(x_next) != np.shape(x):
+        x = np.ascontiguousarray(x, dtype=float)
+        if np.shape(x_next) != x.shape:
             raise ValueError(f"x_next has shape {np.shape(x_next)}, "
-                             f"x has {np.shape(x)}")
-        self._assign(x, u, traj_id, np.arange(len(x)), x_next,
-                     n_trajectories, n_dropped, meta)
+                             f"x has {x.shape}")
+        if np.shape(traj_id) != x.shape[:1]:
+            raise ValueError(f"traj_id has shape {np.shape(traj_id)}, "
+                             f"expected ({len(x)},)")
+        self._keep(x, u, *_run_lengths(traj_id),
+                   *_tails(x, np.arange(len(x)), x_next), n_trajectories,
+                   n_dropped, meta)
         self.gain_index, self.ic_index, self.step_index = (
             gain_index, ic_index, step_index)
 
     @classmethod
-    def _from_tails(cls, x, u, traj_id, rows, tails, n_trajectories,
-                    n_dropped, meta):
-        """The dataset whose x_next is x[k + 1] except at ``rows``, where
-        it is ``tails``; no N-row x_next is built."""
+    def _from_parts(cls, *parts):
+        """The dataset of ``_keep``'s arguments, kept as they are."""
         ds = cls.__new__(cls)
-        ds._assign(x, u, traj_id, rows, tails, n_trajectories, n_dropped,
-                   meta)
+        ds._keep(*parts)
         return ds
 
-    def _assign(self, x, u, traj_id, rows, nxt, n_trajectories, n_dropped,
-                meta):
-        """Keep x_next[rows] = nxt only where it is not bitwise x[k + 1]."""
-        x = np.ascontiguousarray(x, dtype=float)
-        rows = np.asarray(rows, dtype=np.intp)
-        nxt = np.ascontiguousarray(nxt, dtype=float)
-        inner = rows + 1 < len(x)
-        chained = np.zeros(len(rows), dtype=bool)
-        chained[inner] = np.all(nxt[inner].view(np.uint64)
-                                == x[rows[inner] + 1].view(np.uint64), axis=1)
+    def _keep(self, x, u, traj_ids, traj_ends, tail_rows, tails,
+              n_trajectories, n_dropped, meta, unfilled=None):
+        """``unfilled``, when given, is (map, array): x and the tails are
+        views of the array's raw-state rows, and ``lift(map)`` fills its
+        other rows."""
         self.x = x
         self.u = np.asarray(u, dtype=float)
-        self.traj_id = np.asarray(traj_id)
-        self.tail_rows = rows[~chained]
-        self.tails = nxt[~chained]
+        self.traj_ids, self.traj_ends = traj_ids, traj_ends
+        self.tail_rows, self.tails = tail_rows, tails
         self.n_trajectories = n_trajectories
         self.n_dropped = n_dropped
         self.meta = {} if meta is None else meta
         self._psi = {}
+        self._unfilled = dict([unfilled]) if unfilled else {}
         self.gain_index = self.ic_index = self.step_index = None
 
     def __len__(self) -> int:
@@ -149,6 +152,14 @@ class SnapshotDataset:
         out[self.tail_rows] = self.tails
         return out
 
+    @property
+    def traj_id(self) -> np.ndarray:
+        """The trajectory id of each snapshot, expanded from the runs;
+        read-only."""
+        out = np.repeat(self.traj_ids, np.diff(self.traj_ends, prepend=0))
+        out.flags.writeable = False
+        return out
+
     def lift(self, m) -> np.ndarray:
         """psi of the distinct states [x; tails], feature-major
         (d_psi, N + n_tails), made on the first call for each map and kept.
@@ -156,19 +167,38 @@ class SnapshotDataset:
         Columns :N are psi(x); psi(x_next[k]) is column ``next_cols(k)``.
         Maps are told apart by equality, so two ``ObservableMap``s built
         from one descriptor share a lift.  An ``ObservableMap``'s lift
-        rebinds x and the tails to read-only views of its rows :d_x, which
-        hold the raw states bit for bit, so the first such lift lets the
-        dataset's own arrays go.
+        leads with the raw states, bit for bit: x and the tails are
+        copied into its rows :d_x (unless ``load_dataset`` read them
+        there), rebound to read-only views of them, so the dataset's own
+        arrays go, and the other rows are filled in place from them.  A
+        lift that fails keeps the states and no lift.
         """
         psi = self._psi.get(m)
         if psi is None:
-            psi = evaluate_batch(m, self.x, self.tails)
             if isinstance(m, ObservableMap):
-                d_x, n = self.x.shape[1], len(self)
-                self.x, self.tails = psi[:d_x, :n].T, psi[:d_x, n:].T
-                self.x.flags.writeable = self.tails.flags.writeable = False
+                d_x = self.x.shape[1]
+                if m.state_dim != d_x:
+                    raise ValueError(f"state has dimension {d_x}, map "
+                                     f"expects {m.state_dim}")
+                psi = self._unfilled.get(m)
+                if psi is None:
+                    psi = np.empty((m.dim, len(self) + len(self.tails)))
+                    psi[:d_x, : len(self)] = self.x.T
+                    psi[:d_x, len(self):] = self.tails.T
+                    self._view_states(psi)
+                evaluate_batch(m, psi[:d_x].T, out=psi)
+                self._unfilled.pop(m, None)
+            else:
+                psi = evaluate_batch(m, self.x, self.tails)
             self._psi[m] = psi
         return psi
+
+    def _view_states(self, block: np.ndarray) -> None:
+        """Rebind x and the tails to read-only views of the raw-state
+        rows of the feature-major ``block``."""
+        n, d_x = self.x.shape
+        self.x, self.tails = block[:d_x, :n].T, block[:d_x, n:].T
+        self.x.flags.writeable = self.tails.flags.writeable = False
 
     def next_cols(self, rows) -> np.ndarray:
         """The columns of ``lift``'s array that hold psi(x_next[rows]):
@@ -182,14 +212,40 @@ class SnapshotDataset:
         return cols
 
     def split_by_trajectory(self, holdout_fraction: float = 0.1):
-        """Deterministic whole-trajectory split; returns (train, holdout) masks."""
+        """Deterministic whole-trajectory split; returns (train, holdout)
+        masks.  A trajectory is held out when its id is a multiple of
+        round(1 / holdout_fraction), at least 2; the flags are formed per
+        run and expanded."""
         if not 0 <= holdout_fraction < 1:
             raise ValueError("holdout_fraction must be in [0, 1)")
         if holdout_fraction == 0:
             return np.ones(len(self), dtype=bool), np.zeros(len(self), dtype=bool)
         every = max(2, int(round(1.0 / holdout_fraction)))
-        holdout = (self.traj_id % every) == 0
+        holdout = np.repeat(self.traj_ids % every == 0,
+                            np.diff(self.traj_ends, prepend=0))
         return ~holdout, holdout
+
+
+def _run_lengths(labels) -> tuple:
+    """(ids, ends) of the runs of equal entries of the 1-d ``labels``:
+    run r is rows ends[r - 1]:ends[r] (from 0 for r = 0), all ids[r]."""
+    labels = np.asarray(labels)
+    last = np.ones(len(labels), dtype=bool)
+    last[:-1] = labels[1:] != labels[:-1]
+    ends = np.flatnonzero(last) + 1
+    return labels[ends - 1], ends
+
+
+def _tails(x: np.ndarray, rows, nxt) -> tuple:
+    """(tail_rows, tails): the rows of x_next[rows] = nxt that are not
+    bitwise x[k + 1]."""
+    rows = np.asarray(rows, dtype=np.intp)
+    nxt = np.ascontiguousarray(nxt, dtype=float)
+    inner = rows + 1 < len(x)
+    chained = np.zeros(len(rows), dtype=bool)
+    chained[inner] = np.all(nxt[inner].view(np.uint64)
+                            == x[rows[inner] + 1].view(np.uint64), axis=1)
+    return rows[~chained], nxt[~chained]
 
 
 def sample_random_gains(cfg: BabblingConfig, d_u: int, d_psi_u: int,
@@ -204,14 +260,19 @@ def near_equal_factorization(total: int, dims: int) -> tuple:
     """Factor ``total`` into ``dims`` integer factors as close as possible.
 
     Greedy: repeatedly take the divisor closest to the geometric mean of
-    what remains.  Always succeeds (worst case (total, 1, ..., 1)).
+    what remains, the smaller on a tie.  Always succeeds (worst case
+    (total, 1, ..., 1)).  Divisors are found by trial division up to
+    sqrt(remaining), so a count of 1e12 takes about 1e6 steps.
     """
     factors = []
     remaining = int(total)
     for d in range(dims, 1, -1):
         target = remaining ** (1.0 / d)
-        divisors = [k for k in range(1, remaining + 1) if remaining % k == 0]
-        best = min(divisors, key=lambda k: abs(k - target))
+        low = [k for k in range(1, math.isqrt(remaining) + 1)
+               if remaining % k == 0]
+        high = [remaining // k for k in reversed(low)
+                if k * k != remaining]
+        best = min(low + high, key=lambda k: abs(k - target))
         factors.append(best)
         remaining //= best
     factors.append(remaining)
@@ -280,13 +341,14 @@ def generate_dataset(plant: ControlAffinePlant, map_x: ObservableMap,
     u = np.concatenate([trajs[tid].inputs for tid in kept])
     # x_next is x one row on, except at each trajectory's last step
     ends = np.stack([trajs[tid].states[-1] for tid in kept])
-    return SnapshotDataset._from_tails(
-        x, u, np.repeat(kept, T), np.arange(T - 1, len(x), T), ends,
-        n_trajectories=len(kept), n_dropped=len(trajs) - len(kept),
-        meta={"seed": cfg.seed, "steps": T, "dt": float(cfg.dt),
-              "num_gains": cfg.num_gains, "num_initial_conditions": n_ic,
-              "grid_shape": [_distinct_count(ics[:, d])
-                             for d in range(ics.shape[1])]})
+    return SnapshotDataset._from_parts(
+        x, u, np.array(kept), np.arange(T, len(x) + 1, T),
+        *_tails(x, np.arange(T - 1, len(x), T), ends), len(kept),
+        len(trajs) - len(kept),
+        {"seed": cfg.seed, "steps": T, "dt": float(cfg.dt),
+         "num_gains": cfg.num_gains, "num_initial_conditions": n_ic,
+         "grid_shape": [_distinct_count(ics[:, d])
+                        for d in range(ics.shape[1])]})
 
 
 def _distinct_count(v) -> int:
@@ -358,48 +420,118 @@ def write_json_atomic(path, payload: dict) -> None:
     write_atomic(path, dump)
 
 
-def load_dataset(outdir) -> SnapshotDataset:
+def load_dataset(outdir, map_x: ObservableMap = None) -> SnapshotDataset:
     """Read what ``save_dataset`` wrote.
 
+    Each array is read from its npz member in ``row_chunks`` of QR_CHUNK
+    rows, straight into the array it ends in.  With ``map_x``, that is,
+    for x and the tails, the raw-state rows of a (map_x.dim, N + n_tails)
+    array that the dataset's first ``lift(map_x)`` fills, so a loaded x
+    never exists on its own; without it, arrays of their own.
+
     Raises ValueError naming the file when ``snapshots.npz`` is
-    unreadable, when an array's shape differs from the one the manifest
-    gives, when a float array (a state, input or tail) holds NaN or an
-    infinity, or when ``tail_rows`` are not increasing integers in [0, N)
-    ending at N - 1.
+    unreadable, when a member's header is not that of the array it must
+    hold (its shape, from the manifest and the other members; float64 for
+    x, u and the tails, integers for the rest; C order) or its data ends
+    early, when a float array holds NaN or an infinity, when ``tail_rows``
+    are not increasing rows of [0, N) ending at N - 1, or when
+    ``traj_ends`` are not increasing and ending at N; and naming the
+    manifest when its state dimension is not ``map_x``'s.
     """
     outdir = Path(outdir)
     with open(outdir / "manifest.json") as fh:
         manifest = json.load(fh)
     path = outdir / PAYLOAD
     n, d_x = manifest["snapshots"], manifest["state_dim"]
-    # np.load leaks the file it opens when the zip is unreadable
+    if map_x is not None and map_x.state_dim != d_x:
+        raise ValueError(f"state_dim in {outdir / 'manifest.json'} is {d_x}, "
+                         f"the observables map takes {map_x.state_dim}")
+    # a zip that cannot be opened must not leak the file
     with open(path, "rb") as fh:
         with _reading(path):
-            npz = np.load(fh)
+            npz = zipfile.ZipFile(fh)
         with npz:
-            def read(name, shape=None):
-                with _reading(path):
-                    a = npz[name]
-                if shape is not None and a.shape != shape:
-                    raise ValueError(f"{name} in {path} has shape {a.shape}, "
-                                     f"expected {shape}")
-                if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
-                    raise ValueError(f"non-finite entries in {name} of {path}")
-                return a
+            def read(name, shape, kind="i", out=None):
+                return _read_member(npz, name, path, shape, kind, out)
 
-            x, u = read("x", (n, d_x)), read("u", (n, manifest["input_dim"]))
-            traj_id, rows = read("traj_id", (n,)), read("tail_rows")
+            u = read("u", (n, manifest["input_dim"]), "f")
+            ends = read("traj_ends", (None,))
+            if not _increasing(ends, 1, n, n):
+                raise ValueError(f"traj_ends in {path} are not increasing "
+                                 f"row counts ending at {n}")
+            ids = read("traj_ids", ends.shape)
+            rows = read("tail_rows", (None,))
             # next_cols relies on the last row being a tail
-            if rows.ndim != 1 or rows.dtype.kind not in "iu" or not (
-                    np.all(rows[:1] >= 0) and np.all(rows[1:] > rows[:-1])
-                    and rows[-1:].tolist() == list(range(n)[-1:])):
+            if not _increasing(rows, 0, n - 1, n):
                 raise ValueError(f"tail_rows in {path} are not increasing "
                                  f"rows of [0, {n}) ending at {n - 1}")
-            ds = SnapshotDataset._from_tails(
-                x, u, traj_id, rows, read("tails", (len(rows), d_x)),
-                manifest["trajectories"], manifest["dropped"],
-                manifest["babbling"])
+            if map_x is None:
+                unfilled = None
+                x, tails = np.empty((n, d_x)), np.empty((len(rows), d_x))
+            else:
+                unfilled = (map_x, np.empty((map_x.dim, n + len(rows))))
+                x, tails = unfilled[1][:d_x, :n].T, unfilled[1][:d_x, n:].T
+            read("x", (n, d_x), "f", x)
+            read("tails", (len(rows), d_x), "f", tails)
+    ds = SnapshotDataset._from_parts(
+        x, u, ids, ends, rows, tails, manifest["trajectories"],
+        manifest["dropped"], manifest["babbling"], unfilled)
+    if unfilled:
+        ds._view_states(unfilled[1])
     return ds
+
+
+def _increasing(a: np.ndarray, first: int, last: int, n: int) -> bool:
+    """Whether ``a`` rises strictly from at least ``first`` to ``last``,
+    or is empty when the dataset has no snapshot (n = 0)."""
+    return bool(np.all(a[:1] >= first) and np.all(a[1:] > a[:-1])
+                and a[-1:].tolist() == [last][:n])
+
+
+def _read_member(npz: zipfile.ZipFile, name: str, path, shape, kind: str,
+                 out: np.ndarray = None) -> np.ndarray:
+    """Member ``name`` of the open npz at ``path``, read into ``out`` (a
+    new array when None) one ``row_chunks`` piece at a time.
+
+    Its header must give a C-ordered array of ``shape`` (None: any
+    length) and, for ``kind`` "f", float64, else integers.  A float piece
+    must be finite.  Pieces are read into ``out`` itself when it is
+    C-contiguous, else through one piece-sized buffer.
+    """
+    fmt = np.lib.format
+    with _reading(path):
+        member = npz.open(f"{name}.npy")
+    with member:
+        with _reading(path):
+            header = {(1, 0): fmt.read_array_header_1_0,
+                      (2, 0): fmt.read_array_header_2_0}[fmt.read_magic(member)]
+            got, fortran, dtype = header(member)
+        if len(got) != len(shape) or any(
+                want not in (None, g) for g, want in zip(got, shape)):
+            raise ValueError(f"{name} in {path} has shape {got}, "
+                             f"expected {shape}")
+        if fortran or not (dtype == float if kind == "f"
+                           else dtype.kind in "iu"):
+            raise ValueError(
+                f"{name} in {path} holds {'Fortran-ordered ' * fortran}"
+                f"{dtype}, expected C-ordered "
+                f"{'float64' if kind == 'f' else 'integers'}")
+        if out is None:
+            out = np.empty(got, dtype)
+        chunks = row_chunks(len(out))
+        buffer = None if out.flags.c_contiguous or not chunks \
+            else np.empty((chunks[0].stop,) + got[1:])
+        for s in chunks:
+            piece = out[s] if buffer is None else buffer[: s.stop - s.start]
+            view = memoryview(piece).cast("B")
+            with _reading(path):
+                if member.readinto(view) != view.nbytes:
+                    raise EOFError(f"{name} ends before its {got} entries")
+            if kind == "f" and not np.all(np.isfinite(piece)):
+                raise ValueError(f"non-finite entries in {name} of {path}")
+            if buffer is not None:
+                out[s] = piece
+    return out
 
 
 @contextmanager

@@ -329,14 +329,18 @@ def cmd_evaluate(cfg: dict, result, model, pair):
 
 
 # Stage.format enters the stage's key and those downstream: raising it
-# makes their older caches a miss.  factorize 2: 4096-row chunks in the
-# streamed passes (tensor.QR_CHUNK), 3: pair.json without S; synthesize
-# 2: the barrier method, 3: the Assumption-1 probe over the grid's box.
+# makes their older caches a miss.  babble 2: trajectory ids as runs
+# (koopctl/dataset/3); factorize 2: 4096-row chunks in the streamed
+# passes (tensor.QR_CHUNK), 3: pair.json without S; synthesize 2: the
+# barrier method, 3: the Assumption-1 probe over the grid's box.  The
+# dataset is read straight into the rows of its lift by the state map.
 STAGES = {
     "babble": Stage(
         "dataset/manifest.json", KIND,
         ("plant", "observables", "babbling", "seed"), (),
-        lambda cfg, payload, path, _: load_dataset(path.parent), cmd_babble),
+        lambda cfg, payload, path, _: load_dataset(path.parent,
+                                                   build_maps(cfg)[0]),
+        cmd_babble, 2),
     "factorize": Stage(
         "pair.json", "koopctl/pair", ("factorization",), ("babble",),
         _read_pair, cmd_factorize, 3),

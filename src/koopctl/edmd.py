@@ -18,11 +18,14 @@ copy of the regressor or target is built.
 
 The lifted states are the dataset's (``SnapshotDataset.lift``), which
 lifts each distinct state [x; tails] once per map and keeps the array,
-so the Hbar fit before this stage and this stage share one lift.
+so the Hbar fit before this stage and this stage share one lift; the
+dataset's x and tails are views of its raw-state rows.
 psi(x_next) is read through ``SnapshotDataset.next_cols`` and never built
 as an array of its own.  The QR chunks and the train and held-out errors
 gather one chunk of columns at a time and form (S psi) kron u for that
-chunk only, so psi is the one N-column float array.
+chunk only, so psi is the one N-column float array, beside u and the
+boolean split masks; the split is formed from the dataset's runs of
+trajectory ids, and no per-snapshot id is built.
 """
 
 from __future__ import annotations
@@ -157,7 +160,7 @@ def identify_model(ds: SnapshotDataset, map_x: ObservableMap, S: np.ndarray,
         raise ValueError(
             f"no training snapshots: holdout_fraction {holdout_fraction:g} "
             f"holds out every trajectory (trajectory count "
-            f"{np.unique(ds.traj_id).size})")
+            f"{np.unique(ds.traj_ids).size})")
     rho = (1e-8 * n_train if ridge is None
            else as_number(ridge, "ridge", "nonnegative"))
     psi = ds.lift(map_x)

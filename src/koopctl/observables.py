@@ -348,17 +348,20 @@ def decoding_operator(m: ObservableMap) -> np.ndarray:
     return np.eye(m.state_dim, m.dim)
 
 
-def evaluate_batch(m: ObservableMap, *blocks) -> np.ndarray:
+def evaluate_batch(m: ObservableMap, *blocks, out: np.ndarray = None
+                   ) -> np.ndarray:
     """Lift a list of states, or the row stack of several arrays of
-    states ``blocks``, into a C-contiguous (d_psi, N) matrix, one column
-    per state: each feature is one contiguous row, which an
-    ``ObservableMap`` writes directly.
+    states ``blocks``, into a C-contiguous (d_psi, N) matrix (``out``,
+    when given), one column per state: each feature is one contiguous
+    row, which an ``ObservableMap`` writes directly.
 
     The states are lifted in ``row_chunks`` of QR_CHUNK, each straight
     into its columns, so the piece temporaries of a lift are one chunk
     wide whatever N is, and the blocks are never stacked: only a chunk
-    that straddles two of them is gathered.  Every lift is row-wise, so
-    the bits are those of one lift of all states.
+    that straddles two of them, or whose rows are not C-contiguous, is
+    copied.  So ``out``'s own raw-state rows, transposed, may be the one
+    block.  Every lift is row-wise, so the bits are those of one lift of
+    all states.
 
     Raises on non-finite feature values, naming the offending state index.
     """
@@ -366,7 +369,8 @@ def evaluate_batch(m: ObservableMap, *blocks) -> np.ndarray:
     blocks = [b.reshape(1, -1) if b.ndim == 1 else b for b in blocks]
     if sum(b.size for b in blocks) == 0:
         return np.zeros((m.dim, 0))
-    cols = np.empty((m.dim, sum(len(b) for b in blocks)))
+    cols = np.empty((m.dim, sum(len(b) for b in blocks))) if out is None \
+        else out
     for s in row_chunks(cols.shape[1]):
         states = _stacked_rows(blocks, s)
         with np.errstate(all="ignore"):  # non-finite values are flagged below
@@ -384,14 +388,16 @@ def evaluate_batch(m: ObservableMap, *blocks) -> np.ndarray:
 
 
 def _stacked_rows(blocks, s: slice) -> np.ndarray:
-    """Rows ``s`` of the row stack of ``blocks``: a view of one block, or
-    a copy of the parts when ``s`` straddles several."""
+    """Rows ``s`` of the row stack of ``blocks``, C-ordered: a view of one
+    block, or a copy when ``s`` straddles several or its rows are
+    strided."""
     parts, at = [], 0
     for b in blocks:
         if s.start < at + len(b) and at < s.stop:
             parts.append(b[max(s.start - at, 0): s.stop - at])
         at += len(b)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return np.ascontiguousarray(parts[0]) if len(parts) == 1 \
+        else np.concatenate(parts)
 
 
 def polynomial_map(name: str, degrees) -> ObservableMap:

@@ -1,13 +1,18 @@
+import io
+import json
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koopctl import babbling, plants
+from koopctl import babbling, edmd, factorization, plants, synthesis, tensor
 from koopctl.observables import (
     Feature,
     ObservableMap,
     double_pendulum_map,
+    evaluate_batch,
     polynomial_map,
     single_pendulum_map,
 )
@@ -110,6 +115,33 @@ class TestGrid:
                                                               (10, 9, 10, 10),
                                                               (10, 10, 9, 10)}
         assert np.prod(babbling.near_equal_factorization(4000, 2)) == 4000
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    def test_near_equal_factorization_matches_the_linear_scan(self, dims):
+        def scanned(total, dims):
+            # every integer up to the remainder tried as a divisor
+            factors, remaining = [], total
+            for d in range(dims, 1, -1):
+                target = remaining ** (1.0 / d)
+                best = min((k for k in range(1, remaining + 1)
+                            if remaining % k == 0),
+                           key=lambda k: abs(k - target))
+                factors.append(best)
+                remaining //= best
+            return tuple(factors + [remaining])
+
+        for total in range(1, 5001):
+            assert babbling.near_equal_factorization(total, dims) \
+                == scanned(total, dims), total
+
+    def test_near_equal_factorization_of_a_huge_count(self):
+        # called directly: a grid of 1e12 points is never built
+        huge = 10 ** 12
+        assert babbling.near_equal_factorization(huge, 2) == (10 ** 6,) * 2
+        assert babbling.near_equal_factorization(huge, 3) == (10 ** 4,) * 3
+        assert babbling.near_equal_factorization(huge, 4) == (1000,) * 4
+        assert babbling.near_equal_factorization(huge + 39, 2) \
+            == (1, huge + 39)   # a prime
 
     def test_explicit_shape_must_factor(self):
         cfg = small_config(num_initial_conditions=9, grid_shape=(2, 2))
@@ -328,16 +360,27 @@ class TestStatesBecomeViewsOfTheLift:
         assert ds.x is x and ds.tails is tails
         assert psi.tobytes() == ds.lift(m).tobytes()
 
-    def test_failed_lift_changes_nothing(self):
+    def test_failed_lift_keeps_the_states_and_no_lift(self):
         x = np.array([[1.0], [0.0], [2.0]])
         ds = babbling.SnapshotDataset(x=x, u=np.zeros((3, 1)),
                                       x_next=x + 1.0,
                                       traj_id=np.zeros(3, dtype=int))
-        x, tails = ds.x, ds.tails
-        with pytest.raises(ValueError, match="state index 1"):
-            ds.lift(polynomial_map("inverse", (1, -1)))
-        assert ds.x is x and ds.tails is tails and ds._psi == {}
-        assert x.flags.writeable
+        want = {k: getattr(ds, k).tobytes() for k in ("x", "tails",
+                                                      "x_next")}
+        inverse = polynomial_map("inverse", (1, -1))
+        for _ in range(2):   # and a second try fails the same way
+            with pytest.raises(ValueError, match="state index 1"):
+                ds.lift(inverse)
+            assert {k: getattr(ds, k).tobytes() for k in want} == want
+            assert ds._psi == {}
+
+    def test_map_of_another_state_dimension_keeps_the_states(self):
+        ds = self.hand_built()
+        x = ds.x
+        with pytest.raises(ValueError, match="state has dimension 2, map "
+                                             "expects 1"):
+            ds.lift(polynomial_map("lin", (1,)))
+        assert ds.x is x and ds._psi == {}
 
     def test_second_map_reads_the_views(self):
         ds, m = self.hand_built(), single_pendulum_map()
@@ -478,7 +521,7 @@ class TestPersistence:
                     if issubclass(w.category, ResourceWarning)]
 
     @pytest.mark.parametrize("name,cut", [
-        ("x", "rows"), ("u", "rows"), ("traj_id", "rows"), ("tails", "rows"),
+        ("x", "rows"), ("u", "rows"), ("traj_ids", "rows"), ("tails", "rows"),
         ("x", "width"), ("u", "width"), ("tails", "width")])
     def test_array_shapes_must_match_the_manifest(self, name, cut,
                                                   tmp_path):
@@ -534,6 +577,247 @@ class TestPersistence:
             else "non-finite entries in tails of"
         with pytest.raises(ValueError, match=f"{what} .*snapshots.npz"):
             babbling.load_dataset(outdir)
+
+
+def write_npz(path, arrays: dict, cut: str = None) -> None:
+    """``arrays`` in np.savez's layout, but member ``cut`` ends halfway
+    through its data."""
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, a in arrays.items():
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, np.asanyarray(a))
+            data = buf.getvalue()
+            zf.writestr(f"{name}.npy", data[: len(data) - a.nbytes // 2]
+                        if name == cut else data)
+
+
+def damage_members(arrays: dict, damage: str):
+    """Apply ``damage`` to the npz ``arrays`` in place; returns the member
+    to cut off mid-stream, if any."""
+    ends = arrays["traj_ends"]
+    if damage == "traj_ids-float":
+        arrays["traj_ids"] = arrays["traj_ids"] + 0.0
+    elif damage == "traj_ids-short":
+        arrays["traj_ids"] = arrays["traj_ids"][:-1]
+    elif damage == "traj_ends-float":
+        arrays["traj_ends"] = ends + 0.0
+    elif damage == "traj_ends-short":
+        arrays["traj_ends"] = ends[:-1]
+    elif damage == "traj_ends-unsorted":
+        ends[[0, 1]] = ends[[1, 0]]
+    elif damage == "traj_ends-empty-run":
+        ends[0] = 0
+    elif damage == "traj_ends-past-N":
+        ends[-1] += 1
+    elif damage == "x-float32":
+        arrays["x"] = arrays["x"].astype(np.float32)
+    elif damage == "x-big-endian":
+        arrays["x"] = arrays["x"].astype(">f8")
+    elif damage == "x-fortran":
+        arrays["x"] = np.asfortranarray(arrays["x"])
+    elif damage == "x-nan-in-last-chunk":
+        arrays["x"][-1, 1] = np.nan
+    else:
+        assert damage.endswith("-cut-off")
+        return damage.split("-")[0]
+    return None
+
+
+# the message each damage of the clean persisted dataset (8 runs, 160
+# snapshots) raises
+BAD_MEMBERS = {
+    "traj_ids-float": "traj_ids in .* holds float64, expected C-ordered "
+                      "integers",
+    "traj_ids-short": r"traj_ids in .* has shape \(7,\), expected \(8,\)",
+    "traj_ends-float": "traj_ends in .* holds float64",
+    "traj_ends-short": "traj_ends in .* are not increasing row counts "
+                       "ending at 160",
+    "traj_ends-unsorted": "traj_ends in .* are not increasing",
+    "traj_ends-empty-run": "traj_ends in .* are not increasing",
+    "traj_ends-past-N": "traj_ends in .* ending at 160",
+    "x-float32": "x in .* holds float32, expected C-ordered float64",
+    "x-big-endian": "x in .* holds >f8",
+    "x-fortran": "x in .* holds Fortran-ordered float64",
+    "x-cut-off": r"unreadable .*snapshots.npz: x ends before its "
+                 r"\(160, 2\) entries",
+    "tails-cut-off": "unreadable .*snapshots.npz: tails ends before",
+    "x-nan-in-last-chunk": "non-finite entries in x of .*snapshots.npz",
+}
+
+
+class TestChunkedLoad:
+    """``load_dataset`` reads each member in QR_CHUNK-row pieces; with a
+    map, x and the tails go straight into the rows of its lift."""
+
+    @pytest.mark.parametrize("with_map", [False, True])
+    @pytest.mark.parametrize("damage", BAD_MEMBERS)
+    def test_bad_member_is_refused_naming_the_file(
+            self, damage, with_map, tmp_path, monkeypatch):
+        # 16-row pieces: the last of x's ten is the one with the NaN
+        monkeypatch.setattr(tensor, "QR_CHUNK", 16)
+        outdir = tmp_path / "dataset"
+        babbling.save_dataset(persisted_datasets()[0], outdir)
+        payload = outdir / babbling.PAYLOAD
+        with np.load(payload) as f:
+            arrays = dict(f)
+        write_npz(payload, arrays, damage_members(arrays, damage))
+        with pytest.raises(ValueError, match=BAD_MEMBERS[damage]):
+            babbling.load_dataset(
+                outdir, single_pendulum_map() if with_map else None)
+
+    def test_undamaged_rewrite_loads(self, tmp_path):
+        # the writer of the damaged files writes np.savez's layout
+        outdir = tmp_path / "dataset"
+        ds = persisted_datasets()[0]
+        babbling.save_dataset(ds, outdir)
+        payload = outdir / babbling.PAYLOAD
+        with np.load(payload) as f:
+            arrays = dict(f)
+        write_npz(payload, arrays)
+        back = babbling.load_dataset(outdir)
+        assert_arrays_bitwise(back, {k: getattr(ds, k)
+                                     for k in SNAPSHOT_ARRAYS})
+
+    def test_map_of_another_state_dimension_names_the_manifest(
+            self, tmp_path):
+        babbling.save_dataset(persisted_datasets()[0], tmp_path)
+        with pytest.raises(ValueError, match="state_dim in .*manifest.json "
+                                             "is 2, the observables map "
+                                             "takes 4"):
+            babbling.load_dataset(tmp_path, double_pendulum_map())
+
+    @pytest.mark.parametrize("chunk", [None, 100])
+    def test_loaded_lift_equals_evaluate_batch_of_the_npz(
+            self, chunk, tmp_path, monkeypatch):
+        if chunk:
+            monkeypatch.setattr(tensor, "QR_CHUNK", chunk)
+        ds, _, m = labelled("double")
+        n, n_tails, q = len(ds), len(ds.tails), tensor.QR_CHUNK
+        # a lift chunk and a read piece end inside x; the next chunk
+        # straddles x and the tails
+        assert n % q and n_tails and n > q
+        babbling.save_dataset(ds, tmp_path)
+        with np.load(tmp_path / babbling.PAYLOAD) as f:
+            want = evaluate_batch(m, f["x"], f["tails"])
+            x = f["x"]
+        back = babbling.load_dataset(tmp_path, m)
+        assert back._psi == {}
+        assert not back.x.flags.writeable
+        assert back.x.tobytes() == x.tobytes()
+        psi = back.lift(m)
+        assert psi.tobytes() == want.tobytes()
+        assert back.x.base is psi and back.tails.base is psi
+        assert back.lift(double_pendulum_map()) is psi
+        assert back._unfilled == {}
+
+
+def stiff_pendulum():
+    """A pendulum with a cubic speed term: starts at |theta_dot| = 6
+    leave the floats within the babbling horizon, slower ones do not."""
+    return plants.ControlAffinePlant(
+        name="stiff", state_dim=2, input_dim=1,
+        rhs=lambda x, u: np.stack(
+            [x[..., 1], -np.sin(x[..., 0]) + x[..., 1] ** 3 + u[..., 0]],
+            axis=-1),
+        input_bounds=np.array([[-1.0, 1.0]]))
+
+
+LABEL_CASES = ("single", "double", "dropped", "permuted")
+
+
+def labelled(case):
+    """(dataset, its per-snapshot trajectory ids as the babbling loop or
+    the constructor gave them, map) for each of ``LABEL_CASES``."""
+    single, double = single_pendulum_map(), double_pendulum_map()
+    if case == "permuted":
+        ds, ids, m = labelled("single")
+        order = np.random.default_rng(6).permutation(len(ds))
+        return hand_built(ds, order), ids[order], m
+    plant, m, cfg = {
+        "single": (plants.single_pendulum(gravity=1.0), single,
+                   small_config(num_gains=4, num_initial_conditions=9)),
+        "double": (plants.double_pendulum(gravity=1.0), double,
+                   small_config(num_gains=3, num_initial_conditions=81,
+                                steps=40, state_grid=((-np.pi, np.pi),) * 2
+                                + ((-2.0, 2.0),) * 2)),
+        "dropped": (stiff_pendulum(), single, small_config()),
+    }[case]
+    with np.errstate(all="ignore"):
+        ds = babbling.generate_dataset(plant, m, m, cfg)
+        ids = per_gain_reference(plant, m, cfg)[3]
+    assert (ds.n_dropped > 0) == (case == "dropped")
+    return ds, ids, m
+
+
+class PerSnapshotIds(babbling.SnapshotDataset):
+    """The dataset as it was with one trajectory id per snapshot: its
+    split is (traj_id % every) == 0 over that array, and its lift is
+    ``evaluate_batch`` of [x; tails] into an array of its own."""
+
+    def __init__(self, ds, ids):
+        super().__init__(np.array(ds.x), ds.u, ds.x_next, traj_id=ids,
+                         n_trajectories=ds.n_trajectories,
+                         n_dropped=ds.n_dropped, meta=ds.meta)
+        self.ids = np.array(ids)
+
+    def split_by_trajectory(self, holdout_fraction: float = 0.1):
+        if holdout_fraction == 0:
+            return np.ones(len(self), dtype=bool), np.zeros(len(self),
+                                                            dtype=bool)
+        every = max(2, int(round(1.0 / holdout_fraction)))
+        holdout = (self.ids % every) == 0
+        return ~holdout, holdout
+
+    def lift(self, m):
+        if m not in self._psi:
+            self._psi[m] = evaluate_batch(m, self.x, self.tails)
+        return self._psi[m]
+
+
+class TestRunLengthLabels:
+    """Trajectory ids kept as runs against one id per snapshot."""
+
+    @pytest.mark.parametrize("case", LABEL_CASES)
+    def test_runs_expand_to_the_per_snapshot_ids(self, case):
+        ds, ids, _ = labelled(case)
+        assert ds.traj_id.tobytes() == ids.tobytes()
+        assert ds.traj_id.dtype == ids.dtype
+        assert not ds.traj_id.flags.writeable
+        assert len(ds.traj_ids) == len(ds.traj_ends) == 1 + np.count_nonzero(
+            ids[1:] != ids[:-1])
+        if case != "permuted":   # one run per kept trajectory
+            assert len(ds.traj_ids) == ds.n_trajectories
+
+    @pytest.mark.parametrize("case", LABEL_CASES)
+    def test_split_equals_the_per_snapshot_split(self, case):
+        ds, ids, _ = labelled(case)
+        for fraction in (0.0, 0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9):
+            train, hold = ds.split_by_trajectory(fraction)
+            want = PerSnapshotIds(ds, ids).split_by_trajectory(fraction)
+            assert train.tobytes() == want[0].tobytes(), fraction
+            assert hold.tobytes() == want[1].tobytes(), fraction
+
+    @pytest.mark.parametrize("source", ["babbled", "loaded"])
+    @pytest.mark.parametrize("case", LABEL_CASES)
+    def test_stage_outputs_equal_the_per_snapshot_path(self, case, source,
+                                                       tmp_path):
+        ds, ids, m = labelled(case)
+        old = PerSnapshotIds(ds, ids)
+        if source == "loaded":
+            babbling.save_dataset(ds, tmp_path)
+            ds = babbling.load_dataset(tmp_path, m)
+
+        def outputs(data):
+            pair = factorization.fit_pair(data, m, m)
+            model = edmd.identify_model(data, m, pair.S)
+            result = synthesis.synthesize(model, pair, max_resamples=3)
+            return [json.dumps(d, sort_keys=True) for d in (
+                factorization.pair_to_json(pair), edmd.model_to_json(model),
+                synthesis.result_to_json(result))]
+
+        got, want = outputs(ds), outputs(old)
+        assert got == want
+        assert json.loads(got[1])["diagnostics"]["n_holdout"] > 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from koopctl import babbling, cli, config, plants
+from koopctl import babbling, cli, config, plants, tensor
 from koopctl.config import ConfigError, config_hash, load_config, merge_defaults
 
 STAGE_NAMES = ["babble", "factorize", "identify", "synthesize", "evaluate"]
@@ -1419,6 +1419,34 @@ class TestDamagedArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert f"{artifact}: {field[0]} " in err, err
+
+    @pytest.mark.parametrize("damage", [
+        "traj_ids-short", "traj_ids-float", "traj_ends-short",
+        "traj_ends-float", "traj_ends-unsorted", "traj_ends-past-N",
+        "x-float32", "x-fortran", "x-cut-off", "x-nan-in-last-chunk"])
+    def test_damaged_dataset_exits_3_and_is_babbled_again(
+            self, finished_run, tmp_path, capsys, monkeypatch, damage):
+        from test_babbling import damage_members, write_npz
+
+        args = copy_run(finished_run, tmp_path)
+        npz = tmp_path / "out" / "dataset" / "snapshots.npz"
+        written = npz.read_bytes()
+        with np.load(npz) as f:
+            arrays = dict(f)
+        write_npz(npz, arrays, damage_members(arrays, damage))
+        capsys.readouterr()
+        with monkeypatch.context() as m:
+            # x is read in 1000-row pieces, the NaN in its last
+            m.setattr(tensor, "QR_CHUNK", 1000)
+            assert len(arrays["x"]) > 3000
+            assert cli.main(["factorize"] + args) == cli.EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "snapshots.npz" in err and damage.split("-")[0] in err, err
+        assert cli.main(["pipeline"] + args) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("babble: ") and "cache hit" not in out
+        assert npz.read_bytes() == written
 
     @pytest.mark.parametrize("field", ["P", "S_x"])
     def test_result_of_another_formation_is_a_cache_miss(

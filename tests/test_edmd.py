@@ -259,10 +259,23 @@ class TestIdentifyModel:
     def test_split_without_training_snapshots_rejected(self):
         # one trajectory, which the whole-trajectory split holds out
         x = np.random.default_rng(10).standard_normal((30, 1))
-        ds = dataset_from_arrays(x, np.ones((30, 1)), 0.5 * x)
-        ds.traj_id[:] = 0
+        ds = SnapshotDataset(x=x, u=np.ones((30, 1)), x_next=0.5 * x,
+                             traj_id=np.zeros(30, dtype=int))
         with pytest.raises(ValueError, match=r"holdout_fraction 0\.1 holds "
                            r"out every trajectory \(trajectory count 1\)"):
+            edmd.identify_model(ds, polynomial_map("lin", (1,)), np.eye(1))
+
+    def test_trajectory_count_is_of_distinct_run_ids(self, monkeypatch):
+        # five runs of three ids, each a multiple of 10, so all held out;
+        # the count reads the runs, never a per-snapshot id
+        ids = np.repeat([0, 10, 0, 20, 10], 6)
+        x = np.random.default_rng(11).standard_normal((30, 1))
+        ds = SnapshotDataset(x=x, u=np.ones((30, 1)), x_next=0.5 * x,
+                             traj_id=ids)
+        assert ds.traj_ids.tolist() == [0, 10, 0, 20, 10]
+        monkeypatch.setattr(SnapshotDataset, "traj_id", property(
+            lambda self: pytest.fail("per-snapshot ids built")))
+        with pytest.raises(ValueError, match=r"\(trajectory count 3\)"):
             edmd.identify_model(ds, polynomial_map("lin", (1,)), np.eye(1))
 
     def test_empty_dataset_rejected(self):

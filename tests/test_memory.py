@@ -1,24 +1,31 @@
 """Working memory of the N-column passes, measured with tracemalloc.
 
-A dataset holds each state once: x, u, traj_id and the tails of x_next
-(with their row indices), nothing else N rows long.  Once lifted, it
-holds each state inside its lift: x and the tails are views of psi's
-raw-state rows.  A pass over N snapshots may hold the dataset's lift
-psi (d_psi x (N + n_tails) floats) plus a fixed number of QR_CHUNK-wide
-buffers, whatever N is.  The bounds are on a double-pendulum dataset of
-about 3 QR_CHUNK snapshots (12,300, d_psi = 14), set from measurement
-with a margin:
+A dataset holds each state once: x, u, the tails of x_next (with their
+row indices) and the trajectory ids as runs (``traj_ids`` and
+``traj_ends``, one entry per run), nothing else N rows long.  Once
+lifted, it holds each state inside its lift: x and the tails are views
+of psi's raw-state rows, and psi and u are its only N-wide arrays.  A
+load given the map reads x and the tails straight into those rows.  A
+pass over N snapshots may hold the dataset's lift psi (d_psi x (N +
+n_tails) floats) plus a fixed number of QR_CHUNK-wide buffers, whatever
+N is.  The bounds are on a double-pendulum dataset of about 3 QR_CHUNK
+snapshots (12,300, d_psi = 14), set from measurement with a margin:
 
 =====================  ========  =====  ===================================
 pass                   measured  bound  unit
 =====================  ========  =====  ===================================
-generate_dataset held  1.019     1.05   bytes of x, u, traj_id and tails
-load_dataset held      1.016     1.05   bytes of x, u, traj_id and tails
-load_dataset peak      0.69      1.1    bytes of x, u, traj_id and tails,
-                                        beyond two numpy read buffers
-lift (dataset)         0.72      1.25   d_psi x QR_CHUNK floats, beyond psi
-lifted dataset held    1.010     1.05   bytes of psi, u, traj_id and
-                                        tail_rows
+generate_dataset held  1.022     1.05   bytes of x, u, traj_ids, traj_ends,
+                                        tail_rows and tails ("lean")
+load_dataset held      1.019     1.05   lean bytes
+load_dataset peak      2.08      3      QR_CHUNK-row pieces of x, beyond
+                                        the lean bytes
+load_dataset(m) held   1.008     1.05   bytes of psi, u, traj_ids,
+                                        traj_ends and tail_rows ("own")
+load_dataset(m) peak   3.08      4      pieces of x, beyond what it holds
+lift (dataset)         1.01      1.25   d_psi x QR_CHUNK floats, beyond psi
+lift (loaded)          1.01      1.25   d_psi x QR_CHUNK floats, psi
+                                        already allocated by the load
+lifted dataset held    1.010     1.05   own bytes
 evaluate_batch         0.72      1.25   d_psi x QR_CHUNK floats, beyond psi
 fit_pair               1.54      2      d_psi (d_psi + 1) / 2 x QR_CHUNK
                                         floats, beyond psi
@@ -28,34 +35,48 @@ identify_model         5.37      6      d_psi x QR_CHUNK floats, beyond
                                         psi, which it lifts
 =====================  ========  =====  ===================================
 
-Beyond the arrays, a load holds two ``np.lib.format.BUFFER_SIZE`` (256
-KiB) buffers: numpy reads an npz member in pieces of that size, and
-zipfile copies each piece once.  They do not grow with N; here they are
-0.76 of the arrays.  On the same fixture at twice the snapshots and
-QR_CHUNK 8192, a dataset that also held x_next and the three index
-arrays measured 2.02 held (a load that builds them peaked at 1.86 with
-the buffers), a dataset lift that first copies [x; tails] 1.66, a
-lifted dataset that keeps its own x and tails 1.24 held, a whole-array
-lift (its pieces N wide) 2.36, a fit with a second product buffer 2.40,
-and an identification that lifts again and forms (S psi) kron u for
-every snapshot 8.97 on a lifted dataset.  LAPACK's workspaces are not
-traced.
+A load reads each npz member one piece at a time, through zipfile's
+bytes of that piece (and, with the map, one piece-sized buffer for the
+strided raw-state rows); the pieces do not grow with N, and x alone is
+3 pieces here.  A dataset's lift copies each chunk of states from the
+raw-state rows before lifting it, 0.29 of a d_psi-row chunk.  Before
+the trajectory ids went to runs, a dataset also held one int64 id per
+snapshot (lean bytes 1.16 times today's), and a load read x into an
+array of its own, held beside psi until the first lift.  On the same
+fixture at twice the snapshots and QR_CHUNK 8192, a dataset that also
+held x_next and the three index arrays measured 2.02 held (a load that
+builds them peaked at 1.86 with numpy's read buffers), a dataset lift
+that first copies [x; tails] 1.66, a lifted dataset that keeps its own
+x and tails 1.24 held, a whole-array lift (its pieces N wide) 2.36, a
+fit with a second product buffer 2.40, and an identification that
+lifts again and forms (S psi) kron u for every snapshot 8.97 on a
+lifted dataset.  LAPACK's workspaces are not traced.
 
 tracemalloc sees neither those workspaces nor the heap the allocator
-keeps, so one ``slow`` test guards the process itself: babble,
-``fit_pair`` and ``identify_model`` on the criterion-7 dataset, in a
-fresh interpreter, may grow its peak RSS over the post-import baseline
-by at most psi + the babbled dataset - x + 4.25 product chunks
-(d_psi (d_psi + 1) / 2 x QR_CHUNK floats).  That is 42.3 MiB; it
-measured 40.2 MiB (3.61-3.62 chunks in three runs), and 47.7-47.8 MiB
-when the lift first copies [x; tails] and the dataset keeps its own x
-(2-vCPU VM, numpy 2.4, OpenBLAS's default two threads).  About 6 MiB of
-the transient beyond psi and the dataset does not scale with the chunk
-(it measured 17.8 MiB at QR_CHUNK 8192 and 11.9 at 4096), so the
-multiplier is larger than the 3.25 that held at 8192.  The peak
-is VmHWM, the high-water mark of the process image: Linux carries
-``ru_maxrss`` across fork and exec, so in a child of the test runner it
-would start at the runner's own peak.
+keeps, so two ``slow`` tests guard the process itself, each in a fresh
+interpreter, against its peak RSS growth over the post-import baseline,
+on the criterion-7 dataset (216,000 snapshots); a product chunk is
+d_psi (d_psi + 1) / 2 x QR_CHUNK floats (3.3 MiB):
+
+* babble, ``fit_pair`` and ``identify_model`` in one process may grow
+  by psi + the babbled dataset - x + 4.25 product chunks.  That is
+  40.7 MiB; it measured 38.5-38.6 MiB (3.58-3.62 chunks in three runs),
+  and 47.7-47.8 MiB when the lift first copies [x; tails] and the
+  dataset keeps its own x.  About 6 MiB of the transient beyond psi and
+  the dataset does not scale with the chunk (it measured 17.8 MiB at
+  QR_CHUNK 8192 and 11.9 at 4096), so the multiplier is larger than the
+  3.25 that held at 8192.
+* ``cli.main`` babble, factorize and identify, each command loading the
+  dataset the one before wrote, may grow by psi + u + the runs + 4.25
+  product chunks, 40.6 MiB.  It measured 38.5-38.6 MiB (3.61-3.64
+  chunks in three runs), and 43.0-43.1 MiB (4.96-5.01 chunks) when a
+  load reads x into an array of its own and the dataset keeps one id
+  per snapshot.
+
+Both were measured on a 2-vCPU VM, numpy 2.4, OpenBLAS's default two
+threads.  The peak is VmHWM, the high-water mark of the process image:
+Linux carries ``ru_maxrss`` across fork and exec, so in a child of the
+test runner it would start at the runner's own peak.
 """
 
 import gc
@@ -114,8 +135,8 @@ def traced_peak(fn) -> int:
 
 
 def lean_bytes(ds) -> int:
-    return sum(a.nbytes for a in (ds.x, ds.u, ds.traj_id, ds.tails,
-                                  ds.tail_rows))
+    return sum(a.nbytes for a in (ds.x, ds.u, ds.traj_ids, ds.traj_ends,
+                                  ds.tail_rows, ds.tails))
 
 
 @pytest.mark.parametrize("source", ["generated", "loaded"])
@@ -136,12 +157,43 @@ def test_dataset_holds_each_state_once(source, tmp_path):
     assert held <= 1.05 * lean_bytes(ds)
 
 
+def piece_bytes(ds) -> int:
+    """Bytes of one QR_CHUNK-row piece of x, as a load reads it."""
+    return QR_CHUNK * ds.x.shape[1] * FLOAT
+
+
+def own_bytes(ds) -> int:
+    """Bytes of the arrays a lifted dataset holds beside its lift."""
+    return sum(a.nbytes for a in (ds.u, ds.traj_ids, ds.traj_ends,
+                                  ds.tail_rows))
+
+
 def test_load_dataset_peaks_at_the_arrays_it_keeps(tmp_path):
     ds = babbled()[0]
     babbling.save_dataset(ds, tmp_path)
     babbling.load_dataset(tmp_path)   # first calls import lazily
     peak = traced_peak(lambda: babbling.load_dataset(tmp_path))
-    assert peak <= 1.1 * lean_bytes(ds) + 2 * np.lib.format.BUFFER_SIZE
+    assert peak <= lean_bytes(ds) + 3 * piece_bytes(ds)
+
+
+def test_load_with_the_map_reads_the_states_into_the_lift(tmp_path):
+    # x and the tails only ever exist as the lift's raw-state rows, which
+    # the first lift fills around
+    ds, m = babbled()
+    babbling.save_dataset(ds, tmp_path)
+    babbling.load_dataset(tmp_path, m)   # first calls import lazily
+    held, peak = traced(lambda: babbling.load_dataset(tmp_path, m))
+    back = babbling.load_dataset(tmp_path, m)
+    block = back._unfilled[m]
+    assert back.x.base is block and back.tails.base is block
+    own = [v for v in vars(back).values()
+           if isinstance(v, np.ndarray) and v.base is not block]
+    assert sum(a.nbytes for a in own) == own_bytes(back)
+    assert held <= 1.05 * (block.nbytes + own_bytes(back))
+    assert peak <= held + 4 * piece_bytes(back)
+    chunk = m.dim * QR_CHUNK * FLOAT
+    assert traced_peak(lambda: back.lift(m)) <= 1.25 * chunk
+    assert back.lift(m) is block
 
 
 def test_dataset_lift_holds_psi_and_one_chunk(dataset):
@@ -167,9 +219,8 @@ def test_lifted_dataset_holds_each_state_in_its_lift():
     assert np.shares_memory(ds.x, psi) and np.shares_memory(ds.tails, psi)
     own = [v for v in vars(ds).values()
            if isinstance(v, np.ndarray) and not np.shares_memory(v, psi)]
-    own_bytes = ds.u.nbytes + ds.traj_id.nbytes + ds.tail_rows.nbytes
-    assert sum(a.nbytes for a in own) == own_bytes
-    assert held <= 1.05 * (psi.nbytes + own_bytes)
+    assert sum(a.nbytes for a in own) == own_bytes(ds)
+    assert held <= 1.05 * (psi.nbytes + own_bytes(ds))
 
 
 def test_lifted_states_are_read_only(dataset):
@@ -249,7 +300,7 @@ def peak_rss():
 base = peak_rss()
 ds = babbling.generate_dataset(plant, m, m, cfg)
 held = {"x": ds.x.nbytes, "dataset": sum(a.nbytes for a in (
-    ds.x, ds.u, ds.traj_id, ds.tails, ds.tail_rows))}
+    ds.x, ds.u, ds.traj_ids, ds.traj_ends, ds.tail_rows, ds.tails))}
 pair = factorization.fit_pair(ds, m, m)
 edmd.identify_model(ds, m, pair.S)
 print(json.dumps({
@@ -269,4 +320,60 @@ def test_criterion_7_rss_growth_is_psi_and_the_lean_dataset():
                          timeout=300)
     got = json.loads(run.stdout)
     bound = got["psi"] + got["dataset"] - got["x"] + 4.25 * got["products"]
+    assert got["growth"] <= bound, (got, bound)
+
+
+CRITERION_7_CLI = """
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+from koopctl import cli
+from koopctl.tensor import QR_CHUNK
+
+out = Path(sys.argv[1])
+config = out / "config.json"
+config.write_text(json.dumps({
+    "plant": {"kind": "double_pendulum", "params": {"gravity": 1.0}},
+    "observables": {"kind": "double_pendulum"},
+    "babbling": {"num_gains": 20, "num_initial_conditions": 108,
+                 "gain_scale": 1.0, "steps": 100, "dt": 0.01,
+                 "state_grid": [[-np.pi, np.pi], [-np.pi, np.pi],
+                                [-2.0, 2.0], [-2.0, 2.0]]},
+    "seed": 0, "output_dir": str(out / "out")}))
+
+
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return 1024 * int(next(l for l in fh if l.startswith("VmHWM:"))
+                          .split()[1])
+
+
+base = peak_rss()
+for stage in ("babble", "factorize", "identify"):
+    assert cli.main([stage, "--config", str(config)]) == cli.EXIT_OK, stage
+growth = peak_rss() - base
+with np.load(out / "out" / "dataset" / "snapshots.npz") as f:
+    arrays = {k: f[k] for k in ("u", "traj_ids", "traj_ends", "tail_rows")}
+d_psi = len(json.loads((out / "out" / "pair.json").read_text())["mask"])
+print(json.dumps({
+    "growth": growth,
+    "psi": d_psi * (len(arrays["u"]) + len(arrays["tail_rows"])) * 8,
+    "u": arrays["u"].nbytes,
+    "runs": arrays["traj_ids"].nbytes + arrays["traj_ends"].nbytes,
+    "products": d_psi * (d_psi + 1) // 2 * QR_CHUNK * 8}))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_criterion_7_cli_rss_growth_is_psi_u_and_the_runs(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(koopctl.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", CRITERION_7_CLI,
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    got = json.loads(run.stdout.splitlines()[-1])
+    bound = got["psi"] + got["u"] + got["runs"] + 4.25 * got["products"]
     assert got["growth"] <= bound, (got, bound)
