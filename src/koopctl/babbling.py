@@ -6,6 +6,11 @@ with the id of its trajectory.  Trajectories that go non-finite are
 dropped whole (a bad suffix would leave near-singular leverage points)
 and counted.
 
+The initial-condition grid's counts per axis come from ``grid_shape``,
+which builds no point, so a config is checked at any count;
+``generate_dataset`` builds the points once, and its manifest records
+the distinct points per axis (one for a [lo, lo] row).
+
 All gain x initial-condition pairs are rolled out as one batch, in
 gain-major, initial-condition-minor order, and snapshots are assembled
 in that order, step-increasing, so identical configs and seeds give
@@ -72,7 +77,7 @@ class BabblingConfig:
                                "nonnegative") < np.inf:
             raise ValueError("gain_scale must be nonnegative, with a finite "
                              f"width 2 * gain_scale, got {self.gain_scale!r}")
-        rows, shape = self.state_grid, self.grid_shape
+        rows = self.state_grid
         if not (isinstance(rows, (list, tuple)) and all(
                 isinstance(r, (list, tuple)) and len(r) == 2 for r in rows)):
             raise ValueError(f"state_grid must be [lo, hi] rows, got {rows!r}")
@@ -82,9 +87,6 @@ class BabblingConfig:
             if not 0 <= hi - lo < np.inf:
                 raise ValueError("state_grid rows need lo <= hi and a finite "
                                  f"width hi - lo, got {[lo, hi]!r}")
-        if not (shape is None or isinstance(shape, (list, tuple))):
-            raise ValueError("grid_shape must be null or a list of positive "
-                             f"integers, got {shape!r}")
 
 
 class SnapshotDataset:
@@ -279,41 +281,45 @@ def near_equal_factorization(total: int, dims: int) -> tuple:
     return tuple(factors)
 
 
-def grid_initial_conditions(cfg: BabblingConfig, d_x: int = None) -> np.ndarray:
-    """Cartesian-product grid over state_grid bounds, endpoints included.
-
-    A single point per dimension sits at the lower bound by convention.
-    Raises when an explicit grid_shape does not hold one count per state
-    component or does not multiply to the requested count.
-    """
-    d_x = len(cfg.state_grid) if d_x is None else d_x
+def grid_shape(cfg: BabblingConfig, d_x: int) -> tuple:
+    """The initial-condition grid's point count per state component: the
+    explicit grid_shape, which must pass ``checked_shape`` and multiply to
+    num_initial_conditions, else ``near_equal_factorization``; no point
+    is built."""
     if len(cfg.state_grid) != d_x:
         raise ValueError(f"state_grid must hold {d_x} [lo, hi] rows, one per "
                          f"state component, got {cfg.state_grid!r}")
-    if cfg.grid_shape is not None:
-        shape = tuple(as_number(n, f"grid_shape[{i}]", "positive",
-                                integer=True, any_size=True)
-                      for i, n in enumerate(cfg.grid_shape))
-        if len(shape) != d_x:
-            raise ValueError(f"grid_shape {shape} needs {d_x} counts, "
-                             f"one per state component")
-        if math.prod(shape) != cfg.num_initial_conditions:
-            raise ValueError(
-                f"grid_shape {shape} does not factor "
-                f"{cfg.num_initial_conditions} initial conditions"
-            )
-    else:
-        shape = near_equal_factorization(cfg.num_initial_conditions, d_x)
-    return grid_points(cfg.state_grid, shape)
+    if cfg.grid_shape is None:
+        return near_equal_factorization(cfg.num_initial_conditions, d_x)
+    shape = checked_shape(cfg.grid_shape, d_x, "grid_shape")
+    if math.prod(shape) != cfg.num_initial_conditions:
+        raise ValueError(f"grid_shape {shape} does not factor "
+                         f"{cfg.num_initial_conditions} initial conditions")
+    return shape
+
+
+def checked_shape(shape, d_x: int, name: str) -> tuple:
+    """``shape`` as a tuple of d_x positive integers of any size, one per
+    state component; each message leads with ``name``."""
+    if not (isinstance(shape, (list, tuple)) and len(shape) == d_x):
+        raise ValueError(f"{name} must hold {d_x} counts, one per state "
+                         f"component, got {shape!r}")
+    return tuple(as_number(n, f"{name}[{i}]", "positive", integer=True,
+                           any_size=True) for i, n in enumerate(shape))
 
 
 def grid_points(bounds, shape) -> np.ndarray:
-    """(prod(shape), len(bounds)) grid of shape[i] evenly spaced points per
-    [lo, hi] row, endpoints included (one point: lo), first axis slowest."""
-    axes = [np.linspace(lo, hi, n) if n > 1 else np.array([lo])
-            for (lo, hi), n in zip(bounds, shape)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    """(prod(shape), len(bounds)) grid of the ``_axes`` points, first axis
+    slowest."""
+    mesh = np.meshgrid(*_axes(bounds, shape), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _axes(bounds, shape) -> list:
+    """shape[i] evenly spaced points per [lo, hi] row, endpoints included
+    (one point: lo)."""
+    return [np.linspace(lo, hi, n) if n > 1 else np.array([lo])
+            for (lo, hi), n in zip(bounds, shape)]
 
 
 def generate_dataset(plant: ControlAffinePlant, map_x: ObservableMap,
@@ -326,7 +332,8 @@ def generate_dataset(plant: ControlAffinePlant, map_x: ObservableMap,
     """
     rng = np.random.default_rng(cfg.seed)
     gains = sample_random_gains(cfg, plant.input_dim, map_u.dim, rng=rng)
-    ics = grid_initial_conditions(cfg, plant.state_dim)
+    shape = grid_shape(cfg, plant.state_dim)
+    ics = grid_points(cfg.state_grid, shape)
     n_ic = ics.shape[0]
     T = cfg.steps
 
@@ -347,15 +354,9 @@ def generate_dataset(plant: ControlAffinePlant, map_x: ObservableMap,
         len(trajs) - len(kept),
         {"seed": cfg.seed, "steps": T, "dt": float(cfg.dt),
          "num_gains": cfg.num_gains, "num_initial_conditions": n_ic,
-         "grid_shape": [_distinct_count(ics[:, d])
-                        for d in range(ics.shape[1])]})
-
-
-def _distinct_count(v) -> int:
-    """len(np.unique(v)) for a 1-d array without NaN, without the
-    ``numpy.ma`` import (about 20 ms) that np.unique's first call makes."""
-    s = np.sort(v)
-    return int(s.size > 0) + int(np.count_nonzero(s[1:] != s[:-1]))
+         # distinct points per axis: one for a [lo, lo] row
+         "grid_shape": [len(set(a.tolist()))
+                        for a in _axes(cfg.state_grid, shape)]})
 
 
 def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:

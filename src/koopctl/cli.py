@@ -6,9 +6,10 @@ rejects and names, such as a NaN entry, a matrix whose shape disagrees
 with the config or another artifact, a meta that is not an object, a
 result whose S_x is not symmetric positive definite, whose P is not that
 S_x padded with zeros or whose certificate fails with the current model
-and pair; or a stage's ValueError, such as an all-diverged babble),
-4 synthesis infeasible, 5 evaluation gate failed, 6 factorization
-retained no block, 7 artifact could not be written (e.g. disk full),
+and pair; a stage's ValueError, such as an all-diverged babble; or a
+stage's MemoryError, such as a babble of a huge grid), 4 synthesis
+infeasible, 5 evaluation gate failed, 6 factorization retained no
+block, 7 artifact could not be written (e.g. disk full),
 reported in one line naming the file.  ``STAGES`` holds one row per
 stage, with the reader of its artifact and its format number.  Each
 artifact embeds its stage key, the hash of the format numbers and config
@@ -160,7 +161,8 @@ def _load(cfg: dict, name: str, done: dict):
 
 def _run(cfg: dict, name: str, done: dict):
     """Run stage ``name`` on its upstream outputs.  A ValueError it raises,
-    other than a ConfigError, is exit 3: ``cannot <stage>: <message>``."""
+    other than a ConfigError, is exit 3: ``cannot <stage>: <message>``; so
+    is a MemoryError: ``cannot <stage>: out of memory``."""
     inputs = [_load(cfg, u, done) for u in STAGES[name].upstream]
     try:
         done[name] = STAGES[name].run(cfg, *inputs)
@@ -168,6 +170,9 @@ def _run(cfg: dict, name: str, done: dict):
         raise
     except ValueError as exc:
         raise StageError(f"cannot {name}: {exc}", EXIT_PRECONDITION) from exc
+    except MemoryError as exc:  # numpy's message names the array
+        why = ": ".join(filter(None, ("out of memory", str(exc))))
+        raise StageError(f"cannot {name}: {why}", EXIT_PRECONDITION) from exc
 
 
 def _read_pair(cfg: dict, payload: dict, path: Path, done: dict):
@@ -331,9 +336,10 @@ def cmd_evaluate(cfg: dict, result, model, pair):
 # Stage.format enters the stage's key and those downstream: raising it
 # makes their older caches a miss.  babble 2: trajectory ids as runs
 # (koopctl/dataset/3); factorize 2: 4096-row chunks in the streamed
-# passes (tensor.QR_CHUNK), 3: pair.json without S; synthesize 2: the
-# barrier method, 3: the Assumption-1 probe over the grid's box.  The
-# dataset is read straight into the rows of its lift by the state map.
+# passes (tensor.QR_CHUNK), 3: pair.json without S; identify 2:
+# model.json without map_hash; synthesize 2: the barrier method, 3: the
+# Assumption-1 probe over the grid's box.  The dataset is read straight
+# into the rows of its lift by the state map.
 STAGES = {
     "babble": Stage(
         "dataset/manifest.json", KIND,
@@ -346,7 +352,7 @@ STAGES = {
         _read_pair, cmd_factorize, 3),
     "identify": Stage(
         "model.json", "koopctl/model", ("identification",),
-        ("babble", "factorize"), _read_model, cmd_identify),
+        ("babble", "factorize"), _read_model, cmd_identify, 2),
     "synthesize": Stage(
         "result.json", "koopctl/synthesis", ("synthesis",),
         ("identify", "factorize"), _read_result, cmd_synthesize, 3),

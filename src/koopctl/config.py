@@ -7,6 +7,9 @@ or of some of its top-level sections: each artifact embeds the hash of
 the sections its stage and the stages upstream of it read (see
 ``cli.STAGES``), so stage caching and reproducibility checks are purely
 content-based and ``output_dir`` is in no hash.
+
+``validate`` resolves the babbling grid's shape but builds no point, so
+a huge ``babbling.num_initial_conditions`` first allocates in babble.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 
 import numpy as np
 
-from .babbling import BabblingConfig, grid_initial_conditions, grid_points
+from .babbling import BabblingConfig, checked_shape, grid_points, grid_shape
 from .observables import (
     ObservableMap,
     double_pendulum_map,
@@ -210,10 +213,10 @@ def build_maps(cfg: dict):
 
 
 def babbling_config(cfg: dict, state_dim: int) -> BabblingConfig:
-    """The babbling section as a checked BabblingConfig, its grid built."""
+    """The babbling section, checked, its grid shape resolved (no point)."""
     try:
         bcfg = BabblingConfig(**cfg["babbling"], seed=cfg["seed"])
-        grid_initial_conditions(bcfg, state_dim)
+        grid_shape(bcfg, state_dim)
     except ValueError as exc:  # each message leads with a field name
         raise ConfigError(f"babbling.{exc}")
     return bcfg
@@ -244,12 +247,8 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
             states = rng.uniform(ranges[:, 0], ranges[:, 1],
                                  size=(section["count"], d_x))
         elif kind == "grid":
-            shape = section["shape"]
-            if shape is None or len(shape) != d_x:
-                raise ValueError(f"shape must hold {d_x} counts")
-            states = grid_points(ranges, [
-                as_number(n, f"shape[{i}]", "positive", integer=True,
-                          any_size=True) for i, n in enumerate(shape)])
+            states = grid_points(ranges,
+                                 checked_shape(section["shape"], d_x, "shape"))
         else:
             raise ValueError(f"unknown kind {kind!r}")
         extra = _number_rows(cfg["evaluation"]["extra_states"],

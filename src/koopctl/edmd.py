@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .babbling import SnapshotDataset
-from .observables import ObservableMap, descriptor_hash, map_from_descriptor
+from .observables import ObservableMap, map_from_descriptor
 from .tensor import (as_matrix, as_number, matrix_from_json, matrix_to_json,
                      row_chunks, streamed_qr, truncated_svd)
 
@@ -204,7 +204,6 @@ def model_to_json(model: BilinearKoopmanModel) -> dict:
     return {
         "kind": "koopctl/model",
         "map": model.map_descriptor,
-        "map_hash": descriptor_hash(model.map_descriptor),
         "S": matrix_to_json(model.S),
         "K_xx": matrix_to_json(model.K_xx),
         "K_xu": matrix_to_json(model.K_xu),

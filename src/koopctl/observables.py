@@ -49,8 +49,6 @@ float32 state handed to the plan would be promoted to float64.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -282,11 +280,6 @@ def map_from_descriptor(d: dict) -> ObservableMap:
         state_dim=int(d["state_dim"]),
         features=tuple(feature_from_descriptor(f) for f in d["features"]),
     )
-
-
-def descriptor_hash(descriptor: dict) -> str:
-    blob = json.dumps(descriptor, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def single_pendulum_map() -> ObservableMap:

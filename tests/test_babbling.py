@@ -4,8 +4,6 @@ import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from koopctl import babbling, edmd, factorization, plants, synthesis, tensor
 from koopctl.observables import (
@@ -38,7 +36,8 @@ def per_gain_reference(plant, m, cfg):
     """Babbling as one rollout batch per gain, the loop the one-call batch
     replaced; returns (x, u, x_next, traj_id, dropped)."""
     gains = babbling.sample_random_gains(cfg, plant.input_dim, m.dim)
-    ics = babbling.grid_initial_conditions(cfg, plant.state_dim)
+    ics = babbling.grid_points(cfg.state_grid,
+                               babbling.grid_shape(cfg, plant.state_dim))
     n_ic = len(ics)
     out = [[], [], [], []]
     dropped = 0
@@ -95,16 +94,20 @@ class TestGains:
         assert all(np.max(np.abs(k)) <= 1.0 for k in gains)
 
 
+def grid_of(cfg):
+    return babbling.grid_points(cfg.state_grid, babbling.grid_shape(cfg, 2))
+
+
 class TestGrid:
     def test_single_point_sits_at_lower_bound(self):
         cfg = small_config(num_initial_conditions=1)
-        grid = babbling.grid_initial_conditions(cfg)
+        grid = grid_of(cfg)
         np.testing.assert_allclose(grid, [[-np.pi, -6.0]])
 
     def test_three_by_three_includes_corners(self):
         cfg = small_config(num_initial_conditions=9,
                            state_grid=((-1.0, 1.0), (-1.0, 1.0)))
-        grid = babbling.grid_initial_conditions(cfg)
+        grid = grid_of(cfg)
         assert grid.shape == (9, 2)
         corners = {(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)}
         assert corners <= {tuple(row) for row in grid}
@@ -146,7 +149,12 @@ class TestGrid:
     def test_explicit_shape_must_factor(self):
         cfg = small_config(num_initial_conditions=9, grid_shape=(2, 2))
         with pytest.raises(ValueError, match="does not factor"):
-            babbling.grid_initial_conditions(cfg)
+            babbling.grid_shape(cfg, 2)
+
+    @pytest.mark.parametrize("shape", [None, (10 ** 6, 10 ** 6)])
+    def test_shape_of_a_huge_count(self, shape):
+        cfg = small_config(num_initial_conditions=10 ** 12, grid_shape=shape)
+        assert babbling.grid_shape(cfg, 2) == (10 ** 6, 10 ** 6)
 
 
 class TestGenerateDataset:
@@ -820,9 +828,17 @@ class TestRunLengthLabels:
         assert json.loads(got[1])["diagnostics"]["n_holdout"] > 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, np.pi, np.inf,
-                                 -np.inf, 1e-300]), max_size=12))
-def test_distinct_count_matches_numpy_unique(values):
-    v = np.array(values, dtype=float)
-    assert babbling._distinct_count(v) == len(np.unique(v))
+@pytest.mark.parametrize("row, n", [
+    ((-1.0, 1.0), 3), ((0.5, 0.5), 3), ((-0.0, 0.0), 2), ((0.0, 1e-320), 4),
+    ((1e16, 1e16 + 2.0), 5), ((2.0, 3.0), 1)])
+def test_manifest_grid_shape_counts_the_distinct_points_per_axis(row, n):
+    # the count per axis is that of np.unique over the built grid's column:
+    # points of a [lo, lo] row, or of one narrower than their spacing's
+    # rounding, fall together
+    cfg = small_config(num_gains=1, num_initial_conditions=2 * n, steps=1,
+                       state_grid=((-1.0, 1.0), row), grid_shape=(2, n))
+    ds = babbling.generate_dataset(plants.single_pendulum(),
+                                   single_pendulum_map(),
+                                   single_pendulum_map(), cfg)
+    assert ds.meta["grid_shape"] \
+        == [len(np.unique(c)) for c in grid_of(cfg).T]

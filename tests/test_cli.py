@@ -419,7 +419,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("shape, why", [
         ([3, 3], "(3, 3) does not factor 4 initial conditions"),
-        ([4], "(4,) needs 2 counts, one per state component"),
+        ([4], "must hold 2 counts, one per state component, got [4]"),
     ])
     def test_bad_grid_shape_exits_2(self, tmp_path, capsys, shape, why):
         cfgfile = smoke_config(tmp_path, babbling={
@@ -809,6 +809,80 @@ class TestBabbleFailureCode:
         assert err == ("error: cannot babble: all trajectories diverged; "
                        "nothing to identify from\n")
         assert not (tmp_path / "out" / "dataset" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("why", ["", "Unable to allocate 74.5 GiB for an "
+                                         "array with shape (10000000000,)"],
+                             ids=["bare", "numpy"])
+    def test_out_of_memory_exits_3_with_one_line(self, tmp_path, capsys,
+                                                 monkeypatch, why):
+        # raised, never allocated: the line names the stage, and numpy's
+        # message when there is one
+        def exhausted(*args):
+            raise MemoryError(why)
+
+        monkeypatch.setattr(cli, "generate_dataset", exhausted)
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["babble", "--config", str(cfgfile)]) \
+            == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().err == ": ".join(filter(None, (
+            "error: cannot babble: out of memory", why))) + "\n"
+        assert not (tmp_path / "out" / "dataset" / "manifest.json").exists()
+
+
+class TestGridShape:
+    """The babbling grid and the evaluation grid kind share one shape
+    rule, and validation builds no grid."""
+
+    @pytest.mark.parametrize("shape, why", [
+        ([3], " must hold 2 counts, one per state component, got [3]"),
+        ([3, 3, 1], " must hold 2 counts, one per state component"),
+        ([0, 3], "[0] must be a positive integer, got 0"),
+        ([3, 2.5], "[1] must be a positive integer, got 2.5"),
+        ([True, 3], "[0] must be a positive integer, got True"),
+        (["3", 3], "[0] must be a positive integer, got '3'")],
+        ids=["short", "long", "zero", "fractional", "boolean", "string"])
+    @pytest.mark.parametrize("section, field", [
+        ("babbling", "config error: babbling.grid_shape"),
+        ("evaluation", "config error: bad evaluation.initial_conditions or "
+                       "extra_states: shape")], ids=["babbling", "evaluation"])
+    def test_one_rule_names_its_own_field(self, tmp_path, capsys, shape,
+                                          why, section, field):
+        cfgfile = smoke_config(tmp_path, **{section: {
+            "babbling": {"grid_shape": shape, "num_initial_conditions": 9},
+            "evaluation": {"initial_conditions": {
+                "kind": "grid", "ranges": [[-1, 1], [-2, 2]],
+                "shape": shape}}}[section]})
+        assert cli.main(["pipeline", "--config", str(cfgfile)]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(field + why) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("shape", [None, [10 ** 6, 10 ** 6]])
+    def test_validation_builds_no_grid(self, monkeypatch, shape):
+        # a grid of 1e12 points would take 16 TB: validate and
+        # babbling_config resolve its shape and never call the builder
+        def spy(*args):
+            raise AssertionError("grid_points called")
+
+        monkeypatch.setattr(babbling, "grid_points", spy)
+        cfg = merge_defaults({"babbling": {
+            "num_initial_conditions": 10 ** 12, "grid_shape": shape}})
+        config.validate(cfg)
+        assert config.babbling_config(cfg, 2).num_initial_conditions \
+            == 10 ** 12
+
+    def test_babble_builds_its_grid_once(self, tmp_path, monkeypatch):
+        calls, build = [], babbling.grid_points
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(babbling, "grid_points", spy)
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["babble", "--config", str(cfgfile)]) == cli.EXIT_OK
+        assert len(calls) == 1
 
 
 class TestIdentifyFailureCode:
@@ -1633,7 +1707,7 @@ class TestArtifactSweep:
     leaves exit 0; every other value exits 3 naming the file and, but
     for kind and meta, the field."""
 
-    UNREAD = ("diagnostics", "map_hash")
+    UNREAD = ("diagnostics",)
 
     @pytest.mark.parametrize("artifact, stage", [
         ("pair.json", "identify"), ("model.json", "synthesize"),

@@ -74,9 +74,17 @@ d_psi (d_psi + 1) / 2 x QR_CHUNK floats (3.3 MiB):
   per snapshot.
 
 Both were measured on a 2-vCPU VM, numpy 2.4, OpenBLAS's default two
-threads.  The peak is VmHWM, the high-water mark of the process image:
-Linux carries ``ru_maxrss`` across fork and exec, so in a child of the
-test runner it would start at the runner's own peak.
+threads.  Each script imports ``hashlib`` before it reads its base, so
+OpenSSL is loaded before the window and ``numpy.random``'s first import
+(through ``secrets`` and ``hmac``, at babble) inside it, the window in
+which the bounds were set, when koopctl's own import loaded hashlib.
+With OpenSSL loading inside the window instead, the first run's growth
+measured 41.9 MiB against its 40.7 MiB bound (38.1-38.2 MiB with it),
+the model's memory unchanged.
+
+The peak is VmHWM, the high-water mark of the process image: Linux
+carries ``ru_maxrss`` across fork and exec, so in a child of the test
+runner it would start at the runner's own peak.
 """
 
 import gc
@@ -278,6 +286,7 @@ def test_identify_model_holds_psi_and_six_chunks(dataset):
 
 
 CRITERION_7_RUN = """
+import hashlib  # OpenSSL loads before the base: see the module docstring
 import json
 import numpy as np
 from koopctl import babbling, edmd, factorization, observables, plants
@@ -324,6 +333,7 @@ def test_criterion_7_rss_growth_is_psi_and_the_lean_dataset():
 
 
 CRITERION_7_CLI = """
+import hashlib  # OpenSSL loads before the base: see the module docstring
 import json
 import sys
 from pathlib import Path
