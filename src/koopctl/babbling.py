@@ -6,27 +6,19 @@ with the id of its trajectory.  Trajectories that go non-finite are
 dropped whole (a bad suffix would leave near-singular leverage points)
 and counted.
 
-The initial-condition grid's counts per axis come from ``grid_shape``,
-which builds no point, so a config is checked at any count;
-``generate_dataset`` builds the points once, and its manifest records
-the distinct points per axis (one for a [lo, lo] row).
+``grid_shape`` checks ``state_grid`` by the one box rule, ``check_box``,
+and gives the grid's counts per axis without building a point, so a
+config is checked at any count; ``generate_dataset`` builds the points
+once, and its manifest records the distinct points per axis.
 
 All gain x initial-condition pairs are rolled out as one batch, in
 gain-major, initial-condition-minor order, and snapshots are assembled
 in that order, step-increasing, so identical configs and seeds give
 bitwise-identical datasets.
 
-In memory, a ``SnapshotDataset`` holds each state once: x and u, the
-"tails", the rows of x_next that are not the next row's x (the
-trajectory ends), and the trajectory ids run-length encoded, one entry
-per run of equal ids.  x_next and the per-snapshot ids are rebuilt when
-read.  The lift of the distinct states [x; tails] is made on first use,
-once per map, and kept by the dataset, so the Hbar fit and the
-identification share it.  Its leading rows are the raw states: an
-``ObservableMap``'s lift copies x and the tails into them, makes x and
-the tails read-only views of them and fills the other rows in place, so
-the dataset holds each state once, inside the lift, and psi and u are
-its only N-wide arrays.
+A ``SnapshotDataset`` holds each state once, inside its lift once a map
+has lifted it, so the Hbar fit and the identification share one lift
+and psi and u are its only N-wide arrays (see the class).
 
 A saved dataset is a directory of two files: ``snapshots.npz`` holds the
 ``ARRAYS`` a dataset holds in memory, and ``manifest.json`` (kind
@@ -61,14 +53,14 @@ class BabblingConfig:
     num_gains: int = 20
     num_initial_conditions: int = 25
     gain_scale: float = 1.0
-    state_grid: tuple = ((-np.pi, np.pi), (-6.0, 6.0))  # per-dimension [lo, hi]
+    state_grid: tuple = ((-np.pi, np.pi), (-6.0, 6.0))  # see check_box
     grid_shape: tuple = None  # explicit per-dimension counts, optional
     steps: int = 100
     dt: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
-        # each message leads with the field it names
+        # messages lead with the field they name; grid_shape checks state_grid
         for name in ("num_gains", "num_initial_conditions", "steps", "seed"):
             as_number(getattr(self, name), name, "nonnegative" if name ==
                       "seed" else "positive", integer=True, any_size=True)
@@ -77,16 +69,6 @@ class BabblingConfig:
                                "nonnegative") < np.inf:
             raise ValueError("gain_scale must be nonnegative, with a finite "
                              f"width 2 * gain_scale, got {self.gain_scale!r}")
-        rows = self.state_grid
-        if not (isinstance(rows, (list, tuple)) and all(
-                isinstance(r, (list, tuple)) and len(r) == 2 for r in rows)):
-            raise ValueError(f"state_grid must be [lo, hi] rows, got {rows!r}")
-        for i, (lo, hi) in enumerate(rows):
-            lo, hi = (as_number(lo, f"state_grid[{i}][0]"),
-                      as_number(hi, f"state_grid[{i}][1]"))
-            if not 0 <= hi - lo < np.inf:
-                raise ValueError("state_grid rows need lo <= hi and a finite "
-                                 f"width hi - lo, got {[lo, hi]!r}")
 
 
 class SnapshotDataset:
@@ -282,13 +264,10 @@ def near_equal_factorization(total: int, dims: int) -> tuple:
 
 
 def grid_shape(cfg: BabblingConfig, d_x: int) -> tuple:
-    """The initial-condition grid's point count per state component: the
-    explicit grid_shape, which must pass ``checked_shape`` and multiply to
-    num_initial_conditions, else ``near_equal_factorization``; no point
-    is built."""
-    if len(cfg.state_grid) != d_x:
-        raise ValueError(f"state_grid must hold {d_x} [lo, hi] rows, one per "
-                         f"state component, got {cfg.state_grid!r}")
+    """Grid points per state component, once state_grid passes
+    ``check_box``: grid_shape, which must pass ``checked_shape`` and
+    factor num_initial_conditions, else ``near_equal_factorization``."""
+    check_box(cfg.state_grid, d_x, "state_grid")
     if cfg.grid_shape is None:
         return near_equal_factorization(cfg.num_initial_conditions, d_x)
     shape = checked_shape(cfg.grid_shape, d_x, "grid_shape")
@@ -306,6 +285,30 @@ def checked_shape(shape, d_x: int, name: str) -> tuple:
                          f"component, got {shape!r}")
     return tuple(as_number(n, f"{name}[{i}]", "positive", integer=True,
                            any_size=True) for i, n in enumerate(shape))
+
+
+def number_rows(rows, width: int, name: str, count: int = None) -> list:
+    """``count`` rows (any number when None) of ``width`` numbers each, as
+    floats; entry j of row i is ``name[i][j]`` under the number rule."""
+    if not (isinstance(rows, (list, tuple)) and count in (None, len(rows))):
+        n = "" if count is None else f"{count} "
+        raise ValueError(f"{name} must be a list of {n}rows of {width} "
+                         f"numbers, got {rows!r}")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, (list, tuple)) and len(row) == width):
+            raise ValueError(f"{name}[{i}] must hold {width} numbers, got "
+                             f"{row!r}")
+    return [[as_number(v, f"{name}[{i}][{j}]") for j, v in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+def check_box(rows, d_x: int, name: str) -> None:
+    """The one box rule: d_x [lo, hi] rows of numbers, one per state
+    component, each with lo <= hi and a finite width hi - lo."""
+    for i, (lo, hi) in enumerate(number_rows(rows, 2, name, d_x)):
+        if not 0 <= hi - lo < math.inf:
+            raise ValueError(f"{name}[{i}] needs lo <= hi and a finite width "
+                             f"hi - lo, got {[lo, hi]!r}")
 
 
 def grid_points(bounds, shape) -> np.ndarray:

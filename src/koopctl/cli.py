@@ -1,16 +1,13 @@
 """Pipeline driver: babble -> factorize -> identify -> synthesize -> evaluate.
 
-Exit codes: 0 success, 2 config error, 3 stage-precondition error (a
-missing, corrupt or stale upstream artifact, one with a field its reader
-rejects and names, such as a NaN entry, a matrix whose shape disagrees
-with the config or another artifact, a meta that is not an object, a
-result whose S_x is not symmetric positive definite, whose P is not that
-S_x padded with zeros or whose certificate fails with the current model
-and pair; a stage's ValueError, such as an all-diverged babble; or a
-stage's MemoryError, such as a babble of a huge grid), 4 synthesis
-infeasible, 5 evaluation gate failed, 6 factorization retained no
-block, 7 artifact could not be written (e.g. disk full),
-reported in one line naming the file.  ``STAGES`` holds one row per
+Exit codes, each failure in one stderr line (the README lists the
+cases): 0 success, 2 config error, 3 stage-precondition error (a
+missing, corrupt or stale upstream artifact, or one with a field its
+reader rejects and names; a stage's ValueError, such as an all-diverged
+babble, or MemoryError, such as a babble of a huge grid or an evaluate
+of a huge evaluation set), 4 synthesis infeasible, 5 evaluation gate
+failed, 6 factorization retained no block, 7 artifact could not be
+written (e.g. disk full), naming the file.  ``STAGES`` holds one row per
 stage, with the reader of its artifact and its format number.  Each
 artifact embeds its stage key, the hash of the format numbers and config
 sections of the stage and the stages upstream of it (``output_dir`` is

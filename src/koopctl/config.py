@@ -8,8 +8,8 @@ the sections its stage and the stages upstream of it read (see
 ``cli.STAGES``), so stage caching and reproducibility checks are purely
 content-based and ``output_dir`` is in no hash.
 
-``validate`` resolves the babbling grid's shape but builds no point, so
-a huge ``babbling.num_initial_conditions`` first allocates in babble.
+``validate`` builds no babbling grid point and no evaluation state, so
+a huge count or shape first allocates in babble or evaluate.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import math
 
 import numpy as np
 
-from .babbling import BabblingConfig, checked_shape, grid_points, grid_shape
+from .babbling import (BabblingConfig, check_box, checked_shape,
+                       grid_points, grid_shape, number_rows)
 from .observables import (
     ObservableMap,
     double_pendulum_map,
@@ -96,12 +97,13 @@ _DOC = {
     "observables.kind": "lifting map; 'custom' reads observables.features at the plant's state_dim",
     "observables.controller": "separate psi_u map {kind, features}; null reuses the state map",
     "babbling.num_gains": "random feedback gains; trajectories = num_gains * num_initial_conditions",
-    "babbling.state_grid": "per-state [lo, hi] bounds for the initial-condition grid",
+    "babbling.state_grid": "per-state [lo, hi] rows, lo <= hi with a finite width hi - lo",
     "babbling.grid_shape": "explicit per-dimension grid counts; null picks near-equal factors",
     "identification.ridge": "Frobenius ridge; null = 1e-8 * training snapshot count",
     "factorization.eps_h": "block residual threshold; null = 1e-6 * RMS lifted Kronecker norm",
     "synthesis.max_resamples": "sampled candidates tried after the identity start",
-    "evaluation.initial_conditions": "uniform (ranges, count), grid (ranges, shape) or list (states)",
+    "evaluation.initial_conditions": "uniform (ranges, count), grid (ranges, shape) or list (states); "
+                                     "ranges follow the state_grid rule",
     "evaluation.success_gate": "smallest success rate that passes, in [0, 1]",
     "evaluation.extra_states": "stress-case states appended to the evaluation set; "
                                "their outcomes count toward success_gate",
@@ -222,8 +224,10 @@ def babbling_config(cfg: dict, state_dim: int) -> BabblingConfig:
     return bcfg
 
 
-def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
-    """Initial-condition set for closed-loop evaluation (seeded, deterministic)."""
+def evaluation_set_size(cfg: dict, d_x: int) -> int:
+    """The evaluation set's size, at least 1, built from no state: count
+    (which ``validate`` checks), the product of shape or the rows of
+    states, plus the rows of extra_states; ranges pass ``check_box``."""
     section = cfg["evaluation"]["initial_conditions"]
     kind = section["kind"]
     for key, reader in (("states", "list"), ("shape", "grid")):
@@ -233,46 +237,41 @@ def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
                 f"{reader!r}, not {kind!r}; got {section[key]!r}")
     try:
         if kind in ("uniform", "grid"):
-            ranges = _number_rows(section["ranges"], "ranges")
-            if ranges.shape != (d_x, 2):
-                raise ValueError(f"ranges must be {d_x} x 2, got {ranges.shape}")
-            # Python floats: an overflowing width is inf, without a warning
-            if not all(math.isfinite(hi - lo) for lo, hi in ranges.tolist()):
-                raise ValueError("ranges must be finite, with a finite "
-                                 "width hi - lo per row")
-        if kind == "list":
-            states = _number_rows(section["states"], "states")
-        elif kind == "uniform":
-            rng = np.random.default_rng([cfg["seed"], 7001])
-            states = rng.uniform(ranges[:, 0], ranges[:, 1],
-                                 size=(section["count"], d_x))
+            check_box(section["ranges"], d_x, "ranges")
+        if kind == "uniform":
+            n = section["count"]
         elif kind == "grid":
-            states = grid_points(ranges,
-                                 checked_shape(section["shape"], d_x, "shape"))
+            n = math.prod(checked_shape(section["shape"], d_x, "shape"))
+        elif kind == "list":
+            n = len(number_rows(section["states"], d_x, "states"))
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        extra = _number_rows(cfg["evaluation"]["extra_states"],
-                             "extra_states")
-        if extra.size:
-            states = np.vstack([states, extra])
-    except (TypeError, ValueError) as exc:
+        n += len(number_rows(cfg["evaluation"]["extra_states"], d_x,
+                             "extra_states"))
+        if n < 1:
+            raise ValueError("the set must hold at least one state, got 0")
+    except ValueError as exc:
         raise ConfigError(
             f"bad evaluation.initial_conditions or extra_states: {exc}")
-    if states.ndim != 2 or states.shape[1] != d_x or not len(states):
-        raise ConfigError(f"initial states must be (n, {d_x}) with n >= 1")
-    return states
+    return n
 
 
-def _number_rows(rows, name: str) -> np.ndarray:
-    """A list of equal-length rows as a float array, each entry passed
-    through the number rule as ``name[i][j]``."""
-    if not (isinstance(rows, (list, tuple)) and all(
-            isinstance(r, (list, tuple)) for r in rows)
-            and len({len(r) for r in rows}) <= 1):
-        raise ValueError(f"{name} must be a list of equal-length rows, "
-                         f"got {rows!r}")
-    return np.array([[as_number(v, f"{name}[{i}][{j}]") for j, v in
-                      enumerate(r)] for i, r in enumerate(rows)], ndmin=2)
+def evaluation_initial_states(cfg: dict, d_x: int) -> np.ndarray:
+    """The (n, d_x) evaluation set, seeded, of a config that passed
+    ``evaluation_set_size``: the states of its kind, then the extra ones."""
+    ev = cfg["evaluation"]
+    section = ev["initial_conditions"]
+    if section["kind"] == "list":
+        states = section["states"]
+    elif section["kind"] == "uniform":
+        lo, hi = np.array(section["ranges"], dtype=float).T
+        states = np.random.default_rng([cfg["seed"], 7001]).uniform(
+            lo, hi, size=(section["count"], d_x))
+    else:
+        states = grid_points(np.array(section["ranges"], dtype=float),
+                             section["shape"])
+    return np.vstack([np.reshape(states, (-1, d_x)),
+                      np.reshape(ev["extra_states"], (-1, d_x))], dtype=float)
 
 
 # numbers checked before any stage runs: key -> (integral, positive); a
@@ -328,4 +327,4 @@ def validate(cfg: dict, evaluates: bool = True) -> None:
         raise ConfigError(f"evaluation.fidelity_steps must be at most the "
                           f"{steps} evaluation steps, got {ev['fidelity_steps']}")
     if evaluates:
-        evaluation_initial_states(cfg, d_x)
+        evaluation_set_size(cfg, d_x)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from koopctl import babbling, cli, config, plants, tensor
+from koopctl import babbling, cli, config, observables, plants, tensor
 from koopctl.config import ConfigError, config_hash, load_config, merge_defaults
 
 STAGE_NAMES = ["babble", "factorize", "identify", "synthesize", "evaluate"]
@@ -103,11 +103,13 @@ class TestConfig:
          "evaluation.initial_conditions"),
         ("evaluation", {"initial_conditions": {
             "kind": "grid", "ranges": [[0, 1, 2], [-3, 3, 0]],
-            "shape": [2, 2]}}, "ranges must be 2 x 2, got (2, 3)"),
+            "shape": [2, 2]}}, "ranges[0] must hold 2 numbers, got [0, 1, 2]"),
         ("synthesis", {"max_resamples": -1}, "synthesis.max_resamples"),
         ("synthesis", {"max_resamples": 2.0}, "synthesis.max_resamples"),
         ("evaluation", {"initial_conditions": {"kind": "uniform", "count": 0}},
-         "initial states must be (n, 2) with n >= 1"),
+         "the set must hold at least one state, got 0"),
+        ("evaluation", {"initial_conditions": {"kind": "list", "states": []}},
+         "the set must hold at least one state, got 0"),
         ("evaluation", {"settle_tol": "a"}, "evaluation.settle_tol"),
         ("evaluation", {"success_gate": "a"}, "evaluation.success_gate"),
         pytest.param("evaluation", {"success_gate": 1.5},
@@ -189,16 +191,16 @@ class TestConfig:
         ("babbling", {"gain_scale": 1e308},
          "gain_scale must be nonnegative, with a finite width 2 * gain_scale"),
         ("babbling", {"state_grid": [[-1e308, 1e308], [0, 1]]},
-         "state_grid rows need lo <= hi and a finite width hi - lo"),
+         "babbling.state_grid[0] needs lo <= hi and a finite width hi - lo"),
         ("babbling", {"state_grid": [[1, 0], [0, 1]]},
-         "state_grid rows need lo <= hi"),
+         "babbling.state_grid[0] needs lo <= hi"),
         ("evaluation", {"initial_conditions": {
             "kind": "uniform", "ranges": [[-1e308, 1e308], [0, 1]]}},
-         "ranges must be finite, with a finite width hi - lo per row"),
+         "ranges[0] needs lo <= hi and a finite width hi - lo"),
         ("evaluation", {"initial_conditions": {
             "kind": "grid", "ranges": [[0, 1], [-1e308, 1e308]],
             "shape": [2, 2]}},
-         "ranges must be finite, with a finite width hi - lo per row"),
+         "ranges[1] needs lo <= hi and a finite width hi - lo"),
         ("observables", {"kind": "double_pendulum"},
          "observables map 'double_pendulum' has state_dim 4, the "
          "single_pendulum plant 2"),
@@ -288,8 +290,25 @@ class TestConfig:
                "extra_states[0][0] must be a number, got True",
                "extra-states-boolean"),
               ({"extra_states": [0.5, -0.5]},
-               "extra_states must be a list of equal-length rows, got "
-               "[0.5, -0.5]", "extra-states-flat")]],
+               "extra_states[0] must hold 2 numbers, got 0.5",
+               "extra-states-flat"),
+              # rows of the wrong width name their field, not numpy's
+              # vstack
+              ({"extra_states": [[0.5, -0.5], [0.1, 0.2, 0.3]]},
+               "extra_states[1] must hold 2 numbers, got [0.1, 0.2, 0.3]",
+               "extra-states-wide-row"),
+              ({"initial_conditions": {"kind": "list",
+                                       "states": [[0.1, 0.0], [0.5]]}},
+               "states[1] must hold 2 numbers, got [0.5]",
+               "states-narrow-row"),
+              ({"initial_conditions": {"kind": "list", "states": [[0.1, 0.0]]},
+                "extra_states": [[0.5]]},
+               "extra_states[0] must hold 2 numbers, got [0.5]",
+               "list-extra-states-narrow-row"),
+              ({"initial_conditions": {"kind": "list", "states": []},
+                "extra_states": [[0.5, -0.5, 0.0]]},
+               "extra_states[0] must hold 2 numbers, got [0.5, -0.5, 0.0]",
+               "empty-states-extra-states-wide-row")]],
     ])
     def test_malformed_value_exits_2_before_any_stage(
             self, tmp_path, capsys, section, values, key):
@@ -332,6 +351,10 @@ class TestConfig:
         ({"initial_conditions": {"kind": "list", "states": [[0.1, 0.0]]},
           "extra_states": [[0.5, -0.5]]},
          [[0.1, 0.0], [0.5, -0.5]]),
+        # no list state but an extra one, as count 0 with extra states
+        ({"initial_conditions": {"kind": "list", "states": []},
+          "extra_states": [[0.5, -0.5]]},
+         [[0.5, -0.5]]),
     ])
     def test_evaluation_state_kinds_through_pipeline(self, tmp_path, capsys,
                                                       section, states):
@@ -355,7 +378,8 @@ class TestConfig:
         assert cli.main(["pipeline", "--config", str(cfgfile)]) \
             == cli.EXIT_CONFIG
         out, err = capsys.readouterr()
-        assert "ranges must be 4 x 2" in err and err.count("\n") == 1
+        assert "ranges must be a list of 4 rows of 2 numbers" in err
+        assert err.count("\n") == 1
         assert out == ""  # stopped before the babble cache check
 
     def test_missing_file_is_config_error(self):
@@ -885,6 +909,123 @@ class TestGridShape:
         assert len(calls) == 1
 
 
+BAD_BOXES = [
+    ([[-1, 1]], " must be a list of 2 rows of 2 numbers, got [[-1, 1]]",
+     "one-row"),
+    ([[-1, 1, 2], [-1, 1]], "[0] must hold 2 numbers, got [-1, 1, 2]",
+     "three-entries"),
+    ([[-1, 1], [1, -1]], "[1] needs lo <= hi and a finite width hi - lo, "
+                         "got [1.0, -1.0]", "reversed"),
+    ([[-1e308, 1e308], [-1, 1]], "[0] needs lo <= hi and a finite width "
+                                 "hi - lo, got [-1e+308, 1e+308]",
+     "infinite-width"),
+    ([[-1, 1], ["-1", 1]], "[1][0] must be a number, got '-1'", "string"),
+    ([[-1, float("nan")], [-1, 1]], "[0][1] must be a number, got nan",
+     "nan")]
+
+
+class TestBoxRule:
+    """The babbling grid and the evaluation ranges of both kinds that
+    read them share one box rule, each message naming its own field."""
+
+    @pytest.mark.parametrize("box, why", [b[:2] for b in BAD_BOXES],
+                             ids=[b[2] for b in BAD_BOXES])
+    @pytest.mark.parametrize("kind", ["state_grid", "uniform", "grid"])
+    def test_one_rule_names_its_own_field(self, tmp_path, capsys, box, why,
+                                          kind):
+        if kind == "state_grid":
+            section = {"babbling": {"state_grid": box}}
+            field = "babbling.state_grid"
+        else:
+            section = {"evaluation": {"initial_conditions": {
+                "kind": kind, "ranges": box,
+                "shape": [2, 2] if kind == "grid" else None}}}
+            field = "bad evaluation.initial_conditions or extra_states: ranges"
+        cfgfile = smoke_config(tmp_path, **section)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["pipeline", "--config", str(cfgfile)]) \
+                == cli.EXIT_CONFIG
+        assert caught == []
+        assert capsys.readouterr().err == f"config error: {field}{why}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("box", [b[0] for b in BAD_BOXES],
+                             ids=[b[2] for b in BAD_BOXES])
+    def test_library_config_fails_before_any_rollout(self, monkeypatch, box):
+        def spy(*args, **kwargs):
+            raise AssertionError("rollout called")
+
+        monkeypatch.setattr(babbling, "rollout", spy)
+        m = observables.single_pendulum_map()
+        with pytest.raises(ValueError, match=r"^state_grid"):
+            babbling.generate_dataset(
+                plants.single_pendulum(), m, m, babbling.BabblingConfig(
+                    num_gains=2, num_initial_conditions=4, state_grid=box))
+
+
+class TestEvaluationSet:
+    """Validation works out the evaluation set's size without building a
+    state; evaluate builds the states once, inside its stage."""
+
+    @pytest.mark.parametrize("initial_conditions, n", [
+        ({"kind": "uniform", "count": 10 ** 12}, 10 ** 12),
+        ({"kind": "grid", "shape": [10 ** 6, 10 ** 6]}, 10 ** 12)],
+        ids=["uniform", "grid"])
+    def test_validation_builds_no_state(self, monkeypatch,
+                                        initial_conditions, n):
+        # 1e12 states would take 16 TB: the spy raises before any is made
+        def spy(*args):
+            raise AssertionError("evaluation_initial_states called")
+
+        monkeypatch.setattr(config, "evaluation_initial_states", spy)
+        cfg = merge_defaults({"evaluation": {
+            "initial_conditions": initial_conditions,
+            "extra_states": [[0.0, 0.0]]}})
+        config.validate(cfg, evaluates=True)
+        assert config.evaluation_set_size(cfg, 2) == n + 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "pipeline"])
+    def test_evaluate_builds_its_states_once(self, finished_run, tmp_path,
+                                             monkeypatch, capsys, command):
+        calls, build = [], config.evaluation_initial_states
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(config, "evaluation_initial_states", spy)
+        monkeypatch.setattr(cli, "evaluation_initial_states", spy)
+        if command == "evaluate":
+            args = copy_run(finished_run, tmp_path)
+        else:  # a fresh output directory: every stage runs
+            args = ["--config", str(smoke_config(tmp_path))]
+        assert cli.main([command, *args]) == cli.EXIT_OK
+        assert "evaluate: success rate" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("exc, why", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 14.9 TiB for an array with shape "
+                     "(1000000000000, 2) and data type float64"),
+         "out of memory: Unable to allocate 14.9 TiB for an array with shape "
+         "(1000000000000, 2) and data type float64"),
+        (ValueError("array is too big; `arr.size * arr.dtype.itemsize` is "
+                    "larger than the maximum possible size."),
+         "array is too big; `arr.size * arr.dtype.itemsize` is larger than "
+         "the maximum possible size.")], ids=["bare", "numpy", "too-big"])
+    def test_out_of_memory_exits_3_with_one_line(
+            self, finished_run, tmp_path, capsys, monkeypatch, exc, why):
+        # raised, never allocated: the builder runs inside the stage
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "evaluation_initial_states", exhausted)
+        args = copy_run(finished_run, tmp_path)
+        assert cli.main(["evaluate", *args]) == cli.EXIT_PRECONDITION
+        assert capsys.readouterr().err == f"error: cannot evaluate: {why}\n"
+
+
 class TestIdentifyFailureCode:
     def test_split_without_training_rows_exits_3_with_one_line(
             self, tmp_path, capsys):
@@ -1022,7 +1163,8 @@ class TestEvaluateCache:
         assert cli.main(["evaluate", "--config", str(cfgfile)]) \
             == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: initial states must be (n, 2) with n >= 1\n")
+            "config error: bad evaluation.initial_conditions or "
+            "extra_states: the set must hold at least one state, got 0\n")
         assert not (tmp_path / "out").exists()
         assert cli.main(["pipeline", "--config",
                          str(smoke_config(tmp_path))]) == 0
