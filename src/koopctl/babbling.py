@@ -173,7 +173,7 @@ class SnapshotDataset:
                 evaluate_batch(m, psi[:d_x].T, out=psi)
                 self._unfilled.pop(m, None)
             else:
-                psi = evaluate_batch(m, self.x, self.tails)
+                psi = evaluate_batch(m, np.concatenate([self.x, self.tails]))
             self._psi[m] = psi
         return psi
 
@@ -375,14 +375,7 @@ def save_dataset(ds: SnapshotDataset, outdir, extra_meta: dict = None) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_path = outdir / "manifest.json"
     manifest_path.unlink(missing_ok=True)
-    def write(tmp):
-        # through a file object, so np.savez does not append ".npz" to it
-        with open(tmp, "wb") as fh:
-            # C order, so a dataset whose x is a view of its lift
-            # writes the same bytes
-            np.savez(fh, **{k: np.ascontiguousarray(getattr(ds, k))
-                            for k in ARRAYS})
-    write_atomic(outdir / PAYLOAD, write)
+    write_npz_atomic(outdir / PAYLOAD, {k: getattr(ds, k) for k in ARRAYS})
     manifest = {
         "kind": KIND,
         "snapshots": len(ds),
@@ -421,6 +414,18 @@ def write_json_atomic(path, payload: dict) -> None:
     def dump(tmp):
         with open(tmp, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
+    write_atomic(path, dump)
+
+
+def write_npz_atomic(path, arrays: dict) -> None:
+    """Write ``arrays`` as the members of an uncompressed npz through
+    ``write_atomic``, each C-ordered: a Fortran-ordered array writes the
+    bytes of its C-ordered copy, which ``load_dataset`` accepts."""
+    def dump(tmp):
+        # through a file object, so np.savez does not append ".npz" to it
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **{k: np.ascontiguousarray(a)
+                            for k, a in arrays.items()})
     write_atomic(path, dump)
 
 

@@ -213,10 +213,10 @@ def _read_result(cfg: dict, payload: dict, path: Path, done: dict):
 
 
 def _read_report(cfg: dict, payload: dict, path: Path, done: dict) -> dict:
-    """The report, current only with both plot files beside it and a
+    """The report, current only with its plot file beside it and a
     success rate in [0, 1] that meets the gate: a failed one is a miss."""
-    for name in evaluation.PLOT_FILES:
-        (path.parent / "plots" / name).stat()  # FileNotFoundError names it
+    # a missing plot file is a FileNotFoundError, which names it
+    (path.parent / "plots" / evaluation.PLOT_FILE).stat()
     rate = as_number(payload["success_rate"], "success_rate", "nonnegative")
     gate = cfg["evaluation"]["success_gate"]
     if rate > 1:
@@ -309,18 +309,17 @@ def cmd_evaluate(cfg: dict, result, model, pair):
     report.fidelity = evaluation.lifted_vs_true(
         model, pair, result.K_u, map_x, report.controlled_trajs[:10],
         ev["fidelity_steps"])
-    # the old report goes before the plots are written and the new one
-    # comes after them, so an interrupted export is a cache miss
+    # the old report goes before the plot file is written and the new one
+    # comes after it, so an interrupted export is a cache miss
     path = _outdir(cfg) / STAGES["evaluate"].path
     with _writing(path):
         path.unlink(missing_ok=True)
     with _writing(path.parent / "plots"):
-        files = evaluation.export_plot_data(report, path.parent / "plots")
+        plot = evaluation.export_plot_data(report, path.parent / "plots")
     _write_json(cfg, "evaluate", report.to_json())
     print(f"evaluate: success rate {report.success_rate:.2%} over "
           f"{len(report.records)} trajectories, median settle "
-          f"{report.median_settling_time:.2f} s -> {path} "
-          f"(+{len(files)} plot files)")
+          f"{report.median_settling_time:.2f} s -> {path}, {plot}")
     if report.success_rate < ev["success_gate"]:
         raise StageError(
             f"success rate {report.success_rate:.2%} below gate "
@@ -335,8 +334,9 @@ def cmd_evaluate(cfg: dict, result, model, pair):
 # (koopctl/dataset/3); factorize 2: 4096-row chunks in the streamed
 # passes (tensor.QR_CHUNK), 3: pair.json without S; identify 2:
 # model.json without map_hash; synthesize 2: the barrier method, 3: the
-# Assumption-1 probe over the grid's box.  The dataset is read straight
-# into the rows of its lift by the state map.
+# Assumption-1 probe over the grid's box; evaluate 2: one
+# plots/trajectories.npz for the two CSV files.  The dataset is read
+# straight into the rows of its lift by the state map.
 STAGES = {
     "babble": Stage(
         "dataset/manifest.json", KIND,
@@ -355,7 +355,8 @@ STAGES = {
         ("identify", "factorize"), _read_result, cmd_synthesize, 3),
     "evaluate": Stage(
         "report.json", "koopctl/report", ("evaluation",),
-        ("synthesize", "identify", "factorize"), _read_report, cmd_evaluate),
+        ("synthesize", "identify", "factorize"), _read_report, cmd_evaluate,
+        2),
 }
 
 

@@ -19,14 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .babbling import write_npz_atomic
 from .edmd import BilinearKoopmanModel
 from .factorization import FactorizationPair, assemble_ktilde
 from .observables import ObservableMap, decoding_operator
 from .plants import ControlAffinePlant, rollout
 from .synthesis import SynthesisResult
 
-# the controlled and uncontrolled trajectory files ``export_plot_data`` writes
-PLOT_FILES = ("trajectories_controlled.csv", "trajectories_uncontrolled.csv")
+# the trajectory file ``export_plot_data`` writes
+PLOT_FILE = "trajectories.npz"
 
 
 @dataclass
@@ -245,28 +246,27 @@ def lifted_vs_true(model: BilinearKoopmanModel, pair: FactorizationPair,
         }
 
 
-def export_plot_data(report: EvaluationReport, outdir) -> list:
-    """``trajectories_controlled.csv`` and ``trajectories_uncontrolled.csv``,
-    one row per stored state with the columns traj, k, t, x1..xd.
+def export_plot_data(report: EvaluationReport, outdir) -> Path:
+    """``trajectories.npz`` in ``outdir``, written atomically by
+    ``babbling.write_npz_atomic``; returns its path.
 
-    Each row is one formatted string, the bytes ``csv.writer`` writes:
-    a float as its repr, the shortest string that round-trips, so
-    re-reading the files reproduces the stored floats exactly (t is
-    k * dt), and "\\r\\n" line ends.
+    For each of ``controlled`` and ``uncontrolled``, the member of that
+    name stacks the stored states of its trajectories in order, float64
+    (rows, d_x), and ``<name>_ends`` holds the int64 cumulative row counts,
+    as a dataset's ``traj_ends``: row k of a trajectory is its state at
+    t = k * dt, and a diverged one keeps the rows it stored.  An empty
+    report writes zero-row members.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, trajs in zip(PLOT_FILES, (report.controlled_trajs,
-                                        report.uncontrolled_trajs)):
-        d_x = trajs[0].states.shape[1] if trajs else 1
-        path = outdir / name
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(["traj", "k", "t"]
-                              + [f"x{i + 1}" for i in range(d_x)]) + "\r\n")
-            for tid, traj in enumerate(trajs):
-                fh.write("".join([
-                    f"{tid},{k},{k * report.dt!r},{','.join(map(repr, x))}\r\n"
-                    for k, x in enumerate(traj.states.tolist())]))
-        written.append(path)
-    return written
+    arrays = {}
+    for name, trajs in (("controlled", report.controlled_trajs),
+                        ("uncontrolled", report.uncontrolled_trajs)):
+        states = [t.states for t in trajs]
+        arrays[name] = np.concatenate(states, dtype=float) if states \
+            else np.empty((0, 0))
+        arrays[f"{name}_ends"] = np.cumsum([len(s) for s in states],
+                                           dtype=np.int64)
+    path = outdir / PLOT_FILE
+    write_npz_atomic(path, arrays)
+    return path

@@ -341,36 +341,35 @@ def decoding_operator(m: ObservableMap) -> np.ndarray:
     return np.eye(m.state_dim, m.dim)
 
 
-def evaluate_batch(m: ObservableMap, *blocks, out: np.ndarray = None
+def evaluate_batch(m: ObservableMap, states, out: np.ndarray = None
                    ) -> np.ndarray:
-    """Lift a list of states, or the row stack of several arrays of
-    states ``blocks``, into a C-contiguous (d_psi, N) matrix (``out``,
-    when given), one column per state: each feature is one contiguous
-    row, which an ``ObservableMap`` writes directly.
+    """Lift one state or an array (or list) of states into a C-contiguous
+    (d_psi, N) matrix (``out``, when given), one column per state: each
+    feature is one contiguous row, which an ``ObservableMap`` writes
+    directly.
 
     The states are lifted in ``row_chunks`` of QR_CHUNK, each straight
     into its columns, so the piece temporaries of a lift are one chunk
-    wide whatever N is, and the blocks are never stacked: only a chunk
-    that straddles two of them, or whose rows are not C-contiguous, is
-    copied.  So ``out``'s own raw-state rows, transposed, may be the one
-    block.  Every lift is row-wise, so the bits are those of one lift of
+    wide whatever N is; only a chunk whose rows are not C-contiguous is
+    copied.  So ``out``'s own raw-state rows, transposed, may be the
+    states.  Every lift is row-wise, so the bits are those of one lift of
     all states.
 
     Raises on non-finite feature values, naming the offending state index.
     """
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    blocks = [b.reshape(1, -1) if b.ndim == 1 else b for b in blocks]
-    if sum(b.size for b in blocks) == 0:
+    states = np.asarray(states, dtype=float)
+    if states.ndim == 1:
+        states = states.reshape(1, -1)
+    if states.size == 0:
         return np.zeros((m.dim, 0))
-    cols = np.empty((m.dim, sum(len(b) for b in blocks))) if out is None \
-        else out
-    for s in row_chunks(cols.shape[1]):
-        states = _stacked_rows(blocks, s)
+    cols = np.empty((m.dim, len(states))) if out is None else out
+    for s in row_chunks(len(states)):
         with np.errstate(all="ignore"):  # non-finite values are flagged below
+            chunk = np.ascontiguousarray(states[s])
             if isinstance(m, ObservableMap):
-                m(states, out=cols[:, s].T)
+                m(chunk, out=cols[:, s].T)
             else:  # any other callable map: its (n, d_psi) lift, copied
-                cols[:, s] = m(states).T
+                cols[:, s] = m(chunk).T
         bad = np.nonzero(~np.all(np.isfinite(cols[:, s]), axis=0))[0]
         if bad.size:
             raise ValueError(
@@ -378,19 +377,6 @@ def evaluate_batch(m: ObservableMap, *blocks, out: np.ndarray = None
                 f"{s.start + int(bad[0])}"
             )
     return cols
-
-
-def _stacked_rows(blocks, s: slice) -> np.ndarray:
-    """Rows ``s`` of the row stack of ``blocks``, C-ordered: a view of one
-    block, or a copy when ``s`` straddles several or its rows are
-    strided."""
-    parts, at = [], 0
-    for b in blocks:
-        if s.start < at + len(b) and at < s.stop:
-            parts.append(b[max(s.start - at, 0): s.stop - at])
-        at += len(b)
-    return np.ascontiguousarray(parts[0]) if len(parts) == 1 \
-        else np.concatenate(parts)
 
 
 def polynomial_map(name: str, degrees) -> ObservableMap:

@@ -490,6 +490,20 @@ class TestPersistence:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
 
+    def test_fortran_ordered_input_saves_its_c_ordered_bytes(self,
+                                                             tmp_path):
+        # u is kept as given, so a two-input u may be Fortran-ordered
+        clean = persisted_datasets()[0]
+        u = np.c_[clean.u, -clean.u]
+        for order, d in (("C", "c"), ("F", "f")):
+            babbling.save_dataset(babbling.SnapshotDataset(
+                clean.x, np.asarray(u, order=order), clean.x_next,
+                traj_id=clean.traj_id), tmp_path / d)
+        assert (tmp_path / "f" / babbling.PAYLOAD).read_bytes() \
+            == (tmp_path / "c" / babbling.PAYLOAD).read_bytes()
+        assert babbling.load_dataset(tmp_path / "f").u.tobytes() \
+            == u.tobytes()
+
     def test_save_leaves_other_files_alone(self, tmp_path):
         # shards of the one-CSV-per-trajectory layout are other files too
         outdir = tmp_path / "dataset"
@@ -706,7 +720,7 @@ class TestChunkedLoad:
         assert n % q and n_tails and n > q
         babbling.save_dataset(ds, tmp_path)
         with np.load(tmp_path / babbling.PAYLOAD) as f:
-            want = evaluate_batch(m, f["x"], f["tails"])
+            want = evaluate_batch(m, np.concatenate([f["x"], f["tails"]]))
             x = f["x"]
         back = babbling.load_dataset(tmp_path, m)
         assert back._psi == {}
@@ -778,7 +792,8 @@ class PerSnapshotIds(babbling.SnapshotDataset):
 
     def lift(self, m):
         if m not in self._psi:
-            self._psi[m] = evaluate_batch(m, self.x, self.tails)
+            self._psi[m] = evaluate_batch(
+                m, np.concatenate([self.x, self.tails]))
         return self._psi[m]
 
 

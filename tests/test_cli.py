@@ -590,8 +590,8 @@ class TestPipeline:
             load_config(cfgfile), "synthesize")
         # second run hits every cache, evaluate's included, and rewrites
         # no file
-        files = [outdir / "report.json"] + [
-            outdir / "plots" / n for n in cli.evaluation.PLOT_FILES]
+        files = [outdir / "report.json",
+                 outdir / "plots" / cli.evaluation.PLOT_FILE]
         mtimes = [p.stat().st_mtime_ns for p in files]
         assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
         out2 = capsys.readouterr().out
@@ -682,8 +682,8 @@ class TestPipeline:
         fidelity = report["fidelity"]
         assert fidelity["steps"] == 40 and len(fidelity["per_step_mean"]) == 40
         assert np.isfinite(fidelity["one_step_rmse"])
-        assert sorted(p.name for p in (tmp_path / "out" / "plots").iterdir()) \
-            == ["trajectories_controlled.csv", "trajectories_uncontrolled.csv"]
+        assert [p.name for p in (tmp_path / "out" / "plots").iterdir()] \
+            == ["trajectories.npz"]
 
     def test_every_config_section_is_read_by_one_stage(self):
         # a section no row names would be in no stage key
@@ -1117,7 +1117,7 @@ class TestEvaluateCache:
     def test_deleted_plot_file_reruns_evaluate_only(self, tmp_path, capsys):
         cfgfile = smoke_config(tmp_path)
         assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
-        plot = tmp_path / "out" / "plots" / cli.evaluation.PLOT_FILES[1]
+        plot = tmp_path / "out" / "plots" / cli.evaluation.PLOT_FILE
         blob = plot.read_bytes()
         plot.unlink()
         capsys.readouterr()
@@ -1133,20 +1133,25 @@ class TestEvaluateCache:
         assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
         report = tmp_path / "out" / "report.json"
         blob = report.read_bytes()
+        plots = tmp_path / "out" / "plots"
+        plot = plots / cli.evaluation.PLOT_FILE
+        plot_blob = plot.read_bytes()
 
-        def disk_full(report, outdir):
-            path = outdir / cli.evaluation.PLOT_FILES[0]
-            path.write_text("traj,k")
-            raise OSError(28, "No space left on device", str(path))
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
 
         capsys.readouterr()
         with monkeypatch.context() as m:
-            m.setattr(cli.evaluation, "export_plot_data", disk_full)
+            m.setattr(np, "savez", disk_full)
             assert cli.main(["evaluate", "--config", str(cfgfile)]) \
                 == cli.EXIT_WRITE
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "trajectories_controlled.csv" in err
+        assert err == (f"error: artifact could not be written: {plot}: "
+                       "No space left on device\n")
+        # no temp file is left, and the earlier plot file stays whole;
         # the current report went before the export: no hit on a cut plot
+        assert [p.name for p in plots.iterdir()] == [plot.name]
+        assert plot.read_bytes() == plot_blob
         assert not report.exists()
         assert cli.main(["pipeline", "--config", str(cfgfile)]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,3 @@
-import csv
 import json
 
 import numpy as np
@@ -408,137 +407,110 @@ class TestLiftedVsTrue:
         assert per_step[-1] > per_step[0]
 
 
-def old_export_rows(report):
-    """The rows of the phase_* and response_* files that one trajectory
-    file per variant replaced, as {file name: rows}."""
-    files = {}
-    for tag, trajs in (("controlled", report.controlled_trajs),
-                       ("uncontrolled", report.uncontrolled_trajs)):
-        d_x = trajs[0].states.shape[1] if trajs else 0
-        names = [f"x{i + 1}" for i in range(max(d_x, 1))]
-        files[f"phase_{tag}"] = [["traj", "k"] + names] + [
-            [str(tid), str(k)] + [repr(float(v)) for v in x]
-            for tid, traj in enumerate(trajs)
-            for k, x in enumerate(traj.states)]
-        files[f"response_{tag}"] = [["traj", "t"] + names] + [
-            [str(tid), repr(k * report.dt)] + [repr(float(v)) for v in x]
-            for tid, traj in enumerate(trajs)
-            for k, x in enumerate(traj.states)]
-    return files
+def special_report(d_x, dt=0.01):
+    """A hand-built report whose trajectories hold NaN, both infinities,
+    -0.0, the smallest subnormal, a diverged trajectory cut short and a
+    zero-step one."""
+    rng = np.random.default_rng(d_x)
+
+    def traj(steps, scale=1.0):
+        states = scale * rng.standard_normal((steps + 1, d_x))
+        return plants.Trajectory(states=states,
+                                 inputs=np.zeros((steps, 1)), dt=dt)
+
+    special = traj(6)
+    special.states[1, 0] = np.nan
+    special.states[2, -1] = np.inf
+    special.states[3, 0] = -np.inf
+    special.states[4, -1] = -0.0
+    special.states[5] = [1e-300, 1e300, 5e-324, 0.1, 2.0 / 3][:d_x]
+    # a trajectory that went non-finite, truncated where it diverged
+    diverged = traj(3, scale=1e5)
+    diverged.diverged = True
+    controlled = [traj(40), special, diverged, traj(0)]
+    return ev.EvaluationReport(
+        records=[], uncontrolled_final=[], success_rate=0.0,
+        median_settling_time=float("nan"), lam=float("nan"),
+        settle_tol=0.05, horizon_seconds=0.4, dt=dt,
+        controlled_trajs=controlled,
+        uncontrolled_trajs=[traj(40, scale=1e-3) for _ in range(3)])
 
 
-class TestExportPlotData:
-    def test_files_and_round_trip(self, tmp_path):
+def assert_reads_back(path, report):
+    """Every stored state in the plot file equals the row of its
+    trajectory's run, compared as uint64, and the ends are the cumulative
+    run lengths."""
+    with np.load(path) as f:
+        assert sorted(f.files) == ["controlled", "controlled_ends",
+                                   "uncontrolled", "uncontrolled_ends"]
+        for name, trajs in (("controlled", report.controlled_trajs),
+                            ("uncontrolled", report.uncontrolled_trajs)):
+            states, ends = f[name], f[f"{name}_ends"]
+            assert states.dtype == np.float64 and ends.dtype == np.int64
+            assert states.flags.c_contiguous
+            assert ends.tolist() == np.cumsum(
+                [len(t.states) for t in trajs]).tolist()
+            assert len(states) == (ends[-1] if trajs else 0)
+            for t, lo, hi in zip(trajs, np.r_[0, ends[:-1]], ends):
+                assert np.array_equal(states[lo:hi].view(np.uint64),
+                                      t.states.view(np.uint64))
+
+
+class TestPlotFile:
+    """One trajectories.npz, written atomically, that reads back bit for
+    bit."""
+
+    def test_one_file_and_round_trip(self, tmp_path):
         plant = plants.single_pendulum(gravity=1.0)
         m = single_pendulum_map()
         K = np.zeros((1, 9))
         K[0, 0], K[0, 1], K[0, 5] = -2.0, -2.0, -1.0
         rep = ev.evaluate_closed_loop(plant, m, K,
                                       [[0.2, 0.0], [-0.3, 0.1]], 1.0, 0.01)
-        files = ev.export_plot_data(rep, tmp_path)
-        assert [f.name for f in files] == ["trajectories_controlled.csv",
-                                           "trajectories_uncontrolled.csv"]
-        with open(tmp_path / "trajectories_controlled.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["traj", "k", "t", "x1", "x2"]
-        assert {r[0] for r in rows[1:]} == {"0", "1"}
-        assert len(rows) == 1 + 2 * 101
-        # shortest round-trip floats reproduce the stored states exactly
-        states = np.array([[float(v) for v in r[3:]] for r in rows[1:]])
-        np.testing.assert_array_equal(
-            states, np.vstack([t.states for t in rep.controlled_trajs]))
-        assert rows[-1][1:3] == ["100", repr(100 * 0.01)]
+        path = ev.export_plot_data(rep, tmp_path)
+        assert path == tmp_path / "trajectories.npz"
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectories.npz"]
+        assert_reads_back(path, rep)
+        with np.load(path) as f:
+            assert f["controlled_ends"].tolist() == [101, 202]
+            assert f["controlled"].shape == (202, 2)
 
     @pytest.mark.parametrize("name", ["single", "double", "blowup"])
-    def test_rows_match_phase_and_response_files(self, tmp_path, name):
+    def test_rollouts_read_back_bitwise(self, tmp_path, name):
+        # the blowup case's trajectories diverge and keep their rows
         plant, m, K, states, horizon = equivalence_case(name)
         with np.errstate(over="ignore", invalid="ignore"):
             rep = ev.evaluate_closed_loop(plant, m, K, states, horizon, 0.01)
-        ev.export_plot_data(rep, tmp_path)
-        old = old_export_rows(rep)
-        for tag in ("controlled", "uncontrolled"):
-            with open(tmp_path / f"trajectories_{tag}.csv", newline="") as fh:
-                rows = list(csv.reader(fh))
-            assert [r[:2] + r[3:] for r in rows] == old[f"phase_{tag}"]
-            assert [r[:1] + r[2:] for r in rows[1:]] \
-                == old[f"response_{tag}"][1:]
+        assert any(t.diverged for t in rep.controlled_trajs) \
+            == (name == "blowup")
+        assert_reads_back(ev.export_plot_data(rep, tmp_path), rep)
 
-    def test_empty_report_writes_headers_only(self, tmp_path):
+    @pytest.mark.parametrize("d_x", [1, 2, 4])
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5])
+    def test_special_values_read_back_bitwise(self, d_x, dt, tmp_path):
+        rep = special_report(d_x, dt)
+        assert_reads_back(ev.export_plot_data(rep, tmp_path), rep)
+
+    def test_empty_report_writes_zero_row_members(self, tmp_path):
         rep = ev.EvaluationReport(
             records=[], uncontrolled_final=[], success_rate=0.0,
             median_settling_time=float("nan"), lam=float("nan"),
             settle_tol=0.05, horizon_seconds=1.0, dt=0.01)
-        files = ev.export_plot_data(rep, tmp_path)
-        for f in files:
-            with open(f) as fh:
-                assert len(list(csv.reader(fh))) == 1
+        path = ev.export_plot_data(rep, tmp_path)
+        assert_reads_back(path, rep)
+        with np.load(path) as f:
+            assert {k: len(f[k]) for k in f.files} == dict.fromkeys(
+                f.files, 0)
 
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
 
-def csv_writer_export(report, outdir) -> list:
-    """The plot export as it was written through ``csv.writer``."""
-    written = []
-    for tag, trajs in (("controlled", report.controlled_trajs),
-                       ("uncontrolled", report.uncontrolled_trajs)):
-        d_x = trajs[0].states.shape[1] if trajs else 1
-        path = outdir / f"trajectories_{tag}.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["traj", "k", "t"] + [f"x{i + 1}" for i in range(d_x)])
-            for tid, traj in enumerate(trajs):
-                w.writerows([tid, k, k * report.dt, *x]
-                            for k, x in enumerate(traj.states.tolist()))
-        written.append(path)
-    return written
-
-
-class TestExportMatchesCsvWriter:
-    """One formatted string per row against the csv.writer export."""
-
-    @staticmethod
-    def report(d_x, dt=0.01):
-        rng = np.random.default_rng(d_x)
-
-        def traj(steps, scale=1.0):
-            states = scale * rng.standard_normal((steps + 1, d_x))
-            return plants.Trajectory(states=states,
-                                     inputs=np.zeros((steps, 1)), dt=dt)
-
-        special = traj(6)
-        special.states[1, 0] = np.nan
-        special.states[2, -1] = np.inf
-        special.states[3, 0] = -np.inf
-        special.states[4, -1] = -0.0
-        special.states[5] = [1e-300, 1e300, 5e-324, 0.1, 2.0 / 3][:d_x]
-        # a trajectory that went non-finite, truncated where it diverged
-        diverged = traj(3, scale=1e5)
-        diverged.diverged = True
-        controlled = [traj(40), special, diverged, traj(0)]
-        return ev.EvaluationReport(
-            records=[], uncontrolled_final=[], success_rate=0.0,
-            median_settling_time=float("nan"), lam=float("nan"),
-            settle_tol=0.05, horizon_seconds=0.4, dt=dt,
-            controlled_trajs=controlled,
-            uncontrolled_trajs=[traj(40, scale=1e-3) for _ in range(3)])
-
-    @pytest.mark.parametrize("d_x", [1, 2, 4])
-    @pytest.mark.parametrize("dt", [0.01, 0.1, 0.5])
-    def test_bytes_equal(self, d_x, dt, tmp_path):
-        rep = self.report(d_x, dt)
-        got = ev.export_plot_data(rep, tmp_path / "new")
-        (tmp_path / "old").mkdir()
-        want = csv_writer_export(rep, tmp_path / "old")
-        assert [p.name for p in got] == [p.name for p in want]
-        for a, b in zip(got, want):
-            assert a.read_bytes() == b.read_bytes(), a.name
-
-    def test_empty_report_bytes_equal(self, tmp_path):
-        rep = self.report(2)
-        rep.controlled_trajs = rep.uncontrolled_trajs = []
-        got = ev.export_plot_data(rep, tmp_path / "new")
-        (tmp_path / "old").mkdir()
-        want = csv_writer_export(rep, tmp_path / "old")
-        for a, b in zip(got, want):
-            assert a.read_bytes() == b.read_bytes(), a.name
+        monkeypatch.setattr(np, "savez", disk_full)
+        with pytest.raises(OSError) as info:
+            ev.export_plot_data(special_report(2), tmp_path)
+        assert info.value.filename == str(tmp_path / "trajectories.npz")
+        assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=200, deadline=None)
