@@ -449,7 +449,12 @@ def load_dataset(outdir, map_x: ObservableMap = None) -> SnapshotDataset:
     """
     outdir = Path(outdir)
     with open(outdir / "manifest.json") as fh:
-        manifest = json.load(fh)
+        return _read_dataset(outdir, json.load(fh), map_x)
+
+
+def _read_dataset(outdir: Path, manifest: dict,
+                  map_x: ObservableMap = None) -> SnapshotDataset:
+    """``load_dataset`` of the manifest already read from ``outdir``."""
     path = outdir / PAYLOAD
     n, d_x = manifest["snapshots"], manifest["state_dim"]
     if map_x is not None and map_x.state_dim != d_x:

@@ -34,8 +34,8 @@ from . import __version__, evaluation
 from .babbling import (
     KIND,
     SnapshotDataset,
+    _read_dataset,
     generate_dataset,
-    load_dataset,
     save_dataset,
     write_json_atomic,
 )
@@ -159,12 +159,16 @@ def _load(cfg: dict, name: str, done: dict):
 def _run(cfg: dict, name: str, done: dict):
     """Run stage ``name`` on its upstream outputs.  A ValueError it raises,
     other than a ConfigError, is exit 3: ``cannot <stage>: <message>``; so
-    is a MemoryError: ``cannot <stage>: out of memory``."""
+    is a MemoryError: ``cannot <stage>: out of memory``.  A
+    FactorizationError is exit 6: ``factorization failed: <message>``."""
     inputs = [_load(cfg, u, done) for u in STAGES[name].upstream]
     try:
         done[name] = STAGES[name].run(cfg, *inputs)
     except ConfigError:
         raise
+    except FactorizationError as exc:
+        raise StageError(f"factorization failed: {exc}",
+                         EXIT_FACTORIZATION) from exc
     except ValueError as exc:
         raise StageError(f"cannot {name}: {exc}", EXIT_PRECONDITION) from exc
     except MemoryError as exc:  # numpy's message names the array
@@ -335,14 +339,16 @@ def cmd_evaluate(cfg: dict, result, model, pair):
 # passes (tensor.QR_CHUNK), 3: pair.json without S; identify 2:
 # model.json without map_hash; synthesize 2: the barrier method, 3: the
 # Assumption-1 probe over the grid's box; evaluate 2: one
-# plots/trajectories.npz for the two CSV files.  The dataset is read
-# straight into the rows of its lift by the state map.
+# plots/trajectories.npz for the two CSV files, 3: fidelity rolls out
+# the certified Ktilde (factorization.closed_loop).  The dataset is read
+# straight into the rows of its lift by the state map, from the manifest
+# ``_load`` parsed and checked.
 STAGES = {
     "babble": Stage(
         "dataset/manifest.json", KIND,
         ("plant", "observables", "babbling", "seed"), (),
-        lambda cfg, payload, path, _: load_dataset(path.parent,
-                                                   build_maps(cfg)[0]),
+        lambda cfg, payload, path, _: _read_dataset(
+            path.parent, payload, build_maps(cfg)[0]),
         cmd_babble, 2),
     "factorize": Stage(
         "pair.json", "koopctl/pair", ("factorization",), ("babble",),
@@ -356,7 +362,7 @@ STAGES = {
     "evaluate": Stage(
         "report.json", "koopctl/report", ("evaluation",),
         ("synthesize", "identify", "factorize"), _read_report, cmd_evaluate,
-        2),
+        3),
 }
 
 
@@ -417,9 +423,6 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FactorizationError as exc:
-        print(f"factorization failed: {exc}", file=sys.stderr)
-        return EXIT_FACTORIZATION
     return EXIT_OK
 
 

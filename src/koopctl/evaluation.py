@@ -6,7 +6,9 @@ batched rollout.  The report records convergence against an
 infinity-norm settle tolerance at the horizon, settling times, input
 peaks, Lyapunov-decrease fractions along the true trajectories, and
 lifted-model fidelity metrics, which compare lifted predictions with a
-prefix of those same closed-loop trajectories.  The Lyapunov
+prefix of those same closed-loop trajectories.  The predictions roll out
+``assemble_ktilde``'s Ktilde, bit for bit the operator that synthesis
+certifies (``factorization.closed_loop``).  The Lyapunov
 certificate itself applies to the lifted model; the true-plant decrease
 fraction is reported but is not a feasibility criterion.
 """
@@ -142,11 +144,24 @@ def evaluate_closed_loop(plant: ControlAffinePlant, map_u: ObservableMap,
                          result: SynthesisResult = None,
                          map_x: ObservableMap = None,
                          train_ranges=None) -> EvaluationReport:
-    """Roll out the feedback law and its uncontrolled twins, and score them."""
+    """Roll out the feedback law and its uncontrolled twins, and score them.
+
+    An optimal ``result`` needs a Lyapunov map (``map_x``, else ``map_u``)
+    of its P's size; another is a ValueError, raised before any rollout."""
     initial_states = np.asarray(initial_states, dtype=float)
     n = initial_states.shape[0]
     steps = int(round(horizon_s / dt))
     feedback = feedback_controller(map_u, K_u)
+    # the Lyapunov decrease is scored on the lifted states of each
+    # trajectory that did not diverge, lifted one trajectory at a time;
+    # V = psi^T P psi needs a lift of P's size, checked before the rollout
+    lift_map = None
+    if result is not None and result.status == "optimal":
+        lift_map = map_x if map_x is not None else map_u
+        if lift_map.dim != len(result.P):
+            raise ValueError(
+                f"map_x{' (None, so map_u)' if map_x is None else ''} has "
+                f"dimension {lift_map.dim}, P has {len(result.P)}")
 
     def control(x):  # rows [:n] closed loop, rows [n:] their u = 0 twins
         u = np.zeros(x.shape[:-1] + (plant.input_dim,))
@@ -156,11 +171,6 @@ def evaluate_closed_loop(plant: ControlAffinePlant, map_u: ObservableMap,
     trajs = rollout(plant, np.concatenate([initial_states, initial_states]),
                     control, steps, dt)
     controlled, uncontrolled = trajs[:n], trajs[n:]
-    # the Lyapunov decrease is scored on the lifted states of each
-    # trajectory that did not diverge, lifted one trajectory at a time
-    lift_map = None
-    if result is not None and result.status == "optimal":
-        lift_map = map_x if map_x is not None else map_u
     tail = max(1, int(round(1.0 / dt)))  # last second of the horizon
     records = []
     unc_final = []

@@ -42,7 +42,8 @@ When the condition holds, the closed-loop lifted operator becomes
 
     Ktilde = K_xx + K_xu (I kron K_u) H,
 
-linear in the gain K_u for a fixed identified model.
+linear in the gain K_u for a fixed identified model: ``closed_loop`` forms
+it, for the LMI of ``synthesis`` and the rollouts of ``evaluation`` alike.
 """
 
 from __future__ import annotations
@@ -87,19 +88,13 @@ def _lift_states(data, map_x: ObservableMap, map_u: ObservableMap):
     map and kept for the identification; an array of states is lifted
     here.  psi_u is the psi_x array itself when ``map_u is map_x``.
     """
-    if isinstance(data, SnapshotDataset):
-        size = len(data)
-
-        def lift(m):
-            return data.lift(m)[:, :size]
-    else:
-        states = np.asarray(data)
-        size = states.size
-
-        def lift(m):
-            return evaluate_batch(m, states)
-    if size == 0:
+    dataset = isinstance(data, SnapshotDataset)
+    if (len(data) if dataset else np.size(data)) == 0:
         raise ValueError("empty dataset")
+
+    def lift(m):
+        return data.lift(m)[:, :len(data)] if dataset else \
+            evaluate_batch(m, data)
     psi_x = lift(map_x)
     psi_u = psi_x if map_u is map_x else lift(map_u)
     return psi_x, psi_u
@@ -209,11 +204,9 @@ def threshold_mask(hbar: np.ndarray, residuals: np.ndarray, eps_h: float,
             f"no block residual below eps_h={eps_h:g} "
             f"(smallest residual {residuals.min():g})"
         )
-    S = np.eye(d_psi_x)[kept]
-    blocks = [hbar[i * d_psi_u : (i + 1) * d_psi_u] for i in kept]
-    H = np.vstack(blocks)
-    return FactorizationPair(S=S, H=H, mask=mask, residuals=residuals,
-                             eps_h=eps_h)
+    H = hbar.reshape(d_psi_x, d_psi_u, -1)[kept].reshape(-1, hbar.shape[1])
+    return FactorizationPair(S=np.eye(d_psi_x)[kept], H=H, mask=mask,
+                             residuals=residuals, eps_h=eps_h)
 
 
 def fit_pair(data, map_x: ObservableMap, map_u: ObservableMap,
@@ -254,15 +247,26 @@ class ClosedLoopOperator:
     Ktilde: np.ndarray
 
 
+def ktilde_terms(K_xu, H, d_psi, d_S, d_u, d_psi_u) -> np.ndarray:
+    """T with Ktilde(K_u) = K_xx + sum_ab K_u[a,b] T[a,b] (``closed_loop``),
+    once K_xu is checked (d_psi, d_S d_u) and H (d_S d_psi_u, d_psi)."""
+    K_xu = as_matrix(K_xu, "K_xu", (d_psi, d_S * d_u))
+    H = as_matrix(H, "H", (d_S * d_psi_u, d_psi))
+    return np.einsum("psa,sbq->abpq", K_xu.reshape(d_psi, d_S, d_u),
+                     H.reshape(d_S, d_psi_u, d_psi))
+
+
+def closed_loop(K_xx, T, K_u) -> np.ndarray:
+    """Ktilde(K_u) = K_xx + sum_ab K_u[a,b] T[a,b]."""
+    return K_xx + np.einsum("ab,abpq->pq", np.atleast_2d(K_u), T)
+
+
 def assemble_ktilde(model: BilinearKoopmanModel, K_u: np.ndarray,
                     H: np.ndarray) -> ClosedLoopOperator:
-    """Ktilde = K_xx + K_xu (I_{d_S} kron K_u) H."""
+    """Ktilde = K_xx + K_xu (I_{d_S} kron K_u) H, as synthesis certifies it."""
     K_u = np.atleast_2d(as_matrix(K_u, "K_u"))
-    (d_u, d_psi_u), d_S = K_u.shape, model.S.shape[0]
-    as_matrix(model.K_xu, "K_xu", (model.lifted_dim, d_S * d_u))
-    H = as_matrix(H, "H", (d_S * d_psi_u, model.lifted_dim))
-    return ClosedLoopOperator(
-        Ktilde=model.K_xx + model.K_xu @ np.kron(np.eye(d_S), K_u) @ H)
+    T = ktilde_terms(model.K_xu, H, model.lifted_dim, len(model.S), *K_u.shape)
+    return ClosedLoopOperator(Ktilde=closed_loop(model.K_xx, T, K_u))
 
 
 def pair_to_json(pair: FactorizationPair) -> dict:

@@ -5,7 +5,8 @@ For a fixed PSD candidate P the constraint
     M(K_u, lam) = [[P, P Ktilde], [Ktilde^T P, lam P]] >= 0,  lam in [0, 1]
 
 is jointly affine in (K_u, lam) because Ktilde = K_xx + K_xu (I kron K_u) H
-is affine in K_u.  Minimizing lam subject to
+is affine in K_u (formed by ``factorization.closed_loop``, bit for bit
+the operator evaluation rolls out).  Minimizing lam subject to
 
     F(theta, lam) = blockdiag(M(K_u, lam) + feas_tol I, lam, 1 - lam) >= 0,
 
@@ -76,7 +77,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .edmd import BilinearKoopmanModel
-from .factorization import FactorizationPair
+from .factorization import FactorizationPair, closed_loop, ktilde_terms
 from .tensor import (as_matrix, as_number, matrix_from_json, matrix_to_json,
                      symmetrize)
 
@@ -119,15 +120,11 @@ class LmiProblem:
     d_psi_u: int
 
     def __post_init__(self):
-        d_psi, d_S = len(self.K_xx), self.d_S
+        d_psi = len(self.K_xx)
         self.K_xx = as_matrix(self.K_xx, "K_xx", (d_psi, d_psi))
-        self.K_xu = as_matrix(self.K_xu, "K_xu", (d_psi, d_S * self.d_u))
-        self.H = as_matrix(self.H, "H", (d_S * self.d_psi_u, d_psi))
         self.P = symmetrize(as_matrix(self.P, "P", (d_psi, d_psi)))
-        # coefficient tensor: Ktilde(K_u) = K_xx + sum_ab K_u[a,b] T[a,b]
-        kxu3 = self.K_xu.reshape(d_psi, self.d_S, self.d_u)
-        h3 = self.H.reshape(self.d_S, self.d_psi_u, d_psi)
-        self.T = np.einsum("psa,sbq->abpq", kxu3, h3)
+        self.T = ktilde_terms(self.K_xu, self.H, d_psi, self.d_S, self.d_u,
+                              self.d_psi_u)
 
     @property
     def d_psi(self) -> int:
@@ -141,8 +138,7 @@ class LmiProblem:
         return np.asarray(theta, dtype=float).reshape(self.d_u, self.d_psi_u)
 
     def ktilde(self, K_u) -> np.ndarray:
-        K_u = np.atleast_2d(np.asarray(K_u, dtype=float))
-        return self.K_xx + np.einsum("ab,abpq->pq", K_u, self.T)
+        return closed_loop(self.K_xx, self.T, K_u)
 
     def block_matrix(self, K_u, lam: float) -> np.ndarray:
         kt = self.ktilde(K_u)

@@ -2,6 +2,7 @@ import inspect
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -805,6 +806,21 @@ class TestStageOrdering:
         assert cli.main(["babble", "--config", str(path)]) == cli.EXIT_CONFIG
 
 
+def readme_format_numbers() -> dict:
+    """The stage format numbers of the README's "`babble` is at 2 ..."
+    sentence, its parenthesized histories left out."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = re.sub(r"\([^)]*\)", "", text[text.index("`babble` is at"):])
+    sentence = " ".join(sentence[: sentence.index(".")].split())
+    return {name: int(n) for name, n in
+            re.findall(r"`(\w+)`(?: is)? at (\d+)", sentence)}
+
+
+def test_readme_gives_every_stage_format():
+    assert readme_format_numbers() == {
+        name: stage.format for name, stage in cli.STAGES.items()}
+
+
 class TestFactorizationFailureCode:
     def test_tiny_eps_exits_6_with_one_line(self, tmp_path, capsys):
         cfgfile = smoke_config(tmp_path, factorization={"eps_h": 1e-300})
@@ -813,8 +829,42 @@ class TestFactorizationFailureCode:
         code = cli.main(["factorize", "--config", str(cfgfile)])
         assert code == cli.EXIT_FACTORIZATION == 6
         err = capsys.readouterr().err
-        assert err.startswith("factorization failed: no block residual")
+        assert err.startswith("error: factorization failed: no block residual")
         assert err.count("\n") == 1
+
+
+class TestDatasetRead:
+    def test_factorize_opens_the_manifest_once(self, tmp_path, monkeypatch):
+        # _load parses and checks the manifest, and the dataset reader
+        # takes that payload rather than opening the file again
+        cfgfile = smoke_config(tmp_path)
+        assert cli.main(["babble", "--config", str(cfgfile)]) == cli.EXIT_OK
+        dataset = tmp_path / "out" / "dataset"
+        want = babbling.load_dataset(dataset)
+        opened, got = [], []
+        real_open, fit_pair = open, cli.fit_pair
+
+        def spy_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        def spy_fit_pair(ds, *args, **kwargs):
+            got.append(ds)
+            return fit_pair(ds, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy_open)
+        monkeypatch.setattr(cli, "fit_pair", spy_fit_pair)
+        assert cli.main(["factorize", "--config", str(cfgfile)]) \
+            == cli.EXIT_OK
+        assert [f for f in opened if f.endswith("manifest.json")] \
+            == [str(dataset / "manifest.json")]
+        (ds,) = got
+        for name in ("x", "u", "traj_ids", "traj_ends", "tail_rows",
+                     "tails"):
+            assert getattr(ds, name).tobytes() \
+                == getattr(want, name).tobytes(), name
+        assert (ds.n_trajectories, ds.n_dropped, ds.meta) \
+            == (want.n_trajectories, want.n_dropped, want.meta)
 
 
 class TestBabbleFailureCode:

@@ -10,10 +10,12 @@ from koopctl import plants, synthesis as syn
 from koopctl.edmd import BilinearKoopmanModel
 from koopctl.factorization import FactorizationPair, assemble_ktilde
 from koopctl.observables import (
+    ObservableMap,
     decoding_operator,
     double_pendulum_map,
     polynomial_map,
     single_pendulum_map,
+    state_feature,
 )
 
 
@@ -344,6 +346,32 @@ class TestEvaluateClosedLoop:
             1.0, 0.01, train_ranges=[[-np.pi, np.pi], [-6.0, 6.0]])
         assert rep.eval_ranges[1][0] < -6.0 or rep.eval_ranges[1][1] > 6.0
         assert rep.train_ranges == [[-np.pi, np.pi], [-6.0, 6.0]]
+
+    def test_lyapunov_map_of_another_dimension_fails_before_rollout(
+            self, monkeypatch):
+        # P is 9 x 9 (the single-pendulum state map); a raw-state
+        # controller map cannot lift V = psi^T P psi in its place
+        raw = ObservableMap(name="raw", state_dim=2, features=(
+            state_feature(0, 2, "theta"), state_feature(1, 2, "omega")))
+        result = syn.SynthesisResult(
+            K_u=np.array([[-2.0, -2.0]]), lam=0.5, P=syn._restrict(
+                np.eye(2), self.map.dim), S_x=np.eye(2), status="optimal")
+        rolled = []
+        monkeypatch.setattr(ev, "rollout", lambda *a: rolled.append(a))
+        for map_x in (None, raw):
+            with pytest.raises(ValueError, match=r"^map_x.* has dimension 2, "
+                               r"P has 9$"):
+                ev.evaluate_closed_loop(self.plant, raw, result.K_u,
+                                        [[0.1, 0.0]], 1.0, 0.01,
+                                        result=result, map_x=map_x)
+        assert rolled == []
+        monkeypatch.undo()
+        # V reads only psi's raw-state rows, so any map of P's size is
+        # accepted: here the state map beside the raw-state controller
+        rep = ev.evaluate_closed_loop(self.plant, raw, result.K_u,
+                                      [[0.1, 0.0]], 1.0, 0.01,
+                                      result=result, map_x=self.map)
+        assert 0.0 <= rep.records[0].lyap_decrease_fraction <= 1.0
 
     def test_report_json_shape(self):
         rep = ev.evaluate_closed_loop(self.plant, self.map, self.K,

@@ -315,10 +315,13 @@ class TestEvaluateBatch:
         out = obs.evaluate_batch(m, np.zeros((0, 2)))
         assert out.shape == (9, 0)
 
-    def test_single_column(self):
+    @pytest.mark.parametrize("wrap", [lambda x: [x], lambda x: x],
+                             ids=["list-of-one", "one-1d-state"])
+    def test_single_column(self, wrap):
         m = obs.single_pendulum_map()
         x = np.array([0.4, -1.1])
-        out = obs.evaluate_batch(m, [x])
+        out = obs.evaluate_batch(m, wrap(x))
+        assert out.shape == (9, 1)
         np.testing.assert_array_equal(out[:, 0], m(x))
 
     def test_columns_match_per_state(self):

@@ -158,6 +158,51 @@ class TestLmiProblem:
             assert prob.min_eig(theta, lam2) >= prob.min_eig(theta, lam1) - 1e-12
 
 
+def assert_rolled_out_is_certified(model, pair, K_u, P=None):
+    """assemble_ktilde's Ktilde is, bit for bit, the LMI's Ktilde."""
+    problem = syn.LmiProblem(
+        P=np.eye(model.lifted_dim) if P is None else P, K_xx=model.K_xx,
+        K_xu=model.K_xu, H=pair.H, d_S=pair.d_S, d_u=model.input_dim,
+        d_psi_u=pair.d_psi_u)
+    rolled_out = assemble_ktilde(model, K_u, pair.H).Ktilde
+    np.testing.assert_array_equal(rolled_out.view(np.uint64),
+                                  problem.ktilde(K_u).view(np.uint64))
+
+
+class TestOneClosedLoopOperator:
+    """Evaluation rolls out the operator synthesis certifies, formed once
+    (``factorization.closed_loop``)."""
+
+    @pytest.mark.parametrize("kind", ["single", "double", "controllable"])
+    def test_certified_protocol_gains(self, kind, model_pairs):
+        model, pair = model_pairs[kind]
+        result = syn.synthesize(model, pair, max_resamples=20, seed=0)
+        assert result.status == "optimal"
+        assert_rolled_out_is_certified(model, pair, result.K_u, result.P)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_models(self, seed):
+        # d_S, d_u and d_psi_u above 1, where the Kronecker product
+        # K_xu (I kron K_u) H sums in another order than the tensor does
+        rng = np.random.default_rng(seed)
+        d_psi = int(rng.integers(3, 8))
+        d_S, d_u, d_pu = (int(rng.integers(2, high)) for high in
+                          (d_psi + 1, 4, 6))
+        model = BilinearKoopmanModel(
+            K_xx=rng.standard_normal((d_psi, d_psi)),
+            K_xu=rng.standard_normal((d_psi, d_S * d_u)),
+            S=np.eye(d_psi)[:d_S],
+            map_descriptor={"name": "random", "state_dim": 1,
+                            "features": []})
+        pair = FactorizationPair(
+            S=model.S, H=rng.standard_normal((d_S * d_pu, d_psi)),
+            mask=(np.arange(d_psi) < d_S).astype(int),
+            residuals=np.zeros(d_psi), eps_h=1e-9)
+        assert_rolled_out_is_certified(
+            model, pair, rng.standard_normal((d_u, d_pu)))
+
+
 class TestSolveFixedP:
     def test_scalar_toy_reaches_zero_rate(self):
         # lam* = 0 at theta = -1.1; at lam_c = lam_tol / 10 the certified
@@ -206,6 +251,79 @@ class TestSolveFixedP:
         sol = syn.solve_fixed_p(scalar_problem())
         assert sol["outcome"] == "iteration-cap"
         assert sol["iterations"] == 2 and sol["theta"] is None
+
+
+def assert_no_verdict(sol, iterations):
+    assert sol["outcome"] == "iteration-cap"
+    assert sol["iterations"] == iterations > 0
+    assert sol["theta"] is sol["lam"] is sol["min_eig"] is None
+
+
+class TestSolverFailures:
+    """Each way a centering can fail ends ``solve_fixed_p`` without a
+    verdict, its Newton steps counted, and ``synthesize`` records that
+    candidate and moves on without raising."""
+
+    def test_newton_from_an_infeasible_point_fails_at_once(self):
+        # lam = 2 makes the 1 - lam entry of F negative
+        F = syn._sdp_terms(scalar_problem())
+        assert syn._newton(F, np.array([0.0, 2.0]), np.zeros(2), 0.0,
+                           syn._PATH_TOL) == (None, 0)
+
+    @staticmethod
+    def record_paths(monkeypatch) -> list:
+        """The (y, steps) of every ``_path`` call, in order."""
+        calls, path = [], syn._path
+
+        def recording(*args):
+            calls.append(path(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(syn, "_path", recording)
+        return calls
+
+    @staticmethod
+    def assert_every_candidate_fails():
+        model, pair = controllable_model_pair()
+        result = syn.synthesize(model, pair, max_resamples=2, seed=0)
+        assert result.status == "max-resamples-exceeded"
+        candidates = result.diagnostics["candidates"]
+        assert len(candidates) == 3
+        for c in candidates:
+            assert c["outcome"] == "iteration-cap" and not c["feasible"]
+            assert c["lam"] is c["min_eig"] is None and c["iterations"] > 0
+        assert result.diagnostics["iterations"] == sum(
+            c["iterations"] for c in candidates)
+
+    def test_line_search_stall(self, monkeypatch):
+        # a Newton direction 1e30 times too long leaves the domain for
+        # every step a >= 1e-12 the line search tries
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (
+            1e30 * lstsq(a, b, rcond=rcond)[0],))
+        assert_no_verdict(syn.solve_fixed_p(scalar_problem()), 1)
+        self.assert_every_candidate_fails()
+
+    def test_path_that_never_closes_its_gap(self, monkeypatch):
+        # t never grows, so a path stops only at its centering cap, after
+        # at least one Newton step per centering
+        monkeypatch.setattr(syn, "_PATH_STEP", 1.0)
+        calls = self.record_paths(monkeypatch)
+        sol = syn.solve_fixed_p(scalar_problem())
+        assert calls[-1][0] is None
+        assert calls[-1][1] >= syn._NEWTON_MAXITER
+        assert_no_verdict(sol, sum(steps for _, steps in calls))
+        self.assert_every_candidate_fails()
+
+    def test_phase_two_fails_after_a_feasible_phase_one(self, monkeypatch):
+        # a zero duality-gap bound is never met, so phase II alone fails
+        monkeypatch.setattr(syn, "_PATH_GAP", 0.0)
+        calls = self.record_paths(monkeypatch)
+        sol = syn.solve_fixed_p(scalar_problem())
+        (y1, steps1), (y2, steps2) = calls
+        assert y1[-1] < 0.0 and y2 is None
+        assert_no_verdict(sol, steps1 + steps2)
+        self.assert_every_candidate_fails()
 
 
 class TestSynthesize:

@@ -191,12 +191,14 @@ class TestStreamedQr:
 
 
 class TestJsonRoundTrip:
-    def test_exact_round_trip(self):
+    @pytest.mark.parametrize("shape", [(3, 5), (5,)])
+    def test_exact_round_trip(self, shape):
+        # a 1-d array is written and read back as one row
         rng = np.random.default_rng(6)
-        m = rng.standard_normal((3, 5)) * np.pi
+        m = rng.standard_normal(shape) * np.pi
         blob = json.dumps(tensor.matrix_to_json(m))
         back = tensor.matrix_from_json(json.loads(blob))
-        np.testing.assert_array_equal(back, m)
+        np.testing.assert_array_equal(back, np.atleast_2d(m))
 
     def test_shape_check(self):
         with pytest.raises(ValueError, match="length"):
